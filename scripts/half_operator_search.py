@@ -8,10 +8,15 @@ square root.  Applying H_s twice means inverting H_s(f) itself, which is
 done here by bisection, so the residuals are honest operator compositions,
 not algebraic shortcuts.
 
-Run: python scripts/half_operator_search.py
+Run from the repository root with the package importable, either
+installed or through the source tree:
+
+    PYTHONPATH=src python scripts/half_operator_search.py
 """
 
 import math
+
+from growthcalc.funcexpr import _bisect
 
 GRID = [2.0 + 0.5 * i for i in range(12)]
 
@@ -27,15 +32,14 @@ def bisect_inverse(fn, y, lo=1e-9, hi=1e6):
         if fn(hi) >= y:
             break
         hi *= 4
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def defined_fn(x):
+        try:
+            return fn(x)
+        except ValueError:  # left of the domain of fn (x^2 + 1 starts at 1)
+            return -math.inf
+
+    return _bisect(defined_fn, y, lo, hi)
 
 
 def half_shift(fn, inv, s):

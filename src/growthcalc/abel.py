@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from . import funcexpr, lixnum
-from .funcexpr import EvalEnv, FuncExpr
-from .lixnum import DomainError, LIReal
+from . import funcexpr
+from .lixnum import DomainError
 
 __all__ = [
     "AbelSolution",
@@ -34,15 +32,11 @@ __all__ = [
     "HypothesisError",
     "solve_abel",
     "solve_abel_regularized",
-    "abel_eval",
-    "abel_inverse",
-    "fractional_iterate",
     "solution_to_json",
     "solution_from_json",
 ]
 
 MAX_PULLBACK_STEPS = 10 ** 6
-_BRENT_RTOL = 4 * 2.23e-16
 
 
 class HypothesisError(ValueError):
@@ -102,7 +96,14 @@ class CubicSeed:
                 + h01 * (self.y0 + 1.0) + h11 * d * self.m1)
 
     def inv(self, t: float) -> float:
-        return _bisect_inv(self, self.x0, self.x1, t)
+        lo, hi = self.y0, self.y0 + 1.0
+        if not lo - 1e-12 <= t <= hi + 1e-12:
+            raise DomainError(f"seed inverse target {t!r} outside [{lo!r}, {hi!r}]")
+        if t <= lo:
+            return self.x0
+        if t >= hi:
+            return self.x1
+        return funcexpr._bisect(self, t, self.x0, self.x1)
 
     def params(self) -> dict:
         return {"x0": self.x0, "x1": self.x1, "y0": self.y0, "fpA": self.fpA}
@@ -138,52 +139,23 @@ class TableSeed:
         return {"knots": list(zip(self.xs, self.ys))}
 
 
-class CallableSeed:
-    kind = "callable"
-
-    def __init__(self, fn: Callable[[float], float], x0: float, x1: float):
-        self.fn, self.x0, self.x1 = fn, x0, x1
-
-    def __call__(self, x: float) -> float:
-        return self.fn(x)
-
-    def inv(self, t: float) -> float:
-        return _bisect_inv(self.fn, self.x0, self.x1, t)
-
-    def params(self) -> dict:
-        raise DomainError("callable seeds are not serializable; use a table seed")
-
-
-def _bisect_inv(fn, lo: float, hi: float, t: float) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if not (min(flo, fhi) - 1e-12 <= t <= max(flo, fhi) + 1e-12):
-        raise DomainError(f"seed inverse target {t!r} outside [{flo!r}, {fhi!r}]")
-    return brentq(lambda x: fn(x) - t, lo, hi, xtol=1e-300, rtol=_BRENT_RTOL)
-
-
 # ---------------------------------------------------------------------------
 # Solutions
 
 
-def _to_float_or_inf(v) -> float:
-    # values past the float range only ever feed comparisons here
-    try:
-        return funcexpr._as_float(v)
-    except DomainError:
-        return math.inf
+def _float_fn(f, hier=None):
+    """(fn, text) for a function spec, with fn returning floats; values past
+    the float range become inf, as they only ever feed comparisons here."""
+    raw, text = funcexpr.callable_of(f, hier)
 
+    def fn(x):
+        v = raw(x)
+        try:
+            return float(v)
+        except DomainError:
+            return math.inf
 
-def _as_callable(f, hier=None):
-    """Normalize a function spec (text, FuncExpr, callable) to (callable, text)."""
-    if isinstance(f, str):
-        expr = funcexpr.parse(f)
-        return (lambda x: _to_float_or_inf(funcexpr.evaluate(expr, EvalEnv(x, hier)))), f
-    if funcexpr.is_expr(f):
-        text = funcexpr.to_text(f)
-        return (lambda x: _to_float_or_inf(funcexpr.evaluate(f, EvalEnv(x, hier)))), text
-    if callable(f):
-        return (lambda x: _to_float_or_inf(f(x))), getattr(f, "expr_text", None)
-    raise TypeError(f"not a function spec: {f!r}")
+    return fn, text
 
 
 @dataclass
@@ -195,6 +167,10 @@ class AbelSolution:
     f_inv: Optional[Callable[[float], float]] = None
     f_text: Optional[str] = None
     seed_kind: str = "linear"
+
+    @property
+    def expr_text(self) -> Optional[str]:
+        return self.f_text and f"abel[{self.f_text}]"
 
     @property
     def domain_lo(self) -> float:
@@ -231,21 +207,7 @@ class AbelSolution:
                 hi = y + width
             else:
                 raise DomainError(f"could not bracket f^-1({y!r})")
-        # sign-based bisection: f may overflow to inf inside the bracket
-        # (brentq chokes on that) and the bracket can span hundreds of
-        # orders of magnitude, so halve geometrically until it is narrow
-        for _ in range(400):
-            if lo > 0 and hi / lo > 4.0:
-                mid = math.sqrt(lo * hi)
-            else:
-                mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if self.f(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return funcexpr._bisect(self.f, y, lo, hi)
 
     def _pull_into_domain(self, x: float):
         """Return (y, n) with y in the fundamental domain and x = step^n(y)."""
@@ -263,10 +225,10 @@ class AbelSolution:
         return min(y, hi), n
 
     def eval(self, x) -> float:
-        if isinstance(x, LIReal):
-            x = lixnum.to_real(x)
         y, n = self._pull_into_domain(float(x))
         return n + self.seed(y)
+
+    __call__ = eval
 
     def inverse(self, t: float) -> float:
         s_lo = self.seed(self.domain_lo)
@@ -286,26 +248,11 @@ class AbelSolution:
     def fractional_iterate(self, lam: float, x) -> float:
         return self.inverse(self.eval(x) + lam)
 
-    def ratio_decreasing_report(self, count: int = 24) -> dict:
-        """Sample F(x)/x on a geometric grid; a quality check, never fatal."""
-        x = max(self.domain_hi, 1.0) * 1.5
-        ratios = []
-        xs = []
-        for _ in range(count):
-            try:
-                ratios.append(self.eval(x) / x)
-            except DomainError:
-                break
-            xs.append(x)
-            x *= 2.0
-        decreasing = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
-        return {"xs": xs, "ratios": ratios, "decreasing": decreasing}
 
-
-def solve_abel(f, A: float, seed_kind: Union[str, Sequence, Callable] = "linear",
+def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
                f_inv: Optional[Callable[[float], float]] = None,
                hier=None) -> AbelSolution:
-    fn, f_text = _as_callable(f, hier)
+    fn, f_text = _float_fn(f, hier)
     A = float(A)
     fA = fn(A)
     if fA == A:
@@ -330,32 +277,12 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence, Callable] = "linear"
         fpA = (fn(A + h) - fn(A - h)) / (2 * h)
         seed = CubicSeed(lo, hi, 0.0, fpA)
         kind = "smooth_c1"
-    elif callable(seed_kind):
-        seed = CallableSeed(seed_kind, lo, hi)
-        kind = "callable"
     else:
         seed = TableSeed(seed_kind)
         kind = "table"
 
-    sol = AbelSolution(f=fn, A=A, seed=seed, direction=direction,
-                       f_inv=f_inv, f_text=f_text, seed_kind=kind)
-    report = sol.ratio_decreasing_report(8)
-    if report["ratios"] and not report["decreasing"]:
-        warnings.warn("F(x)/x is not decreasing on the sampled grid (seed quality warning)",
-                      stacklevel=2)
-    return sol
-
-
-def abel_eval(sol: AbelSolution, x) -> float:
-    return sol.eval(x)
-
-
-def abel_inverse(sol: AbelSolution, t: float) -> float:
-    return sol.inverse(t)
-
-
-def fractional_iterate(sol: AbelSolution, lam: float, x) -> float:
-    return sol.fractional_iterate(lam, x)
+    return AbelSolution(f=fn, A=A, seed=seed, direction=direction,
+                        f_inv=f_inv, f_text=f_text, seed_kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +302,7 @@ def solution_to_json(sol: AbelSolution) -> dict:
 
 def solution_from_json(data: dict, hier=None) -> AbelSolution:
     kind = data["seed_kind"]
-    fn, f_text = _as_callable(data["f"], hier)
+    fn, f_text = _float_fn(data["f"], hier)
     A = float(data["A"])
     p = data["seed_params"]
     if kind == "linear":
@@ -461,6 +388,8 @@ class RegularizedSolution:
             self._scale = 1.0 / step if step > 0 else 1.0
         return self._scale * self._raw_F(x)
 
+    __call__ = F
+
     def regularity_ratio(self, x: float) -> float:
         """Numerically measured -x F''/F' (should tend to 1)."""
         h = 0.01 * x
@@ -469,7 +398,7 @@ class RegularizedSolution:
 
 
 def solve_abel_regularized(f, A: float, hier=None, span: float = 1e6) -> RegularizedSolution:
-    fn, _ = _as_callable(f, hier)
+    fn, _ = _float_fn(f, hier)
     A = float(A)
     fA = fn(A)
     if not fA < A:

@@ -18,7 +18,6 @@ integer anchors.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Union
 
 from . import abel, funcexpr, lixnum
@@ -46,7 +45,6 @@ _N_MAX = {0: None, 1: None, 2: 10 ** 4, 3: 6, 4: 2}
 _M_MAX = 4
 
 _memo: dict = {(0, 0): 2}
-_memo_lock = threading.Lock()
 
 
 def supported_envelope() -> dict:
@@ -64,19 +62,12 @@ def _check_range(m: int, n: int) -> None:
         raise DomainError(f"ack(m={m}) supports n <= {cap}, got n={n!r}")
 
 
-def _li_of_int(v: int) -> LIReal:
-    try:
-        return lixnum.from_real_any(float(v))
-    except OverflowError:
-        return lixnum.exp_li(lixnum.from_real(math.log(v)))
-
-
 def _a2_step(v: Union[int, LIReal]) -> Union[int, LIReal]:
     """One application of A(2, .): v -> 2^(v+2) - 2."""
     if isinstance(v, int):
         if v <= 10 ** 5:
             return 2 ** (v + 2) - 2
-        v = _li_of_int(v)
+        v = lixnum.to_li(v)
     # tower scale: the -2 and +2 are far below representable resolution
     return lixnum.exp_li(lixnum.mul(lixnum.add(v, lixnum.from_real(2.0)),
                                     lixnum.from_real(_LN2)))
@@ -86,8 +77,7 @@ def ack(m: int, n: int) -> Union[int, LIReal]:
     """A(m, n): exact integer while feasible, level-index tower beyond."""
     _check_range(m, n)
     key = (m, n)
-    with _memo_lock:
-        cached = _memo.get(key)
+    cached = _memo.get(key)
     if cached is not None:
         return cached
     if n == 0:
@@ -108,8 +98,7 @@ def ack(m: int, n: int) -> Union[int, LIReal]:
         val = 2
         for _ in range(inner):
             val = _a2_step(val)
-    with _memo_lock:
-        _memo[key] = val
+    _memo[key] = val
     return val
 
 
@@ -139,19 +128,16 @@ def _a2_real_inv(y: float) -> float:
 
 
 _g3_solution: Optional[abel.AbelSolution] = None
-_g3_lock = threading.Lock()
 
 
 def _g3() -> abel.AbelSolution:
     """Abel solution G(3, .) of the step A(2, .), anchored so that
     G(3, A(3, n)) = n: smooth seed on the fundamental domain [2, 14]."""
     global _g3_solution
-    with _g3_lock:
-        if _g3_solution is None:
-            _g3_solution = abel.solve_abel(_a2_real, A=2.0,
-                                           seed_kind="smooth_c1",
-                                           f_inv=_a2_real_inv)
-        return _g3_solution
+    if _g3_solution is None:
+        _g3_solution = abel.solve_abel(_a2_real, A=2.0, seed_kind="smooth_c1",
+                                       f_inv=_a2_real_inv)
+    return _g3_solution
 
 
 def G_real(m: int, x) -> float:
@@ -165,7 +151,7 @@ def G_real(m: int, x) -> float:
             x = math.log2(x + 2) - 2.0
             shift = 1
         return _g3().eval(float(x)) + shift
-    xf = lixnum.to_real(x) if isinstance(x, LIReal) else float(x)
+    xf = float(x)
     if m == 0:
         return xf - 2.0
     if m == 1:
@@ -205,12 +191,14 @@ class OpLHandle:
         return f"L[{self.text}]" if self.text else None
 
     def __call__(self, x):
-        return self.f(self.f_inv(x) + 1)
+        # an expression inverse can return a level-index number; the unit
+        # shift needs a float
+        return self.f(float(self.f_inv(x)) + 1)
 
 
-def _resolve_inverse(f, fn: Callable, f_inv, hier) -> Callable:
+def _resolve_inverse(f, f_inv, hier) -> Callable:
     if f_inv is not None:
-        inv_fn, _ = abel._as_callable(f_inv, hier)
+        inv_fn, _ = funcexpr.callable_of(f_inv, hier)
         return inv_fn
     inv_attr = getattr(f, "inverse", None)
     if callable(inv_attr):
@@ -230,14 +218,8 @@ def op_L(f, f_inv=None, hier=None) -> OpLHandle:
     op_L(exp) = e x, op_L(e x) = x + e, and one step down the
     inverse-super-logarithm ladder."""
     hier = hier or default_hierarchy()
-    if isinstance(f, OpLHandle) or (callable(f) and not isinstance(f, str)
-                                    and not funcexpr.is_expr(f)):
-        fn = f
-        text = getattr(f, "expr_text", None) or getattr(f, "text", None)
-    else:
-        fn, text = abel._as_callable(f, hier)
-    inv_fn = _resolve_inverse(f, fn, f_inv, hier)
-    return OpLHandle(fn, inv_fn, text)
+    fn, text = funcexpr.callable_of(f, hier)
+    return OpLHandle(fn, _resolve_inverse(f, f_inv, hier), text)
 
 
 class _XiInvHandle:
@@ -249,10 +231,8 @@ class _XiInvHandle:
         self.expr_text = f"xi_{k}_inv"
 
     def __call__(self, t):
-        if isinstance(t, LIReal):
-            if self.k == 2:
-                return lixnum.exp_li(t)
-            t = lixnum.to_real(t)
+        if isinstance(t, LIReal) and self.k == 2:
+            return lixnum.exp_li(t)
         return self.hier.xi_k_inv(self.k, float(t))
 
     def inverse(self, v):

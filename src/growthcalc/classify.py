@@ -20,10 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from . import funcexpr, lixnum, orders
+from . import funcexpr, lixnum
 from .funcexpr import Call, Binary, Const, EvalEnv, EvalError, Var
 from .lixnum import DomainError, LIReal
-from .orders import Ladder, OrderEstimate, order_of
+from .orders import Ladder, OrderEstimate, _tail, order_of
 from .xihier import default_hierarchy
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "verify_chain",
     "classify_expr",
     "BetweenClassFn",
-    "between_class_fn",
     "SandwichHandle",
     "sandwich_bounds",
     "sandwich_bracket_report",
@@ -147,8 +146,8 @@ def _spec_text(spec) -> str:
 def _inverse_check(entry: CatalogEntry, hier) -> dict:
     """F0 inverts f0: f0(F0(x))/x -> 1 (exact super-log coordinates for the
     top row, floats for the rest)."""
-    f0fn, _ = orders._normalize(entry.f0, hier)
-    F0fn, _ = orders._normalize(entry.chain[0], hier)
+    f0fn, _ = funcexpr.callable_of(entry.f0, hier)
+    F0fn, _ = funcexpr.callable_of(entry.chain[0], hier)
     errs = []
     if callable(entry.f0) and not isinstance(entry.f0, str):
         for x in _tower_points(4, 9):
@@ -156,7 +155,7 @@ def _inverse_check(entry: CatalogEntry, hier) -> dict:
             errs.append(abs(float(lixnum.xi_exact(y)) - float(lixnum.xi_exact(x))))
     else:
         for x in (1e50, 1e120, 1e200):
-            y = orders._to_float(f0fn(F0fn(x)))
+            y = float(f0fn(F0fn(x)))
             errs.append(abs(y / x - 1.0))
     max_err = max(errs)
     return {"errors": errs, "max_err": max_err, "ok": max_err <= 1e-3}
@@ -243,17 +242,13 @@ def _eval(expr, x, hier):
     return funcexpr.evaluate(expr, EvalEnv(x, hier))
 
 
-def _tail(seq: List[float]) -> List[float]:
-    return seq[-max(2, math.ceil(len(seq) / 3)):]
-
-
 def _mu_estimate(fexpr, n: int, hier, tol: float):
     """mu in log_n f = (log_n x)^mu, via log_{n+1} f / log_{n+1} x
     (iterated exp when n+1 < 0, so n = -2 probes f - x directly)."""
     ladder = _MU_LADDERS.get(n, _MU_LADDER_WIDE)
     vals = []
     for x in ladder.points():
-        fx = orders._to_float(_eval(fexpr, x, hier))
+        fx = float(_eval(fexpr, x, hier))
         if n == -2:
             diff = fx - x
             vals.append(math.exp(diff) if diff < 700 else math.inf)
@@ -294,7 +289,7 @@ def _growth_precondition(fexpr, hier) -> Tuple[bool, float]:
         fx = _eval(fexpr, x, hier)
         if isinstance(fx, LIReal) and fx.level >= 2:
             continue  # far beyond x + 1 already
-        worst = min(worst, orders._to_float(fx) - x)
+        worst = min(worst, float(fx) - x)
     return worst > 1.0, worst
 
 
@@ -404,7 +399,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
     c_vals = []
     try:
         for x in scan_pts:
-            hv = orders._to_float(_eval(h_expr, x, hier))
+            hv = float(_eval(h_expr, x, hier))
             top = x
             for _ in range(n + 3):
                 top = math.log(top)
@@ -438,7 +433,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
             try:
                 ratios = []
                 for x in scan_pts:
-                    hv = orders._to_float(_eval(h_expr, x, hier))
+                    hv = float(_eval(h_expr, x, hier))
                     a, b = hv, float(x)
                     for _ in range(r):
                         a = math.log(a)
@@ -478,11 +473,6 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
 # Between-class constructions
 
 
-def _fn_of(F, hier) -> Callable:
-    fn, _ = orders._normalize(F, hier)
-    return fn
-
-
 class BetweenClassFn:
     """f = Xi_m^{-1}(Xi_m + c / H_m(F)): sits strictly between the class of
     F^{-1} minus one and that class, for suitable F.
@@ -499,7 +489,7 @@ class BetweenClassFn:
         if c <= 0:
             raise DomainError("the between-class offset c must be positive")
         self.hier = hier or default_hierarchy()
-        self.F = _fn_of(F, self.hier)
+        self.F, _ = funcexpr.callable_of(F, self.hier)
         self.F_text = _spec_text(F)
         self.m = m
         self.c = float(c)
@@ -511,14 +501,12 @@ class BetweenClassFn:
                 f"({self.F_text})")
 
     def _shift(self, x: float) -> float:
-        Fx = self.F(x)
-        H = self.hier.H_k(self.m, Fx)
-        if isinstance(H, LIReal):
-            try:
-                H = lixnum.to_real(H)
-            except DomainError:
-                return 0.0  # H beyond float range: the shift underflows
-        return self.c / float(H)
+        H = self.hier.H_k(self.m, self.F(x))
+        try:
+            H = float(H)
+        except DomainError:
+            return 0.0  # H beyond float range: the shift underflows
+        return self.c / H
 
     def _forward(self, x: float) -> float:
         base = float(self.hier.xi_k(self.m, x))
@@ -529,15 +517,16 @@ class BetweenClassFn:
             base = float(self.hier.xi_k(self.m, y))
             return lixnum.to_real(
                 self.hier.xi_k_inv(self.m, base - self._shift(y)))
-        return _bisect_inverse(self._forward, y)
+        return _solve_increasing(self._forward, y)
 
     def __call__(self, x: float) -> float:
         if not self.inverse_form:
             return self._forward(x)
-        return _bisect_inverse(self.inverse, x)
+        return _solve_increasing(self.inverse, x)
 
 
-def _bisect_inverse(fn: Callable[[float], float], y: float) -> float:
+def _solve_increasing(fn: Callable[[float], float], y: float) -> float:
+    """x with fn(x) = y for an increasing fn, bracketed from [y/4, 4y + 4]."""
     lo, hi = y / 4.0, y * 4.0 + 4.0
     for _ in range(200):
         if fn(lo) <= y:
@@ -547,20 +536,7 @@ def _bisect_inverse(fn: Callable[[float], float], y: float) -> float:
         if fn(hi) >= y:
             break
         hi *= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if fn(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def between_class_fn(F, m: int, c: float = 1.0, inverse_form: bool = False,
-                     hier=None) -> BetweenClassFn:
-    return BetweenClassFn(F, m, c, inverse_form, hier)
+    return funcexpr._bisect(fn, y, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +569,7 @@ class SandwichHandle:
         return self.factor
 
     def xi_shift(self, x) -> float:
-        Bx = self.base(x)
-        H = self.hier.H_k(self.level, Bx)
-        if isinstance(H, LIReal):
-            H = lixnum.to_real(H)
-        return self.factor / float(H)
+        return self.factor / float(self.hier.H_k(self.level, self.base(x)))
 
     def __call__(self, x: float) -> float:
         base = float(self.hier.xi_k(self.level, x))
@@ -605,7 +577,7 @@ class SandwichHandle:
             self.hier.xi_k_inv(self.level, base + self.xi_shift(x)))
 
     def inverse(self, y: float) -> float:
-        return _bisect_inverse(self.__call__, y)
+        return _solve_increasing(self.__call__, y)
 
 
 def _xi_fn(k: int, hier) -> Callable:
@@ -658,9 +630,8 @@ def scaled_xi_increment(a: float, x, hier=None) -> float:
     hier = hier or default_hierarchy()
     if not isinstance(x, LIReal):
         x = lixnum.from_real(float(x))
-    u = lixnum.ln_li(x)
     try:
-        uf = lixnum.to_real(u)
+        uf = float(lixnum.ln_li(x))
     except DomainError:
         return 1.0
     if uf > 1e6:
@@ -707,8 +678,7 @@ def inverse_derivative_ratio(f, g, x: float, hier=None) -> float:
         expr = funcexpr.parse(spec) if isinstance(spec, str) else spec
         y = funcexpr.invert_at(expr, float(x), bracket_hint=(1.0, float(x) + 2.0),
                                hier=hier)
-        d = orders._to_float(
-            funcexpr.evaluate(funcexpr.differentiate(expr), EvalEnv(y, hier)))
+        d = float(funcexpr.evaluate(funcexpr.differentiate(expr), EvalEnv(y, hier)))
         if d == 0:
             raise EvalError("zero derivative at the inverse point")
         return 1.0 / d
@@ -820,14 +790,11 @@ def wobbly_log_derivative(x, hier=None) -> float:
     """
     hier = hier or default_hierarchy()
     xi = float(hier.xi_k(3, x))
-    chi = hier.chi(x)
-    if isinstance(chi, LIReal):
-        try:
-            chi = lixnum.to_real(chi)
-        except DomainError:
-            return 1.0
-    xf = lixnum.to_real(x) if isinstance(x, LIReal) else float(x)
-    return 1.0 + math.cos(xi) * xf / ((3.0 + math.sin(xi)) * float(chi))
+    try:
+        chi = float(hier.chi(x))
+    except DomainError:
+        return 1.0
+    return 1.0 + math.cos(xi) * float(x) / ((3.0 + math.sin(xi)) * chi)
 
 
 def gallery() -> dict:

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,13 +63,6 @@ def _ladder_points(args, default: Ladder):
     return ladder, ladder.points()
 
 
-def _map_points(fn, pts, parallel: bool):
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(fn, pts))
-    return [fn(p) for p in pts]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -82,8 +74,7 @@ def cmd_eval(args) -> int:
         pts = [_parse_point(args.at)]
     else:
         _, pts = _ladder_points(args, Ladder.geometric(10.0, 10.0, 8))
-    vals = _map_points(
-        lambda x: funcexpr.evaluate(expr, EvalEnv(x, hier)), pts, args.parallel)
+    vals = [funcexpr.evaluate(expr, EvalEnv(x, hier)) for x in pts]
     rows = [{"x": _render_value(x if isinstance(x, LIReal) else float(x)),
              "value": _render_value(v)} for x, v in zip(pts, vals)]
     _emit(args, {"expr": args.expr, "points": rows},
@@ -178,8 +169,7 @@ def cmd_plotdata(args) -> int:
     hier = default_hierarchy()
     expr = funcexpr.parse(args.expr)
     _, pts = _ladder_points(args, Ladder.geometric(1.0, 2.0, 24))
-    vals = _map_points(
-        lambda x: funcexpr.evaluate(expr, EvalEnv(x, hier)), pts, args.parallel)
+    vals = [funcexpr.evaluate(expr, EvalEnv(x, hier)) for x in pts]
 
     def cell(v):
         return lixnum.format_li(v) if isinstance(v, LIReal) else repr(
@@ -230,7 +220,6 @@ def build_parser() -> _Parser:
     sp.add_argument("expr")
     sp.add_argument("--at", help="point: float or L<level>:<mantissa>")
     sp.add_argument("--ladder", help="geom:x0:ratio:count or tower:m:levels")
-    sp.add_argument("--parallel", action="store_true")
 
     sp = add("xi", cmd_xi, "evaluate a hierarchy level xi_k")
     sp.add_argument("--k", type=int, required=True)
@@ -269,7 +258,6 @@ def build_parser() -> _Parser:
     sp = add("plotdata", cmd_plotdata, "emit x,f(x) sample data")
     sp.add_argument("expr")
     sp.add_argument("--ladder")
-    sp.add_argument("--parallel", action="store_true")
 
     add("repro", cmd_repro, "run the full verification suite")
     return p

@@ -44,6 +44,7 @@ __all__ = [
     "parse",
     "to_text",
     "evaluate",
+    "callable_of",
     "differentiate",
     "invert_at",
 ]
@@ -315,18 +316,6 @@ def _is_li(v) -> bool:
     return isinstance(v, LIReal)
 
 
-def _as_float(v: Value) -> float:
-    if _is_li(v):
-        return lixnum.to_real(v)
-    return float(v)
-
-
-def _as_li(v: Value) -> LIReal:
-    if _is_li(v):
-        return v
-    return lixnum.from_real_any(float(v))
-
-
 def _exp(v: Value) -> Value:
     if _is_li(v):
         return lixnum.exp_li(v)
@@ -361,10 +350,10 @@ def _log_k(v: Value, k: int) -> Value:
 
 def _pow(b: Value, p: Value) -> Value:
     if _is_li(b) or _is_li(p):
-        bl = _as_li(b)
+        bl = lixnum.to_li(b)
         if bl.level == 0 and bl.mantissa == 0.0:
             return bl  # 0^p
-        return lixnum.exp_li(lixnum.mul(lixnum.ln_li(bl), _as_li(p)))
+        return lixnum.exp_li(lixnum.mul(lixnum.ln_li(bl), lixnum.to_li(p)))
     bf, pf = float(b), float(p)
     try:
         r = bf ** pf
@@ -382,7 +371,7 @@ def _binary(op: str, a: Value, b: Value) -> Value:
         return _pow(a, b)
     if _is_li(a) or _is_li(b):
         name = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[op]
-        return lixnum.arith(name, _as_li(a), _as_li(b))
+        return lixnum.arith(name, lixnum.to_li(a), lixnum.to_li(b))
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         # keep rational arithmetic exact; super-logarithm values can hold
         # integers far past the float range
@@ -481,12 +470,29 @@ def evaluate(expr: FuncExpr, env: EvalEnv) -> Value:
         if fn == "dxi_k":
             hier = _need_hier(env, fn)
             k = expr.param
-            return _numdiff(lambda t: hier.xi_k(k, t), _as_float(v))
+            return _numdiff(lambda t: hier.xi_k(k, t), float(v))
         if fn == "dchi":
             hier = _need_hier(env, fn)
-            return _numdiff(hier.chi, _as_float(v))
+            return _numdiff(hier.chi, float(v))
         raise EvalError(f"unknown function {fn!r}")
     raise TypeError(f"not a FuncExpr: {expr!r}")
+
+
+def callable_of(spec, hier=None):
+    """(fn, text) for a function spec: expression text, a FuncExpr, or a
+    callable (its `expr_text`, if it has one, is the text).
+
+    fn returns raw values: floats, Fractions or level-index numbers.
+    """
+    if isinstance(spec, str):
+        text, expr = spec, parse(spec)
+    elif is_expr(spec):
+        text, expr = to_text(spec), spec
+    elif callable(spec):
+        return spec, getattr(spec, "expr_text", None)
+    else:
+        raise TypeError(f"not a function spec: {spec!r}")
+    return (lambda x: evaluate(expr, EvalEnv(x, hier))), text
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +631,30 @@ _INVERT_RTOL = 1e-12
 _MAX_EXPANSIONS = 200
 
 
+def _bisect(fn, y: float, lo: float, hi: float) -> float:
+    """Solve fn(x) = y for an increasing fn on [lo, hi] by sign-based
+    bisection down to adjacent floats; returns the midpoint of the last
+    bracket.
+
+    Only the sign of fn(x) - y is used, so fn may overflow to inf inside
+    the bracket.  The midpoint is geometric while the bracket spans more
+    than a factor of 4 above 0, so brackets over hundreds of orders of
+    magnitude close in a few dozen steps; sqrt(lo) * sqrt(hi) cannot
+    overflow where sqrt(lo * hi) would.
+    """
+    while True:
+        if lo > 0 and hi / lo > 4.0:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+        else:
+            mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return 0.5 * (lo + hi)
+        if fn(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+
+
 def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
     """Solve evaluate(expr, x) == y for a strictly monotone expr.
 
@@ -636,7 +666,7 @@ def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
     def f(x: float) -> float:
         v = evaluate(expr, EvalEnv(x, hier))
         try:
-            return _as_float(v)
+            return float(v)
         except DomainError:
             return math.inf  # towered past the float range: still comparable
 
@@ -666,14 +696,12 @@ def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
 
     # bisection to coarse relative accuracy
     lo, hi = a, b
-    flo = fa
     for _ in range(200):
         if hi - lo <= 1e-3 * max(1.0, abs(lo)):
             break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm <= y) == increasing:
-            lo, flo = mid, fm
+        if (f(mid) <= y) == increasing:
+            lo = mid
         else:
             hi = mid
 
@@ -692,7 +720,7 @@ def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
             if abs(fx - y) <= tol:
                 return x
             try:
-                d = _as_float(evaluate(deriv, EvalEnv(x, hier)))
+                d = float(evaluate(deriv, EvalEnv(x, hier)))
             except (EvalError, DomainError, ZeroDivisionError, OverflowError):
                 break
             if d == 0 or not math.isfinite(d):
@@ -702,18 +730,9 @@ def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
             if not (lo - (hi - lo) <= nx <= hi + (hi - lo)):
                 break
             x = nx
-        else:
-            pass
     # fall back to full bisection
-    for _ in range(200):
-        fx = f(x)
-        if abs(fx - y) <= tol:
-            return x
-        if (fx <= y) == increasing:
-            lo = x
-        else:
-            hi = x
-        x = 0.5 * (lo + hi)
+    sign = 1.0 if increasing else -1.0
+    x = _bisect(lambda t: sign * f(t), sign * y, lo, hi)
     fx = f(x)
     if abs(fx - y) <= tol:
         return x

@@ -25,6 +25,7 @@ __all__ = [
     "DomainError",
     "from_real",
     "from_real_any",
+    "to_li",
     "to_real",
     "exp_li",
     "ln_li",
@@ -71,25 +72,25 @@ class LIReal:
 
     # lexicographic (level, mantissa) agrees with the value order
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
+        other = _comparable(other)
         if other is None:
             return NotImplemented
         return (self.level, self.mantissa) < (other.level, other.mantissa)
 
     def __le__(self, other) -> bool:
-        other = _coerce(other)
+        other = _comparable(other)
         if other is None:
             return NotImplemented
         return (self.level, self.mantissa) <= (other.level, other.mantissa)
 
     def __gt__(self, other) -> bool:
-        other = _coerce(other)
+        other = _comparable(other)
         if other is None:
             return NotImplemented
         return (other.level, other.mantissa) < (self.level, self.mantissa)
 
     def __ge__(self, other) -> bool:
-        other = _coerce(other)
+        other = _comparable(other)
         if other is None:
             return NotImplemented
         return (other.level, other.mantissa) <= (self.level, self.mantissa)
@@ -105,12 +106,31 @@ class LIReal:
         return format_li(self)
 
 
-def _coerce(other):
+def _comparable(other):
     if isinstance(other, LIReal):
         return other
     if isinstance(other, (int, float, Fraction)):
-        return from_real_any(float(other))
+        return to_li(other)
     return None
+
+
+def to_li(v) -> LIReal:
+    """v as a level-index number.
+
+    An LIReal passes through; a float, int or Fraction is converted, also
+    past the float range, where one exact log of its numerator and
+    denominator brings it back.
+    """
+    if isinstance(v, LIReal):
+        return v
+    try:
+        return from_real_any(float(v))
+    except OverflowError:
+        pass
+    p, q = v.numerator, v.denominator
+    if p <= 0:
+        raise DomainError(f"cannot represent non-positive value {v!r}")
+    return exp_li(from_real(math.log(p) - math.log(q)))
 
 
 def from_real(d: float) -> LIReal:

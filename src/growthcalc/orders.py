@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Union
 
-from . import abel, funcexpr, lixnum
+from . import abel, funcexpr
 from .funcexpr import EvalEnv, EvalError
 from .lixnum import DomainError, LIReal
 from .xihier import default_hierarchy
@@ -108,23 +108,6 @@ class Ladder:
 # Function-spec plumbing
 
 
-def _normalize(spec, hier):
-    """Turn text / FuncExpr / AbelSolution / callable into (value fn, text)."""
-    if isinstance(spec, abel.AbelSolution):
-        return spec.eval, spec.f_text and f"abel[{spec.f_text}]"
-    if isinstance(spec, abel.RegularizedSolution):
-        return spec.F, None
-    if isinstance(spec, str):
-        expr = funcexpr.parse(spec)
-        return (lambda x: funcexpr.evaluate(expr, EvalEnv(x, hier))), spec
-    if funcexpr.is_expr(spec):
-        text = funcexpr.to_text(spec)
-        return (lambda x: funcexpr.evaluate(spec, EvalEnv(x, hier))), text
-    if callable(spec):
-        return spec, getattr(spec, "expr_text", None)
-    raise TypeError(f"not a function spec: {spec!r}")
-
-
 def _derivative(spec, hier) -> Callable[[float], float]:
     """f' as a float function: symbolic when the spec is an expression."""
     expr = None
@@ -134,27 +117,26 @@ def _derivative(spec, hier) -> Callable[[float], float]:
         expr = spec
     if expr is not None:
         d = funcexpr.differentiate(expr)
-        return lambda x: _to_float(funcexpr.evaluate(d, EvalEnv(x, hier)))
-    fn, _ = _normalize(spec, hier)
+        return lambda x: float(funcexpr.evaluate(d, EvalEnv(x, hier)))
+    fn, _ = funcexpr.callable_of(spec, hier)
 
     def numdiff(x: float) -> float:
         h = _NUMDIFF_STEP * max(1.0, abs(x))
-        return (_to_float(fn(x + h)) - _to_float(fn(x - h))) / (2 * h)
+        return (float(fn(x + h)) - float(fn(x - h))) / (2 * h)
 
     return numdiff
-
-
-def _to_float(v) -> float:
-    if isinstance(v, LIReal):
-        return lixnum.to_real(v)
-    return float(v)
 
 
 def _residual(a, b) -> float:
     # exact when both sides are exact rationals (the super-logarithm path)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return float(a - b)
-    return _to_float(a) - _to_float(b)
+    return float(a) - float(b)
+
+
+def _tail(seq: Sequence) -> list:
+    """The window a limit is read from: the last third, at least two items."""
+    return seq[-max(2, math.ceil(len(seq) / 3)):]
 
 
 def _point_repr(x) -> str:
@@ -198,8 +180,8 @@ def order_of(F, f, ladder, tol: float = 1e-3,
     A plain increasing sequence of points is accepted in place of a Ladder.
     """
     hier = hier or default_hierarchy()
-    Ffn, _ = _normalize(F, hier)
-    ffn, _ = _normalize(f, hier)
+    Ffn, _ = funcexpr.callable_of(F, hier)
+    ffn, _ = funcexpr.callable_of(f, hier)
     pts = ladder.points() if hasattr(ladder, "points") else list(ladder)
     residuals = []
     for x in pts:
@@ -209,14 +191,12 @@ def order_of(F, f, ladder, tol: float = 1e-3,
         except (DomainError, EvalError, OverflowError, ValueError) as exc:
             raise EvalError(f"evaluation failed at ladder point {_point_repr(x)}: "
                             f"{exc}") from exc
-    seq = _aitken(residuals) if accelerate else residuals
-    window = max(2, math.ceil(len(seq) / 3))
-    tail = seq[-window:]
+    tail = _tail(_aitken(residuals) if accelerate else residuals)
     spread = max(tail) - min(tail)
     return OrderEstimate(lambda_hat=sum(tail) / len(tail),
                          residuals=residuals,
                          converged=spread <= tol,
-                         tail_spread=spread, tol=tol, window=window)
+                         tail_spread=spread, tol=tol, window=len(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +222,7 @@ def _float_points(ladder: Ladder) -> List[float]:
     pts = []
     for x in ladder.points():
         try:
-            pts.append(_to_float(x))
+            pts.append(float(x))
         except DomainError as exc:
             raise EvalError(f"ladder point {_point_repr(x)} not usable for a "
                             f"float-range check: {exc}") from exc
@@ -268,7 +248,7 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2,
         raise ValueError(f"unknown regularity condition {condition!r}")
     hier = hier or default_hierarchy()
     xs = _float_points(ladder)
-    Ffn, _ = _normalize(F, hier)
+    Ffn, _ = funcexpr.callable_of(F, hier)
     margins = []
     if cond == "R0":
         for x in xs:
@@ -287,15 +267,15 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2,
             else:
                 m = max(abs(lam * dF(lam * x) / base - 1.0) for lam in shifts["R3"])
             margins.append(m)
-    window = max(2, math.ceil(len(margins) / 3))
-    verdict = max(margins[-window:]) <= tol
+    tail = _tail(margins)
     return RegReport(condition=cond, samples=xs, margins=margins,
-                     verdict=verdict, tol=tol, extra={"window": window})
+                     verdict=max(tail) <= tol, tol=tol,
+                     extra={"window": len(tail)})
 
 
 def _b_ratios(f, F, xs: List[float], hier) -> List[float]:
     # (F o f)' / F' = f'(x) F'(f(x)) / F'(x)
-    ffn, _ = _normalize(f, hier)
+    ffn, _ = funcexpr.callable_of(f, hier)
     df = _derivative(f, hier)
     dF = _derivative(F, hier)
     out = []
@@ -303,7 +283,7 @@ def _b_ratios(f, F, xs: List[float], hier) -> List[float]:
         denom = dF(x)
         if denom == 0:
             raise EvalError(f"F' vanished at {x!r}")
-        out.append(df(x) * dF(_to_float(ffn(x))) / denom)
+        out.append(df(x) * dF(float(ffn(x))) / denom)
     return out
 
 
@@ -313,11 +293,10 @@ def in_B_F(f, F, ladder: Ladder, tol: float = 5e-2, hier=None) -> RegReport:
     xs = _float_points(ladder)
     ratios = _b_ratios(f, F, xs, hier)
     margins = [abs(r - 1.0) for r in ratios]
-    window = max(2, math.ceil(len(margins) / 3))
-    verdict = max(margins[-window:]) <= tol
+    tail = _tail(margins)
     return RegReport(condition="B_F", samples=xs, margins=margins,
-                     verdict=verdict, tol=tol,
-                     extra={"ratios": ratios, "window": window})
+                     verdict=max(tail) <= tol, tol=tol,
+                     extra={"ratios": ratios, "window": len(tail)})
 
 
 def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0,
@@ -326,14 +305,13 @@ def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0,
     hier = hier or default_hierarchy()
     xs = _float_points(ladder)
     ratios = _b_ratios(f, F, xs, hier)
-    window = max(2, math.ceil(len(ratios) / 3))
-    tail = ratios[-window:]
+    tail = _tail(ratios)
     c = max(max(r, 1.0 / r) if r > 0 else math.inf for r in tail)
     verdict = math.isfinite(c) and c <= c_bound
     return RegReport(condition="BprimeF", samples=xs,
                      margins=[abs(r - 1.0) for r in ratios],
                      verdict=verdict, tol=c_bound,
-                     extra={"ratios": ratios, "c": c, "window": window})
+                     extra={"ratios": ratios, "c": c, "window": len(tail)})
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ and H_k (a smoothed surrogate for 1 / xi_k').
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Union
 
@@ -46,38 +45,13 @@ BASE_XI = 1.0         # xi_k(2) for every k >= 4
 _MAX_STEPS = 10 ** 6
 
 
-def _as_li(x) -> LIReal:
-    if isinstance(x, LIReal):
-        return x
-    if isinstance(x, (int, Fraction)):
-        try:
-            return lixnum.from_real_any(float(x))
-        except OverflowError:
-            pass
-        # past the float range: peel one exact log off the integer parts
-        p = x.numerator if isinstance(x, Fraction) else x
-        q = x.denominator if isinstance(x, Fraction) else 1
-        if p <= 0:
-            raise DomainError(f"cannot represent non-positive value {x!r}")
-        return lixnum.exp_li(lixnum.from_real(math.log(p) - math.log(q)))
-    return lixnum.from_real_any(float(x))
-
-
-def _as_float(x) -> float:
-    if isinstance(x, LIReal):
-        return lixnum.to_real(x)
-    return float(x)
-
-
 class XiHierarchy:
-    """Levels 0..max_level; immutable after construction, caches are locked."""
+    """Levels 0..max_level; immutable after construction."""
 
     def __init__(self, max_level: int = 8):
         if max_level < 3:
             raise ValueError("max_level must be at least 3")
         self.max_level = max_level
-        self._hk_cache: dict = {}
-        self._lock = threading.Lock()
 
     # -- the shared [2, e] fundamental domain for levels >= 4 ----------------
 
@@ -115,7 +89,7 @@ class XiHierarchy:
                 raise DomainError(f"log of non-positive value {xf!r}")
             return math.log(xf)
         if k == 3:
-            return lixnum.xi_exact(_as_li(x))
+            return lixnum.xi_exact(lixnum.to_li(x))
         # k >= 4: collapse with xi_{k-1} until inside [2, e)
         y = x
         n = 0
@@ -124,7 +98,7 @@ class XiHierarchy:
             n += 1
             if n > _MAX_STEPS:
                 raise DomainError(f"xi_{k} pullback failed to terminate")
-        yf = _as_float(y)
+        yf = float(y)
         if yf < BASE - 1e-9:
             raise DomainError(f"xi_{k} argument below its base {BASE}")
         return n + self._seed(min(max(yf, BASE), TOP))
@@ -159,8 +133,8 @@ class XiHierarchy:
         for _ in range(n):
             # xi_{k-1}^{-1} applied to the value z (overflows honestly
             # once the tower outgrows the level-index float range)
-            z = self.xi_k_inv(k - 1, _as_float(z))
-        return _as_li(z)
+            z = self.xi_k_inv(k - 1, float(z))
+        return lixnum.to_li(z)
 
     # -- companions ---------------------------------------------------------
 
@@ -197,19 +171,11 @@ class XiHierarchy:
             return self.chi(x)
         if k > self.max_level:
             raise DomainError(f"level {k} outside 2..{self.max_level}")
-        xf = _as_float(x)
-        key = (k, xf)
-        with self._lock:
-            cached = self._hk_cache.get(key)
-        if cached is not None:
-            return cached
+        xf = float(x)
         d = self._xi_k_deriv(k, xf)
         if d <= 0:
             raise DomainError(f"xi_{k} derivative estimate non-positive at {xf!r}")
-        val = 1.0 / d
-        with self._lock:
-            self._hk_cache[key] = val
-        return val
+        return 1.0 / d
 
     def _xi_k_deriv(self, k: int, x: float) -> float:
         # Richardson-extrapolated central difference on a geometric stencil;
@@ -223,12 +189,10 @@ class XiHierarchy:
 
 
 _default = None
-_default_lock = threading.Lock()
 
 
 def default_hierarchy(max_level: int = 8) -> XiHierarchy:
     global _default
-    with _default_lock:
-        if _default is None or _default.max_level < max_level:
-            _default = XiHierarchy(max_level)
-        return _default
+    if _default is None or _default.max_level < max_level:
+        _default = XiHierarchy(max_level)
+    return _default

@@ -43,6 +43,14 @@ class TestAbelEquation:
         with pytest.raises(DomainError):
             abel.solve_abel("x^2", A=1.0)
 
+    def test_pullback_without_inverse_past_sqrt_of_float_max(self):
+        # the bisected pullback bracket starts above 1e154, where lo * hi
+        # overflows; its geometric midpoint must still be finite
+        x = 1.2 * 1.5 ** 1000
+        bisected = abel.solve_abel("1.5*x", A=1.0).eval(x)
+        exact = abel.solve_abel("1.5*x", A=1.0, f_inv=lambda y: y / 1.5).eval(x)
+        assert bisected == pytest.approx(exact, abs=1e-9)
+
     def test_contracting_direction(self):
         sol = abel.solve_abel("sqrt(x)", A=16.0)
         # fundamental domain [4, 16]; orientation flips for a contracting

@@ -110,6 +110,12 @@ class TestOrdering:
         assert LIReal(0, 0.25) < 1.0
         assert lixnum.from_real(7.0) <= 7.0
 
+    def test_compare_against_numbers_past_float_range(self):
+        # 10**400 lies between L3:0.5 (about 1.8e2) and L5:0.5
+        assert LIReal(5, 0.5) > 10 ** 400
+        assert LIReal(3, 0.5) < 10 ** 400
+        assert LIReal(3, 0.5) < Fraction(10 ** 400, 3)
+
 
 class TestArithmetic:
     def test_small_level_add_is_float_exact(self):
