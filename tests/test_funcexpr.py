@@ -136,3 +136,11 @@ class TestInversion:
         # bracket expansion will evaluate exp far past the float range
         x = funcexpr.invert_at(parse("exp(x)"), 1e6, bracket_hint=(1.0, 1e6))
         assert x == pytest.approx(math.log(1e6), rel=1e-10)
+
+    def test_bisection_fallback_without_derivative(self):
+        # abs has no symbolic derivative, so no Newton step; the second
+        # function also decreases on the bracket
+        assert funcexpr.invert_at(parse("abs(x)^3"), 27.0) == pytest.approx(
+            3.0, rel=1e-12)
+        x = funcexpr.invert_at(parse("abs(1/x)"), 0.25, bracket_hint=(1.0, 10.0))
+        assert x == pytest.approx(4.0, rel=1e-12)
