@@ -9,19 +9,16 @@ satisfies F(f(x)) = F(x) - 1 and is still increasing.
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second
 derivative behaves like -f'/x) produces a solution with the smoothness
--x F''/F' -> 1, built by extending an auxiliary function H through
-H = delta + eta * H(f) and integrating log F'.
+-x F''/F' -> 1: log F' in closed form and F as one Gauss-Legendre table
+on the fundamental domain, carried to larger x by the functional equations.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
-
-from scipy.integrate import quad
 
 from . import funcexpr
 from .lixnum import DomainError
@@ -321,78 +318,150 @@ def solution_from_json(data: dict, hier=None) -> AbelSolution:
 
 # ---------------------------------------------------------------------------
 # Regularized construction for contracting maps
+#
+# With H = -x F''/F' - 1, differentiating F(x) = F(f(x)) + 1 twice gives
+#     H(x) = delta(x) + eta(x) * H(f(x)),
+#     eta = x f'/f,  delta = eta - 1 - x f''/f'.
+# H is linear on the fundamental domain D = [f(A), A].  Its two
+# coefficients come from continuity at A, H(A) = delta(A) + eta(A) H(f(A)),
+# and from compatibility, int_D (H + 1)/t dt = -log f'(A); together they
+# make F' and F'' continuous across A.  On D, log F' then has a closed form
+# and F is one cumulative Gauss-Legendre table on a geometric grid; past A
+# the functional equations pull x down into D with f.
+
+_GL_POINTS = 8
+_PANELS = 32
 
 
-@dataclass
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    by Newton iteration on the Legendre polynomial P_n."""
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            step = p1 / dp
+            x -= step
+            if abs(step) < 1e-16:
+                break
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return tuple(zip(nodes, weights))
+
+
+_GL_RULE = _gauss_legendre(_GL_POINTS)
+
+
+def _derivatives(f, fn, hier=None):
+    """(f', f'') as float functions for the spec f (fn is its float form):
+    symbolic for expression text or a FuncExpr, central differences for a
+    plain callable and for an f' with no symbolic derivative."""
+    def numdiff(g):
+        return lambda x: funcexpr._numdiff(g, x)
+
+    if not (isinstance(f, str) or funcexpr.is_expr(f)):
+        fp = numdiff(fn)
+        return fp, numdiff(fp)
+    d1 = funcexpr.differentiate(funcexpr.parse(f) if isinstance(f, str) else f)
+    fp, _ = _float_fn(d1, hier)
+    try:
+        fpp, _ = _float_fn(funcexpr.differentiate(d1), hier)
+    except funcexpr.EvalError:
+        fpp = numdiff(fp)
+    return fp, fpp
+
+
 class RegularizedSolution:
-    f: Callable[[float], float]
-    A: float
-    hypothesis: dict
-    _seed_lo: float = 0.0
-    _scale: Optional[float] = None
+    """The regular solution of F(f(x)) = F(x) - 1 for a contracting f, with
+    F(A) = 0 and F(f(A)) = -1, defined for x >= f(A)."""
+
+    def __init__(self, f, fp, fpp, A: float, hypothesis: dict):
+        self.f, self.fp, self.fpp, self.A = f, fp, fpp, A
+        self.hypothesis = hypothesis
+        lo = self._lo = f(A)
+        if not 0.0 < lo < A:
+            raise DomainError(f"fundamental domain [{lo!r}, {A!r}] must be positive")
+        w = self._w = A - lo
+        L = math.log(A / lo)
+        # H = p + q (t - lo)/w on D; continuity at A and compatibility:
+        #   (1 - eta(A)) p + q = delta(A)
+        #   L p + (1 - lo L / w) q = -log f'(A) - L
+        a11, a12, b1 = 1.0 - self.eta(A), 1.0, self.delta(A)
+        a21, a22, b2 = L, 1.0 - lo * L / w, -math.log(fp(A)) - L
+        det = a11 * a22 - a12 * a21
+        if det == 0.0:
+            raise DomainError("the seed conditions for H are singular at this A")
+        self._p = (b1 * a22 - a12 * b2) / det
+        self._q = (a11 * b2 - a21 * b1) / det
+        # on D, -(log F')' = (H + 1)/t integrates to alpha log(t/lo) + q (t-lo)/w
+        self._alpha = self._p + 1.0 - self._q * lo / w
+        self._log_scale = 0.0  # the table is integrated unscaled, then scaled
+        grid = [lo * (A / lo) ** (i / _PANELS) for i in range(_PANELS)] + [A]
+        cum = [0.0]
+        for a, b in zip(grid, grid[1:]):
+            cum.append(cum[-1] + self._integral(a, b))
+        # scale F' so that F gains exactly 1 across D
+        self._log_scale = -math.log(cum[-1])
+        self._grid = grid
+        self._cum = [c / cum[-1] for c in cum]
 
     def eta(self, x: float) -> float:
-        h = 1e-5 * max(1.0, abs(x))
-        fp = (self.f(x + h) - self.f(x - h)) / (2 * h)
-        return x * fp / self.f(x)
+        return x * self.fp(x) / self.f(x)
 
     def delta(self, x: float) -> float:
-        h = 1e-4 * max(1.0, abs(x))
-        fp = (self.f(x + h) - self.f(x - h)) / (2 * h)
-        fpp = (self.f(x + h) - 2 * self.f(x) + self.f(x - h)) / (h * h)
-        return 1.0 + x * fpp / fp - self.eta(x)
+        return self.eta(x) - 1.0 - x * self.fpp(x) / self.fp(x)
+
+    def _pull(self, x):
+        """(path, y): the points x, f(x), f(f(x)), ... above A, and y, the
+        first point of the orbit in D."""
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"the regularized solution is not defined at {x!r}")
+        if x < self._lo:
+            raise DomainError(f"{x!r} below the regularized seed interval")
+        path = []
+        while x > self.A:
+            if len(path) >= MAX_PULLBACK_STEPS:
+                raise DomainError("pullback failed to enter the fundamental domain")
+            path.append(x)
+            x = self.f(x)
+        return path, x
+
+    def _log_F_prime_D(self, t: float) -> float:
+        return (self._log_scale - self._alpha * math.log(t / self._lo)
+                - self._q * (t - self._lo) / self._w)
+
+    def _integral(self, a: float, b: float) -> float:
+        """Gauss-Legendre integral of F' over [a, b] inside D."""
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        return half * sum(w * math.exp(self._log_F_prime_D(mid + half * u))
+                          for u, w in _GL_RULE)
 
     def H(self, x: float) -> float:
-        # H = delta + eta * H(f); the recursion contracts into [f(A), A]
-        if x <= self.A:
-            if x < self._seed_lo - 1e-9:
-                raise DomainError(f"{x!r} below the regularized seed interval")
-            # linear seed pinned so that (A2) at A gives H(A) = 0
-            eA = self.eta(self.A)
-            h_lo = -self.delta(self.A) / eA if eA != 0 else 0.0
-            lo = self._seed_lo
-            if self.A == lo:
-                return 0.0
-            return h_lo * (self.A - x) / (self.A - lo)
-        for _ in range(MAX_PULLBACK_STEPS):
-            if x <= self.A:
-                return self.H(x)
-            d, e = self.delta(x), self.eta(x)
-            return d + e * self.H(self.f(x))
-        raise DomainError("regularized recursion failed to terminate")
+        path, y = self._pull(x)
+        h = self._p + self._q * (y - self._lo) / self._w
+        for t in reversed(path):
+            h = self.delta(t) + self.eta(t) * h
+        return h
 
     def log_F_prime(self, x: float) -> float:
-        with warnings.catch_warnings():
-            # H has kinks at iterated images of the seed interval; quad
-            # flags them as roundoff but the value is fine at our tolerance
-            warnings.simplefilter("ignore")
-            val, _ = quad(lambda t: (self.H(t) + 1.0) / t, self.A, x,
-                          epsrel=1e-10, limit=400)
-        return -val
-
-    def F_prime(self, x: float) -> float:
-        return math.exp(self.log_F_prime(x))
-
-    def _raw_F(self, x: float) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _ = quad(self.F_prime, self.A, x, epsrel=1e-8, limit=400)
-        return val
+        path, y = self._pull(x)
+        return self._log_F_prime_D(y) + sum(math.log(self.fp(t)) for t in path)
 
     def F(self, x: float) -> float:
-        # normalize once so the Abel step F - F(f) is 1 at a reference point;
-        # the construction itself only fixes F up to scale
-        if self._scale is None:
-            ref = max(self.A, 1.0) * 1e3
-            step = self._raw_F(ref) - self._raw_F(self.f(ref))
-            self._scale = 1.0 / step if step > 0 else 1.0
-        return self._scale * self._raw_F(x)
+        path, y = self._pull(x)
+        i = bisect.bisect_right(self._grid, y) - 1
+        return self._cum[i] + self._integral(self._grid[i], y) - 1.0 + len(path)
 
     __call__ = F
 
     def regularity_ratio(self, x: float) -> float:
         """Numerically measured -x F''/F' (should tend to 1)."""
-        h = 0.01 * x
+        h = 1e-4 * x
         slope = (self.log_F_prime(x + h) - self.log_F_prime(x - h)) / (2 * h)
         return -x * slope
 
@@ -404,27 +473,23 @@ def solve_abel_regularized(f, A: float, hier=None, span: float = 1e6) -> Regular
     if not fA < A:
         raise HypothesisError("regularized mode needs a contracting map (f(x) < x)",
                               {"A": A, "f(A)": fA})
-
-    sol = RegularizedSolution(f=fn, A=A, hypothesis={}, _seed_lo=fA)
+    fp, fpp = _derivatives(f, fn, hier)
 
     # scan f'' ~ -f'/x and |eta| < 1 on [A, A*span]
     ratios, etas = [], []
     x = max(A, 1.0) * 2.0
     top = max(A, 1.0) * span
     while x <= top:
-        h = 1e-4 * x
-        fp = (fn(x + h) - fn(x - h)) / (2 * h)
-        fpp = (fn(x + h) - 2 * fn(x) + fn(x - h)) / (h * h)
-        if fp <= 0:
-            raise HypothesisError("f is not increasing on the scan range", {"x": x, "f'": fp})
-        ratios.append(-x * fpp / fp)
-        etas.append(x * fp / fn(x))
+        d1 = fp(x)
+        if d1 <= 0:
+            raise HypothesisError("f is not increasing on the scan range", {"x": x, "f'": d1})
+        ratios.append(-x * fpp(x) / d1)
+        etas.append(x * d1 / fn(x))
         x *= 10.0
     report = {"A": A, "span": span, "curvature_ratios": ratios, "etas": etas}
-    sol.hypothesis = report
     if any(abs(e) >= 1.0 - 1e-9 for e in etas):
         raise HypothesisError("contraction check failed: |eta| >= 1 on the scan range", report)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     if any(not (0.5 <= r <= 1.5) for r in tail):
         raise HypothesisError("curvature hypothesis f'' ~ -f'/x failed", report)
-    return sol
+    return RegularizedSolution(fn, fp, fpp, A, report)

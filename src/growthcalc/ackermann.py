@@ -21,7 +21,6 @@ import math
 from typing import Callable, Optional, Union
 
 from . import abel, funcexpr, lixnum
-from .funcexpr import EvalEnv
 from .lixnum import DomainError, LIReal
 from .xihier import default_hierarchy
 

@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import funcexpr, lixnum
 from .funcexpr import Call, Binary, Const, EvalEnv, EvalError, Var
 from .lixnum import DomainError, LIReal
-from .orders import Ladder, OrderEstimate, _tail, order_of
+from .orders import Ladder, _tail, order_of
 from .xihier import default_hierarchy
 
 __all__ = [

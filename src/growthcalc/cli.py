@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -39,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
 def _parse_point(text: str):
     if text.lstrip().startswith("L"):
         return lixnum.parse_li(text)
-    return float(text)
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"point must be finite, got {text!r}")
+    return x
 
 
 def _render_value(v):
@@ -55,7 +59,7 @@ def _emit(args, payload: dict, text_lines=None):
         for line in text_lines:
             print(line)
     else:
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(payload, indent=2, default=str, allow_nan=False))
 
 
 def _ladder_points(args, default: Ladder):
@@ -155,7 +159,7 @@ def cmd_iterate(args) -> int:
         sol = abel.solve_abel(args.f, A=args.base)
         if cache:
             store[args.f] = abel.solution_to_json(sol)
-            cache.write_text(json.dumps(store, indent=2))
+            cache.write_text(json.dumps(store, indent=2, allow_nan=False))
     x = float(args.at)
     y = sol.fractional_iterate(args.lam, x)
     if args.twice:
@@ -178,7 +182,8 @@ def cmd_plotdata(args) -> int:
     lines = ["x,f(x)"] + [f"{cell(x)},{cell(v)}" for x, v in zip(pts, vals)]
     if args.format == "json":
         print(json.dumps({"expr": args.expr,
-                          "rows": [ln.split(",") for ln in lines[1:]]}))
+                          "rows": [ln.split(",") for ln in lines[1:]]},
+                         allow_nan=False))
     else:
         for ln in lines:
             print(ln)

@@ -244,7 +244,10 @@ class _Parser:
 
 
 def parse(text: str) -> FuncExpr:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ ln_li(exp_li(v)) round-trips; it has no real value of its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -106,9 +107,16 @@ class LIReal:
         return format_li(self)
 
 
+_LN_ZERO = LIReal(-1, 0.0)
+
+
 def _comparable(other):
     if isinstance(other, LIReal):
         return other
+    if isinstance(other, (int, Fraction)) and other < -sys.float_info.max:
+        # as a float below about -745 does, a negative number past the
+        # float range orders as ln 0, below every real-valued level
+        return _LN_ZERO
     if isinstance(other, (int, float, Fraction)):
         return to_li(other)
     return None

@@ -121,20 +121,55 @@ class TestSerialization:
         assert back.eval(7.7) == pytest.approx(sol.eval(7.7), abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def reg_log():
+    return abel.solve_abel_regularized("log(x)", A=2.0)
+
+
+def _central_log_F_prime(F, x):
+    h = 1e-5 * x
+    return math.log((F(x + h) - F(x - h)) / (2 * h))
+
+
 class TestRegularized:
     def test_needs_contracting_map(self):
         with pytest.raises(abel.HypothesisError):
             abel.solve_abel_regularized("2*x", A=1.0)
 
-    def test_log_step_at_reference(self):
-        reg = abel.solve_abel_regularized("log(x)", A=2.0)
-        # scale is pinned so the Abel step is exactly 1 at the reference
-        ref = 2000.0
-        assert reg.F(ref) - reg.F(math.log(ref)) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    def test_log_step_at_reference(self, reg_log):
+        # 2000 was the point where the old construction was rescaled; the
+        # step is 1 there and everywhere else
+        for x in (2000.0, 3.0, 7.0, 20.0, 500.0, 1e8):
+            assert reg_log.F(x) - reg_log.F(math.log(x)) == pytest.approx(
+                1.0, abs=1e-12)
 
-    def test_derivative_ratio_tends_to_one(self):
-        reg = abel.solve_abel_regularized("log(x)", A=2.0)
-        ratios = [reg.regularity_ratio(x) for x in (1e3, 1e5, 1e7, 1e9)]
-        assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    def test_F_prime_satisfies_differentiated_equation(self, reg_log):
+        # F' from central differences of F, independent of how F is built:
+        # log F'(x) = log F'(log x) + log f'(x) with f'(x) = 1/x
+        for x in (3.0, 10.0, 1e3, 1e5, 1e8):
+            res = (_central_log_F_prime(reg_log.F, x)
+                   - _central_log_F_prime(reg_log.F, math.log(x)) + math.log(x))
+            assert abs(res) <= 1e-8, (x, res)
+
+    def test_F_is_smooth_across_domain_edge(self, reg_log):
+        A, h = 2.0, 1e-7
+        left = (reg_log.F(A) - reg_log.F(A - h)) / h
+        right = (reg_log.F(A + h) - reg_log.F(A)) / h
+        assert right == pytest.approx(left, rel=1e-6)
+
+    def test_regularity_ratio_matches_H(self, reg_log):
+        for x in (1.5, 3.0, 10.0, 1e3, 1e5, 1e8):
+            assert reg_log.regularity_ratio(x) == pytest.approx(
+                reg_log.H(x) + 1.0, abs=1e-5)
+
+    def test_derivative_ratio_tends_to_one(self, reg_log):
+        # H(x) = (1 + H(log x)) / log x: -x F''/F' decreases toward 1
+        ratios = [reg_log.regularity_ratio(x) for x in (1e3, 1e5, 1e7, 1e9)]
+        assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert abs(ratios[-1] - 1.0) < 0.1
+
+    def test_domain(self, reg_log):
+        assert reg_log.F(2.0) == 0.0
+        assert reg_log.F(math.log(2.0)) == -1.0
+        with pytest.raises(DomainError):
+            reg_log.F(0.5)

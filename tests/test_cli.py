@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -142,3 +144,35 @@ class TestExitCodes:
     def test_bad_ladder_spec_is_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--ladder", "nope:1")
         assert code == 2
+
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+    def test_non_finite_point_is_two(self, capsys, point):
+        code, out, err = run(capsys, "eval", "x^2", f"--at={point}")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_deep_nesting_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "(" * 3000 + "x" + ")" * 3000,
+                             "--at", "2")
+        assert code == 2
+        assert out == ""
+        assert "ParseError" in err
+
+
+class TestStrictJson:
+    def test_emit_refuses_nan(self, capsys):
+        args = cli.build_parser().parse_args(["eval", "x"])
+        with pytest.raises(ValueError):
+            cli._emit(args, {"value": math.nan})
+        assert capsys.readouterr().out == ""
+
+
+def test_import_loads_no_numeric_stack():
+    # growthcalc has no runtime dependencies; importing it stays cheap
+    code = ("import sys, growthcalc; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

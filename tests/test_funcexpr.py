@@ -42,6 +42,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("x+")
 
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ParseError):
+            parse("(" * 3000 + "x" + ")" * 3000)
+        with pytest.raises(ParseError):
+            parse("-" * 3000 + "x")
+
     def test_named_constants(self):
         assert ev("e", 0.0) == pytest.approx(math.e)
         assert ev("pi", 0.0) == pytest.approx(math.pi)

@@ -116,6 +116,14 @@ class TestOrdering:
         assert LIReal(3, 0.5) < 10 ** 400
         assert LIReal(3, 0.5) < Fraction(10 ** 400, 3)
 
+    @pytest.mark.parametrize("v", [-10 ** 400, Fraction(-10 ** 400, 3)])
+    def test_compare_against_negatives_past_float_range(self, v):
+        for a in (LIReal(1, 0.5), LIReal(0, 0.0), LIReal(-1, 0.5)):
+            assert a > v
+            assert a >= v
+            assert not a < v
+            assert not a <= v
+
 
 class TestArithmetic:
     def test_small_level_add_is_float_exact(self):
