@@ -13,7 +13,7 @@ from . import abel, acceptance, ackermann, classify, funcexpr, lixnum, orders, x
 from .abel import AbelSolution, solve_abel
 from .ackermann import A_real, G_real, ack, op_L
 from .classify import ClassReport, catalog, classify_expr, verify_chain
-from .funcexpr import EvalEnv, differentiate, evaluate, invert_at, parse
+from .funcexpr import differentiate, evaluate, invert_at, parse
 from .lixnum import DomainError, LIReal, exp_li, ln_li, xi_exact, xi_inv_exact
 from .orders import Ladder, OrderEstimate, check_R, order_of
 from .xihier import XiHierarchy, default_hierarchy
@@ -25,7 +25,7 @@ __all__ = [
     "orders", "xihier",
     "AbelSolution", "solve_abel", "A_real", "G_real", "ack", "op_L",
     "ClassReport", "catalog", "classify_expr", "verify_chain",
-    "EvalEnv", "differentiate", "evaluate", "invert_at", "parse",
+    "differentiate", "evaluate", "invert_at", "parse",
     "DomainError", "LIReal", "exp_li", "ln_li", "xi_exact", "xi_inv_exact",
     "Ladder", "OrderEstimate", "check_R", "order_of",
     "XiHierarchy", "default_hierarchy",

@@ -140,10 +140,10 @@ class TableSeed:
 # Solutions
 
 
-def _float_fn(f, hier=None):
+def _float_fn(f):
     """(fn, text) for a function spec, with fn returning floats; values past
     the float range become inf, as they only ever feed comparisons here."""
-    raw, text = funcexpr.callable_of(f, hier)
+    raw, text = funcexpr.callable_of(f)
 
     def fn(x):
         v = raw(x)
@@ -217,8 +217,13 @@ class AbelSolution:
         while y > edge:
             if n >= MAX_PULLBACK_STEPS:
                 raise DomainError("pullback failed to enter the fundamental domain")
-            y = back(y)
+            prev, y = y, back(y)
             n += 1
+            if not y < prev:
+                raise DomainError(
+                    f"the pullback of {x!r} does not approach the fundamental "
+                    f"domain [{lo!r}, {hi!r}] of base A={self.A!r} (a step "
+                    f"from {prev!r} gave {y!r})")
         return min(y, hi), n
 
     def eval(self, x) -> float:
@@ -247,9 +252,8 @@ class AbelSolution:
 
 
 def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
-               f_inv: Optional[Callable[[float], float]] = None,
-               hier=None) -> AbelSolution:
-    fn, f_text = _float_fn(f, hier)
+               f_inv: Optional[Callable[[float], float]] = None) -> AbelSolution:
+    fn, f_text = _float_fn(f)
     A = float(A)
     fA = fn(A)
     if fA == A:
@@ -270,9 +274,7 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
         seed = LinearSeed(lo, hi, 0.0)
         kind = "linear"
     elif seed_kind == "smooth_c1":
-        h = 1e-6 * max(1.0, abs(A))
-        fpA = (fn(A + h) - fn(A - h)) / (2 * h)
-        seed = CubicSeed(lo, hi, 0.0, fpA)
+        seed = CubicSeed(lo, hi, 0.0, funcexpr._numdiff(fn, A))
         kind = "smooth_c1"
     else:
         seed = TableSeed(seed_kind)
@@ -297,9 +299,9 @@ def solution_to_json(sol: AbelSolution) -> dict:
     }
 
 
-def solution_from_json(data: dict, hier=None) -> AbelSolution:
+def solution_from_json(data: dict) -> AbelSolution:
     kind = data["seed_kind"]
-    fn, f_text = _float_fn(data["f"], hier)
+    fn, f_text = _float_fn(data["f"])
     A = float(data["A"])
     p = data["seed_params"]
     if kind == "linear":
@@ -356,23 +358,19 @@ def _gauss_legendre(n: int):
 _GL_RULE = _gauss_legendre(_GL_POINTS)
 
 
-def _derivatives(f, fn, hier=None):
-    """(f', f'') as float functions for the spec f (fn is its float form):
-    symbolic for expression text or a FuncExpr, central differences for a
-    plain callable and for an f' with no symbolic derivative."""
-    def numdiff(g):
-        return lambda x: funcexpr._numdiff(g, x)
-
-    if not (isinstance(f, str) or funcexpr.is_expr(f)):
-        fp = numdiff(fn)
-        return fp, numdiff(fp)
-    d1 = funcexpr.differentiate(funcexpr.parse(f) if isinstance(f, str) else f)
-    fp, _ = _float_fn(d1, hier)
-    try:
-        fpp, _ = _float_fn(funcexpr.differentiate(d1), hier)
-    except funcexpr.EvalError:
-        fpp = numdiff(fp)
-    return fp, fpp
+def _derivatives(f):
+    """(f', f'') as float functions for the spec f: symbolic for expression
+    text or a FuncExpr, central differences for a plain callable and for an
+    f' with no symbolic derivative."""
+    if isinstance(f, str):
+        f = funcexpr.parse(f)
+    fp = funcexpr.derivative(f)
+    if funcexpr.is_expr(f):
+        try:
+            return fp, funcexpr.derivative(funcexpr.differentiate(f))
+        except funcexpr.EvalError:
+            pass
+    return fp, funcexpr.derivative(fp)
 
 
 class RegularizedSolution:
@@ -466,14 +464,14 @@ class RegularizedSolution:
         return -x * slope
 
 
-def solve_abel_regularized(f, A: float, hier=None, span: float = 1e6) -> RegularizedSolution:
-    fn, _ = _float_fn(f, hier)
+def solve_abel_regularized(f, A: float, span: float = 1e6) -> RegularizedSolution:
+    fn, _ = _float_fn(f)
     A = float(A)
     fA = fn(A)
     if not fA < A:
         raise HypothesisError("regularized mode needs a contracting map (f(x) < x)",
                               {"A": A, "f(A)": fA})
-    fp, fpp = _derivatives(f, fn, hier)
+    fp, fpp = _derivatives(f)
 
     # scan f'' ~ -f'/x and |eta| < 1 on [A, A*span]
     ratios, etas = [], []

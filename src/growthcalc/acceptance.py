@@ -19,7 +19,7 @@ from typing import Callable, Dict, List
 from . import abel, ackermann, classify, lixnum, orders
 from .lixnum import LIReal
 from .orders import Ladder
-from .xihier import default_hierarchy
+from .xihier import HIER
 
 __all__ = ["CRITERIA", "run_all", "run_one"]
 
@@ -177,15 +177,13 @@ def check_ackermann() -> dict:
 
 
 def check_op_L_chain() -> dict:
-    hier = default_hierarchy()
     worst_chain = 0.0
     for k in (2, 3):
-        handle = ackermann.xi_inv_handle(k + 1, hier)
-        lowered = ackermann.op_L(handle, hier=hier)
+        lowered = ackermann.op_L(ackermann.xi_inv_handle(k + 1))
         for i in range(21):
             t = 2.0 + 0.5 * i
             a = lowered(t)
-            b = hier.xi_k_inv(k, t)
+            b = HIER.xi_k_inv(k, t)
             if not isinstance(a, LIReal):
                 a = lixnum.from_real_any(float(a))
             diff = abs(float(lixnum.xi_exact(a) - lixnum.xi_exact(b)))
@@ -285,12 +283,11 @@ def check_separation_sandwich() -> dict:
 
 
 def check_wobbly() -> dict:
-    hier = default_hierarchy()
     pts = [LIReal(j, 0.5) for j in range(2, 42)]
     tail = pts[-14:]
-    derivs = [classify.wobbly_log_derivative(x, hier) for x in tail]
+    derivs = [classify.wobbly_log_derivative(x) for x in tail]
     deriv_ok = all(0.95 <= d <= 1.05 for d in derivs)
-    ratios = [3.0 + math.sin(float(hier.xi_k(3, x))) for x in pts]
+    ratios = [3.0 + math.sin(float(HIER.xi_k(3, x))) for x in pts]
     in_band = all(2.0 <= r <= 4.0 for r in ratios)
     oscillates = min(ratios) < 2.2 and max(ratios) > 3.8
     ok = deriv_ok and in_band and oscillates

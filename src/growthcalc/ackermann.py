@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 
 from . import abel, funcexpr, lixnum
 from .lixnum import DomainError, LIReal
-from .xihier import default_hierarchy
+from .xihier import HIER
 
 __all__ = [
     "ack",
@@ -195,9 +195,9 @@ class OpLHandle:
         return self.f(float(self.f_inv(x)) + 1)
 
 
-def _resolve_inverse(f, f_inv, hier) -> Callable:
+def _resolve_inverse(f, f_inv) -> Callable:
     if f_inv is not None:
-        inv_fn, _ = funcexpr.callable_of(f_inv, hier)
+        inv_fn, _ = funcexpr.callable_of(f_inv)
         return inv_fn
     inv_attr = getattr(f, "inverse", None)
     if callable(inv_attr):
@@ -208,37 +208,34 @@ def _resolve_inverse(f, f_inv, hier) -> Callable:
     elif funcexpr.is_expr(f):
         expr = f
     if expr is not None:
-        return lambda y: funcexpr.invert_at(expr, float(y), hier=hier)
+        return lambda y: funcexpr.invert_at(expr, float(y))
     raise DomainError("op_L needs an inverse: pass f_inv or a handle with .inverse")
 
 
-def op_L(f, f_inv=None, hier=None) -> OpLHandle:
+def op_L(f, f_inv=None) -> OpLHandle:
     """The operator f -> f(f^{-1} + 1); exact identities include
     op_L(exp) = e x, op_L(e x) = x + e, and one step down the
     inverse-super-logarithm ladder."""
-    hier = hier or default_hierarchy()
-    fn, text = funcexpr.callable_of(f, hier)
-    return OpLHandle(fn, _resolve_inverse(f, f_inv, hier), text)
+    fn, text = funcexpr.callable_of(f)
+    return OpLHandle(fn, _resolve_inverse(f, f_inv), text)
 
 
 class _XiInvHandle:
     """The inverse of xi_k as a first-class handle with an exact inverse."""
 
-    def __init__(self, k: int, hier):
+    def __init__(self, k: int):
         self.k = k
-        self.hier = hier
         self.expr_text = f"xi_{k}_inv"
 
     def __call__(self, t):
         if isinstance(t, LIReal) and self.k == 2:
             return lixnum.exp_li(t)
-        return self.hier.xi_k_inv(self.k, float(t))
+        return HIER.xi_k_inv(self.k, float(t))
 
     def inverse(self, v):
-        t = self.hier.xi_k(self.k, v)
+        t = HIER.xi_k(self.k, v)
         return float(t)
 
 
-def xi_inv_handle(k: int, hier=None) -> _XiInvHandle:
-    hier = hier or default_hierarchy()
-    return _XiInvHandle(k, hier)
+def xi_inv_handle(k: int) -> _XiInvHandle:
+    return _XiInvHandle(k)

@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import funcexpr, lixnum
-from .funcexpr import Call, Binary, Const, EvalEnv, EvalError, Var
+from .funcexpr import Call, Binary, Const, EvalError, Var, evaluate
 from .lixnum import DomainError, LIReal
 from .orders import Ladder, _tail, order_of
-from .xihier import default_hierarchy
+from .xihier import HIER
 
 __all__ = [
     "CatalogEntry",
@@ -143,11 +143,11 @@ def _spec_text(spec) -> str:
     return getattr(spec, "expr_text", None) or repr(spec)
 
 
-def _inverse_check(entry: CatalogEntry, hier) -> dict:
+def _inverse_check(entry: CatalogEntry) -> dict:
     """F0 inverts f0: f0(F0(x))/x -> 1 (exact super-log coordinates for the
     top row, floats for the rest)."""
-    f0fn, _ = funcexpr.callable_of(entry.f0, hier)
-    F0fn, _ = funcexpr.callable_of(entry.chain[0], hier)
+    f0fn, _ = funcexpr.callable_of(entry.f0)
+    F0fn, _ = funcexpr.callable_of(entry.chain[0])
     errs = []
     if callable(entry.f0) and not isinstance(entry.f0, str):
         for x in _tower_points(4, 9):
@@ -162,9 +162,8 @@ def _inverse_check(entry: CatalogEntry, hier) -> dict:
 
 
 def verify_chain(entry: CatalogEntry, ladders: Optional[Sequence] = None,
-                 tol: float = 1e-3, hier=None) -> dict:
+                 tol: float = 1e-3) -> dict:
     """Check O_{F1}(f0) -> 1 and O_{F_{k+1}}(F_k) -> -1 for the row."""
-    hier = hier or default_hierarchy()
     if ladders is None:
         ladders = _default_pair_ladders(entry.name)
     pairs = [(entry.chain[1], entry.f0, 1.0)]
@@ -172,7 +171,7 @@ def verify_chain(entry: CatalogEntry, ladders: Optional[Sequence] = None,
         pairs.append((entry.chain[k + 1], entry.chain[k], -1.0))
     rows = []
     for (F, f, target), ladder in zip(pairs, ladders):
-        est = order_of(F, f, ladder, tol=tol, hier=hier)
+        est = order_of(F, f, ladder, tol=tol)
         rows.append({
             "F": _spec_text(F), "f": _spec_text(f), "target": target,
             "lambda_hat": est.lambda_hat, "tail_spread": est.tail_spread,
@@ -180,7 +179,7 @@ def verify_chain(entry: CatalogEntry, ladders: Optional[Sequence] = None,
             "ok": est.converged and abs(est.lambda_hat - target) <= tol,
             "ladder": _ladder_desc(ladder),
         })
-    inv = _inverse_check(entry, hier)
+    inv = _inverse_check(entry)
     return {
         "name": entry.name,
         "declared_class": entry.declared_class,
@@ -238,17 +237,13 @@ def _as_expr(f):
     raise TypeError(f"classify_expr needs a DSL expression, got {f!r}")
 
 
-def _eval(expr, x, hier):
-    return funcexpr.evaluate(expr, EvalEnv(x, hier))
-
-
-def _mu_estimate(fexpr, n: int, hier, tol: float):
+def _mu_estimate(fexpr, n: int, tol: float):
     """mu in log_n f = (log_n x)^mu, via log_{n+1} f / log_{n+1} x
     (iterated exp when n+1 < 0, so n = -2 probes f - x directly)."""
     ladder = _MU_LADDERS.get(n, _MU_LADDER_WIDE)
     vals = []
     for x in ladder.points():
-        fx = float(_eval(fexpr, x, hier))
+        fx = float(evaluate(fexpr, x))
         if n == -2:
             diff = fx - x
             vals.append(math.exp(diff) if diff < 700 else math.inf)
@@ -283,25 +278,24 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _growth_precondition(fexpr, hier) -> Tuple[bool, float]:
+def _growth_precondition(fexpr) -> Tuple[bool, float]:
     worst = math.inf
     for x in Ladder.geometric(4.0, 2.5, 12).points():
-        fx = _eval(fexpr, x, hier)
+        fx = evaluate(fexpr, x)
         if isinstance(fx, LIReal) and fx.level >= 2:
             continue  # far beyond x + 1 already
         worst = min(worst, float(fx) - x)
     return worst > 1.0, worst
 
 
-def _self_check(witness_text: str, fexpr, ladder, hier, tol: float) -> dict:
-    est = order_of(witness_text, fexpr, ladder, tol=tol, hier=hier)
+def _self_check(witness_text: str, fexpr, ladder, tol: float) -> dict:
+    est = order_of(witness_text, fexpr, ladder, tol=tol)
     return {"witness": witness_text, "lambda_hat": est.lambda_hat,
             "tail_spread": est.tail_spread, "converged": est.converged,
             "ok": est.converged and abs(est.lambda_hat - 1.0) <= tol}
 
 
-def classify_expr(f, budget: Optional[ClassifyBudget] = None,
-                  hier=None) -> ClassReport:
+def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
     """Class-0/1/2 decision tree with a re-checkable witness scale.
 
     Route: the super-logarithm order k = O_xi(f) >= 1 sends f to class 2;
@@ -312,12 +306,11 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None,
     witness; anything that fails to converge is reported inconclusive.
     """
     budget = budget or ClassifyBudget()
-    hier = hier or default_hierarchy()
     fexpr = _as_expr(f)
     ftext = funcexpr.to_text(fexpr)
     diags: dict = {"f": ftext}
 
-    ok, margin = _growth_precondition(fexpr, hier)
+    ok, margin = _growth_precondition(fexpr)
     diags["min_f_minus_x"] = margin
     if not ok:
         return ClassReport("inconclusive", None, diags,
@@ -325,7 +318,7 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None,
 
     # super-logarithm order first: positive k means class 2
     k_est = order_of("xi(x)", fexpr, _tower_points(_K_LADDER_LO, _K_LADDER_HI),
-                     tol=budget.order_tol, hier=hier)
+                     tol=budget.order_tol)
     diags["k_hat"] = k_est.lambda_hat
     checks = []
     if k_est.converged and k_est.lambda_hat >= 0.9:
@@ -333,7 +326,7 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None,
         witness = "xi(x)" if k == 1 else f"xi(x)/{k}"
         chk = _self_check(witness, fexpr,
                           _tower_points(_K_LADDER_LO, _K_LADDER_HI),
-                          hier, budget.order_tol)
+                          budget.order_tol)
         checks.append(chk)
         if chk["ok"]:
             return ClassReport("2", witness, diags, checks)
@@ -343,7 +336,7 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None,
     mu_scan = {}
     for n in range(budget.n_min, budget.n_max + 1):
         try:
-            mu, converged, _ = _mu_estimate(fexpr, n, hier, budget.mu_tol)
+            mu, converged, _ = _mu_estimate(fexpr, n, budget.mu_tol)
         except (EvalError, DomainError, ValueError, OverflowError) as exc:
             mu_scan[n] = f"failed: {exc}"
             continue
@@ -364,21 +357,21 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None,
             else:
                 witness, cls, lad = (f"log_{n + 2}(x)/{_fmt(log_mu)}", "1",
                                      _CHECK_LADDER)
-            chk = _self_check(witness, fexpr, lad, hier, budget.order_tol)
+            chk = _self_check(witness, fexpr, lad, budget.order_tol)
             checks.append(chk)
             if chk["ok"]:
                 return ClassReport(cls, witness, diags, checks)
             return ClassReport("inconclusive", witness, diags, checks,
                                reason="witness order check did not converge to 1")
         if abs(mu - 1.0) <= budget.mu_band:
-            return _classify_mu_one(fexpr, n, diags, checks, budget, hier)
+            return _classify_mu_one(fexpr, n, diags, checks, budget)
         mu_scan[n]["note"] = "mu < 1: not a growth scale at this depth"
     diags["mu_scan"] = mu_scan
     return ClassReport("inconclusive", None, diags, checks,
                        reason="no stabilizing exponent found in the n-scan")
 
 
-def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
+def _classify_mu_one(fexpr, n: int, diags, checks, budget) -> ClassReport:
     """The mu = 1 subcases: write log_{n+2} f = log_{n+2} x + 1/h and build
     the witness from h's own growth depth."""
     if n == -1:
@@ -399,7 +392,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
     c_vals = []
     try:
         for x in scan_pts:
-            hv = float(_eval(h_expr, x, hier))
+            hv = float(evaluate(h_expr, x))
             top = x
             for _ in range(n + 3):
                 top = math.log(top)
@@ -417,8 +410,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
             F = Binary("/", Binary("*", h_expr, _logk_expr(Var(), n + 2)),
                        Const(c_hat + 1.0))
             witness = funcexpr.to_text(F)
-            chk = _self_check(witness, fexpr, _GEOM_DEEP, hier,
-                              budget.order_tol)
+            chk = _self_check(witness, fexpr, _GEOM_DEEP, budget.order_tol)
             checks.append(chk)
             if chk["ok"]:
                 return ClassReport("1", witness, diags, checks)
@@ -433,7 +425,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
             try:
                 ratios = []
                 for x in scan_pts:
-                    hv = float(_eval(h_expr, x, hier))
+                    hv = float(evaluate(h_expr, x))
                     a, b = hv, float(x)
                     for _ in range(r):
                         a = math.log(a)
@@ -454,8 +446,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget, hier) -> ClassReport:
                     den = t if den is None else Binary("*", den, t)
                 F = num if den is None else Binary("/", num, den)
                 witness = funcexpr.to_text(F)
-                chk = _self_check(witness, fexpr, check_pts, hier,
-                                  budget.order_tol)
+                chk = _self_check(witness, fexpr, check_pts, budget.order_tol)
                 checks.append(chk)
                 diags["r"] = r
                 diags["k_of_h"] = k
@@ -482,14 +473,12 @@ class BetweenClassFn:
     increasing; __call__ then inverts numerically.
     """
 
-    def __init__(self, F, m: int, c: float = 1.0, inverse_form: bool = False,
-                 hier=None):
+    def __init__(self, F, m: int, c: float = 1.0, inverse_form: bool = False):
         if m < 2:
             raise DomainError("H_m is undefined below level 2")
         if c <= 0:
             raise DomainError("the between-class offset c must be positive")
-        self.hier = hier or default_hierarchy()
-        self.F, _ = funcexpr.callable_of(F, self.hier)
+        self.F, _ = funcexpr.callable_of(F)
         self.F_text = _spec_text(F)
         self.m = m
         self.c = float(c)
@@ -501,7 +490,7 @@ class BetweenClassFn:
                 f"({self.F_text})")
 
     def _shift(self, x: float) -> float:
-        H = self.hier.H_k(self.m, self.F(x))
+        H = HIER.H_k(self.m, self.F(x))
         try:
             H = float(H)
         except DomainError:
@@ -509,14 +498,14 @@ class BetweenClassFn:
         return self.c / H
 
     def _forward(self, x: float) -> float:
-        base = float(self.hier.xi_k(self.m, x))
-        return lixnum.to_real(self.hier.xi_k_inv(self.m, base + self._shift(x)))
+        base = float(HIER.xi_k(self.m, x))
+        return lixnum.to_real(HIER.xi_k_inv(self.m, base + self._shift(x)))
 
     def inverse(self, y: float) -> float:
         if self.inverse_form:
-            base = float(self.hier.xi_k(self.m, y))
+            base = float(HIER.xi_k(self.m, y))
             return lixnum.to_real(
-                self.hier.xi_k_inv(self.m, base - self._shift(y)))
+                HIER.xi_k_inv(self.m, base - self._shift(y)))
         return _solve_increasing(self._forward, y)
 
     def __call__(self, x: float) -> float:
@@ -552,14 +541,13 @@ class SandwichHandle:
     """
 
     def __init__(self, n: int, m: int, factor: float, level: int,
-                 base: Callable, base_text: str, hier):
+                 base: Callable, base_text: str):
         self.n = n
         self.m = m
         self.factor = float(factor)
         self.level = level
         self.base = base
         self.base_text = base_text
-        self.hier = hier
 
     def describe(self) -> str:
         return (f"xi_{self.level}-shift by {self.factor}/H_{self.level}"
@@ -569,27 +557,22 @@ class SandwichHandle:
         return self.factor
 
     def xi_shift(self, x) -> float:
-        return self.factor / float(self.hier.H_k(self.level, self.base(x)))
+        return self.factor / float(HIER.H_k(self.level, self.base(x)))
 
     def __call__(self, x: float) -> float:
-        base = float(self.hier.xi_k(self.level, x))
+        base = float(HIER.xi_k(self.level, x))
         return lixnum.to_real(
-            self.hier.xi_k_inv(self.level, base + self.xi_shift(x)))
+            HIER.xi_k_inv(self.level, base + self.xi_shift(x)))
 
     def inverse(self, y: float) -> float:
         return _solve_increasing(self.__call__, y)
 
 
-def _xi_fn(k: int, hier) -> Callable:
-    return lambda x: hier.xi_k(k, x)
-
-
-def sandwich_bounds(n: int, m: int = 1, hier=None
+def sandwich_bounds(n: int, m: int = 1
                     ) -> Tuple[Optional[SandwichHandle], SandwichHandle]:
     """(g, h) with g below and h above every member of the m-th layer of
     class n; g needs n >= 1, and n = 0 supports only the upper bound with
     m >= 4 (g is returned as None there)."""
-    hier = hier or default_hierarchy()
     if m < 1 or m > 4:
         raise DomainError("sandwich bounds are constructed for 1 <= m <= 4")
     if n < 0:
@@ -598,28 +581,27 @@ def sandwich_bounds(n: int, m: int = 1, hier=None
         if m < 4:
             raise DomainError(
                 "no sandwich below class 0 layers; the upper bound needs m >= 4")
-        _, upper = _sandwich_recurse(1, m, 2.0, hier)
+        _, upper = _sandwich_recurse(1, m, 2.0)
         h = SandwichHandle(0, m, 2.0, 3, upper.inverse,
-                           f"inverse[{upper.describe()}]", hier)
+                           f"inverse[{upper.describe()}]")
         return None, h
-    g = _sandwich_recurse(n, m, 0.5, hier)[1]
-    h = _sandwich_recurse(n, m, 2.0, hier)[1]
+    g = _sandwich_recurse(n, m, 0.5)[1]
+    h = _sandwich_recurse(n, m, 2.0)[1]
     return g, h
 
 
-def _sandwich_recurse(n: int, m: int, factor: float, hier
+def _sandwich_recurse(n: int, m: int, factor: float
                       ) -> Tuple[int, SandwichHandle]:
     if m == 1:
-        base = _xi_fn(n + 1, hier)
-        return n, SandwichHandle(n, 1, factor, n + 2, base,
-                                 f"xi_{n + 1}", hier)
-    _, prev = _sandwich_recurse(n + 1, m - 1, factor, hier)
+        return n, SandwichHandle(n, 1, factor, n + 2,
+                                 lambda x: HIER.xi_k(n + 1, x), f"xi_{n + 1}")
+    _, prev = _sandwich_recurse(n + 1, m - 1, factor)
     base = prev.inverse  # inverse of the one-class-up bound: a slow scale
     return n, SandwichHandle(n, m, factor, n + 3, base,
-                             f"inverse[{prev.describe()}]", hier)
+                             f"inverse[{prev.describe()}]")
 
 
-def scaled_xi_increment(a: float, x, hier=None) -> float:
+def scaled_xi_increment(a: float, x) -> float:
     """H_{3}-normalized super-log increment of x -> a*x at the point x:
     chi(log x) * (xi(a x) - xi(x)), equal to xi(u + log a) - xi(u) scaled
     by chi(u) with u = log x.  Beyond the float range the correction
@@ -627,7 +609,6 @@ def scaled_xi_increment(a: float, x, hier=None) -> float:
     (the true value differs from it by less than 1/log x)."""
     if a <= 1.0:
         raise DomainError("needs a scaling factor a > 1")
-    hier = hier or default_hierarchy()
     if not isinstance(x, LIReal):
         x = lixnum.from_real(float(x))
     try:
@@ -639,26 +620,25 @@ def scaled_xi_increment(a: float, x, hier=None) -> float:
         # the limit value is exact to double precision here
         return 1.0
     delta = math.log(a)
-    lo = float(hier.xi_k(3, uf))
-    hi = float(hier.xi_k(3, uf + delta))
-    chi = hier.chi(uf)
+    lo = float(HIER.xi_k(3, uf))
+    hi = float(HIER.xi_k(3, uf + delta))
+    chi = HIER.chi(uf)
     if isinstance(chi, LIReal):
         return 1.0
     return float(chi) * (hi - lo)
 
 
-def sandwich_bracket_report(ladder=None, hier=None) -> dict:
+def sandwich_bracket_report(ladder=None) -> dict:
     """The n = 1, m = 1 sandwich against the canonical class-1 member
     f1 = e*x (unit translation in log coordinates), compared point by point
     in H_3-normalized super-log increments: g carries 1/2, f1 carries
     chi(log x)(xi(e x) - xi(x)) -> 1, h carries 2."""
-    hier = hier or default_hierarchy()
     pts = ladder.points() if hasattr(ladder, "points") else \
         (list(ladder) if ladder is not None else _tower_points(2, 21))
-    g, h = sandwich_bounds(1, 1, hier)
+    g, h = sandwich_bounds(1, 1)
     rows = []
     for x in pts:
-        nu = scaled_xi_increment(math.e, x, hier)
+        nu = scaled_xi_increment(math.e, x)
         rows.append({"x": str(x), "nu_f1": nu,
                      "ok": g.scaled_shift() < nu < h.scaled_shift()})
     return {"g_shift": g.scaled_shift(), "h_shift": h.scaled_shift(),
@@ -669,16 +649,14 @@ def sandwich_bracket_report(ladder=None, hier=None) -> dict:
 # Separation
 
 
-def inverse_derivative_ratio(f, g, x: float, hier=None) -> float:
+def inverse_derivative_ratio(f, g, x: float) -> float:
     """(g^{-1})'(x) / (f^{-1})'(x) via numeric inversion plus the symbolic
     derivative: (q^{-1})'(x) = 1 / q'(q^{-1}(x))."""
-    hier = hier or default_hierarchy()
 
     def inv_prime(spec) -> float:
         expr = funcexpr.parse(spec) if isinstance(spec, str) else spec
-        y = funcexpr.invert_at(expr, float(x), bracket_hint=(1.0, float(x) + 2.0),
-                               hier=hier)
-        d = float(funcexpr.evaluate(funcexpr.differentiate(expr), EvalEnv(y, hier)))
+        y = funcexpr.invert_at(expr, float(x), bracket_hint=(1.0, float(x) + 2.0))
+        d = funcexpr.derivative(expr)(y)
         if d == 0:
             raise EvalError("zero derivative at the inverse point")
         return 1.0 / d
@@ -686,11 +664,9 @@ def inverse_derivative_ratio(f, g, x: float, hier=None) -> float:
     return inv_prime(g) / inv_prime(f)
 
 
-def separation_check(f, g, class_f: int, class_g: int, ladder=None,
-                     hier=None) -> dict:
+def separation_check(f, g, class_f: int, class_g: int, ladder=None) -> dict:
     """Class separation: for f of class n >= 1 and g one class up, the
     inverse-derivative ratio (g^{-1})'/(f^{-1})' must fall to 0."""
-    hier = hier or default_hierarchy()
     ladder = ladder or Ladder.geometric(64.0, 2.0, 16)
     report = {"f": _spec_text(f), "g": _spec_text(g),
               "class_f": class_f, "class_g": class_g}
@@ -700,7 +676,7 @@ def separation_check(f, g, class_f: int, class_g: int, ladder=None,
         return report
     report["in_scope"] = True
     pts = ladder.points() if hasattr(ladder, "points") else list(ladder)
-    ratios = [inverse_derivative_ratio(f, g, float(x), hier) for x in pts]
+    ratios = [inverse_derivative_ratio(f, g, float(x)) for x in pts]
     tail = _tail(ratios)
     decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
     report["ratios"] = ratios
@@ -780,7 +756,7 @@ def staircase_class0(levels: int = 6) -> Tuple[Callable, Callable]:
     return stair.F, stair.f
 
 
-def wobbly_log_derivative(x, hier=None) -> float:
+def wobbly_log_derivative(x) -> float:
     """x f'(x)/f(x) for the wobbly f(x) = x (3 + sin xi(x)).
 
     Exact chain rule with xi' = 1/chi gives
@@ -788,10 +764,9 @@ def wobbly_log_derivative(x, hier=None) -> float:
     denominator outgrows every float already at small towers, where the
     reciprocal honestly underflows to 0.
     """
-    hier = hier or default_hierarchy()
-    xi = float(hier.xi_k(3, x))
+    xi = float(HIER.xi_k(3, x))
     try:
-        chi = float(hier.chi(x))
+        chi = float(HIER.chi(x))
     except DomainError:
         return 1.0
     return 1.0 + math.cos(xi) * float(x) / ((3.0 + math.sin(xi)) * chi)

@@ -22,10 +22,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import abel, acceptance, ackermann, classify, funcexpr, lixnum, orders
-from .funcexpr import EvalEnv, EvalError, ParseError
+from .funcexpr import EvalError, ParseError
 from .lixnum import DomainError, LIReal
 from .orders import Ladder
-from .xihier import default_hierarchy
+from .xihier import HIER
 
 SEED_CACHE_ENV = "GROWTHCALC_SEED_CACHE"
 
@@ -72,13 +72,12 @@ def _ladder_points(args, default: Ladder):
 
 
 def cmd_eval(args) -> int:
-    hier = default_hierarchy()
     expr = funcexpr.parse(args.expr)
     if args.at is not None:
         pts = [_parse_point(args.at)]
     else:
         _, pts = _ladder_points(args, Ladder.geometric(10.0, 10.0, 8))
-    vals = [funcexpr.evaluate(expr, EvalEnv(x, hier)) for x in pts]
+    vals = [funcexpr.evaluate(expr, x) for x in pts]
     rows = [{"x": _render_value(x if isinstance(x, LIReal) else float(x)),
              "value": _render_value(v)} for x, v in zip(pts, vals)]
     _emit(args, {"expr": args.expr, "points": rows},
@@ -87,9 +86,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    hier = default_hierarchy()
     x = _parse_point(args.at)
-    v = hier.xi_k(args.k, x)
+    v = HIER.xi_k(args.k, x)
     _emit(args, {"k": args.k, "x": _render_value(x), "xi": _render_value(v)},
           [f"xi_{args.k}({_render_value(x)}) = {_render_value(v)}"])
     return 0
@@ -160,7 +158,7 @@ def cmd_iterate(args) -> int:
         if cache:
             store[args.f] = abel.solution_to_json(sol)
             cache.write_text(json.dumps(store, indent=2, allow_nan=False))
-    x = float(args.at)
+    x = float(_parse_point(args.at))
     y = sol.fractional_iterate(args.lam, x)
     if args.twice:
         y = sol.fractional_iterate(args.lam, y)
@@ -170,10 +168,9 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    hier = default_hierarchy()
     expr = funcexpr.parse(args.expr)
     _, pts = _ladder_points(args, Ladder.geometric(1.0, 2.0, 24))
-    vals = [funcexpr.evaluate(expr, EvalEnv(x, hier)) for x in pts]
+    vals = [funcexpr.evaluate(expr, x) for x in pts]
 
     def cell(v):
         return lixnum.format_li(v) if isinstance(v, LIReal) else repr(
@@ -274,6 +271,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (DomainError, EvalError, ParseError, ValueError, OverflowError) as exc:
         print(f"growthcalc: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("growthcalc: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -12,8 +12,9 @@ Grammar (whitespace-insensitive)::
 
 Function names: exp, log, log_<k>, sqrt, sin, abs, xi, xi_<k>, chi, plus the
 numeric-derivative forms dxi_<k> and dchi emitted by differentiate().
-Evaluation works over plain floats or over level-index numbers (LIReal);
-in the latter mode exp/log become exact level shifts.
+evaluate(expr, x) works over plain floats or over level-index numbers
+(LIReal); in the latter mode exp/log become exact level shifts.  The xi,
+xi_k, chi and dxi_k nodes read the one fixed hierarchy, xihier.HIER.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Optional, Union
 
 from . import lixnum
 from .lixnum import DomainError, LIReal
+from .xihier import HIER
 
 __all__ = [
     "FuncExpr",
@@ -36,7 +38,6 @@ __all__ = [
     "Binary",
     "Call",
     "Compose",
-    "EvalEnv",
     "is_expr",
     "ParseError",
     "EvalError",
@@ -46,6 +47,7 @@ __all__ = [
     "evaluate",
     "callable_of",
     "differentiate",
+    "derivative",
     "invert_at",
 ]
 
@@ -306,15 +308,6 @@ def to_text(e: FuncExpr) -> str:
 # Evaluation
 
 
-@dataclass
-class EvalEnv:
-    x: Value
-    hier: object = None  # xi-hierarchy handle; needs .xi_k(k, x) and .chi(x)
-
-    def with_x(self, x: Value) -> "EvalEnv":
-        return EvalEnv(x, self.hier)
-
-
 def _is_li(v) -> bool:
     return isinstance(v, LIReal)
 
@@ -406,12 +399,6 @@ def _binary(op: str, a: Value, b: Value) -> Value:
     raise EvalError(f"unknown operator {op!r}")
 
 
-def _need_hier(env: EvalEnv, fn: str):
-    if env.hier is None:
-        raise EvalError(f"{fn} needs a xi-hierarchy handle in the evaluation env")
-    return env.hier
-
-
 _NUMDIFF_STEP = 1e-5
 
 
@@ -420,24 +407,24 @@ def _numdiff(f, x: float) -> float:
     return (float(f(x + h)) - float(f(x - h))) / (2 * h)
 
 
-def evaluate(expr: FuncExpr, env: EvalEnv) -> Value:
+def evaluate(expr: FuncExpr, x: Value) -> Value:
     if isinstance(expr, Var):
-        return env.x
+        return x
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, NamedConst):
         return math.e if expr.name == "e" else math.pi
     if isinstance(expr, Neg):
-        v = evaluate(expr.arg, env)
+        v = evaluate(expr.arg, x)
         if _is_li(v):
             return lixnum.sub(lixnum.from_real(0.0), v)  # raises unless v == 0
         return -v
     if isinstance(expr, Binary):
-        return _binary(expr.op, evaluate(expr.left, env), evaluate(expr.right, env))
+        return _binary(expr.op, evaluate(expr.left, x), evaluate(expr.right, x))
     if isinstance(expr, Compose):
-        return evaluate(expr.outer, env.with_x(evaluate(expr.inner, env)))
+        return evaluate(expr.outer, evaluate(expr.inner, x))
     if isinstance(expr, Call):
-        v = evaluate(expr.arg, env)
+        v = evaluate(expr.arg, x)
         fn = expr.fn
         if fn == "exp":
             return _exp(v)
@@ -448,10 +435,10 @@ def evaluate(expr: FuncExpr, env: EvalEnv) -> Value:
         if fn == "sqrt":
             if _is_li(v):
                 return _pow(v, 0.5)
-            x = float(v)
-            if x < 0:
-                raise EvalError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
+            vf = float(v)
+            if vf < 0:
+                raise EvalError(f"sqrt of negative value {vf!r}")
+            return math.sqrt(vf)
         if fn == "sin":
             if _is_li(v):
                 if v.level >= 2:
@@ -465,23 +452,20 @@ def evaluate(expr: FuncExpr, env: EvalEnv) -> Value:
                 return v
             return abs(v)
         if fn == "xi":
-            return _need_hier(env, fn).xi_k(3, v)
+            return HIER.xi_k(3, v)
         if fn == "xi_k":
-            return _need_hier(env, fn).xi_k(expr.param, v)
+            return HIER.xi_k(expr.param, v)
         if fn == "chi":
-            return _need_hier(env, fn).chi(v)
+            return HIER.chi(v)
         if fn == "dxi_k":
-            hier = _need_hier(env, fn)
-            k = expr.param
-            return _numdiff(lambda t: hier.xi_k(k, t), float(v))
+            return HIER._xi_k_deriv(expr.param, float(v))
         if fn == "dchi":
-            hier = _need_hier(env, fn)
-            return _numdiff(hier.chi, float(v))
+            return _numdiff(HIER.chi, float(v))
         raise EvalError(f"unknown function {fn!r}")
     raise TypeError(f"not a FuncExpr: {expr!r}")
 
 
-def callable_of(spec, hier=None):
+def callable_of(spec):
     """(fn, text) for a function spec: expression text, a FuncExpr, or a
     callable (its `expr_text`, if it has one, is the text).
 
@@ -495,7 +479,7 @@ def callable_of(spec, hier=None):
         return spec, getattr(spec, "expr_text", None)
     else:
         raise TypeError(f"not a function spec: {spec!r}")
-    return (lambda x: evaluate(expr, EvalEnv(x, hier))), text
+    return (lambda x: evaluate(expr, x)), text
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +611,19 @@ def differentiate(expr: FuncExpr) -> FuncExpr:
     raise TypeError(f"not a FuncExpr: {expr!r}")
 
 
+def derivative(spec):
+    """f' as a float function for a function spec: the symbolic derivative
+    of expression text or a FuncExpr, a central difference of a callable."""
+    if isinstance(spec, str):
+        spec = parse(spec)
+    if is_expr(spec):
+        d = differentiate(spec)
+        return lambda x: float(evaluate(d, x))
+    if callable(spec):
+        return lambda x: _numdiff(spec, x)
+    raise TypeError(f"not a function spec: {spec!r}")
+
+
 # ---------------------------------------------------------------------------
 # Numeric inversion
 
@@ -658,7 +655,7 @@ def _bisect(fn, y: float, lo: float, hi: float) -> float:
             hi = mid
 
 
-def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
+def invert_at(expr: FuncExpr, y: float, bracket_hint=None) -> float:
     """Solve evaluate(expr, x) == y for a strictly monotone expr.
 
     Bisection to ~1e-3 relative, then Newton polish with the symbolic
@@ -667,7 +664,7 @@ def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
     """
 
     def f(x: float) -> float:
-        v = evaluate(expr, EvalEnv(x, hier))
+        v = evaluate(expr, x)
         try:
             return float(v)
         except DomainError:
@@ -723,7 +720,7 @@ def invert_at(expr: FuncExpr, y: float, bracket_hint=None, hier=None) -> float:
             if abs(fx - y) <= tol:
                 return x
             try:
-                d = float(evaluate(deriv, EvalEnv(x, hier)))
+                d = float(evaluate(deriv, x))
             except (EvalError, DomainError, ZeroDivisionError, OverflowError):
                 break
             if d == 0 or not math.isfinite(d):

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import abel, funcexpr
-from .funcexpr import EvalEnv, EvalError
+from .funcexpr import EvalError
 from .lixnum import DomainError, LIReal
-from .xihier import default_hierarchy
 
 __all__ = [
     "Ladder",
@@ -37,9 +36,6 @@ __all__ = [
     "in_Bprime_F",
     "check_theorem_1_3",
 ]
-
-_NUMDIFF_STEP = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # Ladders
@@ -105,26 +101,7 @@ class Ladder:
 
 
 # ---------------------------------------------------------------------------
-# Function-spec plumbing
-
-
-def _derivative(spec, hier) -> Callable[[float], float]:
-    """f' as a float function: symbolic when the spec is an expression."""
-    expr = None
-    if isinstance(spec, str):
-        expr = funcexpr.parse(spec)
-    elif funcexpr.is_expr(spec):
-        expr = spec
-    if expr is not None:
-        d = funcexpr.differentiate(expr)
-        return lambda x: float(funcexpr.evaluate(d, EvalEnv(x, hier)))
-    fn, _ = funcexpr.callable_of(spec, hier)
-
-    def numdiff(x: float) -> float:
-        h = _NUMDIFF_STEP * max(1.0, abs(x))
-        return (float(fn(x + h)) - float(fn(x - h))) / (2 * h)
-
-    return numdiff
+# Sample plumbing
 
 
 def _residual(a, b) -> float:
@@ -171,7 +148,7 @@ def _aitken(seq: Sequence[float]) -> List[float]:
 
 
 def order_of(F, f, ladder, tol: float = 1e-3,
-             hier=None, accelerate: bool = False) -> OrderEstimate:
+             accelerate: bool = False) -> OrderEstimate:
     """Estimate O_F(f) = lim F(f(x)) - F(x) along the ladder.
 
     The estimate is the mean of the last-window residuals; converged means
@@ -179,9 +156,8 @@ def order_of(F, f, ladder, tol: float = 1e-3,
     error; evaluation failures are errors and name the offending point.
     A plain increasing sequence of points is accepted in place of a Ladder.
     """
-    hier = hier or default_hierarchy()
-    Ffn, _ = funcexpr.callable_of(F, hier)
-    ffn, _ = funcexpr.callable_of(f, hier)
+    Ffn, _ = funcexpr.callable_of(F)
+    ffn, _ = funcexpr.callable_of(f)
     pts = ladder.points() if hasattr(ladder, "points") else list(ladder)
     residuals = []
     for x in pts:
@@ -234,8 +210,7 @@ def _sublinear_probe(x: float) -> float:
     return x / max(math.log(x), 2.0)
 
 
-def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2,
-            hier=None) -> RegReport:
+def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
     """Sample one of the regularity conditions R0-R3 along the ladder.
 
     R0: F(x + o(x)) = F(x) + o(1)        margin |F(x+p) - F(x)|, p = x/log x
@@ -246,15 +221,14 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2,
     cond = condition.upper()
     if cond not in ("R0", "R1", "R2", "R3"):
         raise ValueError(f"unknown regularity condition {condition!r}")
-    hier = hier or default_hierarchy()
     xs = _float_points(ladder)
-    Ffn, _ = funcexpr.callable_of(F, hier)
+    Ffn, _ = funcexpr.callable_of(F)
     margins = []
     if cond == "R0":
         for x in xs:
             margins.append(abs(_residual(Ffn(x + _sublinear_probe(x)), Ffn(x))))
     else:
-        dF = _derivative(F, hier)
+        dF = funcexpr.derivative(F)
         shifts = {"R1": (1.0, 2.0, 4.0), "R3": (0.25, 0.5, 2.0, 4.0)}
         for x in xs:
             base = dF(x)
@@ -273,11 +247,11 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2,
                      extra={"window": len(tail)})
 
 
-def _b_ratios(f, F, xs: List[float], hier) -> List[float]:
+def _b_ratios(f, F, xs: List[float]) -> List[float]:
     # (F o f)' / F' = f'(x) F'(f(x)) / F'(x)
-    ffn, _ = funcexpr.callable_of(f, hier)
-    df = _derivative(f, hier)
-    dF = _derivative(F, hier)
+    ffn, _ = funcexpr.callable_of(f)
+    df = funcexpr.derivative(f)
+    dF = funcexpr.derivative(F)
     out = []
     for x in xs:
         denom = dF(x)
@@ -287,11 +261,10 @@ def _b_ratios(f, F, xs: List[float], hier) -> List[float]:
     return out
 
 
-def in_B_F(f, F, ladder: Ladder, tol: float = 5e-2, hier=None) -> RegReport:
+def in_B_F(f, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
     """Test f in B_F, i.e. (F o f)' ~ F' (equivalently f' ~ L(f)/L, L = 1/F')."""
-    hier = hier or default_hierarchy()
     xs = _float_points(ladder)
-    ratios = _b_ratios(f, F, xs, hier)
+    ratios = _b_ratios(f, F, xs)
     margins = [abs(r - 1.0) for r in ratios]
     tail = _tail(margins)
     return RegReport(condition="B_F", samples=xs, margins=margins,
@@ -299,12 +272,10 @@ def in_B_F(f, F, ladder: Ladder, tol: float = 5e-2, hier=None) -> RegReport:
                      extra={"ratios": ratios, "window": len(tail)})
 
 
-def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0,
-                hier=None) -> RegReport:
+def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0) -> RegReport:
     """Test f in B'_F: the derivative ratio stays inside [1/c, c]."""
-    hier = hier or default_hierarchy()
     xs = _float_points(ladder)
-    ratios = _b_ratios(f, F, xs, hier)
+    ratios = _b_ratios(f, F, xs)
     tail = _tail(ratios)
     c = max(max(r, 1.0 / r) if r > 0 else math.inf for r in tail)
     verdict = math.isfinite(c) and c <= c_bound
@@ -319,7 +290,7 @@ def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0,
 
 
 def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
-                      hier=None, abel_base: float = 0.5,
+                      abel_base: float = 0.5,
                       abel_ladder: Optional[Ladder] = None,
                       b_ladder: Optional[Ladder] = None) -> dict:
     """Cross-check the order of f measured in g-units two independent ways.
@@ -329,10 +300,9 @@ def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
     so agreement is a genuine consistency check, not an identity).
     Requires g in B_F; if that precondition fails the report is vacuous.
     """
-    hier = hier or default_hierarchy()
     # membership needs samples where g(x) is still a float (g may be exp-like)
     b_ladder = b_ladder or Ladder.geometric(2.0, 1.4, 16)
-    b = in_B_F(g, F, b_ladder, hier=hier)
+    b = in_B_F(g, F, b_ladder)
     report = {"b_membership": b.to_json(), "vacuous": False,
               "lambda_direct": None, "lambda_abel": None, "agree": None,
               "tol": tol}
@@ -340,8 +310,8 @@ def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
         report["vacuous"] = True
         report["reason"] = "g not in B_F on this ladder"
         return report
-    est_f = order_of(F, f, ladder, hier=hier)
-    est_g = order_of(F, g, ladder, hier=hier)
+    est_f = order_of(F, f, ladder)
+    est_g = order_of(F, g, ladder)
     report["order_f"] = est_f.to_json()
     report["order_g"] = est_g.to_json()
     if not (est_f.converged and est_g.converged) or abs(est_g.lambda_hat) < 1e-9:
@@ -350,9 +320,9 @@ def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
         return report
     lam_direct = est_f.lambda_hat / est_g.lambda_hat
 
-    G = abel.solve_abel(g, abel_base, hier=hier)
+    G = abel.solve_abel(g, abel_base)
     small = abel_ladder or Ladder.geometric(1.0, 1.2, 10)
-    est_abel = order_of(G, f, small, hier=hier)
+    est_abel = order_of(G, f, small)
     report["order_abel"] = est_abel.to_json()
     lam_abel = est_abel.lambda_hat
 

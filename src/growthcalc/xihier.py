@@ -18,6 +18,9 @@ closes the recursion, just as xi_3(e) = 2 does at the bottom) and keeps
 each xi_k at least 0.7 below the diagonal, so the step-counting pullback
 terminates quickly and no level acquires a fixed point above the base.
 
+There is one hierarchy, levels 0..MAX_LEVEL; it holds no state, so the
+module instance HIER serves every caller.
+
 Companions: chi (the reciprocal of xi_3', defined by chi = 1 on [0, 1] and
 chi(x) = x * chi(ln x), accumulated in log-space so towers never overflow)
 and H_k (a smoothed surrogate for 1 / xi_k').
@@ -32,7 +35,7 @@ from typing import Union
 from . import lixnum
 from .lixnum import DomainError, LIReal
 
-__all__ = ["XiHierarchy", "default_hierarchy", "BASE", "BASE_XI"]
+__all__ = ["XiHierarchy", "HIER", "MAX_LEVEL", "default_hierarchy", "BASE", "BASE_XI"]
 
 Value = Union[float, Fraction, LIReal]
 
@@ -42,16 +45,13 @@ BASE = 2.0            # base point of the level >= 4 fundamental domains
 TOP = math.e          # right end: xi_{k-1}(e) = 2 exactly, for every k >= 4
 BASE_XI = 1.0         # xi_k(2) for every k >= 4
 
+MAX_LEVEL = 8
+
 _MAX_STEPS = 10 ** 6
 
 
 class XiHierarchy:
-    """Levels 0..max_level; immutable after construction."""
-
-    def __init__(self, max_level: int = 8):
-        if max_level < 3:
-            raise ValueError("max_level must be at least 3")
-        self.max_level = max_level
+    """Levels 0..MAX_LEVEL of the hierarchy; callers use the instance HIER."""
 
     # -- the shared [2, e] fundamental domain for levels >= 4 ----------------
 
@@ -67,8 +67,8 @@ class XiHierarchy:
 
     def xi_k(self, k: int, x):
         """xi_k(x); returns an exact Fraction for k = 3 on LIReal input."""
-        if not 0 <= k <= self.max_level:
-            raise DomainError(f"level {k} outside 0..{self.max_level}")
+        if not 0 <= k <= MAX_LEVEL:
+            raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
         if k == 0:
             if isinstance(x, LIReal):
                 return lixnum.sub(x, lixnum.from_real(_E))
@@ -123,8 +123,8 @@ class XiHierarchy:
             return lixnum.exp_li(lixnum.from_real_any(t))
         if k == 3:
             return lixnum.xi_inv_exact(t)
-        if not 4 <= k <= self.max_level:
-            raise DomainError(f"level {k} outside 0..{self.max_level}")
+        if not 4 <= k <= MAX_LEVEL:
+            raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
         if t < BASE_XI - 1e-12:
             raise DomainError(f"xi_{k}_inv needs t >= {BASE_XI}, got {t!r}")
         n = int(math.floor(t - BASE_XI))
@@ -169,8 +169,8 @@ class XiHierarchy:
             return x if isinstance(x, LIReal) else float(x)
         if k == 3:
             return self.chi(x)
-        if k > self.max_level:
-            raise DomainError(f"level {k} outside 2..{self.max_level}")
+        if k > MAX_LEVEL:
+            raise DomainError(f"level {k} outside 2..{MAX_LEVEL}")
         xf = float(x)
         d = self._xi_k_deriv(k, xf)
         if d <= 0:
@@ -188,11 +188,9 @@ class XiHierarchy:
         return (4 * d2 - d1) / 3
 
 
-_default = None
+HIER = XiHierarchy()
 
 
-def default_hierarchy(max_level: int = 8) -> XiHierarchy:
-    global _default
-    if _default is None or _default.max_level < max_level:
-        _default = XiHierarchy(max_level)
-    return _default
+def default_hierarchy() -> XiHierarchy:
+    """The one hierarchy, HIER."""
+    return HIER

@@ -39,6 +39,14 @@ class TestAbelEquation:
         with pytest.raises(DomainError):
             sol_double.eval(0.5)
 
+    def test_pullback_moving_away_rejected(self):
+        # contracting below 1, expanding above it: f carries 0.9 down into
+        # [0.25, 0.5] but 3 upward
+        sol = abel.solve_abel("x^2", A=0.5)
+        assert sol.eval(0.9) == pytest.approx(sol.eval(0.81) + 1.0)
+        with pytest.raises(DomainError, match=r"3\.0 .*\[0\.25, 0\.5\].*A=0\.5"):
+            sol.eval(3.0)
+
     def test_fixed_point_at_base_rejected(self):
         with pytest.raises(DomainError):
             abel.solve_abel("x^2", A=1.0)

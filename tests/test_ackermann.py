@@ -117,7 +117,7 @@ class TestOpL:
     def test_xi_ladder_steps_down_one_level(self):
         hier = default_hierarchy()
         for k in (2, 3):
-            L = op_L(xi_inv_handle(k + 1, hier))
+            L = op_L(xi_inv_handle(k + 1))
             for t in (2.0, 4.5, 9.0):
                 got = L(t)
                 want = hier.xi_k_inv(k, t)

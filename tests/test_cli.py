@@ -97,6 +97,22 @@ class TestIterate:
         second = run_json(capsys, *argv)
         assert second["value"] == pytest.approx(first["value"], abs=1e-9)
 
+    def test_non_finite_point_is_two(self, capsys):
+        code, out, err = run(capsys, "iterate", "--f", "x+1", "--lambda",
+                             "0.5", "--at", "nan")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err and "nan" in err
+
+    def test_point_the_pullback_cannot_reach_is_two(self, capsys):
+        # x^2 contracts on the default base's domain [0.25, 0.5], but above
+        # 1 it climbs, so no pullback from 3 reaches the domain
+        code, out, err = run(capsys, "iterate", "--f", "x^2", "--lambda",
+                             "0.5", "--at", "3")
+        assert code == 2
+        assert out == ""
+        assert "base" in err
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-seeds.json"
         monkeypatch.setenv(cli.SEED_CACHE_ENV, str(cache))
@@ -158,6 +174,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "ParseError" in err
+
+    def test_long_flat_sum_is_two(self, capsys):
+        # parses with a loop, but evaluate recurses once per term
+        code, out, err = run(capsys, "eval", "+".join(["x"] * 3000),
+                             "--at", "2")
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
 
 
 class TestStrictJson:

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from growthcalc import funcexpr, lixnum
 from growthcalc.funcexpr import (
-    EvalEnv, EvalError, ParseError, PrecisionError, evaluate, parse, to_text,
+    EvalError, ParseError, PrecisionError, evaluate, parse, to_text,
 )
 from growthcalc.lixnum import LIReal
-from growthcalc.xihier import default_hierarchy
+from growthcalc.xihier import HIER, default_hierarchy
 
 
-def ev(text, x, hier=None):
-    return evaluate(parse(text), EvalEnv(x, hier or default_hierarchy()))
+def ev(text, x):
+    return evaluate(parse(text), x)
 
 
 class TestParsing:
@@ -110,22 +110,26 @@ class TestDifferentiation:
     ])
     def test_symbolic_derivative_oracles(self, text, x, expected):
         d = funcexpr.differentiate(parse(text))
-        assert evaluate(d, EvalEnv(x, default_hierarchy())) == pytest.approx(expected)
+        assert evaluate(d, x) == pytest.approx(expected)
 
     def test_xi_derivative_is_reciprocal_chi(self):
         hier = default_hierarchy()
         d = funcexpr.differentiate(parse("xi(x)"))
         x = 50.0
-        assert evaluate(d, EvalEnv(x, hier)) == pytest.approx(
+        assert evaluate(d, x) == pytest.approx(
             1.0 / float(hier.chi(x)))
+
+    @pytest.mark.parametrize("x", [10.0, 50.0, 1e3, 1e6])
+    def test_dxi_k_is_reciprocal_of_H_k(self, x):
+        d = funcexpr.differentiate(parse("xi_4(x)"))
+        assert abs(evaluate(d, x) * HIER.H_k(4, x) - 1.0) <= 1e-15
 
     @given(st.floats(min_value=1.5, max_value=30.0))
     def test_derivative_matches_central_difference(self, x):
         d = funcexpr.differentiate(parse("x^2+x/log(x)"))
         h = 1e-6 * x
-        hier = default_hierarchy()
         num = (ev("x^2+x/log(x)", x + h) - ev("x^2+x/log(x)", x - h)) / (2 * h)
-        assert evaluate(d, EvalEnv(x, hier)) == pytest.approx(num, rel=1e-5)
+        assert evaluate(d, x) == pytest.approx(num, rel=1e-5)
 
 
 class TestInversion:

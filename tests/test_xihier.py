@@ -1,13 +1,18 @@
+import importlib
+import inspect
 import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import growthcalc
 from growthcalc import lixnum
+from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import DomainError, LIReal
-from growthcalc.xihier import BASE, BASE_XI, XiHierarchy, default_hierarchy
+from growthcalc.xihier import BASE, BASE_XI, HIER, default_hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +127,43 @@ class TestHk:
 
 
 class TestConstruction:
-    def test_max_level_guard(self):
-        with pytest.raises(ValueError):
-            XiHierarchy(max_level=2)
-
     def test_level_out_of_range(self, hier):
         with pytest.raises(DomainError):
             hier.xi_k(99, 5.0)
 
     def test_default_is_shared(self):
         assert default_hierarchy() is default_hierarchy()
+
+
+def _public_callables():
+    """(qualified name, routine) for every public function of every
+    growthcalc module, and for __init__ and the public methods of its
+    public classes."""
+    for info in pkgutil.iter_modules(growthcalc.__path__):
+        if info.name.startswith("_"):
+            continue
+        mod = importlib.import_module(f"growthcalc.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    meth = getattr(obj, attr)
+                    if ((attr == "__init__" or not attr.startswith("_"))
+                            and inspect.isroutine(meth)):
+                        yield f"{mod.__name__}.{name}.{attr}", meth
+            elif inspect.isroutine(obj):
+                yield f"{mod.__name__}.{name}", obj
+
+
+class TestOneHierarchy:
+    def test_no_public_callable_selects_a_hierarchy(self):
+        found = list(_public_callables())
+        assert len(found) > 100
+        takers = [q for q, fn in found
+                  if {"hier", "max_level"} & set(inspect.signature(fn).parameters)]
+        assert takers == []
+
+    def test_xi_node_reads_the_fixed_hierarchy(self):
+        assert default_hierarchy() is HIER
+        assert evaluate(parse("xi(x)"), 3.0) == HIER.xi_k(3, 3.0)
