@@ -4,7 +4,10 @@ Solves F(f(x)) = F(x) + 1 for strictly increasing f with f(x) > x by the
 classical fundamental-domain construction: pick a monotone seed S on
 [A, f(A)] with S(f(A)) = S(A) + 1, then extend by the recursion.  For a
 contracting map (f(x) < x, e.g. log) the orientation flips: the solved F
-satisfies F(f(x)) = F(x) - 1 and is still increasing.
+satisfies F(f(x)) = F(x) - 1 and is still increasing.  Evaluating F pulls
+x back into the fundamental domain one step at a time; a backward step
+uses the caller's f_inv, else the exact inverse funcexpr.invert derives
+from an expression, else a bisection narrowed by Newton steps on f'.
 
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second
@@ -155,6 +158,32 @@ def _float_fn(f):
     return fn, text
 
 
+def _expr_fns(f, f_inv):
+    """(fn, text, f_inv, fp) for solve_abel and solution_from_json, parsing
+    expression text once.
+
+    An expression spec without an explicit f_inv gets funcexpr.invert's
+    exact inverse; one it cannot invert gets its symbolic derivative fp
+    instead, for Newton steps in the pullback's bisection.  Plain
+    callables get neither.
+    """
+    expr = funcexpr.parse(f) if isinstance(f, str) else f
+    fn, text = _float_fn(expr)
+    if isinstance(f, str):
+        text = f
+    fp = None
+    if f_inv is None and funcexpr.is_expr(expr):
+        inv = funcexpr.invert(expr)
+        if inv is not None:
+            f_inv, _ = _float_fn(inv)
+        else:
+            try:
+                fp = funcexpr.derivative(expr)
+            except funcexpr.EvalError:
+                pass
+    return fn, text, f_inv, fp
+
+
 @dataclass
 class AbelSolution:
     f: Callable[[float], float]
@@ -164,6 +193,7 @@ class AbelSolution:
     f_inv: Optional[Callable[[float], float]] = None
     f_text: Optional[str] = None
     seed_kind: str = "linear"
+    fp: Optional[Callable[[float], float]] = None  # f', for Newton steps without f_inv
 
     @property
     def expr_text(self) -> Optional[str]:
@@ -204,7 +234,7 @@ class AbelSolution:
                 hi = y + width
             else:
                 raise DomainError(f"could not bracket f^-1({y!r})")
-        return funcexpr._bisect(self.f, y, lo, hi)
+        return funcexpr._bisect(self.f, y, lo, hi, self.fp)
 
     def _pull_into_domain(self, x: float):
         """Return (y, n) with y in the fundamental domain and x = step^n(y)."""
@@ -253,7 +283,7 @@ class AbelSolution:
 
 def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
                f_inv: Optional[Callable[[float], float]] = None) -> AbelSolution:
-    fn, f_text = _float_fn(f)
+    fn, f_text, f_inv, fp = _expr_fns(f, f_inv)
     A = float(A)
     fA = fn(A)
     if fA == A:
@@ -281,7 +311,7 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
         kind = "table"
 
     return AbelSolution(f=fn, A=A, seed=seed, direction=direction,
-                        f_inv=f_inv, f_text=f_text, seed_kind=kind)
+                        f_inv=f_inv, f_text=f_text, seed_kind=kind, fp=fp)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +331,7 @@ def solution_to_json(sol: AbelSolution) -> dict:
 
 def solution_from_json(data: dict) -> AbelSolution:
     kind = data["seed_kind"]
-    fn, f_text = _float_fn(data["f"])
+    fn, f_text, f_inv, fp = _expr_fns(data["f"], None)
     A = float(data["A"])
     p = data["seed_params"]
     if kind == "linear":
@@ -315,7 +345,7 @@ def solution_from_json(data: dict) -> AbelSolution:
     fA = fn(A)
     direction = "expanding" if fA > A else "contracting"
     return AbelSolution(f=fn, A=A, seed=seed, direction=direction,
-                        f_text=f_text, seed_kind=kind)
+                        f_inv=f_inv, f_text=f_text, seed_kind=kind, fp=fp)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ numeric-derivative forms dxi_<k> and dchi emitted by differentiate().
 evaluate(expr, x) works over plain floats or over level-index numbers
 (LIReal); in the latter mode exp/log become exact level shifts.  The xi,
 xi_k, chi and dxi_k nodes read the one fixed hierarchy, xihier.HIER.
+invert(expr) builds the exact inverse of an increasing expression from the
+invertible fragment (x+c, c*x, x^c, c^x, exp, log, log_k, sqrt, @).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "callable_of",
     "differentiate",
     "derivative",
+    "invert",
     "invert_at",
 ]
 
@@ -625,13 +628,157 @@ def derivative(spec):
 
 
 # ---------------------------------------------------------------------------
+# Symbolic inversion
+
+
+def _has_x(e: FuncExpr) -> bool:
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, Neg):
+        return _has_x(e.arg)
+    if isinstance(e, Binary):
+        return _has_x(e.left) or _has_x(e.right)
+    if isinstance(e, Call):
+        return _has_x(e.arg)
+    if isinstance(e, Compose):
+        return _has_x(e.outer) and _has_x(e.inner)
+    return False
+
+
+def _const_value(e: FuncExpr) -> Optional[float]:
+    """The finite float value of a subtree without x, or None."""
+    try:
+        c = float(evaluate(e, 0.0))
+    except (ValueError, ArithmeticError):
+        return None
+    return c if math.isfinite(c) else None
+
+
+def _invert_into(e: FuncExpr, acc: FuncExpr) -> Optional[FuncExpr]:
+    """e^-1 applied to acc, undoing e's outermost operation first."""
+    while not isinstance(e, Var):
+        if isinstance(e, Compose):
+            acc = _invert_into(e.outer, acc)
+            if acc is None:
+                return None
+            e = e.inner
+        elif isinstance(e, Binary):
+            left_x = _has_x(e.left)
+            if left_x == _has_x(e.right):
+                return None
+            arg, c = (e.left, _const_value(e.right)) if left_x else (e.right, _const_value(e.left))
+            if c is None:
+                return None
+            if e.op == "+":
+                acc = _sub(acc, Const(c))
+            elif e.op == "-" and left_x:
+                acc = _add(acc, Const(c))
+            elif e.op == "*" and c > 0:
+                acc = _div(acc, Const(c))
+            elif e.op == "/" and left_x and c > 0:
+                acc = _mul(acc, Const(c))
+            elif e.op == "^" and left_x and c > 0 and not (c.is_integer() and c % 2 == 1):
+                # an odd power also increases on x < 0, where y^(1/c) is undefined
+                acc = Binary("^", acc, Const(1.0 / c))
+            elif e.op == "^" and not left_x and c > 1:
+                acc = _div(Call("log", acc), Call("log", Const(c)))
+            else:
+                return None  # c - x, c / x, a decreasing factor or base
+            e = arg
+        elif isinstance(e, Call) and e.fn in ("exp", "log", "log_k", "sqrt"):
+            if e.fn == "exp":
+                acc = Call("log", acc)
+            elif e.fn == "log":
+                acc = Call("exp", acc)
+            elif e.fn == "log_k":
+                for _ in range(e.param):
+                    acc = Call("exp", acc)
+            else:
+                acc = Binary("^", acc, Const(2.0))
+            e = e.arg
+        else:
+            return None
+    return acc
+
+
+def invert(expr: FuncExpr) -> Optional[FuncExpr]:
+    """The exact inverse of an increasing expression, or None.
+
+    Covers x, x+c, x-c, c+x, c*x, x*c, x/c (c > 0), x^c (c > 0, not an
+    odd integer), c^x (c > 1), exp, log, log_k, sqrt and their nesting and
+    @ composition, where c is any subtree without x, evaluated once.
+    Everything else (x in two places, sin, xi, a decreasing map, x^3, ...)
+    gives None.
+    """
+    return _invert_into(expr, Var())
+
+
+# ---------------------------------------------------------------------------
 # Numeric inversion
 
 _INVERT_RTOL = 1e-12
 _MAX_EXPANSIONS = 200
 
 
-def _bisect(fn, y: float, lo: float, hi: float) -> float:
+_NEWTON_STEPS = 8
+_NEWTON_ULPS = 4
+
+
+def _newton_narrow(fn, fp, y: float, lo: float, hi: float):
+    """Narrow the bisection bracket [lo, hi] for fn(x) = y by safeguarded
+    Newton steps on the derivative fp.
+
+    Newton starts at the end of the bracket nearer to y, where a pullback
+    step starts, and a step is taken only if it lands strictly inside the
+    bracket.  Each point it lands on moves lo (fn < y) or hi (fn >= y), the
+    same sign test the bisection uses, so the bisection on the narrowed
+    bracket ends on the same adjacent floats.  An exception from fp, or an
+    f' that is non-finite or <= 0, ends the Newton phase.  Once a step
+    moves no more than a few ulps, probes at 1, 4, 16, ... ulps outward
+    find the other side of the root.
+    """
+    x = lo if abs(lo - y) < abs(hi - y) else hi
+    fx = fn(x)
+    for _ in range(_NEWTON_STEPS):
+        try:
+            d = fp(x)
+        except (ValueError, ArithmeticError):
+            return lo, hi
+        if not 0.0 < d < math.inf:
+            return lo, hi
+        nx = x - (fx - y) / d
+        if nx == x:
+            break
+        if not lo < nx < hi:
+            return lo, hi
+        done = abs(nx - x) <= _NEWTON_ULPS * math.ulp(x)
+        x, fx = nx, fn(nx)
+        if fx < y:
+            lo = x
+        else:
+            hi = x
+        if done:
+            break
+    else:
+        return lo, hi
+    up = fx < y
+    k = math.ulp(x)
+    while True:
+        t = x + k if up else x - k
+        if not lo < t < hi:
+            return lo, hi
+        if fn(t) < y:
+            lo = t
+            if not up:
+                return lo, hi
+        else:
+            hi = t
+            if up:
+                return lo, hi
+        k *= 4
+
+
+def _bisect(fn, y: float, lo: float, hi: float, fp=None) -> float:
     """Solve fn(x) = y for an increasing fn on [lo, hi] by sign-based
     bisection down to adjacent floats; returns the midpoint of the last
     bracket.
@@ -640,8 +787,12 @@ def _bisect(fn, y: float, lo: float, hi: float) -> float:
     the bracket.  The midpoint is geometric while the bracket spans more
     than a factor of 4 above 0, so brackets over hundreds of orders of
     magnitude close in a few dozen steps; sqrt(lo) * sqrt(hi) cannot
-    overflow where sqrt(lo * hi) would.
+    overflow where sqrt(lo * hi) would.  With the derivative fp, Newton
+    steps narrow the bracket first (_newton_narrow); for an fn monotone in
+    floats the answer is the same bit for bit.
     """
+    if fp is not None:
+        lo, hi = _newton_narrow(fn, fp, y, lo, hi)
     while True:
         if lo > 0 and hi / lo > 4.0:
             mid = math.sqrt(lo) * math.sqrt(hi)

@@ -18,6 +18,7 @@ converged=False and the caller decides what to do with it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -39,6 +40,8 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Ladders
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,9 @@ class Ladder:
             raise ValueError("geometric ladder needs x0 > 0 and ratio > 1")
         if count < cls.MIN_COUNT:
             raise ValueError(f"ladder needs at least {cls.MIN_COUNT} points")
+        if math.log(x0) + (count - 1) * math.log(ratio) > _LOG_FLOAT_MAX:
+            raise ValueError(f"geometric ladder x0={x0!r}, ratio={ratio!r}, "
+                             f"count={count} overflows the float range")
         return cls(kind="geometric", x0=float(x0), ratio=float(ratio), count=int(count))
 
     @classmethod

@@ -179,11 +179,19 @@ class XiHierarchy:
 
     def _xi_k_deriv(self, k: int, x: float) -> float:
         # Richardson-extrapolated central difference on a geometric stencil;
-        # xi_k is piecewise-defined, so raw differences are noisy at seams
+        # xi_k is piecewise-defined, so raw differences are noisy at seams.
+        # Levels >= 4 stop at BASE, so a stencil reaching below it turns
+        # one-sided (forward differences, also second order after Richardson).
+        h = 1e-3 * max(abs(x), 1.0)
+        if k >= 4 and x - h < BASE:
+            def fd(h: float) -> float:
+                return (float(self.xi_k(k, x + h)) - float(self.xi_k(k, x))) / h
+
+            return 2 * fd(h / 2) - fd(h)
+
         def cd(h: float) -> float:
             return (float(self.xi_k(k, x + h)) - float(self.xi_k(k, x - h))) / (2 * h)
 
-        h = 1e-3 * max(abs(x), 1.0)
         d1, d2 = cd(h), cd(h / 2)
         return (4 * d2 - d1) / 3
 

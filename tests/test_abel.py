@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc import abel
+from growthcalc import abel, funcexpr
 from growthcalc.lixnum import DomainError
 
 
@@ -53,9 +53,10 @@ class TestAbelEquation:
 
     def test_pullback_without_inverse_past_sqrt_of_float_max(self):
         # the bisected pullback bracket starts above 1e154, where lo * hi
-        # overflows; its geometric midpoint must still be finite
+        # overflows; its geometric midpoint must still be finite (a plain
+        # callable, since text would get the derived inverse y/1.5)
         x = 1.2 * 1.5 ** 1000
-        bisected = abel.solve_abel("1.5*x", A=1.0).eval(x)
+        bisected = abel.solve_abel(lambda y: 1.5 * y, A=1.0).eval(x)
         exact = abel.solve_abel("1.5*x", A=1.0, f_inv=lambda y: y / 1.5).eval(x)
         assert bisected == pytest.approx(exact, abs=1e-9)
 
@@ -118,7 +119,7 @@ class TestSerialization:
         data = abel.solution_to_json(sol_shift)
         back = abel.solution_from_json(data)
         # the explicit inverse is not serialized; the rebuilt solution
-        # bisects instead, so equality is only to bisection tolerance
+        # derives x-2 from "f", which may round differently
         for x in (1.0, 5.25, 333.0):
             assert back.eval(x) == pytest.approx(sol_shift.eval(x), abs=1e-9)
 
@@ -127,6 +128,67 @@ class TestSerialization:
         sol = abel.solve_abel("2*x", A=1.0, seed_kind=knots)
         back = abel.solution_from_json(abel.solution_to_json(sol))
         assert back.eval(7.7) == pytest.approx(sol.eval(7.7), abs=1e-12)
+
+
+def _count_bisections(monkeypatch):
+    calls = []
+    bisect = funcexpr._bisect
+
+    def counting(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(funcexpr, "_bisect", counting)
+    return calls
+
+
+class TestDerivedInverse:
+    def test_text_and_json_get_the_inverse(self, monkeypatch):
+        sol = abel.solve_abel("x+2", A=1)
+        back = abel.solution_from_json(abel.solution_to_json(sol))
+        assert sol.f_inv is not None and back.f_inv is not None
+        calls = _count_bisections(monkeypatch)
+        x = 1.5 + 2 * 1000
+        assert sol.eval(x) == pytest.approx(1000.25, abs=1e-9)
+        assert back.eval(x) == pytest.approx(1000.25, abs=1e-9)
+        assert calls == []
+
+    def test_odd_power_on_negative_domain(self):
+        # x^3 rises on x < 0 too, where the root y^(1/3) is undefined; it
+        # is bisected, so the pullback from -0.01 reaches [-0.5, -0.125]
+        sol = abel.solve_abel("x^3", A=-0.5)
+        assert sol.f_inv is None
+        y = sol.eval(-0.01)
+        assert sol.eval((-0.01) ** 3) == pytest.approx(y + 1.0, abs=1e-9)
+
+    def test_explicit_inverse_is_kept(self):
+        inv = lambda y: y - 2.0  # noqa: E731
+        assert abel.solve_abel("x+2", A=1, f_inv=inv).f_inv is inv
+
+    def test_newton_pullback_cost(self):
+        # x+sqrt(x) has no derived inverse; each pre-image is bisected
+        # after Newton steps on f' (plain bisection: about 58 evaluations)
+        sol = abel.solve_abel("x+sqrt(x)", A=1.0)
+        assert sol.f_inv is None and sol.fp is not None
+        exact = abel.solve_abel("x+sqrt(x)", A=1.0,
+                                f_inv=lambda y: ((math.sqrt(1 + 4 * y) - 1) / 2) ** 2)
+        counts = {"f": 0, "fp": 0}
+        f, fp = sol.f, sol.fp
+
+        def counted(name, fn):
+            def wrapper(t):
+                counts[name] += 1
+                return fn(t)
+            return wrapper
+
+        x = 1.5
+        for _ in range(1000):
+            x = f(x)
+        sol.f, sol.fp = counted("f", f), counted("fp", fp)
+        assert sol.eval(x) == pytest.approx(exact.eval(x), abs=1e-9)
+        steps = 1000
+        assert (counts["f"] + counts["fp"]) / steps <= 12
+        assert counts["fp"] / steps <= 5
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from growthcalc import cli
+from growthcalc import cli, funcexpr
 
 
 def run(capsys, *argv):
@@ -113,6 +113,16 @@ class TestIterate:
         assert out == ""
         assert "base" in err
 
+    def test_derived_inverse_needs_no_bisection(self, capsys, monkeypatch):
+        calls = []
+        bisect = funcexpr._bisect
+        monkeypatch.setattr(funcexpr, "_bisect",
+                            lambda *a: calls.append(a) or bisect(*a))
+        data = run_json(capsys, "iterate", "--f", "2*x", "--lambda", "0.5",
+                        "--at", "1e300", "--twice")
+        assert data["value"] == pytest.approx(2e300, rel=1e-12)
+        assert calls == []
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-seeds.json"
         monkeypatch.setenv(cli.SEED_CACHE_ENV, str(cache))
@@ -160,6 +170,14 @@ class TestExitCodes:
     def test_bad_ladder_spec_is_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--ladder", "nope:1")
         assert code == 2
+
+    def test_overflowing_geometric_ladder_is_two(self, capsys):
+        code, out, err = run(capsys, "eval", "x^2", "--ladder",
+                             "geom:1e10:1e100:10")
+        assert code == 2
+        assert out == ""
+        assert "geom:1e10:1e100:10" in err
+        assert "OverflowError" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
     def test_non_finite_point_is_two(self, capsys, point):

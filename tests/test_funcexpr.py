@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthcalc import funcexpr, lixnum
@@ -154,3 +154,72 @@ class TestInversion:
             3.0, rel=1e-12)
         x = funcexpr.invert_at(parse("abs(1/x)"), 0.25, bracket_hint=(1.0, 10.0))
         assert x == pytest.approx(4.0, rel=1e-12)
+
+
+# (text, lo, hi): x is drawn log-uniformly from [lo, hi]
+_INVERTIBLE = [
+    ("x+2", 1.0, 1e6),
+    ("2*x", 1e-6, 1e300),
+    ("2^x", 0.5, 1000.0),
+    ("x^1.5", 1e-3, 1e200),
+    ("exp(x)", 1.0, 700.0),
+    ("log(x)", 1e-300, 1e300),
+    ("log_2(x)", 1.5, 1e300),
+    ("exp(x)/2+1", 0.5, 700.0),
+    ("(x+1) @ (2*x)", 1.0, 1e6),
+    ("sqrt(x)+3", 1.0, 1e200),
+]
+
+
+class TestSymbolicInversion:
+    @pytest.mark.parametrize("text,lo,hi", _INVERTIBLE)
+    @given(u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=40)
+    def test_round_trip(self, text, lo, hi, u):
+        f = parse(text)
+        inv = funcexpr.invert(f)
+        x = math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
+        assert evaluate(inv, evaluate(f, x)) == pytest.approx(x, rel=1e-12)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("x+2", "x-2"),
+        ("2*x", "x/2"),
+        ("2^x", "log(x)/log(2)"),
+    ])
+    def test_paper_generators(self, text, expected):
+        assert to_text(funcexpr.invert(parse(text))) == expected
+
+    @pytest.mark.parametrize("text", ["x+sqrt(x)", "x*log(x)", "sin(x)", "xi(x)", "-2*x", "x^3"])
+    def test_not_invertible(self, text):
+        assert funcexpr.invert(parse(text)) is None
+
+
+def _bad_fp(kind):
+    def fp(x):
+        if kind == "raises":
+            raise EvalError("no derivative here")
+        return {"zero": 0.0, "nan": math.nan, "negative": -1.0, "huge": 1e300}[kind]
+    return fp
+
+
+class TestNewtonBisection:
+    @pytest.mark.parametrize("text", ["x+sqrt(x)", "x^1.5", "x+log(x)"])
+    @given(y=st.floats(min_value=2.0, max_value=1e200))
+    @settings(max_examples=60)
+    def test_same_floats_as_plain_bisection(self, text, y):
+        e = parse(text)
+        fn = lambda t: float(evaluate(e, t))  # noqa: E731
+        plain = funcexpr._bisect(fn, y, 1.0, y)
+        assert funcexpr._bisect(fn, y, 1.0, y, funcexpr.derivative(e)) == plain
+        # a bracket whose lower end is nearer y starts Newton there
+        lo = plain * (1 - 1e-6)
+        assert (funcexpr._bisect(fn, y, lo, 2 * y, funcexpr.derivative(e))
+                == funcexpr._bisect(fn, y, lo, 2 * y))
+
+    @pytest.mark.parametrize("kind", ["raises", "zero", "nan", "negative", "huge"])
+    @given(y=st.floats(min_value=2.0, max_value=1e12))
+    @settings(max_examples=20)
+    def test_wrong_derivative_changes_nothing(self, kind, y):
+        e = parse("x+sqrt(x)")
+        fn = lambda t: float(evaluate(e, t))  # noqa: E731
+        assert funcexpr._bisect(fn, y, 1.0, y, _bad_fp(kind)) == funcexpr._bisect(fn, y, 1.0, y)

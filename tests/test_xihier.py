@@ -125,6 +125,13 @@ class TestHk:
         with pytest.raises(DomainError):
             hier.H_k(1, 10.0)
 
+    @pytest.mark.parametrize("x", [2.0005, 2.001])
+    def test_h4_just_above_base(self, hier, x):
+        # xi_4 is linear on [2, e]; a central stencil of half-width 1e-3 x
+        # would reach below the base 2 here
+        assert abs(hier.H_k(4, x) - hier.H_k(4, 2.01)) <= 1e-9
+        assert evaluate(parse("dxi_4(x)"), x) * hier.H_k(4, x) == pytest.approx(1.0)
+
 
 class TestConstruction:
     def test_level_out_of_range(self, hier):
