@@ -28,11 +28,6 @@ SAMPLES = [
 
 
 def bisect_inverse(fn, y, lo=1e-9, hi=1e6):
-    for _ in range(60):
-        if fn(hi) >= y:
-            break
-        hi *= 4
-
     def defined_fn(x):
         try:
             return fn(x)

@@ -143,21 +143,6 @@ class TableSeed:
 # Solutions
 
 
-def _float_fn(f):
-    """(fn, text) for a function spec, with fn returning floats; values past
-    the float range become inf, as they only ever feed comparisons here."""
-    raw, text = funcexpr.callable_of(f)
-
-    def fn(x):
-        v = raw(x)
-        try:
-            return float(v)
-        except DomainError:
-            return math.inf
-
-    return fn, text
-
-
 def _expr_fns(f, f_inv):
     """(fn, text, f_inv, fp) for solve_abel and solution_from_json, parsing
     expression text once.
@@ -168,14 +153,14 @@ def _expr_fns(f, f_inv):
     callables get neither.
     """
     expr = funcexpr.parse(f) if isinstance(f, str) else f
-    fn, text = _float_fn(expr)
+    fn, text = funcexpr._float_fn(expr)
     if isinstance(f, str):
         text = f
     fp = None
     if f_inv is None and funcexpr.is_expr(expr):
         inv = funcexpr.invert(expr)
         if inv is not None:
-            f_inv, _ = _float_fn(inv)
+            f_inv, _ = funcexpr._float_fn(inv)
         else:
             try:
                 fp = funcexpr.derivative(expr)
@@ -199,42 +184,15 @@ class AbelSolution:
     def expr_text(self) -> Optional[str]:
         return self.f_text and f"abel[{self.f_text}]"
 
-    @property
-    def domain_lo(self) -> float:
-        return min(self.A, self.f(self.A))
-
-    @property
-    def domain_hi(self) -> float:
-        return max(self.A, self.f(self.A))
+    def __post_init__(self):
+        fA = self.f(self.A)
+        self.domain_lo, self.domain_hi = min(self.A, fA), max(self.A, fA)
 
     def _inverse_step(self, y: float) -> float:
         if self.f_inv is not None:
             return self.f_inv(y)
-        width = max(abs(y), 1.0)
-        if self.f(y) >= y:
-            # root below y; the pullback never drops under the domain start
-            hi = y
-            lo = max(self.domain_lo, y - width)
-            for _ in range(200):
-                if self.f(lo) <= y:
-                    break
-                if lo <= self.domain_lo:
-                    break
-                width *= 2
-                lo = max(self.domain_lo, y - width)
-            else:
-                raise DomainError(f"could not bracket f^-1({y!r})")
-        else:
-            lo = y
-            hi = y + width
-            for _ in range(200):
-                if self.f(hi) >= y:
-                    break
-                width *= 2
-                hi = y + width
-            else:
-                raise DomainError(f"could not bracket f^-1({y!r})")
-        return funcexpr._bisect(self.f, y, lo, hi, self.fp)
+        # the pullback only steps from y > domain_hi = f(domain_lo)
+        return funcexpr._bisect(self.f, y, self.domain_lo, y, self.fp)
 
     def _pull_into_domain(self, x: float):
         """Return (y, n) with y in the fundamental domain and x = step^n(y)."""
@@ -495,7 +453,7 @@ class RegularizedSolution:
 
 
 def solve_abel_regularized(f, A: float, span: float = 1e6) -> RegularizedSolution:
-    fn, _ = _float_fn(f)
+    fn, _ = funcexpr._float_fn(f)
     A = float(A)
     fA = fn(A)
     if not fA < A:

@@ -29,7 +29,6 @@ from .xihier import HIER
 __all__ = [
     "CatalogEntry",
     "ClassReport",
-    "ClassifyBudget",
     "catalog",
     "verify_chain",
     "classify_expr",
@@ -194,16 +193,6 @@ def verify_chain(entry: CatalogEntry, ladders: Optional[Sequence] = None,
 
 
 @dataclass
-class ClassifyBudget:
-    n_min: int = -2
-    n_max: int = 6
-    r_max: int = 6
-    mu_band: float = 0.05
-    mu_tol: float = 1e-2
-    order_tol: float = 1e-3
-
-
-@dataclass
 class ClassReport:
     verdict: str  # "0" | "1" | "2" | "inconclusive"
     witness: Optional[str]
@@ -218,6 +207,8 @@ class ClassReport:
 
 
 _K_LADDER_LO, _K_LADDER_HI = 2, 33
+_N_MIN, _N_MAX, _R_MAX = -2, 6, 6  # scan ranges of the log depth n and of r
+_MU_BAND, _MU_TOL, _ORDER_TOL = 0.05, 1e-2, 1e-3
 _MU_LADDERS = {
     -2: Ladder.geometric(8.0, 2.0, 14),
     -1: Ladder.geometric(1e8, 1e18, 14),
@@ -295,7 +286,7 @@ def _self_check(witness_text: str, fexpr, ladder, tol: float) -> dict:
             "ok": est.converged and abs(est.lambda_hat - 1.0) <= tol}
 
 
-def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
+def classify_expr(f) -> ClassReport:
     """Class-0/1/2 decision tree with a re-checkable witness scale.
 
     Route: the super-logarithm order k = O_xi(f) >= 1 sends f to class 2;
@@ -305,7 +296,6 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
     analysis.  Every verdict carries a converged order check of the
     witness; anything that fails to converge is reported inconclusive.
     """
-    budget = budget or ClassifyBudget()
     fexpr = _as_expr(f)
     ftext = funcexpr.to_text(fexpr)
     diags: dict = {"f": ftext}
@@ -318,7 +308,7 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
 
     # super-logarithm order first: positive k means class 2
     k_est = order_of("xi(x)", fexpr, _tower_points(_K_LADDER_LO, _K_LADDER_HI),
-                     tol=budget.order_tol)
+                     tol=_ORDER_TOL)
     diags["k_hat"] = k_est.lambda_hat
     checks = []
     if k_est.converged and k_est.lambda_hat >= 0.9:
@@ -326,7 +316,7 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
         witness = "xi(x)" if k == 1 else f"xi(x)/{k}"
         chk = _self_check(witness, fexpr,
                           _tower_points(_K_LADDER_LO, _K_LADDER_HI),
-                          budget.order_tol)
+                          _ORDER_TOL)
         checks.append(chk)
         if chk["ok"]:
             return ClassReport("2", witness, diags, checks)
@@ -334,9 +324,9 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
                            reason="class-2 witness order check did not converge to 1")
 
     mu_scan = {}
-    for n in range(budget.n_min, budget.n_max + 1):
+    for n in range(_N_MIN, _N_MAX + 1):
         try:
-            mu, converged, _ = _mu_estimate(fexpr, n, budget.mu_tol)
+            mu, converged, _ = _mu_estimate(fexpr, n, _MU_TOL)
         except (EvalError, DomainError, ValueError, OverflowError) as exc:
             mu_scan[n] = f"failed: {exc}"
             continue
@@ -347,7 +337,7 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
         diags["n"] = n
         diags["mu_hat"] = mu
         diags["mu_scan"] = mu_scan
-        if mu > 1.0 + budget.mu_band:
+        if mu > 1.0 + _MU_BAND:
             log_mu = math.log(mu)
             if n == -2:
                 # additive shift: check on small points, large x cancels
@@ -357,21 +347,21 @@ def classify_expr(f, budget: Optional[ClassifyBudget] = None) -> ClassReport:
             else:
                 witness, cls, lad = (f"log_{n + 2}(x)/{_fmt(log_mu)}", "1",
                                      _CHECK_LADDER)
-            chk = _self_check(witness, fexpr, lad, budget.order_tol)
+            chk = _self_check(witness, fexpr, lad, _ORDER_TOL)
             checks.append(chk)
             if chk["ok"]:
                 return ClassReport(cls, witness, diags, checks)
             return ClassReport("inconclusive", witness, diags, checks,
                                reason="witness order check did not converge to 1")
-        if abs(mu - 1.0) <= budget.mu_band:
-            return _classify_mu_one(fexpr, n, diags, checks, budget)
+        if abs(mu - 1.0) <= _MU_BAND:
+            return _classify_mu_one(fexpr, n, diags, checks)
         mu_scan[n]["note"] = "mu < 1: not a growth scale at this depth"
     diags["mu_scan"] = mu_scan
     return ClassReport("inconclusive", None, diags, checks,
                        reason="no stabilizing exponent found in the n-scan")
 
 
-def _classify_mu_one(fexpr, n: int, diags, checks, budget) -> ClassReport:
+def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
     """The mu = 1 subcases: write log_{n+2} f = log_{n+2} x + 1/h and build
     the witness from h's own growth depth."""
     if n == -1:
@@ -406,11 +396,11 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget) -> ClassReport:
         c_hat = sum(tail) / len(tail)
         diags["c_hat"] = c_hat
         diags["c_spread"] = spread
-        if spread <= budget.mu_tol * max(1.0, abs(c_hat)):
+        if spread <= _MU_TOL * max(1.0, abs(c_hat)):
             F = Binary("/", Binary("*", h_expr, _logk_expr(Var(), n + 2)),
                        Const(c_hat + 1.0))
             witness = funcexpr.to_text(F)
-            chk = _self_check(witness, fexpr, _GEOM_DEEP, budget.order_tol)
+            chk = _self_check(witness, fexpr, _GEOM_DEEP, _ORDER_TOL)
             checks.append(chk)
             if chk["ok"]:
                 return ClassReport("1", witness, diags, checks)
@@ -419,7 +409,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget) -> ClassReport:
     r_table = {}
     check_pts = _FRAC_MID if n == -1 else _GEOM_DEEP
     for k in (n + 1, n + 2):
-        for r in range(1, budget.r_max + 1):
+        for r in range(1, _R_MAX + 1):
             if r + k < 1:
                 continue
             try:
@@ -446,7 +436,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks, budget) -> ClassReport:
                     den = t if den is None else Binary("*", den, t)
                 F = num if den is None else Binary("/", num, den)
                 witness = funcexpr.to_text(F)
-                chk = _self_check(witness, fexpr, check_pts, budget.order_tol)
+                chk = _self_check(witness, fexpr, check_pts, _ORDER_TOL)
                 checks.append(chk)
                 diags["r"] = r
                 diags["k_of_h"] = k
@@ -506,26 +496,12 @@ class BetweenClassFn:
             base = float(HIER.xi_k(self.m, y))
             return lixnum.to_real(
                 HIER.xi_k_inv(self.m, base - self._shift(y)))
-        return _solve_increasing(self._forward, y)
+        return funcexpr._bisect(self._forward, y, y / 4.0, y * 4.0 + 4.0)
 
     def __call__(self, x: float) -> float:
         if not self.inverse_form:
             return self._forward(x)
-        return _solve_increasing(self.inverse, x)
-
-
-def _solve_increasing(fn: Callable[[float], float], y: float) -> float:
-    """x with fn(x) = y for an increasing fn, bracketed from [y/4, 4y + 4]."""
-    lo, hi = y / 4.0, y * 4.0 + 4.0
-    for _ in range(200):
-        if fn(lo) <= y:
-            break
-        lo /= 4.0
-    for _ in range(200):
-        if fn(hi) >= y:
-            break
-        hi *= 4.0
-    return funcexpr._bisect(fn, y, lo, hi)
+        return funcexpr._bisect(self.inverse, x, x / 4.0, x * 4.0 + 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +541,7 @@ class SandwichHandle:
             HIER.xi_k_inv(self.level, base + self.xi_shift(x)))
 
     def inverse(self, y: float) -> float:
-        return _solve_increasing(self.__call__, y)
+        return funcexpr._bisect(self, y, y / 4.0, y * 4.0 + 4.0)
 
 
 def sandwich_bounds(n: int, m: int = 1

@@ -485,6 +485,21 @@ def callable_of(spec):
     return (lambda x: evaluate(expr, x)), text
 
 
+def _float_fn(spec):
+    """(fn, text) as callable_of gives, with fn returning floats; values past
+    the float range become inf, as they only ever feed comparisons."""
+    raw, text = callable_of(spec)
+
+    def fn(x):
+        v = raw(x)
+        try:
+            return float(v)
+        except DomainError:
+            return math.inf
+
+    return fn, text
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 
@@ -724,9 +739,9 @@ _NEWTON_STEPS = 8
 _NEWTON_ULPS = 4
 
 
-def _newton_narrow(fn, fp, y: float, lo: float, hi: float):
+def _newton_narrow(fn, fp, y: float, lo: float, hi: float, flo: float, fhi: float):
     """Narrow the bisection bracket [lo, hi] for fn(x) = y by safeguarded
-    Newton steps on the derivative fp.
+    Newton steps on the derivative fp; flo and fhi are fn at the ends.
 
     Newton starts at the end of the bracket nearer to y, where a pullback
     step starts, and a step is taken only if it lands strictly inside the
@@ -737,8 +752,7 @@ def _newton_narrow(fn, fp, y: float, lo: float, hi: float):
     moves no more than a few ulps, probes at 1, 4, 16, ... ulps outward
     find the other side of the root.
     """
-    x = lo if abs(lo - y) < abs(hi - y) else hi
-    fx = fn(x)
+    x, fx = (lo, flo) if abs(lo - y) < abs(hi - y) else (hi, fhi)
     for _ in range(_NEWTON_STEPS):
         try:
             d = fp(x)
@@ -779,20 +793,41 @@ def _newton_narrow(fn, fp, y: float, lo: float, hi: float):
 
 
 def _bisect(fn, y: float, lo: float, hi: float, fp=None) -> float:
-    """Solve fn(x) = y for an increasing fn on [lo, hi] by sign-based
-    bisection down to adjacent floats; returns the midpoint of the last
-    bracket.
+    """Solve fn(x) = y for an increasing fn, starting from [lo, hi]; returns
+    the midpoint of the last bracket of the bisection to adjacent floats.
+
+    This is the library's one root finder.  A start bracket that does not
+    straddle y is widened first: hi steps up while fn(hi) < y, lo steps down
+    while fn(lo) >= y, and a positive lo is quartered rather than made
+    negative, so log and sqrt domains are kept (a root below 0 needs a
+    start lo <= 0).  EvalError if no bracket is found after _MAX_EXPANSIONS
+    widenings.
 
     Only the sign of fn(x) - y is used, so fn may overflow to inf inside
     the bracket.  The midpoint is geometric while the bracket spans more
     than a factor of 4 above 0, so brackets over hundreds of orders of
     magnitude close in a few dozen steps; sqrt(lo) * sqrt(hi) cannot
     overflow where sqrt(lo * hi) would.  With the derivative fp, Newton
-    steps narrow the bracket first (_newton_narrow); for an fn monotone in
-    floats the answer is the same bit for bit.
+    steps narrow the bracket first (_newton_narrow).  For an fn monotone in
+    floats the answer is the same bit for bit whatever the start bracket
+    and whether fp is given.
     """
+    flo, fhi = fn(lo), fn(hi)
+    for _ in range(_MAX_EXPANSIONS):
+        if fhi < y:
+            lo, flo, hi = hi, fhi, hi + 2 * max(hi - lo, abs(hi), 1.0)
+            fhi = fn(hi)
+        elif flo >= y:
+            width = max(hi - lo, abs(lo), 1.0)
+            hi, fhi = lo, flo
+            lo = lo / 4 if lo > 0 else lo - 2 * width
+            flo = fn(lo)
+        else:
+            break
+    else:
+        raise EvalError(f"could not bracket y={y!r} after {_MAX_EXPANSIONS} widenings")
     if fp is not None:
-        lo, hi = _newton_narrow(fn, fp, y, lo, hi)
+        lo, hi = _newton_narrow(fn, fp, y, lo, hi, flo, fhi)
     while True:
         if lo > 0 and hi / lo > 4.0:
             mid = math.sqrt(lo) * math.sqrt(hi)
@@ -809,82 +844,26 @@ def _bisect(fn, y: float, lo: float, hi: float, fp=None) -> float:
 def invert_at(expr: FuncExpr, y: float, bracket_hint=None) -> float:
     """Solve evaluate(expr, x) == y for a strictly monotone expr.
 
-    Bisection to ~1e-3 relative, then Newton polish with the symbolic
-    derivative when it exists; geometric bracket expansion if the hint
-    does not straddle y.
+    The exact inverse when invert(expr) derives one; otherwise _bisect on
+    sign*f (sign -1 for a decreasing expr) from bracket_hint (default
+    [1, 2]), which _bisect widens as needed, narrowed by Newton steps on
+    the symbolic derivative when it exists.  EvalError if f(x) misses y by
+    more than a relative 1e-12.
     """
-
-    def f(x: float) -> float:
-        v = evaluate(expr, x)
+    f, _ = _float_fn(expr)
+    inv = invert(expr)
+    if inv is not None:
+        x = float(evaluate(inv, y))
+    else:
+        a, b = sorted(map(float, bracket_hint or (1.0, 2.0)))
+        sign = 1.0 if f(b) >= f(a) else -1.0
         try:
-            return float(v)
-        except DomainError:
-            return math.inf  # towered past the float range: still comparable
-
-    if bracket_hint is None:
-        a, b = 1.0, 2.0
-    else:
-        a, b = float(bracket_hint[0]), float(bracket_hint[1])
-        if a > b:
-            a, b = b, a
-
-    fa, fb = f(a), f(b)
-    increasing = fb >= fa
-    for _ in range(_MAX_EXPANSIONS):
-        lo_val, hi_val = (fa, fb) if increasing else (fb, fa)
-        if lo_val <= y <= hi_val:
-            break
-        width = max(b - a, 1e-6)
-        if (y > hi_val) == increasing:
-            b = b + 2 * width
-            fb = f(b)
-        else:
-            # shrink toward 0 first so we stay inside log/sqrt domains
-            a = a / 4 if a > 0 else a - 2 * width
-            fa = f(a)
-    else:
-        raise EvalError(f"could not bracket y={y!r} after {_MAX_EXPANSIONS} expansions")
-
-    # bisection to coarse relative accuracy
-    lo, hi = a, b
-    for _ in range(200):
-        if hi - lo <= 1e-3 * max(1.0, abs(lo)):
-            break
-        mid = 0.5 * (lo + hi)
-        if (f(mid) <= y) == increasing:
-            lo = mid
-        else:
-            hi = mid
-
-    x = 0.5 * (lo + hi)
-    tol = _INVERT_RTOL * max(1.0, abs(y))
-
-    deriv = None
-    try:
-        deriv = differentiate(expr)
-    except (EvalError, TypeError):
-        deriv = None
-
-    if deriv is not None:
-        for _ in range(60):
-            fx = f(x)
-            if abs(fx - y) <= tol:
-                return x
-            try:
-                d = float(evaluate(deriv, x))
-            except (EvalError, DomainError, ZeroDivisionError, OverflowError):
-                break
-            if d == 0 or not math.isfinite(d):
-                break
-            step = (fx - y) / d
-            nx = x - step
-            if not (lo - (hi - lo) <= nx <= hi + (hi - lo)):
-                break
-            x = nx
-    # fall back to full bisection
-    sign = 1.0 if increasing else -1.0
-    x = _bisect(lambda t: sign * f(t), sign * y, lo, hi)
+            d = derivative(expr)
+            fp = lambda t: sign * d(t)  # noqa: E731
+        except (EvalError, TypeError):
+            fp = None
+        x = _bisect(lambda t: sign * f(t), sign * y, a, b, fp)
     fx = f(x)
-    if abs(fx - y) <= tol:
+    if abs(fx - y) <= _INVERT_RTOL * max(1.0, abs(y)):
         return x
     raise EvalError(f"inversion did not converge: f({x!r}) = {fx!r}, target {y!r}")

@@ -182,13 +182,27 @@ class TestDerivedInverse:
             return wrapper
 
         x = 1.5
-        for _ in range(1000):
+        for _ in range(2000):
             x = f(x)
         sol.f, sol.fp = counted("f", f), counted("fp", fp)
         assert sol.eval(x) == pytest.approx(exact.eval(x), abs=1e-9)
-        steps = 1000
+        steps = 2000
         assert (counts["f"] + counts["fp"]) / steps <= 12
         assert counts["fp"] / steps <= 5
+        # the domain ends are computed once, and Newton starts from the
+        # fn value _bisect already has at the bracket end (about 5.2)
+        assert counts["f"] / steps <= 5.5
+
+    # x+sqrt(x) is monotone in floats, so each bisected pre-image is the
+    # same adjacent-float root whatever bracket the step starts from
+    @pytest.mark.parametrize("x,expected", [
+        (10.0, 4.8781503931705),
+        (1e3, 62.96256519666419),
+        (1e6, 2001.4004870144868),
+        (1e9, 63248.69047808329),
+    ])
+    def test_bisected_pullback_values_pinned(self, x, expected):
+        assert abel.solve_abel("x+sqrt(x)", A=1.0).eval(x) == expected
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,12 @@ class TestEval:
         assert [r["value"] for r in data["points"]] == [
             1.0 + 2.0 ** i for i in range(8)]
 
+    def test_ladder_past_the_ratio_power_overflow(self, capsys):
+        # 1e10^39 overflows, the points (up to 1e90) do not
+        data = run_json(capsys, "eval", "x", "--ladder", "geom:1e-300:1e10:40")
+        assert len(data["points"]) == 40
+        assert data["points"][-1]["value"] == pytest.approx(1e90, rel=1e-12)
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "--format", "text", "eval", "2*x",
                            "--at", "4")

@@ -147,6 +147,14 @@ class TestInversion:
         x = funcexpr.invert_at(parse("exp(x)"), 1e6, bracket_hint=(1.0, 1e6))
         assert x == pytest.approx(math.log(1e6), rel=1e-10)
 
+    @pytest.mark.parametrize("text,y", [
+        ("exp(x)", 1e100), ("x^2", 1e3), ("2^x", 5.0), ("log_2(x)", 5.0),
+        ("x/3+1", -7.0),
+    ])
+    def test_uses_the_derived_inverse(self, text, y):
+        e = parse(text)
+        assert funcexpr.invert_at(e, y) == evaluate(funcexpr.invert(e), y)
+
     def test_bisection_fallback_without_derivative(self):
         # abs has no symbolic derivative, so no Newton step; the second
         # function also decreases on the bracket
@@ -215,6 +223,25 @@ class TestNewtonBisection:
         lo = plain * (1 - 1e-6)
         assert (funcexpr._bisect(fn, y, lo, 2 * y, funcexpr.derivative(e))
                 == funcexpr._bisect(fn, y, lo, 2 * y))
+        # start brackets wholly below and wholly above the root are widened
+        for lo, hi in [(plain / 8, plain / 4), (2 * y + 1, 4 * y + 4)]:
+            assert funcexpr._bisect(fn, y, lo, hi) == plain
+            assert funcexpr._bisect(fn, y, lo, hi, funcexpr.derivative(e)) == plain
+
+    @given(y=st.floats(min_value=-1e6, max_value=1e6))
+    @settings(max_examples=60)
+    def test_widening_through_zero(self, y):
+        e = parse("x+2")
+        fn = lambda t: float(evaluate(e, t))  # noqa: E731
+        fp = funcexpr.derivative(e)
+        plain = funcexpr._bisect(fn, y, y - 3, y - 1)
+        for lo, hi in [(-8.0, 0.0), (-1e7, -1e7 + 1)]:
+            assert funcexpr._bisect(fn, y, lo, hi) == plain
+            assert funcexpr._bisect(fn, y, lo, hi, fp) == plain
+
+    def test_unbracketable_target_raises(self):
+        with pytest.raises(EvalError, match="could not bracket y=1"):
+            funcexpr._bisect(lambda t: -1 / t, 1.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("kind", ["raises", "zero", "nan", "negative", "huge"])
     @given(y=st.floats(min_value=2.0, max_value=1e12))

@@ -16,6 +16,21 @@ class TestLadder:
         pts = Ladder.geometric(2.0, 3.0, 8).points()
         assert pts == [2.0 * 3.0 ** i for i in range(8)]
 
+    def test_library_ladders_unchanged(self):
+        # every ladder the catalog, the classifier and the CLI default to
+        # keeps the points of the plain formula, bit for bit
+        from growthcalc import classify
+        ladders = [lad for row in classify.catalog()
+                   for lad in classify._default_pair_ladders(row.name)
+                   if isinstance(lad, Ladder)]
+        ladders += list(classify._MU_LADDERS.values()) + [
+            classify._MU_LADDER_WIDE, classify._CHECK_LADDER, DEEP]
+        ladders += [Ladder.geometric(*a) for a in [
+            (10.0, 10.0, 8), (1.0, 2.0, 24), (4.0, 2.5, 12), (64.0, 2.0, 16),
+            (2.0, 1.4, 16), (1.0, 1.2, 10)]]
+        for lad in ladders:
+            assert lad.points() == [lad.x0 * lad.ratio ** i for i in range(lad.count)]
+
     def test_tower_points_are_li(self):
         pts = Ladder.tower(0.5, 10).points()
         assert all(isinstance(p, LIReal) for p in pts)
