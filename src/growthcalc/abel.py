@@ -51,23 +51,6 @@ class HypothesisError(ValueError):
 # Seeds
 
 
-class LinearSeed:
-    kind = "linear"
-
-    def __init__(self, x0: float, x1: float, y0: float):
-        self.x0, self.x1, self.y0 = x0, x1, y0
-        self.slope = 1.0 / (x1 - x0)
-
-    def __call__(self, x: float) -> float:
-        return self.y0 + (x - self.x0) * self.slope
-
-    def inv(self, t: float) -> float:
-        return self.x0 + (t - self.y0) / self.slope
-
-    def params(self) -> dict:
-        return {"x0": self.x0, "x1": self.x1, "y0": self.y0}
-
-
 class CubicSeed:
     """Hermite cubic on [x0, x1] from y0 to y0+1, slope ratio m1 = m0 / fpA.
 
@@ -110,30 +93,34 @@ class CubicSeed:
 
 
 class TableSeed:
+    """The piecewise-linear interpolant through knots strictly increasing in
+    both coordinates, and its inverse, extended past the end knots.  Knots
+    keep their type: Fraction knots and arguments give exact Fractions."""
+
     kind = "table"
 
     def __init__(self, knots: Sequence[tuple]):
-        xs = [float(x) for x, _ in knots]
-        ys = [float(y) for _, y in knots]
-        if sorted(xs) != xs or sorted(ys) != ys or len(xs) < 2:
-            raise DomainError("table seed knots must be increasing in both coordinates")
-        if not math.isclose(ys[-1], ys[0] + 1.0, rel_tol=0, abs_tol=1e-12):
-            raise DomainError("table seed must gain exactly 1 across the fundamental domain")
+        xs = [x for x, _ in knots]
+        ys = [y for _, y in knots]
+        if len(xs) < 2 or any(not (x0 < x1 and y0 < y1) for x0, x1, y0, y1
+                              in zip(xs, xs[1:], ys, ys[1:])):
+            raise DomainError("table knots must be at least two, strictly "
+                              "increasing in both coordinates")
         self.xs, self.ys = xs, ys
 
-    def __call__(self, x: float) -> float:
-        i = bisect.bisect_right(self.xs, x) - 1
-        i = min(max(i, 0), len(self.xs) - 2)
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    @staticmethod
+    def _interp(grid, out, v):
+        i = bisect.bisect_right(grid, v) - 1
+        i = min(max(i, 0), len(grid) - 2)
+        x0, x1 = grid[i], grid[i + 1]
+        y0, y1 = out[i], out[i + 1]
+        return y0 + (v - x0) * (y1 - y0) / (x1 - x0)
 
-    def inv(self, t: float) -> float:
-        i = bisect.bisect_right(self.ys, t) - 1
-        i = min(max(i, 0), len(self.ys) - 2)
-        x0, x1 = self.xs[i], self.xs[i + 1]
-        y0, y1 = self.ys[i], self.ys[i + 1]
-        return x0 + (t - y0) * (x1 - x0) / (y1 - y0)
+    def __call__(self, x):
+        return self._interp(self.xs, self.ys, x)
+
+    def inv(self, t):
+        return self._interp(self.ys, self.xs, t)
 
     def params(self) -> dict:
         return {"knots": list(zip(self.xs, self.ys))}
@@ -141,32 +128,6 @@ class TableSeed:
 
 # ---------------------------------------------------------------------------
 # Solutions
-
-
-def _expr_fns(f, f_inv):
-    """(fn, text, f_inv, fp) for solve_abel and solution_from_json, parsing
-    expression text once.
-
-    An expression spec without an explicit f_inv gets funcexpr.invert's
-    exact inverse; one it cannot invert gets its symbolic derivative fp
-    instead, for Newton steps in the pullback's bisection.  Plain
-    callables get neither.
-    """
-    expr = funcexpr.parse(f) if isinstance(f, str) else f
-    fn, text = funcexpr._float_fn(expr)
-    if isinstance(f, str):
-        text = f
-    fp = None
-    if f_inv is None and funcexpr.is_expr(expr):
-        inv = funcexpr.invert(expr)
-        if inv is not None:
-            f_inv, _ = funcexpr._float_fn(inv)
-        else:
-            try:
-                fp = funcexpr.derivative(expr)
-            except funcexpr.EvalError:
-                pass
-    return fn, text, f_inv, fp
 
 
 @dataclass
@@ -177,7 +138,6 @@ class AbelSolution:
     direction: str  # 'expanding' | 'contracting'
     f_inv: Optional[Callable[[float], float]] = None
     f_text: Optional[str] = None
-    seed_kind: str = "linear"
     fp: Optional[Callable[[float], float]] = None  # f', for Newton steps without f_inv
 
     @property
@@ -241,7 +201,24 @@ class AbelSolution:
 
 def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
                f_inv: Optional[Callable[[float], float]] = None) -> AbelSolution:
-    fn, f_text, f_inv, fp = _expr_fns(f, f_inv)
+    """seed_kind: "linear" (the two-knot table 0 -> 1 across the domain),
+    "smooth_c1" or a table's (x, y) knots.  Expression specs without f_inv
+    get funcexpr.invert's exact inverse, else f' for Newton steps in the
+    pullback's bisection; plain callables get neither."""
+    expr = funcexpr.parse(f) if isinstance(f, str) else f
+    fn, f_text = funcexpr._float_fn(expr)
+    if isinstance(f, str):
+        f_text = f
+    fp = None
+    if f_inv is None and funcexpr.is_expr(expr):
+        inv = funcexpr.invert(expr)
+        if inv is not None:
+            f_inv, _ = funcexpr._float_fn(inv)
+        else:
+            try:
+                fp = funcexpr.derivative(expr)
+            except funcexpr.EvalError:
+                pass
     A = float(A)
     fA = fn(A)
     if fA == A:
@@ -258,18 +235,18 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
             raise DomainError(f"f is not strictly increasing near {t!r}")
         prev = v
 
-    if seed_kind == "linear":
-        seed = LinearSeed(lo, hi, 0.0)
-        kind = "linear"
-    elif seed_kind == "smooth_c1":
+    if seed_kind == "smooth_c1":
         seed = CubicSeed(lo, hi, 0.0, funcexpr._numdiff(fn, A))
-        kind = "smooth_c1"
+    elif isinstance(seed_kind, str) and seed_kind != "linear":
+        raise DomainError(f"unknown seed kind {seed_kind!r}")
     else:
-        seed = TableSeed(seed_kind)
-        kind = "table"
+        seed = TableSeed([(lo, 0.0), (hi, 1.0)] if seed_kind == "linear"
+                         else seed_kind)
+        if not math.isclose(seed.ys[-1], seed.ys[0] + 1.0, rel_tol=0, abs_tol=1e-12):
+            raise DomainError("table seed must gain exactly 1 across the fundamental domain")
 
     return AbelSolution(f=fn, A=A, seed=seed, direction=direction,
-                        f_inv=f_inv, f_text=f_text, seed_kind=kind, fp=fp)
+                        f_inv=f_inv, f_text=f_text, fp=fp)
 
 
 # ---------------------------------------------------------------------------
@@ -288,22 +265,17 @@ def solution_to_json(sol: AbelSolution) -> dict:
 
 
 def solution_from_json(data: dict) -> AbelSolution:
-    kind = data["seed_kind"]
-    fn, f_text, f_inv, fp = _expr_fns(data["f"], None)
-    A = float(data["A"])
-    p = data["seed_params"]
+    """Rebuild a solution_to_json entry by solve_abel, which re-checks f on
+    the stored base.  Entries of the older "linear" kind (x0, x1, y0) load
+    as the two-knot table they are."""
+    kind, p = data["seed_kind"], data["seed_params"]
     if kind == "linear":
-        seed = LinearSeed(p["x0"], p["x1"], p["y0"])
-    elif kind == "smooth_c1":
-        seed = CubicSeed(p["x0"], p["x1"], p["y0"], p["fpA"])
+        kind = [(p["x0"], p["y0"]), (p["x1"], p["y0"] + 1.0)]
     elif kind == "table":
-        seed = TableSeed([tuple(k) for k in p["knots"]])
-    else:
+        kind = [tuple(k) for k in p["knots"]]
+    elif kind != "smooth_c1":
         raise DomainError(f"unknown seed kind {kind!r}")
-    fA = fn(A)
-    direction = "expanding" if fA > A else "contracting"
-    return AbelSolution(f=fn, A=A, seed=seed, direction=direction,
-                        f_inv=f_inv, f_text=f_text, seed_kind=kind, fp=fp)
+    return solve_abel(data["f"], data["A"], kind)
 
 
 # ---------------------------------------------------------------------------

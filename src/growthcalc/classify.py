@@ -13,7 +13,6 @@ x^2 are class 1, exp is class 2, the inverse super-logarithm is class 3.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import funcexpr, lixnum
+from .abel import TableSeed
 from .funcexpr import Call, Binary, Const, EvalError, Var, evaluate
 from .lixnum import DomainError, LIReal
 from .orders import Ladder, _tail, order_of
@@ -33,7 +33,6 @@ __all__ = [
     "verify_chain",
     "classify_expr",
     "BetweenClassFn",
-    "SandwichHandle",
     "sandwich_bounds",
     "sandwich_bracket_report",
     "scaled_xi_increment",
@@ -508,47 +507,19 @@ class BetweenClassFn:
 # Sandwich bounds
 
 
-class SandwichHandle:
-    """h (factor 2) or g (factor 1/2) with Xi_level(h) = Xi_level + factor/H_level(base).
-
-    The super-log shift factor/H_level(base(x)) is the handle's defining
-    data; __call__ evaluates at float scale, scaled_shift exposes the
-    H-normalized shift (a constant) used for order comparisons at towers.
-    """
-
-    def __init__(self, n: int, m: int, factor: float, level: int,
-                 base: Callable, base_text: str):
-        self.n = n
-        self.m = m
-        self.factor = float(factor)
-        self.level = level
-        self.base = base
-        self.base_text = base_text
-
-    def describe(self) -> str:
-        return (f"xi_{self.level}-shift by {self.factor}/H_{self.level}"
-                f"({self.base_text})")
-
-    def scaled_shift(self) -> float:
-        return self.factor
-
-    def xi_shift(self, x) -> float:
-        return self.factor / float(HIER.H_k(self.level, self.base(x)))
-
-    def __call__(self, x: float) -> float:
-        base = float(HIER.xi_k(self.level, x))
-        return lixnum.to_real(
-            HIER.xi_k_inv(self.level, base + self.xi_shift(x)))
-
-    def inverse(self, y: float) -> float:
-        return funcexpr._bisect(self, y, y / 4.0, y * 4.0 + 4.0)
+def _named(fn: Callable, text: str) -> Callable:
+    """fn carrying text as its expr_text, the name BetweenClassFn shows."""
+    named = lambda x: fn(x)  # noqa: E731
+    named.expr_text = text
+    return named
 
 
 def sandwich_bounds(n: int, m: int = 1
-                    ) -> Tuple[Optional[SandwichHandle], SandwichHandle]:
+                    ) -> Tuple[Optional[BetweenClassFn], BetweenClassFn]:
     """(g, h) with g below and h above every member of the m-th layer of
-    class n; g needs n >= 1, and n = 0 supports only the upper bound with
-    m >= 4 (g is returned as None there)."""
+    class n: between-class maps with c = 1/2 (g) and c = 2 (h).  g needs
+    n >= 1, and n = 0 supports only the upper bound with m >= 4 (g is
+    returned as None there)."""
     if m < 1 or m > 4:
         raise DomainError("sandwich bounds are constructed for 1 <= m <= 4")
     if n < 0:
@@ -557,24 +528,18 @@ def sandwich_bounds(n: int, m: int = 1
         if m < 4:
             raise DomainError(
                 "no sandwich below class 0 layers; the upper bound needs m >= 4")
-        _, upper = _sandwich_recurse(1, m, 2.0)
-        h = SandwichHandle(0, m, 2.0, 3, upper.inverse,
-                           f"inverse[{upper.describe()}]")
-        return None, h
-    g = _sandwich_recurse(n, m, 0.5)[1]
-    h = _sandwich_recurse(n, m, 2.0)[1]
-    return g, h
+        return None, _sandwich_recurse(0, m + 1, 2.0)  # over class 1, m layers
+    return _sandwich_recurse(n, m, 0.5), _sandwich_recurse(n, m, 2.0)
 
 
-def _sandwich_recurse(n: int, m: int, factor: float
-                      ) -> Tuple[int, SandwichHandle]:
+def _sandwich_recurse(n: int, m: int, c: float) -> BetweenClassFn:
     if m == 1:
-        return n, SandwichHandle(n, 1, factor, n + 2,
-                                 lambda x: HIER.xi_k(n + 1, x), f"xi_{n + 1}")
-    _, prev = _sandwich_recurse(n + 1, m - 1, factor)
-    base = prev.inverse  # inverse of the one-class-up bound: a slow scale
-    return n, SandwichHandle(n, m, factor, n + 3, base,
-                             f"inverse[{prev.describe()}]")
+        return BetweenClassFn(_named(lambda x: HIER.xi_k(n + 1, x), f"xi_{n + 1}"),
+                              n + 2, c)
+    # the inverse of the one-class-up bound is a slow scale
+    prev = _sandwich_recurse(n + 1, m - 1, c)
+    return BetweenClassFn(_named(prev.inverse, f"inverse[{prev.describe()}]"),
+                          n + 3, c)
 
 
 def scaled_xi_increment(a: float, x) -> float:
@@ -615,9 +580,8 @@ def sandwich_bracket_report(ladder=None) -> dict:
     rows = []
     for x in pts:
         nu = scaled_xi_increment(math.e, x)
-        rows.append({"x": str(x), "nu_f1": nu,
-                     "ok": g.scaled_shift() < nu < h.scaled_shift()})
-    return {"g_shift": g.scaled_shift(), "h_shift": h.scaled_shift(),
+        rows.append({"x": str(x), "nu_f1": nu, "ok": g.c < nu < h.c})
+    return {"g_shift": g.c, "h_shift": h.c,
             "points": rows, "ok": all(r["ok"] for r in rows)}
 
 
@@ -671,28 +635,14 @@ class Staircase:
     unit-step function f = F^{-1}(F + 1); all arithmetic is exact."""
 
     def __init__(self, knots: Sequence[Tuple]):
-        pts = [(Fraction(x), Fraction(y)) for x, y in knots]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0 or y1 <= y0:
-                raise ValueError("staircase knots must increase in both coordinates")
-        if len(pts) < 2:
-            raise ValueError("need at least two knots")
-        self.knots = pts
-        self._xs = [p[0] for p in pts]
-        self._ys = [p[1] for p in pts]
-
-    def _interp(self, grid, out, v: Fraction) -> Fraction:
-        i = bisect.bisect_right(grid, v) - 1
-        i = max(0, min(i, len(grid) - 2))
-        x0, x1 = grid[i], grid[i + 1]
-        y0, y1 = out[i], out[i + 1]
-        return y0 + (v - x0) * (y1 - y0) / (x1 - x0)
+        self.knots = [(Fraction(x), Fraction(y)) for x, y in knots]
+        self._table = TableSeed(self.knots)
 
     def F(self, x) -> Fraction:
-        return self._interp(self._xs, self._ys, Fraction(x))
+        return self._table(Fraction(x))
 
     def F_inv(self, y) -> Fraction:
-        return self._interp(self._ys, self._xs, Fraction(y))
+        return self._table.inv(Fraction(y))
 
     def f(self, x) -> Fraction:
         return self.F_inv(self.F(x) + 1)

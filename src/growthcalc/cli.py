@@ -96,9 +96,17 @@ def cmd_xi(args) -> int:
 def cmd_ack(args) -> int:
     v = ackermann.ack(args.m, args.n)
     out = lixnum.format_li(v) if isinstance(v, LIReal) else v
-    _emit(args, {"m": args.m, "n": args.n, "value": out,
-                 "envelope": ackermann.supported_envelope()},
-          [str(out)])
+    # exact values such as A(3, 3) = 2^65536 - 2 pass Python's int-to-str
+    # digit limit, lifted only while they are printed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)
+    try:
+        _emit(args, {"m": args.m, "n": args.n, "value": out,
+                     "envelope": ackermann.supported_envelope()},
+              [str(out)])
+    finally:
+        set_limit(limit)
     return 0
 
 

@@ -366,6 +366,8 @@ def _pow(b: Value, p: Value) -> Value:
 
 
 def _binary(op: str, a: Value, b: Value) -> Value:
+    if type(a) is float and type(b) is float and op in "+-*":  # the common case
+        return a + b if op == "+" else a - b if op == "-" else a * b
     if op == "^":
         return _pow(a, b)
     if _is_li(a) or _is_li(b):
@@ -415,17 +417,8 @@ def evaluate(expr: FuncExpr, x: Value) -> Value:
         return x
     if isinstance(expr, Const):
         return expr.value
-    if isinstance(expr, NamedConst):
-        return math.e if expr.name == "e" else math.pi
-    if isinstance(expr, Neg):
-        v = evaluate(expr.arg, x)
-        if _is_li(v):
-            return lixnum.sub(lixnum.from_real(0.0), v)  # raises unless v == 0
-        return -v
     if isinstance(expr, Binary):
         return _binary(expr.op, evaluate(expr.left, x), evaluate(expr.right, x))
-    if isinstance(expr, Compose):
-        return evaluate(expr.outer, evaluate(expr.inner, x))
     if isinstance(expr, Call):
         v = evaluate(expr.arg, x)
         fn = expr.fn
@@ -465,6 +458,15 @@ def evaluate(expr: FuncExpr, x: Value) -> Value:
         if fn == "dchi":
             return _numdiff(HIER.chi, float(v))
         raise EvalError(f"unknown function {fn!r}")
+    if isinstance(expr, NamedConst):
+        return math.e if expr.name == "e" else math.pi
+    if isinstance(expr, Neg):
+        v = evaluate(expr.arg, x)
+        if _is_li(v):
+            return lixnum.sub(lixnum.from_real(0.0), v)  # raises unless v == 0
+        return -v
+    if isinstance(expr, Compose):
+        return evaluate(expr.outer, evaluate(expr.inner, x))
     raise TypeError(f"not a FuncExpr: {expr!r}")
 
 
@@ -797,11 +799,11 @@ def _bisect(fn, y: float, lo: float, hi: float, fp=None) -> float:
     the midpoint of the last bracket of the bisection to adjacent floats.
 
     This is the library's one root finder.  A start bracket that does not
-    straddle y is widened first: hi steps up while fn(hi) < y, lo steps down
-    while fn(lo) >= y, and a positive lo is quartered rather than made
-    negative, so log and sqrt domains are kept (a root below 0 needs a
-    start lo <= 0).  EvalError if no bracket is found after _MAX_EXPANSIONS
-    widenings.
+    straddle y is widened first: hi steps up while fn(hi) < y, and lo steps
+    down while fn(lo) >= y.  A positive lo steps through 0 only where fn is
+    defined and lower there; otherwise it is quartered, so log and sqrt
+    domains are kept.  EvalError if no bracket is found after
+    _MAX_EXPANSIONS widenings.
 
     Only the sign of fn(x) - y is used, so fn may overflow to inf inside
     the bracket.  The midpoint is geometric while the bracket spans more
@@ -818,10 +820,17 @@ def _bisect(fn, y: float, lo: float, hi: float, fp=None) -> float:
             lo, flo, hi = hi, fhi, hi + 2 * max(hi - lo, abs(hi), 1.0)
             fhi = fn(hi)
         elif flo >= y:
-            width = max(hi - lo, abs(lo), 1.0)
-            hi, fhi = lo, flo
-            lo = lo / 4 if lo > 0 else lo - 2 * width
-            flo = fn(lo)
+            hi, fhi, lo = lo, flo, lo - 2 * max(hi - lo, abs(lo), 1.0)
+            if hi > 0:
+                # through 0 only where fn is defined and lower, else quarter
+                try:
+                    flo = fn(lo)
+                except (ValueError, ArithmeticError):
+                    flo = math.nan
+                if not flo < fhi:
+                    lo, flo = hi / 4, fn(hi / 4)
+            else:
+                flo = fn(lo)
         else:
             break
     else:

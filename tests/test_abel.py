@@ -113,8 +113,71 @@ class TestSeeds:
         assert sol.eval(1.5) == pytest.approx(0.6, abs=1e-12)
         assert sol.eval(3.0) == pytest.approx(1.6, abs=1e-12)
 
+    @pytest.mark.parametrize("knots", [
+        [(1.0, 0.0), (1.0, 0.5), (2.0, 1.0)],
+        [(1.0, 0.0), (1.5, 0.5), (2.0, 0.5), (2.5, 1.0)],
+        [(1.0, 0.0), (2.0, 1.0), (1.5, 0.5)],
+        [(1.0, 0.0)],
+    ])
+    def test_table_knots_must_strictly_increase(self, knots):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            abel.solve_abel("2*x", A=1.0, seed_kind=knots)
+
+    def test_table_must_gain_one(self):
+        with pytest.raises(DomainError, match="gain exactly 1"):
+            abel.solve_abel("2*x", A=1.0, seed_kind=[(1.0, 0.0), (2.0, 0.9)])
+
+    def test_unknown_seed_kind(self):
+        with pytest.raises(DomainError, match="unknown seed kind"):
+            abel.solve_abel("2*x", A=1.0, seed_kind="cubic")
+
+
+# seed-cache entries as written before linear seeds became two-knot tables
+_OLD_CACHE_ENTRIES = [
+    ({"f": "x+sqrt(x)", "A": 1.0, "seed_kind": "linear",
+      "seed_params": {"x0": 1.0, "x1": 2.0, "y0": 0.0}}, "linear"),
+    ({"f": "2*x", "A": 1.0, "seed_kind": "table",
+      "seed_params": {"knots": [[1.0, 0.0], [1.25, 0.4], [2.0, 1.0]]}},
+     [(1.0, 0.0), (1.25, 0.4), (2.0, 1.0)]),
+    ({"f": "x+sqrt(x)", "A": 1.0, "seed_kind": "smooth_c1",
+      "seed_params": {"x0": 1.0, "x1": 2.0, "y0": 0.0,
+                      "fpA": 1.5000000000098266}}, "smooth_c1"),
+]
+
 
 class TestSerialization:
+    @pytest.mark.parametrize("data,seed_kind", _OLD_CACHE_ENTRIES)
+    def test_older_cache_entries_match_a_fresh_solve(self, data, seed_kind):
+        back = abel.solution_from_json(data)
+        fresh = abel.solve_abel(data["f"], data["A"], seed_kind)
+        for x in (1.0, 1.7, 2.0, 40.0, 1e4):
+            assert back.eval(x) == fresh.eval(x)
+        for t in (0.0, 0.3, 2.5, 7.0):
+            assert back.inverse(t) == fresh.inverse(t)
+
+    def test_older_cache_entries_keep_their_values(self):
+        # table and smooth seeds evaluate as they did before the change
+        table = abel.solution_from_json(_OLD_CACHE_ENTRIES[1][0])
+        assert [table.eval(x) for x in (1.7, 40.0, 1e4)] == [
+            0.76, 5.4, 13.353125]
+        assert table.inverse(2.5) == 5.5
+        smooth = abel.solution_from_json(_OLD_CACHE_ENTRIES[2][0])
+        assert [smooth.eval(x) for x in (1.7, 40.0, 1e4)] == [
+            0.7420000000006602, 11.568266997396384, 200.29516600968734]
+        assert smooth.inverse(2.5) == 4.284225286766327
+
+    def test_from_json_checks_f(self):
+        data = {"f": "x", "A": 1.0, "seed_kind": "table",
+                "seed_params": {"knots": [[1.0, 0.0], [2.0, 1.0]]}}
+        with pytest.raises(DomainError, match="fixed point"):
+            abel.solution_from_json(data)
+        data["f"] = "2*x+sin(8*x)"
+        with pytest.raises(DomainError, match="not strictly increasing"):
+            abel.solution_from_json(data)
+        data["seed_kind"] = "spline"
+        with pytest.raises(DomainError, match="unknown seed kind"):
+            abel.solution_from_json(data)
+
     def test_json_roundtrip_preserves_values(self, sol_shift):
         data = abel.solution_to_json(sol_shift)
         back = abel.solution_from_json(data)

@@ -123,9 +123,23 @@ class TestSandwich:
     def test_class0_has_upper_bound_only(self):
         g, h = sandwich_bounds(0, 4)
         assert g is None
-        assert h.scaled_shift() == 2.0
+        assert h.c == 2.0
         with pytest.raises(DomainError):
             sandwich_bounds(0, 1)
+
+    def test_handle_values_pinned(self):
+        g, h = sandwich_bounds(1, 1)
+        assert h(10.0) == 1865.1193669519116
+        assert g(10.0) == 17.5462202454995
+        assert h(1e4) == 105912.38886799965
+        assert g(1e4) == 16825.815233873425
+        assert (g.c, h.c) == (0.5, 2.0)
+
+    def test_nested_description_pinned(self):
+        assert sandwich_bounds(0, 4)[1].describe() == (
+            "xi_3-shift by 2.0/H_3(inverse[xi_4-shift by 2.0/H_4(inverse["
+            "xi_5-shift by 2.0/H_5(inverse[xi_6-shift by 2.0/H_6(inverse["
+            "xi_6-shift by 2.0/H_6(xi_5)])])])])")
 
     def test_layer_range_guard(self):
         with pytest.raises(DomainError):

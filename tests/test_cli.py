@@ -60,6 +60,24 @@ class TestSimpleCommands:
         data = run_json(capsys, "ack", "3", "2")
         assert data["value"] == 65534
 
+    def test_ack_past_the_int_digit_limit(self, capsys):
+        # A(3, 3) = 2^65536 - 2 has 19729 digits, past Python's default
+        # int-to-str limit of 4300; the CLI prints it exactly and leaves
+        # the limit as it found it
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "ack", "3", "3")
+        assert code == 0, err
+        digits = json.loads(out, parse_int=str)["value"]
+        code, text, err = run(capsys, "--format", "text", "ack", "3", "3")
+        assert code == 0, err
+        assert text.strip() == digits and len(digits) == 19729
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 2 ** 65536 - 2
+
     def test_ack_tower_value(self, capsys):
         data = run_json(capsys, "ack", "3", "4")
         assert isinstance(data["value"], str) and data["value"].startswith("L")

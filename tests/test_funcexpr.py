@@ -163,6 +163,20 @@ class TestInversion:
         x = funcexpr.invert_at(parse("abs(1/x)"), 0.25, bracket_hint=(1.0, 10.0))
         assert x == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("text,y,expected", [
+        ("x^3+x", -10.0, -2.0),
+        ("x^3+x", 0.0, 0.0),
+        ("x+log(x)", -10.0, 4.539786874921537e-05),
+        ("abs(x)^3", 0.125, 0.5),
+    ])
+    def test_default_bracket_reaches_roots_near_and_below_zero(self, text, y, expected):
+        # from [1, 2], lo steps through 0 for x^3+x; log is undefined and
+        # abs(x)^3 is no lower below 0, so lo is quartered there instead
+        x = funcexpr.invert_at(parse(text), y)
+        assert x == pytest.approx(expected, rel=1e-12, abs=1e-300)
+        if text == "x+log(x)":
+            assert x > 0
+
 
 # (text, lo, hi): x is drawn log-uniformly from [lo, hi]
 _INVERTIBLE = [
