@@ -6,8 +6,9 @@ classical fundamental-domain construction: pick a monotone seed S on
 contracting map (f(x) < x, e.g. log) the orientation flips: the solved F
 satisfies F(f(x)) = F(x) - 1 and is still increasing.  Evaluating F pulls
 x back into the fundamental domain one step at a time; a backward step
-uses the caller's f_inv, else the exact inverse funcexpr.invert derives
-from an expression, else a bisection narrowed by Newton steps on f'.
+uses the inverse funcexpr.Fn resolves (the caller's f_inv, the callable's
+own .inverse or the exact inverse of an expression), else a bisection
+narrowed by Newton steps on f'.
 
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second
@@ -136,17 +137,11 @@ class AbelSolution:
     A: float
     seed: object
     direction: str  # 'expanding' | 'contracting'
+    domain_lo: float  # the fundamental domain [min(A, f(A)), max(A, f(A))]
+    domain_hi: float
     f_inv: Optional[Callable[[float], float]] = None
     f_text: Optional[str] = None
     fp: Optional[Callable[[float], float]] = None  # f', for Newton steps without f_inv
-
-    @property
-    def expr_text(self) -> Optional[str]:
-        return self.f_text and f"abel[{self.f_text}]"
-
-    def __post_init__(self):
-        fA = self.f(self.A)
-        self.domain_lo, self.domain_hi = min(self.A, fA), max(self.A, fA)
 
     def _inverse_step(self, y: float) -> float:
         if self.f_inv is not None:
@@ -202,41 +197,38 @@ class AbelSolution:
 def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
                f_inv: Optional[Callable[[float], float]] = None) -> AbelSolution:
     """seed_kind: "linear" (the two-knot table 0 -> 1 across the domain),
-    "smooth_c1" or a table's (x, y) knots.  Expression specs without f_inv
-    get funcexpr.invert's exact inverse, else f' for Newton steps in the
-    pullback's bisection; plain callables get neither."""
-    expr = funcexpr.parse(f) if isinstance(f, str) else f
-    fn, f_text = funcexpr._float_fn(expr)
-    if isinstance(f, str):
-        f_text = f
-    fp = None
-    if f_inv is None and funcexpr.is_expr(expr):
-        inv = funcexpr.invert(expr)
-        if inv is not None:
-            f_inv, _ = funcexpr._float_fn(inv)
-        else:
-            try:
-                fp = funcexpr.derivative(expr)
-            except funcexpr.EvalError:
-                pass
+    "smooth_c1" or a table's (x, y) knots.  The pullback's backward step
+    is funcexpr.Fn(f, inverse=f_inv).inverse; without one, an expression
+    gives f' for Newton steps in the bisection and a callable gives none."""
+    fn = funcexpr.Fn(f, inverse=f_inv)
+    inv, fp = fn.inverse, None
+    if inv is not None:
+        # a callable inverse runs as given; an expression's returns floats
+        inv = inv.raw if inv.expr is None else inv.float
+    elif fn.expr is not None:
+        try:
+            fp = fn.derivative
+        except funcexpr.EvalError:
+            pass
     A = float(A)
-    fA = fn(A)
+    fA = fn.float(A)
     if fA == A:
         raise DomainError(f"f has a fixed point at the base A={A!r}")
     direction = "expanding" if fA > A else "contracting"
     lo, hi = (A, fA) if direction == "expanding" else (fA, A)
 
-    # quick monotonicity scan over the fundamental domain
+    # quick monotonicity scan over the fundamental domain, ends included
+    # exactly; f(A) is already known
     prev = None
     for i in range(17):
-        t = lo + (hi - lo) * i / 16
-        v = fn(t)
+        t = hi if i == 16 else lo + (hi - lo) * i / 16
+        v = fA if t == A else fn.float(t)
         if prev is not None and v <= prev:
             raise DomainError(f"f is not strictly increasing near {t!r}")
         prev = v
 
     if seed_kind == "smooth_c1":
-        seed = CubicSeed(lo, hi, 0.0, funcexpr._numdiff(fn, A))
+        seed = CubicSeed(lo, hi, 0.0, funcexpr._numdiff(fn.float, A))
     elif isinstance(seed_kind, str) and seed_kind != "linear":
         raise DomainError(f"unknown seed kind {seed_kind!r}")
     else:
@@ -245,8 +237,9 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
         if not math.isclose(seed.ys[-1], seed.ys[0] + 1.0, rel_tol=0, abs_tol=1e-12):
             raise DomainError("table seed must gain exactly 1 across the fundamental domain")
 
-    return AbelSolution(f=fn, A=A, seed=seed, direction=direction,
-                        f_inv=f_inv, f_text=f_text, fp=fp)
+    return AbelSolution(f=fn.float, A=A, seed=seed, direction=direction,
+                        domain_lo=lo, domain_hi=hi, f_inv=inv,
+                        f_text=fn.text, fp=fp)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +286,7 @@ def solution_from_json(data: dict) -> AbelSolution:
 
 _GL_POINTS = 8
 _PANELS = 32
+_SCAN_SPAN = 1e6
 
 
 def _gauss_legendre(n: int):
@@ -316,21 +310,6 @@ def _gauss_legendre(n: int):
 
 
 _GL_RULE = _gauss_legendre(_GL_POINTS)
-
-
-def _derivatives(f):
-    """(f', f'') as float functions for the spec f: symbolic for expression
-    text or a FuncExpr, central differences for a plain callable and for an
-    f' with no symbolic derivative."""
-    if isinstance(f, str):
-        f = funcexpr.parse(f)
-    fp = funcexpr.derivative(f)
-    if funcexpr.is_expr(f):
-        try:
-            return fp, funcexpr.derivative(funcexpr.differentiate(f))
-        except funcexpr.EvalError:
-            pass
-    return fp, funcexpr.derivative(fp)
 
 
 class RegularizedSolution:
@@ -424,30 +403,37 @@ class RegularizedSolution:
         return -x * slope
 
 
-def solve_abel_regularized(f, A: float, span: float = 1e6) -> RegularizedSolution:
-    fn, _ = funcexpr._float_fn(f)
+def solve_abel_regularized(f, A: float) -> RegularizedSolution:
+    fn = funcexpr.Fn(f)
     A = float(A)
-    fA = fn(A)
+    fA = fn.float(A)
     if not fA < A:
         raise HypothesisError("regularized mode needs a contracting map (f(x) < x)",
                               {"A": A, "f(A)": fA})
-    fp, fpp = _derivatives(f)
+    # f' and f'': symbolic for an expression, central differences for a
+    # callable and for an f' with no symbolic derivative
+    fp = fn.derivative
+    try:
+        fpp = funcexpr.Fn(fp if fn.expr is None
+                          else funcexpr.differentiate(fn.expr)).derivative
+    except funcexpr.EvalError:
+        fpp = funcexpr.Fn(fp).derivative
 
-    # scan f'' ~ -f'/x and |eta| < 1 on [A, A*span]
+    # scan f'' ~ -f'/x and |eta| < 1 on [A, A * _SCAN_SPAN]
     ratios, etas = [], []
     x = max(A, 1.0) * 2.0
-    top = max(A, 1.0) * span
+    top = max(A, 1.0) * _SCAN_SPAN
     while x <= top:
         d1 = fp(x)
         if d1 <= 0:
             raise HypothesisError("f is not increasing on the scan range", {"x": x, "f'": d1})
         ratios.append(-x * fpp(x) / d1)
-        etas.append(x * d1 / fn(x))
+        etas.append(x * d1 / fn.float(x))
         x *= 10.0
-    report = {"A": A, "span": span, "curvature_ratios": ratios, "etas": etas}
+    report = {"A": A, "span": _SCAN_SPAN, "curvature_ratios": ratios, "etas": etas}
     if any(abs(e) >= 1.0 - 1e-9 for e in etas):
         raise HypothesisError("contraction check failed: |eta| >= 1 on the scan range", report)
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     if any(not (0.5 <= r <= 1.5) for r in tail):
         raise HypothesisError("curvature hypothesis f'' ~ -f'/x failed", report)
-    return RegularizedSolution(fn, fp, fpp, A, report)
+    return RegularizedSolution(fn.float, fp, fpp, A, report)

@@ -18,7 +18,7 @@ integer anchors.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import abel, funcexpr, lixnum
 from .lixnum import DomainError, LIReal
@@ -29,7 +29,6 @@ __all__ = [
     "ack_closed_form",
     "G_real",
     "A_real",
-    "OpLHandle",
     "op_L",
     "xi_inv_handle",
     "supported_envelope",
@@ -177,65 +176,33 @@ def A_real(m: int, t: float) -> float:
 # The level-lowering operator
 
 
-class OpLHandle:
-    """x -> f(f^{-1}(x) + 1) for a strictly increasing f with f(x) > x."""
-
-    def __init__(self, f: Callable, f_inv: Callable, text: Optional[str]):
-        self.f = f
-        self.f_inv = f_inv
-        self.text = text
-
-    @property
-    def expr_text(self) -> Optional[str]:
-        return f"L[{self.text}]" if self.text else None
-
-    def __call__(self, x):
-        # an expression inverse can return a level-index number; the unit
-        # shift needs a float
-        return self.f(float(self.f_inv(x)) + 1)
-
-
-def _resolve_inverse(f, f_inv) -> Callable:
-    if f_inv is not None:
-        inv_fn, _ = funcexpr.callable_of(f_inv)
-        return inv_fn
-    inv_attr = getattr(f, "inverse", None)
-    if callable(inv_attr):
-        return inv_attr
-    expr = None
-    if isinstance(f, str):
-        expr = funcexpr.parse(f)
-    elif funcexpr.is_expr(f):
-        expr = f
-    if expr is not None:
-        return lambda y: funcexpr.invert_at(expr, float(y))
-    raise DomainError("op_L needs an inverse: pass f_inv or a handle with .inverse")
+def op_L(f, f_inv=None) -> funcexpr.Fn:
+    """The operator f -> f(f^{-1} + 1) for a strictly increasing f with
+    f(x) > x; exact identities include op_L(exp) = e x, op_L(e x) = x + e,
+    and one step down the inverse-super-logarithm ladder.  f^{-1} is
+    funcexpr.Fn(f, inverse=f_inv).inverse, else for an expression the
+    numeric funcexpr.invert_at."""
+    fn = funcexpr.Fn(f, inverse=f_inv)
+    if fn.inverse is not None:
+        inv = fn.inverse.raw
+    elif fn.expr is not None:
+        inv = lambda y: funcexpr.invert_at(fn, float(y))  # noqa: E731
+    else:
+        raise DomainError("op_L needs an inverse: pass f_inv or a handle with .inverse")
+    f_raw = fn.raw
+    # an expression inverse can return a level-index number; the unit
+    # shift needs a float
+    return funcexpr.Fn(lambda x: f_raw(float(inv(x)) + 1),
+                       text=fn.text and f"L[{fn.text}]")
 
 
-def op_L(f, f_inv=None) -> OpLHandle:
-    """The operator f -> f(f^{-1} + 1); exact identities include
-    op_L(exp) = e x, op_L(e x) = x + e, and one step down the
-    inverse-super-logarithm ladder."""
-    fn, text = funcexpr.callable_of(f)
-    return OpLHandle(fn, _resolve_inverse(f, f_inv), text)
+def xi_inv_handle(k: int) -> funcexpr.Fn:
+    """The inverse of xi_k, with xi_k as its exact inverse."""
 
-
-class _XiInvHandle:
-    """The inverse of xi_k as a first-class handle with an exact inverse."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.expr_text = f"xi_{k}_inv"
-
-    def __call__(self, t):
-        if isinstance(t, LIReal) and self.k == 2:
+    def xi_inv(t):
+        if isinstance(t, LIReal) and k == 2:
             return lixnum.exp_li(t)
-        return HIER.xi_k_inv(self.k, float(t))
+        return HIER.xi_k_inv(k, float(t))
 
-    def inverse(self, v):
-        t = HIER.xi_k(self.k, v)
-        return float(t)
-
-
-def xi_inv_handle(k: int) -> _XiInvHandle:
-    return _XiInvHandle(k)
+    return funcexpr.Fn(xi_inv, text=f"xi_{k}_inv",
+                       inverse=lambda v: float(HIER.xi_k(k, v)))

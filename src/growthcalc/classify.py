@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _CATALOG_PATH = Path(__file__).with_name("catalog.txt")
+_CHAIN_TOL = 1e-3  # each catalog chain limit must sit this close to its target
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,7 @@ class CatalogEntry:
 
     name: str
     declared_class: int
-    f0: object  # FuncExpr text or callable
+    f0: object  # expression text or a funcexpr.Fn
     chain: Tuple[object, ...]  # (F0, F1, F2, F3, F4)
 
 
@@ -68,7 +69,7 @@ def _xi_inverse(t):
     return lixnum.xi_inv_exact(t)
 
 
-_xi_inverse.expr_text = "xi_inv(x)"
+_XI_INVERSE = funcexpr.Fn(_xi_inverse, text="xi_inv(x)")
 
 
 def catalog() -> List[CatalogEntry]:
@@ -78,7 +79,7 @@ def catalog() -> List[CatalogEntry]:
         if not line or line.startswith("#"):
             continue
         name, cls, f0, *chain = line.split("|")
-        f0_obj = _xi_inverse if f0 == "xi_inv(x)" else f0
+        f0_obj = _XI_INVERSE if f0 == _XI_INVERSE.text else f0
         entries.append(CatalogEntry(name=name, declared_class=int(cls),
                                     f0=f0_obj, chain=tuple(chain)))
     return entries
@@ -92,6 +93,7 @@ def catalog() -> List[CatalogEntry]:
 _GEOM_SMALL = Ladder.geometric(10.0, 10.0, 12)
 _GEOM_TINY = Ladder.geometric(2.5, 1.35, 12)
 _GEOM_DEEP = Ladder.geometric(1e180, 1e6, 20)
+_SEPARATION_LADDER = Ladder.geometric(64.0, 2.0, 16)
 
 
 def _tower_points(lo: int = 2, hi: int = 41, mantissa: float = 0.5) -> list:
@@ -135,49 +137,40 @@ def _ladder_desc(ladder) -> dict:
             "first": str(pts[0]), "last": str(pts[-1])}
 
 
-def _spec_text(spec) -> str:
-    if isinstance(spec, str):
-        return spec
-    return getattr(spec, "expr_text", None) or repr(spec)
-
-
-def _inverse_check(entry: CatalogEntry) -> dict:
+def _inverse_check(f0: funcexpr.Fn, F0: funcexpr.Fn) -> dict:
     """F0 inverts f0: f0(F0(x))/x -> 1 (exact super-log coordinates for the
-    top row, floats for the rest)."""
-    f0fn, _ = funcexpr.callable_of(entry.f0)
-    F0fn, _ = funcexpr.callable_of(entry.chain[0])
+    callable top row, floats for the expression rows)."""
     errs = []
-    if callable(entry.f0) and not isinstance(entry.f0, str):
+    if f0.expr is None:
         for x in _tower_points(4, 9):
-            y = f0fn(F0fn(x))
+            y = f0.raw(F0.raw(x))
             errs.append(abs(float(lixnum.xi_exact(y)) - float(lixnum.xi_exact(x))))
     else:
         for x in (1e50, 1e120, 1e200):
-            y = float(f0fn(F0fn(x)))
+            y = float(f0.raw(F0.raw(x)))
             errs.append(abs(y / x - 1.0))
     max_err = max(errs)
     return {"errors": errs, "max_err": max_err, "ok": max_err <= 1e-3}
 
 
-def verify_chain(entry: CatalogEntry, ladders: Optional[Sequence] = None,
-                 tol: float = 1e-3) -> dict:
+def verify_chain(entry: CatalogEntry) -> dict:
     """Check O_{F1}(f0) -> 1 and O_{F_{k+1}}(F_k) -> -1 for the row."""
-    if ladders is None:
-        ladders = _default_pair_ladders(entry.name)
-    pairs = [(entry.chain[1], entry.f0, 1.0)]
+    ladders = _default_pair_ladders(entry.name)
+    f0, *chain = (funcexpr.Fn(spec) for spec in (entry.f0, *entry.chain))
+    pairs = [(chain[1], f0, 1.0)]
     for k in range(1, 4):
-        pairs.append((entry.chain[k + 1], entry.chain[k], -1.0))
+        pairs.append((chain[k + 1], chain[k], -1.0))
     rows = []
     for (F, f, target), ladder in zip(pairs, ladders):
-        est = order_of(F, f, ladder, tol=tol)
+        est = order_of(F, f, ladder, tol=_CHAIN_TOL)
         rows.append({
-            "F": _spec_text(F), "f": _spec_text(f), "target": target,
+            "F": F.text, "f": f.text, "target": target,
             "lambda_hat": est.lambda_hat, "tail_spread": est.tail_spread,
             "converged": est.converged,
-            "ok": est.converged and abs(est.lambda_hat - target) <= tol,
+            "ok": est.converged and abs(est.lambda_hat - target) <= _CHAIN_TOL,
             "ladder": _ladder_desc(ladder),
         })
-    inv = _inverse_check(entry)
+    inv = _inverse_check(f0, chain[0])
     return {
         "name": entry.name,
         "declared_class": entry.declared_class,
@@ -217,14 +210,6 @@ _CHECK_LADDER = Ladder.geometric(1e4, 10.0, 16)
 # exact rational points: f(x)/x survives where the float quotient rounds to 1
 _FRAC_DEEP = [Fraction(10) ** k for k in range(30, 90, 5)]
 _FRAC_MID = [Fraction(10) ** k for k in range(5, 17)]
-
-
-def _as_expr(f):
-    if isinstance(f, str):
-        return funcexpr.parse(f)
-    if funcexpr.is_expr(f):
-        return f
-    raise TypeError(f"classify_expr needs a DSL expression, got {f!r}")
 
 
 def _mu_estimate(fexpr, n: int, tol: float):
@@ -295,7 +280,9 @@ def classify_expr(f) -> ClassReport:
     analysis.  Every verdict carries a converged order check of the
     witness; anything that fails to converge is reported inconclusive.
     """
-    fexpr = _as_expr(f)
+    fexpr = funcexpr.Fn(f).expr
+    if fexpr is None:
+        raise TypeError(f"classify_expr needs a DSL expression, got {f!r}")
     ftext = funcexpr.to_text(fexpr)
     diags: dict = {"f": ftext}
 
@@ -467,8 +454,8 @@ class BetweenClassFn:
             raise DomainError("H_m is undefined below level 2")
         if c <= 0:
             raise DomainError("the between-class offset c must be positive")
-        self.F, _ = funcexpr.callable_of(F)
-        self.F_text = _spec_text(F)
+        fn = funcexpr.Fn(F)
+        self.F, self.F_text = fn.raw, fn.text or repr(F)
         self.m = m
         self.c = float(c)
         self.inverse_form = inverse_form
@@ -507,13 +494,6 @@ class BetweenClassFn:
 # Sandwich bounds
 
 
-def _named(fn: Callable, text: str) -> Callable:
-    """fn carrying text as its expr_text, the name BetweenClassFn shows."""
-    named = lambda x: fn(x)  # noqa: E731
-    named.expr_text = text
-    return named
-
-
 def sandwich_bounds(n: int, m: int = 1
                     ) -> Tuple[Optional[BetweenClassFn], BetweenClassFn]:
     """(g, h) with g below and h above every member of the m-th layer of
@@ -534,11 +514,12 @@ def sandwich_bounds(n: int, m: int = 1
 
 def _sandwich_recurse(n: int, m: int, c: float) -> BetweenClassFn:
     if m == 1:
-        return BetweenClassFn(_named(lambda x: HIER.xi_k(n + 1, x), f"xi_{n + 1}"),
-                              n + 2, c)
+        return BetweenClassFn(funcexpr.Fn(lambda x: HIER.xi_k(n + 1, x),
+                                          text=f"xi_{n + 1}"), n + 2, c)
     # the inverse of the one-class-up bound is a slow scale
     prev = _sandwich_recurse(n + 1, m - 1, c)
-    return BetweenClassFn(_named(prev.inverse, f"inverse[{prev.describe()}]"),
+    return BetweenClassFn(funcexpr.Fn(prev.inverse,
+                                      text=f"inverse[{prev.describe()}]"),
                           n + 3, c)
 
 
@@ -569,16 +550,14 @@ def scaled_xi_increment(a: float, x) -> float:
     return float(chi) * (hi - lo)
 
 
-def sandwich_bracket_report(ladder=None) -> dict:
+def sandwich_bracket_report() -> dict:
     """The n = 1, m = 1 sandwich against the canonical class-1 member
     f1 = e*x (unit translation in log coordinates), compared point by point
-    in H_3-normalized super-log increments: g carries 1/2, f1 carries
-    chi(log x)(xi(e x) - xi(x)) -> 1, h carries 2."""
-    pts = ladder.points() if hasattr(ladder, "points") else \
-        (list(ladder) if ladder is not None else _tower_points(2, 21))
+    in H_3-normalized super-log increments on the towers L2..L21: g carries
+    1/2, f1 carries chi(log x)(xi(e x) - xi(x)) -> 1, h carries 2."""
     g, h = sandwich_bounds(1, 1)
     rows = []
-    for x in pts:
+    for x in _tower_points(2, 21):
         nu = scaled_xi_increment(math.e, x)
         rows.append({"x": str(x), "nu_f1": nu, "ok": g.c < nu < h.c})
     return {"g_shift": g.c, "h_shift": h.c,
@@ -594,9 +573,9 @@ def inverse_derivative_ratio(f, g, x: float) -> float:
     derivative: (q^{-1})'(x) = 1 / q'(q^{-1}(x))."""
 
     def inv_prime(spec) -> float:
-        expr = funcexpr.parse(spec) if isinstance(spec, str) else spec
-        y = funcexpr.invert_at(expr, float(x), bracket_hint=(1.0, float(x) + 2.0))
-        d = funcexpr.derivative(expr)(y)
+        fn = funcexpr.Fn(spec)
+        y = funcexpr.invert_at(fn, float(x), bracket_hint=(1.0, float(x) + 2.0))
+        d = fn.derivative(y)
         if d == 0:
             raise EvalError("zero derivative at the inverse point")
         return 1.0 / d
@@ -604,19 +583,18 @@ def inverse_derivative_ratio(f, g, x: float) -> float:
     return inv_prime(g) / inv_prime(f)
 
 
-def separation_check(f, g, class_f: int, class_g: int, ladder=None) -> dict:
+def separation_check(f, g, class_f: int, class_g: int) -> dict:
     """Class separation: for f of class n >= 1 and g one class up, the
     inverse-derivative ratio (g^{-1})'/(f^{-1})' must fall to 0."""
-    ladder = ladder or Ladder.geometric(64.0, 2.0, 16)
-    report = {"f": _spec_text(f), "g": _spec_text(g),
+    report = {"f": funcexpr.Fn(f).text or repr(f),
+              "g": funcexpr.Fn(g).text or repr(g),
               "class_f": class_f, "class_g": class_g}
     if class_f < 1:
         report["in_scope"] = False
         report["reason"] = "separation of inverse derivatives needs class >= 1"
         return report
     report["in_scope"] = True
-    pts = ladder.points() if hasattr(ladder, "points") else list(ladder)
-    ratios = [inverse_derivative_ratio(f, g, float(x)) for x in pts]
+    ratios = [inverse_derivative_ratio(f, g, x) for x in _SEPARATION_LADDER.points()]
     tail = _tail(ratios)
     decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
     report["ratios"] = ratios

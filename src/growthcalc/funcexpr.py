@@ -17,6 +17,8 @@ evaluate(expr, x) works over plain floats or over level-index numbers
 xi_k, chi and dxi_k nodes read the one fixed hierarchy, xihier.HIER.
 invert(expr) builds the exact inverse of an increasing expression from the
 invertible fragment (x+c, c*x, x^c, c^x, exp, log, log_k, sqrt, @).
+Fn resolves a function spec (text, a FuncExpr, a callable) once; every
+layer takes its functions through it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import lixnum
 from .lixnum import DomainError, LIReal
@@ -40,17 +42,15 @@ __all__ = [
     "Binary",
     "Call",
     "Compose",
-    "is_expr",
     "ParseError",
     "EvalError",
     "PrecisionError",
     "parse",
     "to_text",
     "evaluate",
-    "callable_of",
     "differentiate",
-    "derivative",
     "invert",
+    "Fn",
     "invert_at",
 ]
 
@@ -120,10 +120,6 @@ class Compose:
 FuncExpr = Union[Var, Const, NamedConst, Neg, Binary, Call, Compose]
 
 _NODE_TYPES = (Var, Const, NamedConst, Neg, Binary, Call, Compose)
-
-
-def is_expr(obj) -> bool:
-    return isinstance(obj, _NODE_TYPES)
 
 _PLAIN_FNS = {"exp", "log", "sqrt", "sin", "abs", "xi", "chi", "dchi"}
 _PARAM_FN_RE = re.compile(r"^(log|xi|dxi)_(\d+)$")
@@ -436,11 +432,11 @@ def evaluate(expr: FuncExpr, x: Value) -> Value:
                 raise EvalError(f"sqrt of negative value {vf!r}")
             return math.sqrt(vf)
         if fn == "sin":
-            if _is_li(v):
-                if v.level >= 2:
-                    raise PrecisionError("sin of a level >= 2 value: argument reduction is meaningless")
-                v = lixnum.to_real(v)
-            return math.sin(float(v))
+            try:
+                return math.sin(float(v))
+            except DomainError as exc:
+                raise PrecisionError(f"sin needs a float argument ({exc}): "
+                                     "argument reduction is meaningless") from None
         if fn == "abs":
             if _is_li(v):
                 if v.level == -1:
@@ -468,38 +464,6 @@ def evaluate(expr: FuncExpr, x: Value) -> Value:
     if isinstance(expr, Compose):
         return evaluate(expr.outer, evaluate(expr.inner, x))
     raise TypeError(f"not a FuncExpr: {expr!r}")
-
-
-def callable_of(spec):
-    """(fn, text) for a function spec: expression text, a FuncExpr, or a
-    callable (its `expr_text`, if it has one, is the text).
-
-    fn returns raw values: floats, Fractions or level-index numbers.
-    """
-    if isinstance(spec, str):
-        text, expr = spec, parse(spec)
-    elif is_expr(spec):
-        text, expr = to_text(spec), spec
-    elif callable(spec):
-        return spec, getattr(spec, "expr_text", None)
-    else:
-        raise TypeError(f"not a function spec: {spec!r}")
-    return (lambda x: evaluate(expr, x)), text
-
-
-def _float_fn(spec):
-    """(fn, text) as callable_of gives, with fn returning floats; values past
-    the float range become inf, as they only ever feed comparisons."""
-    raw, text = callable_of(spec)
-
-    def fn(x):
-        v = raw(x)
-        try:
-            return float(v)
-        except DomainError:
-            return math.inf
-
-    return fn, text
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +595,6 @@ def differentiate(expr: FuncExpr) -> FuncExpr:
     raise TypeError(f"not a FuncExpr: {expr!r}")
 
 
-def derivative(spec):
-    """f' as a float function for a function spec: the symbolic derivative
-    of expression text or a FuncExpr, a central difference of a callable."""
-    if isinstance(spec, str):
-        spec = parse(spec)
-    if is_expr(spec):
-        d = differentiate(spec)
-        return lambda x: float(evaluate(d, x))
-    if callable(spec):
-        return lambda x: _numdiff(spec, x)
-    raise TypeError(f"not a function spec: {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # Symbolic inversion
 
@@ -728,6 +679,84 @@ def invert(expr: FuncExpr) -> Optional[FuncExpr]:
     gives None.
     """
     return _invert_into(expr, Var())
+
+
+# ---------------------------------------------------------------------------
+# Function specs
+
+_DERIVE = object()  # Fn._inverse before the inverse is derived
+
+
+class Fn:
+    """A function spec resolved once: expression text, a FuncExpr, a
+    callable, or another Fn (whose fields are copied).
+
+    raw(x) returns raw values: floats, Fractions or level-index numbers.
+    float(x) returns floats; values past the float range become inf, as
+    they only ever feed comparisons.  Both are closures stored on the
+    instance, not methods: perfbench's tracer wraps public methods, and a
+    wrapper on every per-point call would move its per-layer counters.
+    text is the given text, else the expression text, else None; expr is
+    the FuncExpr, or None for a callable.  inverse and derivative are
+    derived on first use.
+    """
+
+    def __init__(self, spec, text: Optional[str] = None, inverse=None):
+        if isinstance(spec, Fn):
+            self.__dict__.update(spec.__dict__)
+        else:
+            if isinstance(spec, str):
+                expr, self.text = parse(spec), spec
+            elif isinstance(spec, _NODE_TYPES):
+                expr, self.text = spec, to_text(spec)
+            elif callable(spec):
+                expr, self.text = None, None
+            else:
+                raise TypeError(f"not a function spec: {spec!r}")
+            raw = spec if expr is None else (lambda x: evaluate(expr, x))
+
+            def flt(x):
+                v = raw(x)
+                try:
+                    return float(v)
+                except DomainError:
+                    return math.inf
+
+            self.expr, self.raw, self.float = expr, raw, flt
+            self._inverse, self._derivative = _DERIVE, None
+        if text is not None:
+            self.text = text
+        if inverse is not None:
+            self._inverse = Fn(inverse)
+
+    def __call__(self, x):
+        return self.raw(x)
+
+    @property
+    def inverse(self) -> Optional["Fn"]:
+        """The given inverse, else the callable's own .inverse, else the
+        exact inverse invert() derives from the expression, else None."""
+        if self._inverse is _DERIVE:
+            own = getattr(self.raw, "inverse", None)
+            if callable(own):
+                self._inverse = Fn(own)
+            else:
+                inv = None if self.expr is None else invert(self.expr)
+                self._inverse = None if inv is None else Fn(inv)
+        return self._inverse
+
+    @property
+    def derivative(self) -> Callable[[float], float]:
+        """f' as a float function: the symbolic derivative of the expression
+        (EvalError where there is none), a central difference of a callable."""
+        if self._derivative is None:
+            if self.expr is None:
+                raw = self.raw
+                self._derivative = lambda x: _numdiff(raw, x)
+            else:
+                d = differentiate(self.expr)
+                self._derivative = lambda x: float(evaluate(d, x))
+        return self._derivative
 
 
 # ---------------------------------------------------------------------------
@@ -850,26 +879,25 @@ def _bisect(fn, y: float, lo: float, hi: float, fp=None) -> float:
             hi = mid
 
 
-def invert_at(expr: FuncExpr, y: float, bracket_hint=None) -> float:
-    """Solve evaluate(expr, x) == y for a strictly monotone expr.
+def invert_at(spec, y: float, bracket_hint=None) -> float:
+    """Solve f(x) == y for a strictly monotone function spec f.
 
-    The exact inverse when invert(expr) derives one; otherwise _bisect on
-    sign*f (sign -1 for a decreasing expr) from bracket_hint (default
-    [1, 2]), which _bisect widens as needed, narrowed by Newton steps on
-    the symbolic derivative when it exists.  EvalError if f(x) misses y by
-    more than a relative 1e-12.
+    Fn(spec).inverse when there is one; otherwise _bisect on sign*f (sign
+    -1 for a decreasing f) from bracket_hint (default [1, 2]), which
+    _bisect widens as needed, narrowed by Newton steps on f' where the
+    spec has one.  EvalError if f(x) misses y by more than a relative 1e-12.
     """
-    f, _ = _float_fn(expr)
-    inv = invert(expr)
-    if inv is not None:
-        x = float(evaluate(inv, y))
+    fn = Fn(spec)
+    f = fn.float
+    if fn.inverse is not None:
+        x = float(fn.inverse.raw(y))
     else:
         a, b = sorted(map(float, bracket_hint or (1.0, 2.0)))
         sign = 1.0 if f(b) >= f(a) else -1.0
         try:
-            d = derivative(expr)
+            d = fn.derivative
             fp = lambda t: sign * d(t)  # noqa: E731
-        except (EvalError, TypeError):
+        except EvalError:
             fp = None
         x = _bisect(lambda t: sign * f(t), sign * y, a, b, fp)
     fx = f(x)

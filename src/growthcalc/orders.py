@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from . import abel, funcexpr
 from .funcexpr import EvalError
@@ -172,8 +172,7 @@ def order_of(F, f, ladder, tol: float = 1e-3,
     error; evaluation failures are errors and name the offending point.
     A plain increasing sequence of points is accepted in place of a Ladder.
     """
-    Ffn, _ = funcexpr.callable_of(F)
-    ffn, _ = funcexpr.callable_of(f)
+    Ffn, ffn = funcexpr.Fn(F).raw, funcexpr.Fn(f).raw
     pts = ladder.points() if hasattr(ladder, "points") else list(ladder)
     residuals = []
     for x in pts:
@@ -238,13 +237,13 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
     if cond not in ("R0", "R1", "R2", "R3"):
         raise ValueError(f"unknown regularity condition {condition!r}")
     xs = _float_points(ladder)
-    Ffn, _ = funcexpr.callable_of(F)
+    F = funcexpr.Fn(F)
     margins = []
     if cond == "R0":
         for x in xs:
-            margins.append(abs(_residual(Ffn(x + _sublinear_probe(x)), Ffn(x))))
+            margins.append(abs(_residual(F.raw(x + _sublinear_probe(x)), F.raw(x))))
     else:
-        dF = funcexpr.derivative(F)
+        dF = F.derivative
         shifts = {"R1": (1.0, 2.0, 4.0), "R3": (0.25, 0.5, 2.0, 4.0)}
         for x in xs:
             base = dF(x)
@@ -265,15 +264,14 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
 
 def _b_ratios(f, F, xs: List[float]) -> List[float]:
     # (F o f)' / F' = f'(x) F'(f(x)) / F'(x)
-    ffn, _ = funcexpr.callable_of(f)
-    df = funcexpr.derivative(f)
-    dF = funcexpr.derivative(F)
+    f = funcexpr.Fn(f)
+    df, dF = f.derivative, funcexpr.Fn(F).derivative
     out = []
     for x in xs:
         denom = dF(x)
         if denom == 0:
             raise EvalError(f"F' vanished at {x!r}")
-        out.append(df(x) * dF(float(ffn(x))) / denom)
+        out.append(df(x) * dF(float(f.raw(x))) / denom)
     return out
 
 
@@ -305,10 +303,14 @@ def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0) -> RegReport:
 # Order/derivative duality cross-check
 
 
-def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
-                      abel_base: float = 0.5,
-                      abel_ladder: Optional[Ladder] = None,
-                      b_ladder: Optional[Ladder] = None) -> dict:
+_DUALITY_TOL = 5e-2
+_ABEL_BASE = 0.5
+_ABEL_LADDER = Ladder.geometric(1.0, 1.2, 10)
+# membership needs samples where g(x) is still a float (g may be exp-like)
+_B_LADDER = Ladder.geometric(2.0, 1.4, 16)
+
+
+def check_theorem_1_3(F, g, f, ladder: Ladder) -> dict:
     """Cross-check the order of f measured in g-units two independent ways.
 
     Direct side: O_F(f) / O_F(g) along the ladder.  Abel side: O_G(f)
@@ -316,12 +318,10 @@ def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
     so agreement is a genuine consistency check, not an identity).
     Requires g in B_F; if that precondition fails the report is vacuous.
     """
-    # membership needs samples where g(x) is still a float (g may be exp-like)
-    b_ladder = b_ladder or Ladder.geometric(2.0, 1.4, 16)
-    b = in_B_F(g, F, b_ladder)
+    b = in_B_F(g, F, _B_LADDER)
     report = {"b_membership": b.to_json(), "vacuous": False,
               "lambda_direct": None, "lambda_abel": None, "agree": None,
-              "tol": tol}
+              "tol": _DUALITY_TOL}
     if not b.verdict:
         report["vacuous"] = True
         report["reason"] = "g not in B_F on this ladder"
@@ -336,13 +336,12 @@ def check_theorem_1_3(F, g, f, ladder: Ladder, tol: float = 5e-2,
         return report
     lam_direct = est_f.lambda_hat / est_g.lambda_hat
 
-    G = abel.solve_abel(g, abel_base)
-    small = abel_ladder or Ladder.geometric(1.0, 1.2, 10)
-    est_abel = order_of(G, f, small)
+    G = abel.solve_abel(g, _ABEL_BASE)
+    est_abel = order_of(G, f, _ABEL_LADDER)
     report["order_abel"] = est_abel.to_json()
     lam_abel = est_abel.lambda_hat
 
     report["lambda_direct"] = lam_direct
     report["lambda_abel"] = lam_abel
-    report["agree"] = est_abel.converged and abs(lam_direct - lam_abel) <= tol
+    report["agree"] = est_abel.converged and abs(lam_direct - lam_abel) <= _DUALITY_TOL
     return report

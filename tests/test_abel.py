@@ -60,6 +60,22 @@ class TestAbelEquation:
         exact = abel.solve_abel("1.5*x", A=1.0, f_inv=lambda y: y / 1.5).eval(x)
         assert bisected == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("f,A", [(lambda x: 2.0 * x, 1.0),
+                                     (lambda x: x / 2.0, 8.0)],
+                             ids=["expanding", "contracting"])
+    def test_solve_evaluates_f_17_times(self, f, A):
+        # f(A) once, then the 16 other points of the monotonicity scan; the
+        # domain ends and the scan point A reuse f(A)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        abel.solve_abel(counted, A=A)
+        assert len(calls) == 17
+        assert calls.count(A) == 1
+
     def test_contracting_direction(self):
         sol = abel.solve_abel("sqrt(x)", A=16.0)
         # fundamental domain [4, 16]; orientation flips for a contracting

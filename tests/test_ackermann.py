@@ -135,4 +135,4 @@ class TestOpL:
             assert L3(x) == A_real(2, x)
 
     def test_handle_text(self):
-        assert op_L("exp(x)", f_inv="log(x)").expr_text == "L[exp(x)]"
+        assert op_L("exp(x)", f_inv="log(x)").text == "L[exp(x)]"

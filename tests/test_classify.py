@@ -31,7 +31,7 @@ class TestCatalog:
     def test_top_row_is_callable(self):
         entry = ROWS["xi_inv(x)"]
         assert callable(entry.f0)
-        assert entry.f0.expr_text == "xi_inv(x)"
+        assert entry.f0.text == "xi_inv(x)"
 
     def test_chains_have_five_scales(self):
         assert all(len(e.chain) == 5 for e in ROWS.values())

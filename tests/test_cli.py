@@ -44,6 +44,12 @@ class TestEval:
         assert len(data["points"]) == 40
         assert data["points"][-1]["value"] == pytest.approx(1e90, rel=1e-12)
 
+    def test_sin_of_a_tower_matches_the_same_float(self, capsys):
+        # L2:0.5 = exp(exp(0.5)) is the float 5.2003257647899614
+        tower = run_json(capsys, "eval", "sin(x)", "--at", "L2:0.5")
+        flt = run_json(capsys, "eval", "sin(x)", "--at", "5.2003257647899614")
+        assert tower["points"][0]["value"] == flt["points"][0]["value"]
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "--format", "text", "eval", "2*x",
                            "--at", "4")

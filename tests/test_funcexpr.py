@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthcalc import funcexpr, lixnum
+from growthcalc import abel, ackermann, funcexpr, lixnum, orders
+from growthcalc.classify import BetweenClassFn
 from growthcalc.funcexpr import (
     EvalError, ParseError, PrecisionError, evaluate, parse, to_text,
 )
 from growthcalc.lixnum import LIReal
+from growthcalc.orders import Ladder
 from growthcalc.xihier import HIER, default_hierarchy
 
 
@@ -232,22 +234,22 @@ class TestNewtonBisection:
         e = parse(text)
         fn = lambda t: float(evaluate(e, t))  # noqa: E731
         plain = funcexpr._bisect(fn, y, 1.0, y)
-        assert funcexpr._bisect(fn, y, 1.0, y, funcexpr.derivative(e)) == plain
+        assert funcexpr._bisect(fn, y, 1.0, y, funcexpr.Fn(e).derivative) == plain
         # a bracket whose lower end is nearer y starts Newton there
         lo = plain * (1 - 1e-6)
-        assert (funcexpr._bisect(fn, y, lo, 2 * y, funcexpr.derivative(e))
+        assert (funcexpr._bisect(fn, y, lo, 2 * y, funcexpr.Fn(e).derivative)
                 == funcexpr._bisect(fn, y, lo, 2 * y))
         # start brackets wholly below and wholly above the root are widened
         for lo, hi in [(plain / 8, plain / 4), (2 * y + 1, 4 * y + 4)]:
             assert funcexpr._bisect(fn, y, lo, hi) == plain
-            assert funcexpr._bisect(fn, y, lo, hi, funcexpr.derivative(e)) == plain
+            assert funcexpr._bisect(fn, y, lo, hi, funcexpr.Fn(e).derivative) == plain
 
     @given(y=st.floats(min_value=-1e6, max_value=1e6))
     @settings(max_examples=60)
     def test_widening_through_zero(self, y):
         e = parse("x+2")
         fn = lambda t: float(evaluate(e, t))  # noqa: E731
-        fp = funcexpr.derivative(e)
+        fp = funcexpr.Fn(e).derivative
         plain = funcexpr._bisect(fn, y, y - 3, y - 1)
         for lo, hi in [(-8.0, 0.0), (-1e7, -1e7 + 1)]:
             assert funcexpr._bisect(fn, y, lo, hi) == plain
@@ -264,3 +266,78 @@ class TestNewtonBisection:
         e = parse("x+sqrt(x)")
         fn = lambda t: float(evaluate(e, t))  # noqa: E731
         assert funcexpr._bisect(fn, y, 1.0, y, _bad_fp(kind)) == funcexpr._bisect(fn, y, 1.0, y)
+
+
+_SPEC_FORMS = {"text": str, "FuncExpr": parse, "Fn": funcexpr.Fn}
+
+
+def _through_every_layer(form):
+    ladder = Ladder.geometric(10.0, 10.0, 12)
+    return [
+        orders.order_of(form("log(x)"), form("2*x"), ladder).residuals,
+        orders.check_R("R1", form("log(x)"), ladder).margins,
+        abel.solve_abel(form("2*x"), A=1.0).eval(37.0),
+        funcexpr.invert_at(form("x+sqrt(x)"), 12.0),
+        ackermann.op_L(form("2*x"))(5.0),
+        BetweenClassFn(form("log(x)"), m=2)(50.0),
+        BetweenClassFn(form("log(x)"), m=2).describe(),
+    ]
+
+
+class _Doubling:
+    """A callable with its own .inverse."""
+
+    def __call__(self, x):
+        return 2.0 * x
+
+    def inverse(self, y):
+        return y / 2.0
+
+
+class TestFn:
+    @pytest.mark.parametrize("form", sorted(_SPEC_FORMS))
+    def test_every_spec_form_gives_the_same_results(self, form):
+        got = _through_every_layer(_SPEC_FORMS[form])
+        assert got == _through_every_layer(str)
+        residuals, margins, F, root, lowered, between, text = got
+        assert residuals[-1] == pytest.approx(math.log(2.0), rel=1e-12)
+        assert margins[-1] < 1e-9
+        assert F == 5.15625  # 37 = 2^5 * 1.15625, linear seed on [1, 2]
+        assert root == 9.0
+        assert lowered == 7.0
+        assert between > 50.0 and text == "xi_2-shift by 1.0/H_2(log(x))"
+
+    def test_inverse_order(self):
+        # a given inverse first, even over the callable's own and the derived
+        assert funcexpr.Fn("2*x", inverse="x/3").inverse.text == "x/3"
+        assert funcexpr.Fn(_Doubling(), inverse=lambda y: -y).inverse(8.0) == -8.0
+        # then the callable's own .inverse
+        assert funcexpr.Fn(_Doubling()).inverse(8.0) == 4.0
+        # then the exact inverse derived from the expression
+        assert funcexpr.Fn(parse("2*x")).inverse.text == "x/2"
+        # then none
+        assert funcexpr.Fn("x+sqrt(x)").inverse is None
+        assert funcexpr.Fn(lambda x: 2.0 * x).inverse is None
+
+    def test_fn_of_fn_keeps_fields_and_takes_overrides(self):
+        inner = funcexpr.Fn("2*x")
+        outer = funcexpr.Fn(inner, text="double")
+        assert (outer.text, inner.text) == ("double", "2*x")
+        assert outer.expr is inner.expr and outer.raw is inner.raw
+        assert outer.inverse.text == "x/2"
+
+    def test_raw_and_float_values(self):
+        fn = funcexpr.Fn("exp(exp(x))")
+        assert isinstance(fn.raw(10.0), LIReal)
+        assert fn.float(10.0) == math.inf
+        assert fn(1.0) == fn.raw(1.0) == fn.float(1.0)
+
+    def test_derivative(self):
+        assert funcexpr.Fn("x^2").derivative(3.0) == 6.0
+        assert funcexpr.Fn(lambda x: x * x).derivative(3.0) == pytest.approx(6.0, rel=1e-9)
+        with pytest.raises(EvalError):
+            funcexpr.Fn("abs(x)").derivative
+
+    def test_not_a_spec(self):
+        with pytest.raises(TypeError):
+            funcexpr.Fn(3.0)
