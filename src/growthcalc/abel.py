@@ -152,6 +152,8 @@ class AbelSolution:
     def _pull_into_domain(self, x: float):
         """Return (y, n) with y in the fundamental domain and x = step^n(y)."""
         lo, hi = self.domain_lo, self.domain_hi
+        if not math.isfinite(x):
+            raise DomainError(f"the Abel solution is not defined at {x!r}")
         if x < lo - 1e-12 * max(1.0, abs(lo)):
             raise DomainError(f"{x!r} below the solution base {lo!r}")
         edge = hi + 1e-12 * max(1.0, abs(hi))
@@ -176,10 +178,15 @@ class AbelSolution:
     __call__ = eval
 
     def inverse(self, t: float) -> float:
+        if not math.isfinite(t):
+            raise DomainError(f"the Abel solution's inverse is not defined at {t!r}")
         s_lo = self.seed(self.domain_lo)
         if t < s_lo - 1e-12:
             raise DomainError(f"{t!r} below the solution range start {s_lo!r}")
         n = int(math.floor(t - s_lo))
+        if n > MAX_PULLBACK_STEPS:
+            raise DomainError(f"{t!r} needs more than {MAX_PULLBACK_STEPS} steps "
+                              "from the fundamental domain")
         frac = t - n
         if frac > self.seed(self.domain_hi):
             n += 1
@@ -188,6 +195,8 @@ class AbelSolution:
         fwd = self.f if self.direction == "expanding" else self._inverse_step
         for _ in range(n):
             y = fwd(y)
+            if not math.isfinite(y):
+                raise DomainError(f"the inverse at {t!r} leaves the float range")
         return y
 
     def fractional_iterate(self, lam: float, x) -> float:
@@ -234,8 +243,10 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
     else:
         seed = TableSeed([(lo, 0.0), (hi, 1.0)] if seed_kind == "linear"
                          else seed_kind)
-        if not math.isclose(seed.ys[-1], seed.ys[0] + 1.0, rel_tol=0, abs_tol=1e-12):
-            raise DomainError("table seed must gain exactly 1 across the fundamental domain")
+    gain = seed(hi) - seed(lo)
+    if abs(gain - 1.0) > 1e-12:
+        raise DomainError(f"the seed must gain exactly 1 across the fundamental "
+                          f"domain [{lo!r}, {hi!r}], not {gain!r}")
 
     return AbelSolution(f=fn.float, A=A, seed=seed, direction=direction,
                         domain_lo=lo, domain_hi=hi, f_inv=inv,
@@ -316,10 +327,10 @@ class RegularizedSolution:
     """The regular solution of F(f(x)) = F(x) - 1 for a contracting f, with
     F(A) = 0 and F(f(A)) = -1, defined for x >= f(A)."""
 
-    def __init__(self, f, fp, fpp, A: float, hypothesis: dict):
+    def __init__(self, f, fp, fpp, A: float, fA: float, hypothesis: dict):
         self.f, self.fp, self.fpp, self.A = f, fp, fpp, A
         self.hypothesis = hypothesis
-        lo = self._lo = f(A)
+        lo = self._lo = fA
         if not 0.0 < lo < A:
             raise DomainError(f"fundamental domain [{lo!r}, {A!r}] must be positive")
         w = self._w = A - lo
@@ -327,8 +338,10 @@ class RegularizedSolution:
         # H = p + q (t - lo)/w on D; continuity at A and compatibility:
         #   (1 - eta(A)) p + q = delta(A)
         #   L p + (1 - lo L / w) q = -log f'(A) - L
-        a11, a12, b1 = 1.0 - self.eta(A), 1.0, self.delta(A)
-        a21, a22, b2 = L, 1.0 - lo * L / w, -math.log(fp(A)) - L
+        fpA = fp(A)
+        eta_A = A * fpA / lo
+        a11, a12, b1 = 1.0 - eta_A, 1.0, eta_A - 1.0 - A * fpp(A) / fpA
+        a21, a22, b2 = L, 1.0 - lo * L / w, -math.log(fpA) - L
         det = a11 * a22 - a12 * a21
         if det == 0.0:
             raise DomainError("the seed conditions for H are singular at this A")
@@ -436,4 +449,4 @@ def solve_abel_regularized(f, A: float) -> RegularizedSolution:
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     if any(not (0.5 <= r <= 1.5) for r in tail):
         raise HypothesisError("curvature hypothesis f'' ~ -f'/x failed", report)
-    return RegularizedSolution(fn.float, fp, fpp, A, report)
+    return RegularizedSolution(fn.float, fp, fpp, A, fA, report)

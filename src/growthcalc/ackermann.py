@@ -198,11 +198,5 @@ def op_L(f, f_inv=None) -> funcexpr.Fn:
 
 def xi_inv_handle(k: int) -> funcexpr.Fn:
     """The inverse of xi_k, with xi_k as its exact inverse."""
-
-    def xi_inv(t):
-        if isinstance(t, LIReal) and k == 2:
-            return lixnum.exp_li(t)
-        return HIER.xi_k_inv(k, float(t))
-
-    return funcexpr.Fn(xi_inv, text=f"xi_{k}_inv",
+    return funcexpr.Fn(lambda t: HIER.xi_k_inv(k, t), text=f"xi_{k}_inv",
                        inverse=lambda v: float(HIER.xi_k(k, v)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import funcexpr, lixnum
+from . import ackermann, funcexpr, lixnum
 from .abel import TableSeed
 from .funcexpr import Call, Binary, Const, EvalError, Var, evaluate
 from .lixnum import DomainError, LIReal
@@ -38,7 +38,6 @@ __all__ = [
     "scaled_xi_increment",
     "separation_check",
     "inverse_derivative_ratio",
-    "Staircase",
     "staircase_class1",
     "staircase_class0",
     "gallery",
@@ -63,13 +62,7 @@ class CatalogEntry:
     chain: Tuple[object, ...]  # (F0, F1, F2, F3, F4)
 
 
-def _xi_inverse(t):
-    if isinstance(t, LIReal):
-        t = lixnum.to_real(t)
-    return lixnum.xi_inv_exact(t)
-
-
-_XI_INVERSE = funcexpr.Fn(_xi_inverse, text="xi_inv(x)")
+_XI_INVERSE = funcexpr.Fn(ackermann.xi_inv_handle(3), text="xi_inv(x)")
 
 
 def catalog() -> List[CatalogEntry]:
@@ -212,33 +205,49 @@ _FRAC_DEEP = [Fraction(10) ** k for k in range(30, 90, 5)]
 _FRAC_MID = [Fraction(10) ** k for k in range(5, 17)]
 
 
-def _mu_estimate(fexpr, n: int, tol: float):
+def _log_ratios(h, pts, r: int, s: int) -> list:
+    """log_r h(x) / log_s x at each x of pts; EvalError where a log leaves
+    its domain or the denominator is 0."""
+
+    def log_n(v: float, n: int) -> float:
+        for _ in range(n):
+            if v <= 0:
+                raise EvalError("iterated log left the domain")
+            v = math.log(v)
+        return v
+
+    out = []
+    for x in pts:
+        a, b = log_n(float(evaluate(h, x)), r), log_n(float(x), s)
+        if b == 0:
+            raise EvalError("iterated log hit zero")
+        out.append(a / b)
+    return out
+
+
+def _settle(vals, tol: float):
+    """(mean, spread, settled) of the tail of vals; a non-finite tail reads
+    (inf, inf, False)."""
+    tail = _tail(vals)
+    if not all(math.isfinite(v) for v in tail):
+        return math.inf, math.inf, False
+    mean, spread = sum(tail) / len(tail), max(tail) - min(tail)
+    return mean, spread, spread <= tol * max(1.0, abs(mean))
+
+
+def _mu_estimate(fexpr, n: int):
     """mu in log_n f = (log_n x)^mu, via log_{n+1} f / log_{n+1} x
     (iterated exp when n+1 < 0, so n = -2 probes f - x directly)."""
-    ladder = _MU_LADDERS.get(n, _MU_LADDER_WIDE)
-    vals = []
-    for x in ladder.points():
-        fx = float(evaluate(fexpr, x))
-        if n == -2:
-            diff = fx - x
+    pts = _MU_LADDERS.get(n, _MU_LADDER_WIDE).points()
+    if n == -2:
+        vals = []
+        for x in pts:
+            diff = float(evaluate(fexpr, x)) - x
             vals.append(math.exp(diff) if diff < 700 else math.inf)
-        elif n == -1:
-            vals.append(fx / x)
-        else:
-            a, b = fx, x
-            for _ in range(n + 1):
-                if a <= 0 or b <= 0:
-                    raise EvalError("iterated log left the domain")
-                a, b = math.log(a), math.log(b)
-            if b == 0:
-                raise EvalError("iterated log hit zero")
-            vals.append(a / b)
-    tail = _tail(vals)
-    finite = all(math.isfinite(v) for v in tail)
-    spread = (max(tail) - min(tail)) if finite else math.inf
-    mean = sum(tail) / len(tail) if finite else math.inf
-    converged = finite and spread <= tol * max(1.0, abs(mean))
-    return mean, converged, vals
+    else:
+        vals = _log_ratios(fexpr, pts, n + 1, n + 1)
+    mean, _, settled = _settle(vals, _MU_TOL)
+    return mean, settled
 
 
 def _logk_expr(e, k: int):
@@ -312,7 +321,7 @@ def classify_expr(f) -> ClassReport:
     mu_scan = {}
     for n in range(_N_MIN, _N_MAX + 1):
         try:
-            mu, converged, _ = _mu_estimate(fexpr, n, _MU_TOL)
+            mu, converged = _mu_estimate(fexpr, n)
         except (EvalError, DomainError, ValueError, OverflowError) as exc:
             mu_scan[n] = f"failed: {exc}"
             continue
@@ -365,24 +374,15 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
     diags["h"] = funcexpr.to_text(h_expr)
 
     # subcase: log h ~ c log_{n+3} x with finite c  =>  F = h log_{n+2} x / (c+1)
-    c_vals = []
     try:
-        for x in scan_pts:
-            hv = float(evaluate(h_expr, x))
-            top = x
-            for _ in range(n + 3):
-                top = math.log(top)
-            c_vals.append(math.log(hv) / top)
+        c_hat, spread, settled = _settle(
+            _log_ratios(h_expr, scan_pts, 1, n + 3), _MU_TOL)
     except (EvalError, DomainError, ValueError, OverflowError) as exc:
         diags["c_scan"] = f"failed: {exc}"
-        c_vals = []
-    if c_vals:
-        tail = _tail(c_vals)
-        spread = max(tail) - min(tail)
-        c_hat = sum(tail) / len(tail)
+    else:
         diags["c_hat"] = c_hat
         diags["c_spread"] = spread
-        if spread <= _MU_TOL * max(1.0, abs(c_hat)):
+        if settled:
             F = Binary("/", Binary("*", h_expr, _logk_expr(Var(), n + 2)),
                        Const(c_hat + 1.0))
             witness = funcexpr.to_text(F)
@@ -399,15 +399,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
             if r + k < 1:
                 continue
             try:
-                ratios = []
-                for x in scan_pts:
-                    hv = float(evaluate(h_expr, x))
-                    a, b = hv, float(x)
-                    for _ in range(r):
-                        a = math.log(a)
-                    for _ in range(r + k):
-                        b = math.log(b)
-                    ratios.append(a / b)
+                ratios = _log_ratios(h_expr, scan_pts, r, r + k)
             except (EvalError, DomainError, ValueError, OverflowError):
                 continue
             tail = _tail(ratios)
@@ -608,22 +600,15 @@ def separation_check(f, g, class_f: int, class_g: int) -> dict:
 # Staircase gallery
 
 
-class Staircase:
-    """A piecewise-linear scale F through exact rational knots, with its
+def _unit_step_scale(knots) -> Tuple[Callable, Callable]:
+    """The piecewise-linear scale F through exact rational knots and its
     unit-step function f = F^{-1}(F + 1); all arithmetic is exact."""
+    table = TableSeed([(Fraction(x), Fraction(y)) for x, y in knots])
 
-    def __init__(self, knots: Sequence[Tuple]):
-        self.knots = [(Fraction(x), Fraction(y)) for x, y in knots]
-        self._table = TableSeed(self.knots)
+    def F(x) -> Fraction:
+        return table(Fraction(x))
 
-    def F(self, x) -> Fraction:
-        return self._table(Fraction(x))
-
-    def F_inv(self, y) -> Fraction:
-        return self._table.inv(Fraction(y))
-
-    def f(self, x) -> Fraction:
-        return self.F_inv(self.F(x) + 1)
+    return F, lambda x: table.inv(F(x) + 1)
 
 
 def staircase_class1(a: Optional[Sequence[int]] = None,
@@ -641,8 +626,7 @@ def staircase_class1(a: Optional[Sequence[int]] = None,
     for k, ak in enumerate(a, start=1):
         knots.append((ak - 1, 2 * k - 1))
         knots.append((ak, 2 * k))
-    stair = Staircase(knots)
-    return stair.F, stair.f
+    return _unit_step_scale(knots)
 
 
 def staircase_class0(levels: int = 6) -> Tuple[Callable, Callable]:
@@ -656,8 +640,7 @@ def staircase_class0(levels: int = 6) -> Tuple[Callable, Callable]:
         x0, y0 = knots[-1]
         knots.append((2 * a[k], y0 + 1))
         knots.append((a[k + 1], y0 + 1 + Fraction(a[k + 1] - 2 * a[k], 2)))
-    stair = Staircase(knots)
-    return stair.F, stair.f
+    return _unit_step_scale(knots)
 
 
 def wobbly_log_derivative(x) -> float:

@@ -179,12 +179,8 @@ def cmd_plotdata(args) -> int:
     expr = funcexpr.parse(args.expr)
     _, pts = _ladder_points(args, Ladder.geometric(1.0, 2.0, 24))
     vals = [funcexpr.evaluate(expr, x) for x in pts]
-
-    def cell(v):
-        return lixnum.format_li(v) if isinstance(v, LIReal) else repr(
-            float(v) if isinstance(v, Fraction) and abs(v) < 10 ** 300 else v)
-
-    lines = ["x,f(x)"] + [f"{cell(x)},{cell(v)}" for x, v in zip(pts, vals)]
+    lines = ["x,f(x)"] + [f"{_render_value(x)},{_render_value(v)}"
+                          for x, v in zip(pts, vals)]
     if args.format == "json":
         print(json.dumps({"expr": args.expr,
                           "rows": [ln.split(",") for ln in lines[1:]]},

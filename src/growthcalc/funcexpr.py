@@ -24,6 +24,7 @@ layer takes its functions through it.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -361,43 +362,33 @@ def _pow(b: Value, p: Value) -> Value:
     return r
 
 
+def _truediv(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    return a / b
+
+
+# each operator once: its float/Fraction operation and its lixnum function
+_OPS = {"+": (operator.add, lixnum.add), "-": (operator.sub, lixnum.sub),
+        "*": (operator.mul, lixnum.mul), "/": (_truediv, lixnum.div)}
+
+
 def _binary(op: str, a: Value, b: Value) -> Value:
     if type(a) is float and type(b) is float and op in "+-*":  # the common case
         return a + b if op == "+" else a - b if op == "-" else a * b
     if op == "^":
         return _pow(a, b)
+    num, li = _OPS[op]
     if _is_li(a) or _is_li(b):
-        name = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[op]
-        return lixnum.arith(name, lixnum.to_li(a), lixnum.to_li(b))
+        return li(lixnum.to_li(a), lixnum.to_li(b))
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         # keep rational arithmetic exact; super-logarithm values can hold
         # integers far past the float range
         try:
-            fa, fb = Fraction(a), Fraction(b)
+            a, b = Fraction(a), Fraction(b)
         except (ValueError, OverflowError):
             pass
-        else:
-            if op == "+":
-                return fa + fb
-            if op == "-":
-                return fa - fb
-            if op == "*":
-                return fa * fb
-            if op == "/":
-                if fb == 0:
-                    raise EvalError("division by zero")
-                return fa / fb
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise EvalError("division by zero")
-        return a / b
-    raise EvalError(f"unknown operator {op!r}")
+    return num(a, b)
 
 
 _NUMDIFF_STEP = 1e-5

@@ -30,7 +30,6 @@ __all__ = [
     "to_real",
     "exp_li",
     "ln_li",
-    "arith",
     "add",
     "sub",
     "mul",
@@ -252,17 +251,6 @@ def div(a: LIReal, b: LIReal) -> LIReal:
     if vb == 0.0:
         raise DomainError("division by zero")
     return from_real_any(to_real(a) / vb)
-
-
-_OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def arith(op: str, a: LIReal, b: LIReal) -> LIReal:
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_OPS)}") from None
-    return fn(a, b)
 
 
 def format_li(v: LIReal) -> str:

@@ -114,13 +114,15 @@ class XiHierarchy:
         return float(y) >= top
 
     def xi_k_inv(self, k: int, t) -> LIReal:
-        t = float(t)
+        """xi_k^{-1}(t); exact on a tower for k = 2, on a Fraction for k = 3."""
+        if k == 2:
+            return lixnum.exp_li(lixnum.to_li(t))
+        if k != 3 or isinstance(t, LIReal):
+            t = float(t)
         if k == 0:
             return lixnum.from_real_any(t + _E)
         if k == 1:
             return lixnum.from_real_any(t * _E)
-        if k == 2:
-            return lixnum.exp_li(lixnum.from_real_any(t))
         if k == 3:
             return lixnum.xi_inv_exact(t)
         if not 4 <= k <= MAX_LEVEL:

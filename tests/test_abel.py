@@ -92,6 +92,19 @@ class TestInverseAndIteration:
         sol = abel.solve_abel("2*x", A=1.0, f_inv=lambda y: y / 2.0)
         assert sol.eval(sol.inverse(t)) == pytest.approx(t, abs=1e-9)
 
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, sol_double, v):
+        with pytest.raises(DomainError, match=f"not defined at {v!r}"):
+            sol_double.eval(v)
+        with pytest.raises(DomainError, match=f"not defined at {v!r}"):
+            sol_double.inverse(v)
+
+    def test_inverse_caps_its_forward_push(self, sol_double):
+        with pytest.raises(DomainError, match="more than 1000000 steps"):
+            sol_double.inverse(1e7)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            sol_double.inverse(2000.0)
+
     def test_half_iterate_of_shift(self, sol_shift):
         for x in (1.0, 2.5, 90.0):
             assert sol_shift.fractional_iterate(0.5, x) == pytest.approx(
@@ -142,6 +155,16 @@ class TestSeeds:
     def test_table_must_gain_one(self):
         with pytest.raises(DomainError, match="gain exactly 1"):
             abel.solve_abel("2*x", A=1.0, seed_kind=[(1.0, 0.0), (2.0, 0.9)])
+
+    @pytest.mark.parametrize("knots", [
+        [(0.5, 0.0), (2.0, 1.0)],
+        [(1, 0), (1.5, 0.5), (3, 1)],
+    ])
+    def test_table_must_span_the_domain(self, knots):
+        # each gains 1 between its end knots but only 2/3 across [1, 2], so
+        # F would jump where the domain's images meet
+        with pytest.raises(DomainError, match=r"gain exactly 1 .*\[1\.0, 2\.0\]"):
+            abel.solve_abel("2*x", A=1.0, seed_kind=knots)
 
     def test_unknown_seed_kind(self):
         with pytest.raises(DomainError, match="unknown seed kind"):
@@ -298,6 +321,17 @@ class TestRegularized:
     def test_needs_contracting_map(self):
         with pytest.raises(abel.HypothesisError):
             abel.solve_abel_regularized("2*x", A=1.0)
+
+    def test_solve_evaluates_f_once_at_A(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return math.log(x)
+
+        abel.solve_abel_regularized(counted, A=2.0)
+        assert calls.count(2.0) == 1
+        assert len(calls) == 49
 
     def test_log_step_at_reference(self, reg_log):
         # 2000 was the point where the old construction was rescaled; the

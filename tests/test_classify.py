@@ -5,7 +5,7 @@ import pytest
 
 from growthcalc import classify, lixnum
 from growthcalc.classify import (
-    BetweenClassFn, Staircase, catalog, classify_expr, gallery,
+    BetweenClassFn, catalog, classify_expr, gallery,
     inverse_derivative_ratio, sandwich_bounds, sandwich_bracket_report,
     scaled_xi_increment, separation_check, staircase_class0,
     staircase_class1, verify_chain, wobbly_log_derivative,
@@ -184,14 +184,6 @@ class TestSeparation:
 
 
 class TestStaircases:
-    def test_knot_validation(self):
-        with pytest.raises(ValueError):
-            Staircase([(1, 1)])
-        with pytest.raises(ValueError):
-            Staircase([(1, 1), (2, 1)])
-        with pytest.raises(ValueError):
-            Staircase([(2, 1), (2, 2)])
-
     def test_class1_returns_to_x_plus_one_exactly(self):
         F, f = staircase_class1()
         for k in range(1, 31):

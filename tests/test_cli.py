@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -143,6 +144,16 @@ class TestIterate:
         assert out == ""
         assert "base" in err
 
+    @pytest.mark.parametrize("lam", ["1e9", "nan"])
+    def test_unreachable_lambda_is_two_at_once(self, capsys, lam):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "iterate", "--f", "2*x", "--lambda", lam,
+                             "--at", "3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("growthcalc: DomainError:")
+
     def test_derived_inverse_needs_no_bisection(self, capsys, monkeypatch):
         calls = []
         bisect = funcexpr._bisect
@@ -174,6 +185,16 @@ class TestPlotdata:
     def test_json_rows(self, capsys):
         data = run_json(capsys, "plotdata", "2*x", "--ladder", "geom:1:2:8")
         assert len(data["rows"]) == 8
+
+    def test_rational_past_float_range_is_one_cell(self, capsys):
+        argv = ("plotdata", "xi(x)*10^300", "--ladder", "geom:10:10:8")
+        rows = run_json(capsys, *argv)["rows"]
+        code, out, _ = run(capsys, "--format", "csv", *argv)
+        assert code == 0
+        rows += [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 16
+        for x, value in rows:
+            int(value)
 
 
 class TestExitCodes:

@@ -1,10 +1,14 @@
-"""`growthcalc repro` and `growthcalc table` stdout, byte for byte.
+"""`growthcalc repro`, `growthcalc table` and `growthcalc classify` stdout,
+byte for byte.
 
-The files under tests/golden/ hold the JSON these commands print.  A change
-that is meant to alter a verdict or a reported figure replaces the file in
-the same change and says why.
+The files under tests/golden/ hold the JSON these commands print;
+classify.json maps each expression to the stdout of
+`growthcalc classify <expression>`.  A change that is meant to alter a
+verdict or a reported figure replaces the file in the same change and says
+why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from growthcalc import cli
 
 GOLDEN = Path(__file__).with_name("golden")
+CLASSIFY = json.loads((GOLDEN / "classify.json").read_text())
 
 
 @pytest.mark.parametrize("command", ["repro", "table"])
@@ -20,3 +25,11 @@ def test_stdout_matches_golden(capsys, command):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == (GOLDEN / f"{command}.json").read_text()
+
+
+@pytest.mark.parametrize("expr", list(CLASSIFY))
+def test_classify_stdout_matches_golden(capsys, expr):
+    code = cli.main(["classify", expr])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == CLASSIFY[expr]

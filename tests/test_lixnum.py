@@ -165,12 +165,6 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             lixnum.div(lixnum.from_real(1.0), lixnum.from_real(0.0))
 
-    def test_arith_dispatch_and_unknown_op(self):
-        a = lixnum.from_real(2.0)
-        assert lixnum.arith("add", a, a) == lixnum.add(a, a)
-        with pytest.raises(ValueError):
-            lixnum.arith("pow", a, a)
-
 
 class TestText:
     @given(levels, mantissas)
