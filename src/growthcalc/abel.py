@@ -5,10 +5,13 @@ classical fundamental-domain construction: pick a monotone seed S on
 [A, f(A)] with S(f(A)) = S(A) + 1, then extend by the recursion.  For a
 contracting map (f(x) < x, e.g. log) the orientation flips: the solved F
 satisfies F(f(x)) = F(x) - 1 and is still increasing.  Evaluating F pulls
-x back into the fundamental domain one step at a time; a backward step
-uses the inverse funcexpr.Fn resolves (the caller's f_inv, the callable's
-own .inverse or the exact inverse of an expression), else a bisection
-narrowed by Newton steps on f'.
+x back into the fundamental domain.  For a translation or a scaling
+(funcexpr.affine_step) the pullback and the push of the inverse are one
+closed-form iterate, x + k*d or x * m^k, in O(1) at any distance.  Other
+maps step once per unit of F, at most MAX_PULLBACK_STEPS times; a
+backward step uses the inverse funcexpr.Fn resolves (the caller's f_inv,
+the callable's own .inverse or the exact inverse of an expression), else
+a bisection narrowed by Newton steps on f'.
 
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second
@@ -38,6 +41,20 @@ __all__ = [
 ]
 
 MAX_PULLBACK_STEPS = 10 ** 6
+# past ln(max float / min subnormal) = 1453.6, x * m^k has no float value
+_LOG_FLOAT_SPAN = 1500.0
+
+
+def _times_power(x: float, m: float, k: int) -> float:
+    """x * m^k, splitting k while m^k alone would leave the normal float
+    range; inf or 0.0 once |k log m| rules out a float product."""
+    e = k * math.log(m)
+    if abs(e) > _LOG_FLOAT_SPAN:
+        return math.inf if e > 0 else 0.0
+    if abs(e) > 700.0:
+        h = k // 2
+        return _times_power(_times_power(x, m, h), m, k - h)
+    return x * m ** k
 
 
 class HypothesisError(ValueError):
@@ -142,12 +159,44 @@ class AbelSolution:
     f_inv: Optional[Callable[[float], float]] = None
     f_text: Optional[str] = None
     fp: Optional[Callable[[float], float]] = None  # f', for Newton steps without f_inv
+    affine: Optional[tuple] = None  # funcexpr.affine_step of f: f^k in closed form
 
     def _inverse_step(self, y: float) -> float:
         if self.f_inv is not None:
             return self.f_inv(y)
         # the pullback only steps from y > domain_hi = f(domain_lo)
         return funcexpr._bisect(self.f, y, self.domain_lo, y, self.fp)
+
+    def _iterate(self, x: float, k: int) -> float:
+        """f^k(x) for an affine f and any integer k."""
+        op, s = self.affine
+        return x + k * s if op == "+" else _times_power(x, s, k)
+
+    def _pull_closed_form(self, x: float, edge: float):
+        """The stepwise pullback's (y, n) for an affine f: n is the least
+        count of steps toward the domain that takes x to at most edge."""
+        op, s = self.affine
+        if op == "+":
+            est = (x - edge) / abs(s)
+        else:
+            est = (math.log(x) - math.log(edge)) / abs(math.log(s))
+        if not math.isfinite(est):
+            raise DomainError(f"the pullback of {x!r} overflows its step count")
+        toward = -1 if self.direction == "expanding" else 1
+        n = max(1, math.ceil(est))
+        # rounding in est (and in the closed form) is at most a step or two
+        for _ in range(3):
+            y = self._iterate(x, toward * n)
+            if y > edge:
+                n += 1
+            elif n > 1 and self._iterate(x, toward * (n - 1)) <= edge:
+                n -= 1
+            else:
+                return min(max(y, self.domain_lo), self.domain_hi), n
+        raise DomainError(
+            f"the pullback of {x!r} into the fundamental domain "
+            f"[{self.domain_lo!r}, {self.domain_hi!r}] is lost in float rounding: "
+            f"one step of f does not change a number of that size")
 
     def _pull_into_domain(self, x: float):
         """Return (y, n) with y in the fundamental domain and x = step^n(y)."""
@@ -157,6 +206,8 @@ class AbelSolution:
         if x < lo - 1e-12 * max(1.0, abs(lo)):
             raise DomainError(f"{x!r} below the solution base {lo!r}")
         edge = hi + 1e-12 * max(1.0, abs(hi))
+        if self.affine is not None and x > edge:
+            return self._pull_closed_form(x, edge)
         back = (self._inverse_step if self.direction == "expanding" else self.f)
         y, n = x, 0
         while y > edge:
@@ -184,7 +235,7 @@ class AbelSolution:
         if t < s_lo - 1e-12:
             raise DomainError(f"{t!r} below the solution range start {s_lo!r}")
         n = int(math.floor(t - s_lo))
-        if n > MAX_PULLBACK_STEPS:
+        if n > MAX_PULLBACK_STEPS and self.affine is None:
             raise DomainError(f"{t!r} needs more than {MAX_PULLBACK_STEPS} steps "
                               "from the fundamental domain")
         frac = t - n
@@ -192,6 +243,11 @@ class AbelSolution:
             n += 1
             frac = t - n
         y = self.seed.inv(frac)
+        if self.affine is not None:
+            y = self._iterate(y, n if self.direction == "expanding" else -n)
+            if not math.isfinite(y):
+                raise DomainError(f"the inverse at {t!r} leaves the float range")
+            return y
         fwd = self.f if self.direction == "expanding" else self._inverse_step
         for _ in range(n):
             y = fwd(y)
@@ -248,9 +304,12 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
         raise DomainError(f"the seed must gain exactly 1 across the fundamental "
                           f"domain [{lo!r}, {hi!r}], not {gain!r}")
 
+    affine = None if fn.expr is None else funcexpr.affine_step(fn.expr)
+    if affine is not None and affine[0] == "*" and lo <= 0:
+        affine = None  # a scaling's closed form reads n off log(x) - log(edge)
     return AbelSolution(f=fn.float, A=A, seed=seed, direction=direction,
                         domain_lo=lo, domain_hi=hi, f_inv=inv,
-                        f_text=fn.text, fp=fp)
+                        f_text=fn.text, fp=fp, affine=affine)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ __all__ = [
     "evaluate",
     "differentiate",
     "invert",
+    "affine_step",
     "Fn",
     "invert_at",
 ]
@@ -670,6 +671,34 @@ def invert(expr: FuncExpr) -> Optional[FuncExpr]:
     gives None.
     """
     return _invert_into(expr, Var())
+
+
+def affine_step(expr: FuncExpr) -> Optional[tuple]:
+    """The unit step of a translation or a scaling, or None.
+
+    x+c, c+x and x-c give ("+", d) with f(x) = x + d; c*x, x*c (c > 0)
+    and x/c (c > 0) give ("*", m) with f(x) = m*x.  c is any subtree
+    without x, evaluated once, as in invert.  Then f^k(x) is x + k*d or
+    x * m^k for every integer k.
+    """
+    if not isinstance(expr, Binary):
+        return None
+    left_x = isinstance(expr.left, Var)
+    if left_x == isinstance(expr.right, Var):
+        return None
+    other = expr.right if left_x else expr.left
+    c = None if _has_x(other) else _const_value(other)
+    if c is None:
+        return None
+    if expr.op == "+":
+        return ("+", c)
+    if expr.op == "-" and left_x:
+        return ("+", -c)
+    if expr.op == "*" and c > 0:
+        return ("*", c)
+    if expr.op == "/" and left_x and c > 0:
+        return ("*", 1.0 / c)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,7 @@ class OrderEstimate:
                 "tol": self.tol, "window": self.window}
 
 
-def _aitken(seq: Sequence[float]) -> List[float]:
-    out = []
-    for a, b, c in zip(seq, seq[1:], seq[2:]):
-        d = (c - b) - (b - a)
-        out.append(c if d == 0 else c - (c - b) ** 2 / d)
-    return out or list(seq)
-
-
-def order_of(F, f, ladder, tol: float = 1e-3,
-             accelerate: bool = False) -> OrderEstimate:
+def order_of(F, f, ladder, tol: float = 1e-3) -> OrderEstimate:
     """Estimate O_F(f) = lim F(f(x)) - F(x) along the ladder.
 
     The estimate is the mean of the last-window residuals; converged means
@@ -182,7 +173,7 @@ def order_of(F, f, ladder, tol: float = 1e-3,
         except (DomainError, EvalError, OverflowError, ValueError) as exc:
             raise EvalError(f"evaluation failed at ladder point {_point_repr(x)}: "
                             f"{exc}") from exc
-    tail = _tail(_aitken(residuals) if accelerate else residuals)
+    tail = _tail(residuals)
     spread = max(tail) - min(tail)
     return OrderEstimate(lambda_hat=sum(tail) / len(tail),
                          residuals=residuals,

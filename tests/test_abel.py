@@ -1,4 +1,6 @@
 import math
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -100,10 +102,17 @@ class TestInverseAndIteration:
             sol_double.inverse(v)
 
     def test_inverse_caps_its_forward_push(self, sol_double):
+        # x^2 has no closed-form iterate, so its push steps
+        stepwise = abel.solve_abel("x^2", A=2.0)
+        assert stepwise.affine is None
         with pytest.raises(DomainError, match="more than 1000000 steps"):
-            sol_double.inverse(1e7)
+            stepwise.inverse(1e7)
         with pytest.raises(DomainError, match="leaves the float range"):
-            sol_double.inverse(2000.0)
+            stepwise.inverse(2000.0)
+        # 2*x pushes in closed form, with no step cap, and still overflows
+        for t in (2000.0, 1e7):
+            with pytest.raises(DomainError, match="leaves the float range"):
+                sol_double.inverse(t)
 
     def test_half_iterate_of_shift(self, sol_shift):
         for x in (1.0, 2.5, 90.0):
@@ -305,6 +314,132 @@ class TestDerivedInverse:
     ])
     def test_bisected_pullback_values_pinned(self, x, expected):
         assert abel.solve_abel("x+sqrt(x)", A=1.0).eval(x) == expected
+
+
+def _exact_linear_F(sol, x):
+    """The linear-seed F of sol at x in exact Fraction arithmetic: the same
+    float step, domain and x, with the least n that takes x into the domain."""
+    op, s = sol.affine
+    lo, hi, X, S = (Fraction(v) for v in (sol.domain_lo, sol.domain_hi, x, s))
+    toward = -1 if sol.direction == "expanding" else 1
+
+    def pull(k):
+        return X + toward * k * S if op == "+" else X * S ** (toward * k)
+
+    n = 0
+    if X > hi:
+        n = max(0, math.floor(float((X - hi) / abs(S)) if op == "+" else
+                              math.log(x / sol.domain_hi) / abs(math.log(s))))
+        while pull(n) > hi:
+            n += 1
+        while n > 0 and pull(n - 1) <= hi:
+            n -= 1
+    return n + (pull(n) - lo) / (hi - lo)
+
+
+def _stepwise(sol, back, fwd):
+    """Reference eval and inverse of a linear-seed solution that step once
+    per unit of F with the given pullback and push maps."""
+    lo, hi = sol.domain_lo, sol.domain_hi
+    edge = hi + 1e-12 * max(1.0, abs(hi))
+
+    def F(x):
+        y, n = x, 0
+        while y > edge:
+            y, n = back(y), n + 1
+        return n + sol.seed(min(y, hi))
+
+    def F_inv(t):
+        n = math.floor(t)
+        y = sol.seed.inv(t - n)
+        for _ in range(n):
+            y = fwd(y)
+        return y
+
+    return F, F_inv
+
+
+class TestClosedForm:
+    def test_affine_maps_get_the_closed_form(self):
+        assert abel.solve_abel("x+2", A=1.0).affine == ("+", 2.0)
+        assert abel.solve_abel("x-2", A=5.0).affine == ("+", -2.0)
+        assert abel.solve_abel("2*x", A=1.0).affine == ("*", 2.0)
+        assert abel.solve_abel("x/2", A=8.0).affine == ("*", 0.5)
+        # an explicit inverse and a JSON round trip keep it
+        sol = abel.solve_abel("x+2", A=1.0, f_inv=lambda y: y - 2.0)
+        assert sol.affine == ("+", 2.0)
+        back = abel.solution_from_json(abel.solution_to_json(sol))
+        assert back.affine == ("+", 2.0)
+        assert abel.solve_abel(lambda y: y + 2.0, A=1.0).affine is None
+
+    def test_far_point_is_refused_at_once(self):
+        sol = abel.solve_abel("x+1", A=1.0)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"1e\+300"):
+            sol.eval(1e300)
+        assert time.perf_counter() - start < 0.01
+
+    def test_past_the_step_cap(self):
+        sol = abel.solve_abel("x+1", A=1.0)
+        assert sol.eval(2e6) == 1999999.0
+        assert sol.inverse(1999999.0) == 2e6
+
+    def test_scaling_to_the_end_of_the_float_range(self):
+        # 2^1030 alone overflows, 0.015 * 2^1030 does not
+        sol = abel.solve_abel("2*x", A=0.01)
+        x = sol.inverse(1030.5)
+        assert x == pytest.approx(0.015 * 2.0 ** 500 * 2.0 ** 530, rel=1e-15)
+        assert sol.eval(x) == pytest.approx(1030.5, abs=1e-12)
+
+    def test_scaling_on_a_non_positive_domain_steps(self):
+        # 0.25*x at -3 expands on [-3, -0.75]: the closed form reads n off
+        # a log, so this solution keeps the stepwise pullback
+        sol = abel.solve_abel("0.25*x", A=-3.0)
+        assert sol.affine is None
+        ref = abel.solve_abel(lambda y: 0.25 * y, A=-3.0,
+                              f_inv=lambda y: y / 0.25)
+        for x in (-3.0, -1.0, -0.5, -0.01):
+            assert sol.eval(x) == ref.eval(x)
+        for t in (0.0, 0.5, 1.5, 3.25):
+            assert sol.inverse(t) == ref.inverse(t)
+        with pytest.raises(DomainError, match="does not approach"):
+            sol.eval(1.0)
+
+    @given(c=st.floats(min_value=0.1, max_value=10.0),
+           A=st.floats(min_value=-10.0, max_value=10.0),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_translation_matches_exact_arithmetic(self, c, A, u):
+        sol = abel.solve_abel(f"x+{c!r}", A=A)
+        x = A + u * (1e6 - A)
+        assert sol.eval(x) == pytest.approx(_exact_linear_F(sol, x), abs=1e-8)
+
+    @given(m=st.floats(min_value=1.1, max_value=10.0),
+           A=st.floats(min_value=0.1, max_value=10.0),
+           e=st.floats(min_value=0.0, max_value=1.0),
+           contracting=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_matches_exact_arithmetic(self, m, A, e, contracting):
+        text = f"x/{m!r}" if contracting else f"{m!r}*x"
+        sol = abel.solve_abel(text, A=A)
+        x = A * (1e300 / A) ** e
+        assert sol.eval(x) == pytest.approx(_exact_linear_F(sol, x), abs=1e-9)
+
+    @pytest.mark.parametrize("text,A,back,fwd,top", [
+        ("x+2", 1.0, lambda y: y - 2.0, lambda y: y + 2.0, 1e6),
+        ("2*x", 1.0, lambda y: y / 2.0, lambda y: 2.0 * y, 1.7e308),
+        ("x/2", 8.0, lambda y: y / 2.0, lambda y: 2.0 * y, 1.7e308),
+    ])
+    @given(u=st.floats(min_value=0.0, max_value=1.0),
+           t=st.floats(min_value=0.0, max_value=1020.0))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_of_two_match_stepping_bit_for_bit(self, text, A, back,
+                                                      fwd, top, u, t):
+        sol = abel.solve_abel(text, A=A)
+        F, F_inv = _stepwise(sol, back, fwd)
+        x = sol.domain_lo * (top / sol.domain_lo) ** u
+        assert sol.eval(x) == F(x)
+        assert sol.inverse(t) == F_inv(t)
 
 
 @pytest.fixture(scope="module")

@@ -154,6 +154,12 @@ class TestIterate:
         assert out == ""
         assert err.startswith("growthcalc: DomainError:")
 
+    def test_translation_past_the_step_cap(self, capsys):
+        # 2e6 unit steps from the domain: x+1 iterates in closed form
+        data = run_json(capsys, "iterate", "--f", "x+1", "--lambda", "0.5",
+                        "--at", "2000000")
+        assert data["value"] == 2000000.5
+
     def test_derived_inverse_needs_no_bisection(self, capsys, monkeypatch):
         calls = []
         bisect = funcexpr._bisect

@@ -87,13 +87,6 @@ class TestOrderOf:
         assert est.converged
         assert est.lambda_hat == pytest.approx(math.log(2.0), abs=1e-3)
 
-    def test_acceleration_tightens_a_slow_tail(self):
-        lad = Ladder.geometric(4.0, 2.0, 16)
-        plain = order_of("log(x)", "x+x/log(x)", lad, tol=1e-6)
-        fast = order_of("log(x)", "x+x/log(x)", lad, tol=1e-6,
-                        accelerate=True)
-        assert fast.tail_spread < plain.tail_spread
-
     def test_failure_names_the_point(self):
         with pytest.raises(EvalError, match="ladder point"):
             order_of("log(x)", "x-100", Ladder.geometric(2.0, 2.0, 8))
