@@ -203,9 +203,11 @@ class AbelSolution:
         lo, hi = self.domain_lo, self.domain_hi
         if not math.isfinite(x):
             raise DomainError(f"the Abel solution is not defined at {x!r}")
-        if x < lo - 1e-12 * max(1.0, abs(lo)):
+        # rounding slack at the domain ends, scaled to the domain's width
+        tol = 1e-12 * (hi - lo)
+        if x < lo - tol:
             raise DomainError(f"{x!r} below the solution base {lo!r}")
-        edge = hi + 1e-12 * max(1.0, abs(hi))
+        edge = hi + tol
         if self.affine is not None and x > edge:
             return self._pull_closed_form(x, edge)
         back = (self._inverse_step if self.direction == "expanding" else self.f)

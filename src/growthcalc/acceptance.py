@@ -246,10 +246,10 @@ def check_classifier() -> dict:
 
 
 def check_staircases() -> dict:
-    _, f1 = classify.staircase_class1(count=34)
+    _, f1 = classify.staircase_class1()
     exact = all(f1(2 ** k - 1) == 2 ** k and f1(2 ** k) == 2 ** (k + 1) - 1
                 for k in range(1, 31))
-    F0, _ = classify.staircase_class0(levels=6)
+    F0, _ = classify.staircase_class0()
     a = [2 ** (2 ** k) for k in range(1, 5)]
     ratios = []
     for t in _geomspace(float(a[0]), float(a[3]), 60):

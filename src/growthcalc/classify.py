@@ -3,8 +3,8 @@
 The module houses the catalog of reference growth rates with their
 slow-function chains, a numeric class-0/1/2 decision procedure with
 re-checkable witnesses, constructors for functions sitting strictly between
-classes, sandwich bounds, inverse-derivative separation checks, and a small
-gallery of boundary examples (wobbly functions and staircases).
+classes, sandwich bounds, the inverse-derivative ratio, and two boundary
+examples: the exact staircases and the wobbly log-derivative.
 
 Classes: a function f of class n admits an Abel-type scale F with
 O_F(f) = 1 whose inverse grows one class higher; x+2 is class 0, 2x and
@@ -36,11 +36,9 @@ __all__ = [
     "sandwich_bounds",
     "sandwich_bracket_report",
     "scaled_xi_increment",
-    "separation_check",
     "inverse_derivative_ratio",
     "staircase_class1",
     "staircase_class0",
-    "gallery",
     "wobbly_log_derivative",
 ]
 
@@ -86,7 +84,6 @@ def catalog() -> List[CatalogEntry]:
 _GEOM_SMALL = Ladder.geometric(10.0, 10.0, 12)
 _GEOM_TINY = Ladder.geometric(2.5, 1.35, 12)
 _GEOM_DEEP = Ladder.geometric(1e180, 1e6, 20)
-_SEPARATION_LADDER = Ladder.geometric(64.0, 2.0, 16)
 
 
 def _tower_points(lo: int = 2, hi: int = 41, mantissa: float = 0.5) -> list:
@@ -557,7 +554,7 @@ def sandwich_bracket_report() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Separation
+# Inverse-derivative ratio
 
 
 def inverse_derivative_ratio(f, g, x: float) -> float:
@@ -575,29 +572,8 @@ def inverse_derivative_ratio(f, g, x: float) -> float:
     return inv_prime(g) / inv_prime(f)
 
 
-def separation_check(f, g, class_f: int, class_g: int) -> dict:
-    """Class separation: for f of class n >= 1 and g one class up, the
-    inverse-derivative ratio (g^{-1})'/(f^{-1})' must fall to 0."""
-    report = {"f": funcexpr.Fn(f).text or repr(f),
-              "g": funcexpr.Fn(g).text or repr(g),
-              "class_f": class_f, "class_g": class_g}
-    if class_f < 1:
-        report["in_scope"] = False
-        report["reason"] = "separation of inverse derivatives needs class >= 1"
-        return report
-    report["in_scope"] = True
-    ratios = [inverse_derivative_ratio(f, g, x) for x in _SEPARATION_LADDER.points()]
-    tail = _tail(ratios)
-    decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
-    report["ratios"] = ratios
-    report["final_ratio"] = ratios[-1]
-    report["decreasing_tail"] = decreasing
-    report["ok"] = decreasing and ratios[-1] < 0.5 * max(ratios)
-    return report
-
-
 # ---------------------------------------------------------------------------
-# Staircase gallery
+# Boundary examples
 
 
 def _unit_step_scale(knots) -> Tuple[Callable, Callable]:
@@ -611,13 +587,16 @@ def _unit_step_scale(knots) -> Tuple[Callable, Callable]:
     return F, lambda x: table.inv(F(x) + 1)
 
 
-def staircase_class1(a: Optional[Sequence[int]] = None,
-                     count: int = 34) -> Tuple[Callable, Callable]:
+_STAIRCASE1_STEPS = 34  # default a_k = 2^k for k = 1..34
+_STAIRCASE0_LEVELS = 6  # a_k = 2^(2^k) for k = 1..6
+
+
+def staircase_class1(a: Optional[Sequence[int]] = None) -> Tuple[Callable, Callable]:
     """A scale F with F(a_k) = 2k and F(a_k - 1) = 2k - 1 (default
     a_k = 2^k), so f = F^{-1}(F+1) satisfies f(a_k - 1) = a_k exactly:
     a class-1 function that keeps returning to x + 1."""
     if a is None:
-        a = [2 ** k for k in range(1, count + 1)]
+        a = [2 ** k for k in range(1, _STAIRCASE1_STEPS + 1)]
     a = list(a)
     for prev, nxt in zip(a, a[1:]):
         if nxt <= prev + 1:
@@ -629,12 +608,12 @@ def staircase_class1(a: Optional[Sequence[int]] = None,
     return _unit_step_scale(knots)
 
 
-def staircase_class0(levels: int = 6) -> Tuple[Callable, Callable]:
+def staircase_class0() -> Tuple[Callable, Callable]:
     """A scale with F(2 a_k) = F(a_k) + 1 and slope 1/2 between doubling
     points, a_k = 2^(2^k): f = F^{-1}(F+1) has f(a_k) = 2 a_k yet
     f(n) = n + 2 along the flat stretches, and F(x)/x stays inside (0, 1):
     a class-0 function that keeps doubling."""
-    a = [2 ** (2 ** k) for k in range(1, levels + 1)]
+    a = [2 ** (2 ** k) for k in range(1, _STAIRCASE0_LEVELS + 1)]
     knots = [(a[0], Fraction(2))]
     for k in range(len(a) - 1):
         x0, y0 = knots[-1]
@@ -657,30 +636,3 @@ def wobbly_log_derivative(x) -> float:
     except DomainError:
         return 1.0
     return 1.0 + math.cos(xi) * float(x) / ((3.0 + math.sin(xi)) * chi)
-
-
-def gallery() -> dict:
-    """Named boundary examples: functions with ragged local behavior whose
-    class is nevertheless well defined."""
-    return {
-        "wobbly_linear": {
-            "expr": "x*(3+sin(xi(x)))",
-            "class": 1,
-            "note": "f(x)/x oscillates across [2, 4] yet x f'/f -> 1",
-        },
-        "wobbly_power": {
-            "expr": "x^(3+sin(xi(x)))",
-            "class": 1,
-            "note": "wobbles between x^2 and x^4",
-        },
-        "staircase_class1": {
-            "builder": staircase_class1,
-            "class": 1,
-            "note": "f(2^k - 1) = 2^k exactly; f returns to x+1 infinitely often",
-        },
-        "staircase_class0": {
-            "builder": staircase_class0,
-            "class": 0,
-            "note": "f(a_k) = 2 a_k yet f = x + 2 on long stretches",
-        },
-    }

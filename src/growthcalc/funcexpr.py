@@ -376,7 +376,11 @@ _OPS = {"+": (operator.add, lixnum.add), "-": (operator.sub, lixnum.sub),
 
 def _binary(op: str, a: Value, b: Value) -> Value:
     if type(a) is float and type(b) is float and op in "+-*":  # the common case
-        return a + b if op == "+" else a - b if op == "-" else a * b
+        r = a + b if op == "+" else a - b if op == "-" else a * b
+        if r == math.inf and op == "*" and 0.0 < a < r and 0.0 < b < r:
+            # promote instead of overflowing, as _pow does
+            return lixnum.mul(lixnum.from_real(a), lixnum.from_real(b))
+        return r
     if op == "^":
         return _pow(a, b)
     num, li = _OPS[op]

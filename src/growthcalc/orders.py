@@ -6,9 +6,7 @@ The central quantity is the order of f with respect to F,
 
 estimated by evaluating the residual F(f(x)) - F(x) along a ladder of
 sample points and applying a Cauchy criterion to the tail.  The module
-also houses the regularity testers R0-R3, membership tests for the
-classes B_F ((F o f)' ~ F') and B'_F (same with bounded ratios), and a
-numeric cross-check of the order/derivative duality theorem.
+also houses the regularity testers R0-R3.
 
 Limits here can converge logarithmically, so there is no extrapolation
 by default: an estimate that has not settled is returned with
@@ -23,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence
 
-from . import abel, funcexpr
+from . import funcexpr
 from .funcexpr import EvalError
 from .lixnum import DomainError, LIReal
 
@@ -33,9 +31,6 @@ __all__ = [
     "RegReport",
     "order_of",
     "check_R",
-    "in_B_F",
-    "in_Bprime_F",
-    "check_theorem_1_3",
 ]
 
 # ---------------------------------------------------------------------------
@@ -216,7 +211,10 @@ def _sublinear_probe(x: float) -> float:
     return x / max(math.log(x), 2.0)
 
 
-def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
+_R_TOL = 5e-2  # a condition holds when every tail margin is at most this
+
+
+def check_R(condition: str, F, ladder: Ladder) -> RegReport:
     """Sample one of the regularity conditions R0-R3 along the ladder.
 
     R0: F(x + o(x)) = F(x) + o(1)        margin |F(x+p) - F(x)|, p = x/log x
@@ -249,90 +247,5 @@ def check_R(condition: str, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
             margins.append(m)
     tail = _tail(margins)
     return RegReport(condition=cond, samples=xs, margins=margins,
-                     verdict=max(tail) <= tol, tol=tol,
+                     verdict=max(tail) <= _R_TOL, tol=_R_TOL,
                      extra={"window": len(tail)})
-
-
-def _b_ratios(f, F, xs: List[float]) -> List[float]:
-    # (F o f)' / F' = f'(x) F'(f(x)) / F'(x)
-    f = funcexpr.Fn(f)
-    df, dF = f.derivative, funcexpr.Fn(F).derivative
-    out = []
-    for x in xs:
-        denom = dF(x)
-        if denom == 0:
-            raise EvalError(f"F' vanished at {x!r}")
-        out.append(df(x) * dF(float(f.raw(x))) / denom)
-    return out
-
-
-def in_B_F(f, F, ladder: Ladder, tol: float = 5e-2) -> RegReport:
-    """Test f in B_F, i.e. (F o f)' ~ F' (equivalently f' ~ L(f)/L, L = 1/F')."""
-    xs = _float_points(ladder)
-    ratios = _b_ratios(f, F, xs)
-    margins = [abs(r - 1.0) for r in ratios]
-    tail = _tail(margins)
-    return RegReport(condition="B_F", samples=xs, margins=margins,
-                     verdict=max(tail) <= tol, tol=tol,
-                     extra={"ratios": ratios, "window": len(tail)})
-
-
-def in_Bprime_F(f, F, ladder: Ladder, c_bound: float = 16.0) -> RegReport:
-    """Test f in B'_F: the derivative ratio stays inside [1/c, c]."""
-    xs = _float_points(ladder)
-    ratios = _b_ratios(f, F, xs)
-    tail = _tail(ratios)
-    c = max(max(r, 1.0 / r) if r > 0 else math.inf for r in tail)
-    verdict = math.isfinite(c) and c <= c_bound
-    return RegReport(condition="BprimeF", samples=xs,
-                     margins=[abs(r - 1.0) for r in ratios],
-                     verdict=verdict, tol=c_bound,
-                     extra={"ratios": ratios, "c": c, "window": len(tail)})
-
-
-# ---------------------------------------------------------------------------
-# Order/derivative duality cross-check
-
-
-_DUALITY_TOL = 5e-2
-_ABEL_BASE = 0.5
-_ABEL_LADDER = Ladder.geometric(1.0, 1.2, 10)
-# membership needs samples where g(x) is still a float (g may be exp-like)
-_B_LADDER = Ladder.geometric(2.0, 1.4, 16)
-
-
-def check_theorem_1_3(F, g, f, ladder: Ladder) -> dict:
-    """Cross-check the order of f measured in g-units two independent ways.
-
-    Direct side: O_F(f) / O_F(g) along the ladder.  Abel side: O_G(f)
-    where G is a freshly solved Abel function of g (its own normalization,
-    so agreement is a genuine consistency check, not an identity).
-    Requires g in B_F; if that precondition fails the report is vacuous.
-    """
-    b = in_B_F(g, F, _B_LADDER)
-    report = {"b_membership": b.to_json(), "vacuous": False,
-              "lambda_direct": None, "lambda_abel": None, "agree": None,
-              "tol": _DUALITY_TOL}
-    if not b.verdict:
-        report["vacuous"] = True
-        report["reason"] = "g not in B_F on this ladder"
-        return report
-    est_f = order_of(F, f, ladder)
-    est_g = order_of(F, g, ladder)
-    report["order_f"] = est_f.to_json()
-    report["order_g"] = est_g.to_json()
-    if not (est_f.converged and est_g.converged) or abs(est_g.lambda_hat) < 1e-9:
-        report["vacuous"] = True
-        report["reason"] = "orders along the ladder did not converge"
-        return report
-    lam_direct = est_f.lambda_hat / est_g.lambda_hat
-
-    G = abel.solve_abel(g, _ABEL_BASE)
-    est_abel = order_of(G, f, _ABEL_LADDER)
-    report["order_abel"] = est_abel.to_json()
-    lam_abel = est_abel.lambda_hat
-
-    report["lambda_direct"] = lam_direct
-    report["lambda_abel"] = lam_abel
-    report["agree"] = est_abel.converged and abs(lam_direct - lam_abel) <= _DUALITY_TOL
-    return report

@@ -329,7 +329,8 @@ def _exact_linear_F(sol, x):
     n = 0
     if X > hi:
         n = max(0, math.floor(float((X - hi) / abs(S)) if op == "+" else
-                              math.log(x / sol.domain_hi) / abs(math.log(s))))
+                              (math.log(x) - math.log(sol.domain_hi))
+                              / abs(math.log(s))))
         while pull(n) > hi:
             n += 1
         while n > 0 and pull(n - 1) <= hi:
@@ -341,7 +342,7 @@ def _stepwise(sol, back, fwd):
     """Reference eval and inverse of a linear-seed solution that step once
     per unit of F with the given pullback and push maps."""
     lo, hi = sol.domain_lo, sol.domain_hi
-    edge = hi + 1e-12 * max(1.0, abs(hi))
+    edge = hi + 1e-12 * (hi - lo)
 
     def F(x):
         y, n = x, 0
@@ -440,6 +441,44 @@ class TestClosedForm:
         x = sol.domain_lo * (top / sol.domain_lo) ** u
         assert sol.eval(x) == F(x)
         assert sol.inverse(t) == F_inv(t)
+
+
+# points just past the end of a wide domain, and on domains far narrower
+# than 1e-12 (exact F: 5.5, about 50, about 332.1 and 1993.1), with f and
+# f^-1 as callables for the stepwise path, and the tolerances of the closed
+# form and of stepping: a step of 1e-13 at 0.5 rounds by up to 5.6e-4 of
+# itself, and the stepwise pullback pays that once a step, 50 times
+_EDGE_CASES = [
+    ("x+1", lambda y: y + 1.0, lambda y: y - 1.0, 1e13, (1e13 + 5.5,),
+     1e-9, 1e-9),
+    ("x+1e-13", lambda y: y + 1e-13, lambda y: y - 1e-13, 0.5, (0.5 + 5e-12,),
+     1e-2, 5e-2),
+    ("2*x", lambda y: 2.0 * y, lambda y: y / 2.0, 1e-300, (1e-200, 1e300),
+     1e-9, 1e-9),
+]
+
+
+class TestDomainEdgeTolerance:
+    """The slack at the domain ends is a fraction of the domain's width, so
+    such points are pulled back, not clamped to the domain's upper end."""
+
+    @pytest.mark.parametrize("text,f,f_inv,A,xs,tol,step_tol", _EDGE_CASES,
+                             ids=[case[0] for case in _EDGE_CASES])
+    def test_matches_exact_arithmetic(self, text, f, f_inv, A, xs, tol,
+                                      step_tol):
+        closed = abel.solve_abel(text, A=A)
+        stepwise = abel.solve_abel(f, A=A, f_inv=f_inv)
+        assert closed.affine is not None and stepwise.affine is None
+        for x in xs:
+            exact = _exact_linear_F(closed, x)
+            assert closed.eval(x) == pytest.approx(exact, abs=tol)
+            assert stepwise.eval(x) == pytest.approx(exact, abs=step_tol)
+
+    def test_below_a_tiny_base_rejected(self):
+        sol = abel.solve_abel("2*x", A=1e-300)
+        for x in (0.0, 0.5e-300):
+            with pytest.raises(DomainError, match="below the solution base"):
+                sol.eval(x)
 
 
 @pytest.fixture(scope="module")

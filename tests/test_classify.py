@@ -5,10 +5,9 @@ import pytest
 
 from growthcalc import classify, lixnum
 from growthcalc.classify import (
-    BetweenClassFn, catalog, classify_expr, gallery,
-    inverse_derivative_ratio, sandwich_bounds, sandwich_bracket_report,
-    scaled_xi_increment, separation_check, staircase_class0,
-    staircase_class1, verify_chain, wobbly_log_derivative,
+    BetweenClassFn, catalog, classify_expr, inverse_derivative_ratio,
+    sandwich_bounds, sandwich_bracket_report, scaled_xi_increment,
+    staircase_class0, staircase_class1, verify_chain, wobbly_log_derivative,
 )
 from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.xihier import default_hierarchy
@@ -171,17 +170,6 @@ class TestSeparation:
         r = inverse_derivative_ratio("2*x", "x^2", 100.0)
         assert r == pytest.approx(0.1, rel=1e-9)
 
-    def test_adjacent_classes_separate(self):
-        rep = separation_check("2*x", "x^2", 1, 2)
-        assert rep["in_scope"]
-        assert rep["ok"]
-        assert rep["final_ratio"] < rep["ratios"][0]
-
-    def test_class_zero_out_of_scope(self):
-        rep = separation_check("x+2", "2*x", 0, 1)
-        assert not rep["in_scope"]
-        assert "reason" in rep
-
 
 class TestStaircases:
     def test_class1_returns_to_x_plus_one_exactly(self):
@@ -230,10 +218,3 @@ class TestWobbly:
 
     def test_deep_tower_underflows_to_exactly_one(self):
         assert wobbly_log_derivative(LIReal(30, 0.5)) == 1.0
-
-    def test_gallery_entries(self):
-        g = gallery()
-        assert set(g) >= {"wobbly_linear", "wobbly_power",
-                          "staircase_class1", "staircase_class0"}
-        assert g["wobbly_linear"]["class"] == 1
-        assert callable(g["staircase_class0"]["builder"])

@@ -34,6 +34,18 @@ class TestEval:
         data = run_json(capsys, "eval", "exp(exp(x))", "--at", "1e10")
         assert data["points"][0]["value"].startswith("L")
 
+    @pytest.mark.parametrize("expr,mantissa", [
+        # by mpmath: 1e616 = L4:0.684108969468046292..., 2e308 =
+        # L4:0.632212360551007522...
+        ("x*x", 0.684108969468046292),
+        ("2*x", 0.632212360551007522),
+    ])
+    def test_float_product_overflow_is_a_tower(self, capsys, expr, mantissa):
+        data = run_json(capsys, "eval", expr, "--at", "1e308")
+        level, m = data["points"][0]["value"].split(":")
+        assert level == "L4"
+        assert float(m) == pytest.approx(mantissa, abs=1e-15)
+
     def test_ladder_values(self, capsys):
         data = run_json(capsys, "eval", "x+1", "--ladder", "geom:1:2:8")
         assert [r["value"] for r in data["points"]] == [

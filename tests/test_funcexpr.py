@@ -74,6 +74,15 @@ class TestEvaluation:
         assert isinstance(v, LIReal)
         assert lixnum.to_real(lixnum.ln_li(v)) == pytest.approx(400 * math.log(400))
 
+    def test_product_overflow_promotes(self):
+        assert ev("x*x", 1e308) == ev("x^2", 1e308)
+        v = ev("2*x", 1e308)
+        assert isinstance(v, LIReal)
+        assert lixnum.to_real(lixnum.ln_li(v)) == pytest.approx(
+            math.log(2.0) + math.log(1e308), rel=1e-15)
+        # a tower holds no sign: a negative product still overflows
+        assert ev("-2*x", 1e308) == -math.inf
+
     def test_tower_input_stays_exact_through_xi(self):
         x = LIReal(40, 0.25)
         assert ev("xi(x)", x) == Fraction(40) + Fraction(0.25)

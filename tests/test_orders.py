@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from growthcalc import orders
 from growthcalc.funcexpr import EvalError
 from growthcalc.lixnum import LIReal
-from growthcalc.orders import Ladder, check_R, in_B_F, in_Bprime_F, order_of
+from growthcalc.orders import Ladder, check_R, order_of
 
 
 DEEP = Ladder.geometric(10.0, 1e12, 24)
@@ -125,37 +124,3 @@ class TestRegularity:
         data = check_R("R1", "log(x)", DEEP).to_json()
         assert data["condition"] == "R1"
         assert len(data["margins"]) == len(data["samples"])
-
-
-class TestBClasses:
-    def test_scaling_in_b_log(self):
-        assert in_B_F("2*x", "log(x)", DEEP).verdict
-
-    def test_square_outside_b_log_but_in_bprime(self):
-        # keep x^2 inside the float range
-        lad = Ladder.geometric(10.0, 1e6, 24)
-        rep = in_B_F("x^2", "log(x)", lad)
-        assert not rep.verdict
-        # ratio is exactly 2: bounded, so B'_F still accepts it
-        assert in_Bprime_F("x^2", "log(x)", lad).verdict
-
-    def test_exp_outside_bprime_log(self):
-        lad = Ladder.geometric(2.0, 1.6, 10)
-        rep = in_Bprime_F("exp(x)", "log(x)", lad, c_bound=16.0)
-        assert not rep.verdict
-
-
-class TestDualityCrossCheck:
-    def test_direct_and_abel_orders_agree(self):
-        rep = orders.check_theorem_1_3(
-            "log(x)", "2*x", "8*x", Ladder.geometric(2.0, 10.0, 12))
-        assert not rep["vacuous"]
-        assert rep["agree"]
-        assert rep["lambda_direct"] == pytest.approx(3.0, abs=1e-6)
-        assert rep["lambda_abel"] == pytest.approx(3.0, abs=1e-6)
-
-    def test_vacuous_when_g_leaves_b_f(self):
-        rep = orders.check_theorem_1_3(
-            "log(x)", "x^2", "x^4", Ladder.geometric(2.0, 10.0, 12))
-        assert rep["vacuous"]
-        assert rep["agree"] is None
