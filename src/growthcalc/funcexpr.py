@@ -309,6 +309,9 @@ def to_text(e: FuncExpr) -> str:
 # Evaluation
 
 
+_LI_ZERO = LIReal(0, 0.0)
+
+
 def _is_li(v) -> bool:
     return isinstance(v, LIReal)
 
@@ -455,7 +458,10 @@ def evaluate(expr: FuncExpr, x: Value) -> Value:
     if isinstance(expr, Neg):
         v = evaluate(expr.arg, x)
         if _is_li(v):
-            return lixnum.sub(lixnum.from_real(0.0), v)  # raises unless v == 0
+            if v > _LI_ZERO:
+                raise DomainError(f"the level-index value {lixnum.format_li(v)} "
+                                  "cannot be negated")
+            return lixnum.sub(_LI_ZERO, v)
         return -v
     if isinstance(expr, Compose):
         return evaluate(expr.outer, evaluate(expr.inner, x))

@@ -199,9 +199,12 @@ def xi_exact(v: LIReal) -> Fraction:
     """Super-logarithm of v, exactly level + mantissa.
 
     Returned as an exact rational so that the shift identity
-    xi_exact(exp_li(v)) - xi_exact(v) == 1 holds with no rounding.
+    xi_exact(exp_li(v)) - xi_exact(v) == 1 holds with no rounding.  The
+    mantissa is n/d with d a power of two, so (level*d + n)/d is the sum
+    as one Fraction.
     """
-    return Fraction(v.level) + Fraction(v.mantissa)
+    n, d = v.mantissa.as_integer_ratio()
+    return Fraction(v.level * d + n, d)
 
 
 def xi_inv_exact(t) -> LIReal:

@@ -10,6 +10,12 @@ Level map:
         applying xi_{k-1} until the value drops into the fundamental domain
         [2, xi_{k-1}^{-1}(2)] and counting the steps; linear seed there.
 
+xi_3 returns an exact Fraction only when called at top level (order_of's
+exact residual on deep towers needs it).  Inside the xi_4 pullback, which
+xi_5..xi_8 reach through their own, each xi_3 step stays a level-index
+pair (L, m): the test L + m >= e is exact on the pair, and the next pair
+comes from the float L + m, which rounds as the Fraction would.
+
 The base point for levels >= 4 is 2, not 1: the super-logarithm fixes 1
 (xi_3(1) = 1), so a fundamental domain anchored at 1 would be degenerate.
 Levels >= 4 are normalized by xi_k(2) = 1 and xi_k(e) = 2.  That choice
@@ -48,6 +54,11 @@ BASE_XI = 1.0         # xi_k(2) for every k >= 4
 MAX_LEVEL = 8
 
 _MAX_STEPS = 10 ** 6
+
+# L + m >= e exactly iff L >= 3 or (L == 2 and m >= e - 2); the float
+# e - 2 is exact (Sterbenz)
+_E_MINUS_2 = _E - 2.0
+_EXACT_INT = 2 ** 53  # integers below this are exact floats
 
 
 class XiHierarchy:
@@ -91,17 +102,42 @@ class XiHierarchy:
         if k == 3:
             return lixnum.xi_exact(lixnum.to_li(x))
         # k >= 4: collapse with xi_{k-1} until inside [2, e)
-        y = x
-        n = 0
-        while self._at_least(y, TOP):
-            y = self.xi_k(k - 1, y)
-            n += 1
-            if n > _MAX_STEPS:
-                raise DomainError(f"xi_{k} pullback failed to terminate")
+        if k == 4:
+            n, y = self._xi_3_steps(x)
+        else:
+            n, y = 0, x
+            while self._at_least(y, TOP):
+                y = self.xi_k(k - 1, y)
+                n += 1
+                if n > _MAX_STEPS:
+                    raise DomainError(f"xi_{k} pullback failed to terminate")
         yf = float(y)
         if yf < BASE - 1e-9:
             raise DomainError(f"xi_{k} argument below its base {BASE}")
         return n + self._seed(min(max(yf, BASE), TOP))
+
+    @staticmethod
+    def _xi_3_steps(x):
+        """(n, y): the least n for which xi_3 applied n times to x is below
+        e, and that value as a float (y is x itself when n = 0).
+
+        Runs on the level-index pair v of each value L + m, so no step
+        builds a Fraction: L + m >= e is exact as below, and while L is an
+        exact float, L + m rounds as float(Fraction(L) + Fraction(m)) does.
+        """
+        if not XiHierarchy._at_least(x, TOP):
+            return 0, x
+        v = lixnum.to_li(x)
+        n = 1
+        while v.level >= 3 or (v.level == 2 and v.mantissa >= _E_MINUS_2):
+            if v.level < _EXACT_INT:
+                v = lixnum.from_real_any(v.level + v.mantissa)
+            else:
+                v = lixnum.to_li(lixnum.xi_exact(v))
+            n += 1
+            if n > _MAX_STEPS:
+                raise DomainError("xi_4 pullback failed to terminate")
+        return n, v.level + v.mantissa
 
     @staticmethod
     def _at_least(y, top: float) -> bool:

@@ -236,6 +236,18 @@ class TestExitCodes:
         assert code == 2
         assert "DomainError" in err
 
+    def test_negated_tower_is_two(self, capsys):
+        # 2*x at 1e308 promotes to the tower L4:0.632..., which has no negative
+        code, out, err = run(capsys, "eval", "--at", "1e308", "--", "-(2*x)")
+        assert code == 2
+        assert out == ""
+        assert ("DomainError: the level-index value L4:0.63221236055100749 "
+                "cannot be negated") in err
+
+    def test_negated_zero_tower_is_zero(self, capsys):
+        data = run_json(capsys, "eval", "--at", "L0:0", "--", "-x")
+        assert data["points"][0]["value"] == "L0:0"
+
     def test_bad_ladder_spec_is_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--ladder", "nope:1")
         assert code == 2

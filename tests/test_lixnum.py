@@ -166,6 +166,21 @@ class TestArithmetic:
             lixnum.div(lixnum.from_real(1.0), lixnum.from_real(0.0))
 
 
+class TestXiExact:
+    @given(st.one_of(st.integers(min_value=-2, max_value=100),
+                     st.integers(min_value=2 ** 53 - 2, max_value=2 ** 53 + 2),
+                     st.integers(min_value=10 ** 60, max_value=10 ** 300)),
+           st.one_of(st.just(0.0), mantissas))
+    def test_one_fraction_is_the_sum(self, k, m):
+        assert lixnum.xi_exact(LIReal(k, m)) == Fraction(k) + Fraction(m)
+
+    @pytest.mark.parametrize("k,m", [(-2, 0.0), (-1, 0.0), (-1, 0.5), (0, 0.0),
+                                     (7, 0.25), (10 ** 300, 0.0),
+                                     (10 ** 300, math.nextafter(1.0, 0.0))])
+    def test_edge_values(self, k, m):
+        assert lixnum.xi_exact(LIReal(k, m)) == Fraction(k) + Fraction(m)
+
+
 class TestText:
     @given(levels, mantissas)
     @settings(max_examples=50)

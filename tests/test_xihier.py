@@ -12,7 +12,7 @@ import growthcalc
 from growthcalc import lixnum
 from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import DomainError, LIReal
-from growthcalc.xihier import BASE, BASE_XI, HIER, default_hierarchy
+from growthcalc.xihier import BASE, BASE_XI, HIER, TOP, default_hierarchy
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,71 @@ class TestNormalization:
         v = float(hier.xi_k(4, LIReal(10 ** 120, 0.5)))
         w = float(hier.xi_k(4, LIReal(10 ** 240, 0.5)))
         assert w > v > 2.0
+
+
+def _fraction_xi_k(k, x):
+    """xi_k for k >= 4 with every xi_3 step an exact Fraction, compared with
+    e as a Fraction and rounded to a float only at the end."""
+    y, n = x, 0
+    while HIER._at_least(y, TOP):
+        if k == 4:
+            v = lixnum.to_li(y)
+            y = Fraction(v.level) + Fraction(v.mantissa)
+        else:
+            y = _fraction_xi_k(k - 1, y)
+        n += 1
+        if n > 10 ** 6:
+            raise DomainError(f"xi_{k} pullback failed to terminate")
+    yf = float(y)
+    if yf < BASE - 1e-9:
+        raise DomainError(f"xi_{k} argument below its base {BASE}")
+    return n + HIER._seed(min(max(yf, BASE), TOP))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc).__name__
+
+
+_E_MINUS_2 = math.e - 2.0
+# around the last exact float integer, and past the float range
+_BIG_LEVELS = (2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 10 ** 60, 10 ** 300, 10 ** 400)
+_EDGE_ARGS = [
+    LIReal(2, _E_MINUS_2),
+    LIReal(2, math.nextafter(_E_MINUS_2, 0.0)),
+    LIReal(2, math.nextafter(_E_MINUS_2, 1.0)),
+    math.e,
+    math.nextafter(math.e, 0.0),
+    Fraction(math.e),
+    *[LIReal(k, m) for k in _BIG_LEVELS for m in (0.0, 0.5, math.nextafter(1.0, 0.0))],
+    LIReal(-1, 0.5), LIReal(-1, 0.0), LIReal(-2, 0.5),
+    Fraction(10 ** 400, 3), Fraction(-(10 ** 400), 3),
+    2.0, 1.5, 1e300, LIReal(7, 0.0), LIReal(4, 0.9),
+]
+
+
+class TestXi4PullbackMatchesFractions:
+    """xi_k for k >= 4 gives the same float, or the same exception, as the
+    pullback that steps on exact Fractions."""
+
+    @pytest.mark.parametrize("x", _EDGE_ARGS, ids=lambda x: repr(x)[:40])
+    def test_edge_arguments(self, x):
+        for k in range(4, 9):
+            assert _outcome(HIER.xi_k, k, x) == _outcome(_fraction_xi_k, k, x)
+
+    @given(st.one_of(
+        st.floats(min_value=1.9, max_value=1e300),
+        st.builds(LIReal, st.integers(min_value=-2, max_value=60),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        st.builds(Fraction, st.integers(min_value=1, max_value=10 ** 400),
+                  st.integers(min_value=1, max_value=10 ** 30)),
+    ))
+    @settings(max_examples=150)
+    def test_drawn_arguments(self, x):
+        for k in range(4, 9):
+            assert _outcome(HIER.xi_k, k, x) == _outcome(_fraction_xi_k, k, x)
 
 
 class TestChi:
