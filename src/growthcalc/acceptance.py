@@ -74,7 +74,8 @@ def check_catalog_chains() -> dict:
     """All catalog rows: O_F1(f0) -> 1 and each chain step -> -1."""
     fails: List[str] = []
     worst_spread = 0.0
-    for entry in classify.catalog():
+    rows = classify.catalog()
+    for entry in rows:
         rep = classify.verify_chain(entry)
         for pair in rep["pairs"]:
             worst_spread = max(worst_spread, pair["tail_spread"])
@@ -84,7 +85,7 @@ def check_catalog_chains() -> dict:
         if not rep["inverse_check"]["ok"]:
             fails.append(f"{entry.name}: inverse check")
     return _report("growth-catalog chains", not fails,
-                   f"8 rows, worst tail spread {worst_spread:.2e}"
+                   f"{len(rows)} rows, worst tail spread {worst_spread:.2e}"
                    + (f"; failures: {fails}" if fails else ""))
 
 

@@ -1,10 +1,12 @@
 """Growth-class machinery.
 
-The module houses the catalog of reference growth rates with their
-slow-function chains, a numeric class-0/1/2 decision procedure with
-re-checkable witnesses, constructors for functions sitting strictly between
-classes, sandwich bounds, the inverse-derivative ratio, and two boundary
-examples: the exact staircases and the wobbly log-derivative.
+The module holds the growth catalog as one table: each row is a reference
+growth rate with its chain of slower scales and the sample points each
+order pair of the chain is checked on.  Beside it sit a numeric
+class-0/1/2 decision procedure with re-checkable witnesses, constructors
+for functions sitting strictly between classes, sandwich bounds, the
+inverse-derivative ratio, and two boundary examples: the exact staircases
+and the wobbly log-derivative.
 
 Classes: a function f of class n admits an Abel-type scale F with
 O_F(f) = 1 whose inverse grows one class higher; x+2 is class 0, 2x and
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import ackermann, funcexpr, lixnum
@@ -42,38 +43,11 @@ __all__ = [
     "wobbly_log_derivative",
 ]
 
-_CATALOG_PATH = Path(__file__).with_name("catalog.txt")
 _CHAIN_TOL = 1e-3  # each catalog chain limit must sit this close to its target
 
 
 # ---------------------------------------------------------------------------
 # Catalog
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One table row: f0 and its chain F0..F4 of progressively slower scales."""
-
-    name: str
-    declared_class: int
-    f0: object  # expression text or a funcexpr.Fn
-    chain: Tuple[object, ...]  # (F0, F1, F2, F3, F4)
-
-
-_XI_INVERSE = funcexpr.Fn(ackermann.xi_inv_handle(3), text="xi_inv(x)")
-
-
-def catalog() -> List[CatalogEntry]:
-    entries = []
-    for line in _CATALOG_PATH.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, cls, f0, *chain = line.split("|")
-        f0_obj = _XI_INVERSE if f0 == _XI_INVERSE.text else f0
-        entries.append(CatalogEntry(name=name, declared_class=int(cls),
-                                    f0=f0_obj, chain=tuple(chain)))
-    return entries
 
 
 # Sample ladders.  Which regime a pair's limit settles in varies wildly:
@@ -86,37 +60,65 @@ _GEOM_TINY = Ladder.geometric(2.5, 1.35, 12)
 _GEOM_DEEP = Ladder.geometric(1e180, 1e6, 20)
 
 
-def _tower_points(lo: int = 2, hi: int = 41, mantissa: float = 0.5) -> list:
-    return [LIReal(j, mantissa) for j in range(lo, hi + 1)]
+def _tower_points(lo: int, hi: int) -> tuple:
+    return tuple(LIReal(j, 0.5) for j in range(lo, hi + 1))
 
 
-def _deep_tower_points(count: int = 12, mantissa: float = 0.5) -> list:
-    return [LIReal(10 ** (60 + 60 * i), mantissa) for i in range(count)]
+_TOWER = _tower_points(2, 41)
+_DEEP_TOWER = tuple(LIReal(10 ** (60 + 60 * i), 0.5) for i in range(12))
+# large mantissas: the residual error of sub-tower structure at level 4
+# decays like 1/log x, so stay near the top of the band
+_BAND = tuple(LIReal(4, 0.90 + 0.085 * i / 11) for i in range(12))
 
 
-def _band_points(level: int = 4, count: int = 12) -> list:
-    # large mantissas: the residual error of sub-tower structure at this
-    # level decays like 1/log x, so stay near the top of the band
-    return [LIReal(level, 0.90 + 0.085 * i / (count - 1)) for i in range(count)]
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One table row: f0, its chain F0..F4 of progressively slower scales,
+    and the sample points of each pair (F1, f0), (F2, F1), (F3, F2),
+    (F4, F3) that verify_chain checks."""
+
+    name: str
+    declared_class: int
+    f0: object  # expression text or a funcexpr.Fn
+    chain: Tuple[str, ...]  # (F0, F1, F2, F3, F4)
+    ladders: tuple  # one Ladder or point tuple per pair
 
 
-def _default_pair_ladders(name: str) -> list:
-    tower = _tower_points()
-    deep = _deep_tower_points()
-    table = {
-        "x+2": [_GEOM_SMALL, _GEOM_SMALL, tower, tower],
-        "x+sqrt(x)": [_GEOM_SMALL, _band_points(), tower, deep],
-        "x+x/log(x)": [_GEOM_DEEP, tower, tower, tower],
-        "2*x": [_GEOM_SMALL, tower, tower, tower],
-        "x^2": [_GEOM_SMALL, tower, deep, tower],
-        "exp(x)": [tower, tower, tower, tower],
-        "exp(exp(x))": [tower, deep, tower, tower],
-        "xi_inv(x)": [_GEOM_TINY, tower, tower, tower],
-    }
-    try:
-        return table[name]
-    except KeyError:
-        raise ValueError(f"no default ladders for catalog row {name!r}") from None
+# a = 2 wherever a row's family has a parameter (x+a, a*x, x^a)
+_CATALOG = (
+    CatalogEntry("x+2", 0, "x+2",
+                 ("x-2", "x/2", "log(x)/log(2)", "xi(x)", "xi_4(x)"),
+                 (_GEOM_SMALL, _GEOM_SMALL, _TOWER, _TOWER)),
+    CatalogEntry("x+sqrt(x)", 0, "x+sqrt(x)",
+                 ("x-sqrt(x)", "2*sqrt(x)", "log_2(x)/log(2)", "xi(x)/2",
+                  "xi_4(x)"),
+                 (_GEOM_SMALL, _BAND, _TOWER, _DEEP_TOWER)),
+    CatalogEntry("x+x/log(x)", 1, "x+x/log(x)",
+                 ("x-x/log(x)", "log(x)^2/2", "xi(x)", "xi_4(x)", "xi_5(x)"),
+                 (_GEOM_DEEP, _TOWER, _TOWER, _TOWER)),
+    CatalogEntry("2*x", 1, "2*x",
+                 ("x/2", "log(x)/log(2)", "xi(x)", "xi_4(x)", "xi_5(x)"),
+                 (_GEOM_SMALL, _TOWER, _TOWER, _TOWER)),
+    CatalogEntry("x^2", 1, "x^2",
+                 ("sqrt(x)", "log_2(x)/log(2)", "xi(x)/2", "xi_4(x)",
+                  "xi_5(x)"),
+                 (_GEOM_SMALL, _TOWER, _DEEP_TOWER, _TOWER)),
+    CatalogEntry("exp(x)", 2, "exp(x)",
+                 ("log(x)", "xi(x)", "xi_4(x)", "xi_5(x)", "xi_6(x)"),
+                 (_TOWER, _TOWER, _TOWER, _TOWER)),
+    CatalogEntry("exp(exp(x))", 2, "exp(exp(x))",
+                 ("log_2(x)", "xi(x)/2", "xi_4(x)", "xi_5(x)", "xi_6(x)"),
+                 (_TOWER, _DEEP_TOWER, _TOWER, _TOWER)),
+    CatalogEntry("xi_inv(x)", 3,
+                 funcexpr.Fn(ackermann.xi_inv_handle(3), text="xi_inv(x)"),
+                 ("xi(x)", "xi_4(x)", "xi_5(x)", "xi_6(x)", "xi_7(x)"),
+                 (_GEOM_TINY, _TOWER, _TOWER, _TOWER)),
+)
+
+
+def catalog() -> List[CatalogEntry]:
+    """The catalog rows, slowest growth first."""
+    return list(_CATALOG)
 
 
 def _ladder_desc(ladder) -> dict:
@@ -125,6 +127,15 @@ def _ladder_desc(ladder) -> dict:
     pts = list(ladder)
     return {"kind": "points", "count": len(pts),
             "first": str(pts[0]), "last": str(pts[-1])}
+
+
+def _order_check(F, f, ladder, target: float, tol: float) -> dict:
+    """O_F(f) estimated on ladder; ok when it converged to within tol of
+    target."""
+    est = order_of(F, f, ladder, tol=tol)
+    return {"lambda_hat": est.lambda_hat, "tail_spread": est.tail_spread,
+            "converged": est.converged,
+            "ok": est.converged and abs(est.lambda_hat - target) <= tol}
 
 
 def _inverse_check(f0: funcexpr.Fn, F0: funcexpr.Fn) -> dict:
@@ -145,21 +156,14 @@ def _inverse_check(f0: funcexpr.Fn, F0: funcexpr.Fn) -> dict:
 
 def verify_chain(entry: CatalogEntry) -> dict:
     """Check O_{F1}(f0) -> 1 and O_{F_{k+1}}(F_k) -> -1 for the row."""
-    ladders = _default_pair_ladders(entry.name)
     f0, *chain = (funcexpr.Fn(spec) for spec in (entry.f0, *entry.chain))
     pairs = [(chain[1], f0, 1.0)]
     for k in range(1, 4):
         pairs.append((chain[k + 1], chain[k], -1.0))
-    rows = []
-    for (F, f, target), ladder in zip(pairs, ladders):
-        est = order_of(F, f, ladder, tol=_CHAIN_TOL)
-        rows.append({
-            "F": F.text, "f": f.text, "target": target,
-            "lambda_hat": est.lambda_hat, "tail_spread": est.tail_spread,
-            "converged": est.converged,
-            "ok": est.converged and abs(est.lambda_hat - target) <= _CHAIN_TOL,
-            "ladder": _ladder_desc(ladder),
-        })
+    rows = [{"F": F.text, "f": f.text, "target": target,
+             **_order_check(F, f, ladder, target, _CHAIN_TOL),
+             "ladder": _ladder_desc(ladder)}
+            for (F, f, target), ladder in zip(pairs, entry.ladders)]
     inv = _inverse_check(f0, chain[0])
     return {
         "name": entry.name,
@@ -188,7 +192,7 @@ class ClassReport:
                 "order_checks": self.order_checks, "reason": self.reason}
 
 
-_K_LADDER_LO, _K_LADDER_HI = 2, 33
+_K_TOWER = _tower_points(2, 33)  # super-log order ladder
 _N_MIN, _N_MAX, _R_MAX = -2, 6, 6  # scan ranges of the log depth n and of r
 _MU_BAND, _MU_TOL, _ORDER_TOL = 0.05, 1e-2, 1e-3
 _MU_LADDERS = {
@@ -269,11 +273,9 @@ def _growth_precondition(fexpr) -> Tuple[bool, float]:
     return worst > 1.0, worst
 
 
-def _self_check(witness_text: str, fexpr, ladder, tol: float) -> dict:
-    est = order_of(witness_text, fexpr, ladder, tol=tol)
-    return {"witness": witness_text, "lambda_hat": est.lambda_hat,
-            "tail_spread": est.tail_spread, "converged": est.converged,
-            "ok": est.converged and abs(est.lambda_hat - 1.0) <= tol}
+def _self_check(witness_text: str, fexpr, ladder) -> dict:
+    return {"witness": witness_text,
+            **_order_check(witness_text, fexpr, ladder, 1.0, _ORDER_TOL)}
 
 
 def classify_expr(f) -> ClassReport:
@@ -299,16 +301,13 @@ def classify_expr(f) -> ClassReport:
                            reason="f(x) >= x + 1 + delta fails on the sample")
 
     # super-logarithm order first: positive k means class 2
-    k_est = order_of("xi(x)", fexpr, _tower_points(_K_LADDER_LO, _K_LADDER_HI),
-                     tol=_ORDER_TOL)
+    k_est = order_of("xi(x)", fexpr, _K_TOWER, tol=_ORDER_TOL)
     diags["k_hat"] = k_est.lambda_hat
     checks = []
     if k_est.converged and k_est.lambda_hat >= 0.9:
         k = round(k_est.lambda_hat)
         witness = "xi(x)" if k == 1 else f"xi(x)/{k}"
-        chk = _self_check(witness, fexpr,
-                          _tower_points(_K_LADDER_LO, _K_LADDER_HI),
-                          _ORDER_TOL)
+        chk = _self_check(witness, fexpr, _K_TOWER)
         checks.append(chk)
         if chk["ok"]:
             return ClassReport("2", witness, diags, checks)
@@ -339,7 +338,7 @@ def classify_expr(f) -> ClassReport:
             else:
                 witness, cls, lad = (f"log_{n + 2}(x)/{_fmt(log_mu)}", "1",
                                      _CHECK_LADDER)
-            chk = _self_check(witness, fexpr, lad, _ORDER_TOL)
+            chk = _self_check(witness, fexpr, lad)
             checks.append(chk)
             if chk["ok"]:
                 return ClassReport(cls, witness, diags, checks)
@@ -383,7 +382,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
             F = Binary("/", Binary("*", h_expr, _logk_expr(Var(), n + 2)),
                        Const(c_hat + 1.0))
             witness = funcexpr.to_text(F)
-            chk = _self_check(witness, fexpr, _GEOM_DEEP, _ORDER_TOL)
+            chk = _self_check(witness, fexpr, _GEOM_DEEP)
             checks.append(chk)
             if chk["ok"]:
                 return ClassReport("1", witness, diags, checks)
@@ -411,7 +410,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
                     den = t if den is None else Binary("*", den, t)
                 F = num if den is None else Binary("/", num, den)
                 witness = funcexpr.to_text(F)
-                chk = _self_check(witness, fexpr, check_pts, _ORDER_TOL)
+                chk = _self_check(witness, fexpr, check_pts)
                 checks.append(chk)
                 diags["r"] = r
                 diags["k_of_h"] = k
@@ -432,13 +431,9 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
 class BetweenClassFn:
     """f = Xi_m^{-1}(Xi_m + c / H_m(F)): sits strictly between the class of
     F^{-1} minus one and that class, for suitable F.
-
-    inverse_form=True instead defines f through its inverse
-    f^{-1} = Xi_m^{-1}(Xi_m - c / H_m(F)), which is guaranteed strictly
-    increasing; __call__ then inverts numerically.
     """
 
-    def __init__(self, F, m: int, c: float = 1.0, inverse_form: bool = False):
+    def __init__(self, F, m: int, c: float = 1.0):
         if m < 2:
             raise DomainError("H_m is undefined below level 2")
         if c <= 0:
@@ -447,36 +442,24 @@ class BetweenClassFn:
         self.F, self.F_text = fn.raw, fn.text or repr(F)
         self.m = m
         self.c = float(c)
-        self.inverse_form = inverse_form
 
     def describe(self) -> str:
-        side = "inverse of " if self.inverse_form else ""
-        return (f"{side}xi_{self.m}-shift by {self.c}/H_{self.m}"
-                f"({self.F_text})")
-
-    def _shift(self, x: float) -> float:
-        H = HIER.H_k(self.m, self.F(x))
-        try:
-            H = float(H)
-        except DomainError:
-            return 0.0  # H beyond float range: the shift underflows
-        return self.c / H
+        return f"xi_{self.m}-shift by {self.c}/H_{self.m}({self.F_text})"
 
     def _forward(self, x: float) -> float:
         base = float(HIER.xi_k(self.m, x))
-        return lixnum.to_real(HIER.xi_k_inv(self.m, base + self._shift(x)))
+        H = HIER.H_k(self.m, self.F(x))
+        try:
+            shift = self.c / float(H)
+        except DomainError:
+            shift = 0.0  # H beyond float range: the shift underflows
+        return lixnum.to_real(HIER.xi_k_inv(self.m, base + shift))
 
     def inverse(self, y: float) -> float:
-        if self.inverse_form:
-            base = float(HIER.xi_k(self.m, y))
-            return lixnum.to_real(
-                HIER.xi_k_inv(self.m, base - self._shift(y)))
         return funcexpr._bisect(self._forward, y, y / 4.0, y * 4.0 + 4.0)
 
     def __call__(self, x: float) -> float:
-        if not self.inverse_form:
-            return self._forward(x)
-        return funcexpr._bisect(self.inverse, x, x / 4.0, x * 4.0 + 4.0)
+        return self._forward(x)
 
 
 # ---------------------------------------------------------------------------

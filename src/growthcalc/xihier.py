@@ -111,10 +111,9 @@ class XiHierarchy:
                 n += 1
                 if n > _MAX_STEPS:
                     raise DomainError(f"xi_{k} pullback failed to terminate")
-        yf = float(y)
-        if yf < BASE - 1e-9:
+        if not self._at_least(y, BASE - 1e-9):
             raise DomainError(f"xi_{k} argument below its base {BASE}")
-        return n + self._seed(min(max(yf, BASE), TOP))
+        return n + self._seed(min(max(float(y), BASE), TOP))
 
     @staticmethod
     def _xi_3_steps(x):

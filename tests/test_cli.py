@@ -244,6 +244,15 @@ class TestExitCodes:
         assert ("DomainError: the level-index value L4:0.63221236055100749 "
                 "cannot be negated") in err
 
+    def test_xi_4_far_below_its_base_is_two(self, capsys):
+        # xi(x) on a tower of level 10^400 is 10^400 + 1/2, past the float
+        # range; its negative is below xi_4's base, and the error says so
+        code, out, err = run(capsys, "eval", "xi_4(0-xi(x))",
+                             "--at", f"L1{'0' * 400}:0.5")
+        assert code == 2
+        assert out == ""
+        assert "DomainError: xi_4 argument below its base" in err
+
     def test_negated_zero_tower_is_zero(self, capsys):
         data = run_json(capsys, "eval", "--at", "L0:0", "--", "-x")
         assert data["points"][0]["value"] == "L0:0"

@@ -19,8 +19,7 @@ class TestLadder:
         # every ladder the catalog, the classifier and the CLI default to
         # keeps the points of the plain formula, bit for bit
         from growthcalc import classify
-        ladders = [lad for row in classify.catalog()
-                   for lad in classify._default_pair_ladders(row.name)
+        ladders = [lad for row in classify.catalog() for lad in row.ladders
                    if isinstance(lad, Ladder)]
         ladders += list(classify._MU_LADDERS.values()) + [
             classify._MU_LADDER_WIDE, classify._CHECK_LADDER, DEEP]

@@ -87,10 +87,9 @@ def _fraction_xi_k(k, x):
         n += 1
         if n > 10 ** 6:
             raise DomainError(f"xi_{k} pullback failed to terminate")
-    yf = float(y)
-    if yf < BASE - 1e-9:
+    if not HIER._at_least(y, BASE - 1e-9):
         raise DomainError(f"xi_{k} argument below its base {BASE}")
-    return n + HIER._seed(min(max(yf, BASE), TOP))
+    return n + HIER._seed(min(max(float(y), BASE), TOP))
 
 
 def _outcome(fn, *args):
@@ -112,7 +111,7 @@ _EDGE_ARGS = [
     Fraction(math.e),
     *[LIReal(k, m) for k in _BIG_LEVELS for m in (0.0, 0.5, math.nextafter(1.0, 0.0))],
     LIReal(-1, 0.5), LIReal(-1, 0.0), LIReal(-2, 0.5),
-    Fraction(10 ** 400, 3), Fraction(-(10 ** 400), 3),
+    Fraction(10 ** 400, 3), Fraction(-(10 ** 400), 3), -(10 ** 400),
     2.0, 1.5, 1e300, LIReal(7, 0.0), LIReal(4, 0.9),
 ]
 
