@@ -42,7 +42,8 @@ _N_EXACT = {3: 3, 4: 1}
 _N_MAX = {0: None, 1: None, 2: 10 ** 4, 3: 6, 4: 2}
 _M_MAX = 4
 
-_memo: dict = {(0, 0): 2}
+# towers only (m >= 3); the m <= 2 values are O(1) closed forms
+_memo: dict = {}
 
 
 def supported_envelope() -> dict:
@@ -71,6 +72,23 @@ def _a2_step(v: Union[int, LIReal]) -> Union[int, LIReal]:
                                     lixnum.from_real(_LN2)))
 
 
+def _a2_iterate(v: Union[int, LIReal], count: int) -> Union[int, LIReal]:
+    """count applications of A(2, .) to v.
+
+    Above level EXACT_ARITH_MAX_LEVEL + 1 a step is an exact level
+    increment: add absorbs the +2, and mul's inner add absorbs ln ln 2
+    one level down, so the mantissa stays and the result is flagged
+    absorbed.  Once v is such an absorbed tower, the remaining steps are
+    one level jump.
+    """
+    for done in range(count):
+        if (isinstance(v, LIReal) and v.absorbed
+                and v.level > lixnum.EXACT_ARITH_MAX_LEVEL + 1):
+            return LIReal(v.level + count - done, v.mantissa, absorbed=True)
+        v = _a2_step(v)
+    return v
+
+
 def ack(m: int, n: int) -> Union[int, LIReal]:
     """A(m, n): exact integer while feasible, level-index tower beyond."""
     _check_range(m, n)
@@ -93,10 +111,9 @@ def ack(m: int, n: int) -> Union[int, LIReal]:
         if not isinstance(inner, int):
             raise DomainError("ack(4, n) needs an integer inner height")
         # A(3, inner): iterate the A(2, .) step from A(3, 0) = 2
-        val = 2
-        for _ in range(inner):
-            val = _a2_step(val)
-    _memo[key] = val
+        val = _a2_iterate(2, inner)
+    if m >= 3:
+        _memo[key] = val
     return val
 
 

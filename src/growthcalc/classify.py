@@ -206,9 +206,33 @@ _FRAC_DEEP = [Fraction(10) ** k for k in range(30, 90, 5)]
 _FRAC_MID = [Fraction(10) ** k for k in range(5, 17)]
 
 
-def _log_ratios(h, pts, r: int, s: int) -> list:
-    """log_r h(x) / log_s x at each x of pts; EvalError where a log leaves
-    its domain or the denominator is 0."""
+# what a failed scan raises; the scans skip or report it and go on
+_SCAN_ERRORS = (EvalError, DomainError, ValueError, OverflowError)
+
+
+def _float_values(expr) -> Callable:
+    """x -> float(evaluate(expr, x)), evaluated at most once per point; a
+    point whose evaluation failed raises the same exception again."""
+    memo: dict = {}
+
+    def value(x):
+        if x not in memo:
+            try:
+                memo[x] = float(evaluate(expr, x))
+            except _SCAN_ERRORS as exc:
+                memo[x] = exc
+        got = memo[x]
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    return value
+
+
+def _log_ratios(h: Callable, pts, r: int, s: int) -> list:
+    """log_r h(x) / log_s x at each x of pts, for h a float function such
+    as _float_values gives; EvalError where a log leaves its domain or the
+    denominator is 0."""
 
     def log_n(v: float, n: int) -> float:
         for _ in range(n):
@@ -219,7 +243,7 @@ def _log_ratios(h, pts, r: int, s: int) -> list:
 
     out = []
     for x in pts:
-        a, b = log_n(float(evaluate(h, x)), r), log_n(float(x), s)
+        a, b = log_n(h(x), r), log_n(float(x), s)
         if b == 0:
             raise EvalError("iterated log hit zero")
         out.append(a / b)
@@ -246,7 +270,7 @@ def _mu_estimate(fexpr, n: int):
             diff = float(evaluate(fexpr, x)) - x
             vals.append(math.exp(diff) if diff < 700 else math.inf)
     else:
-        vals = _log_ratios(fexpr, pts, n + 1, n + 1)
+        vals = _log_ratios(_float_values(fexpr), pts, n + 1, n + 1)
     mean, _, settled = _settle(vals, _MU_TOL)
     return mean, settled
 
@@ -318,7 +342,7 @@ def classify_expr(f) -> ClassReport:
     for n in range(_N_MIN, _N_MAX + 1):
         try:
             mu, converged = _mu_estimate(fexpr, n)
-        except (EvalError, DomainError, ValueError, OverflowError) as exc:
+        except _SCAN_ERRORS as exc:
             mu_scan[n] = f"failed: {exc}"
             continue
         mu_scan[n] = {"mu_hat": mu if math.isfinite(mu) else "inf",
@@ -368,12 +392,13 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
                                _logk_expr(Var(), n + 2)))
         scan_pts = _GEOM_DEEP.points()
     diags["h"] = funcexpr.to_text(h_expr)
+    h = _float_values(h_expr)  # shared by the c-scan and every (k, r) scan
 
     # subcase: log h ~ c log_{n+3} x with finite c  =>  F = h log_{n+2} x / (c+1)
     try:
         c_hat, spread, settled = _settle(
-            _log_ratios(h_expr, scan_pts, 1, n + 3), _MU_TOL)
-    except (EvalError, DomainError, ValueError, OverflowError) as exc:
+            _log_ratios(h, scan_pts, 1, n + 3), _MU_TOL)
+    except _SCAN_ERRORS as exc:
         diags["c_scan"] = f"failed: {exc}"
     else:
         diags["c_hat"] = c_hat
@@ -395,8 +420,8 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
             if r + k < 1:
                 continue
             try:
-                ratios = _log_ratios(h_expr, scan_pts, r, r + k)
-            except (EvalError, DomainError, ValueError, OverflowError):
+                ratios = _log_ratios(h, scan_pts, r, r + k)
+            except _SCAN_ERRORS:
                 continue
             tail = _tail(ratios)
             r_table[(k, r)] = tail[-1]

@@ -14,6 +14,7 @@ data-bearing runs, 1 for usage errors, 2 for evaluation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,6 +44,24 @@ def _parse_point(text: str):
     x = float(text)
     if not math.isfinite(x):
         raise ValueError(f"point must be finite, got {text!r}")
+    return x
+
+
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return x
 
 
@@ -208,7 +227,10 @@ def cmd_repro(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on first use and shared by every main call:
+    it keeps no per-call state, parse_args returns a fresh Namespace."""
     p = _Parser(prog="growthcalc",
                 description="Growth-rate calculus: super-logarithm arithmetic, "
                             "Abel equations, orders of growth, and the "
@@ -239,7 +261,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--F", required=True)
     sp.add_argument("--f", required=True)
     sp.add_argument("--ladder")
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=_positive_float, default=1e-3)
 
     sp = add("classify", cmd_classify, "growth-class decision with witness")
     sp.add_argument("expr")
@@ -252,9 +274,10 @@ def build_parser() -> _Parser:
 
     sp = add("iterate", cmd_iterate, "fractional iterate via an Abel solution")
     sp.add_argument("--f", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float,
+                    required=True)
     sp.add_argument("--at", required=True)
-    sp.add_argument("--base", type=float, default=0.5,
+    sp.add_argument("--base", type=_finite_float, default=0.5,
                     help="fundamental-domain base for the Abel solution")
     sp.add_argument("--twice", action="store_true",
                     help="apply the iterate twice")

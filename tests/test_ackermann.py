@@ -52,6 +52,29 @@ class TestExactValues:
         assert isinstance(w, LIReal) and w > v
         assert isinstance(ack(4, 2), LIReal)
 
+    def test_a4_2_pinned(self):
+        # the value 65,534 plain A(2, .) steps give; the level jump must
+        # keep it, absorbed flag included
+        assert repr(ack(4, 2)) == "LIReal(65535, 0.8639313890411017, absorbed)"
+
+    def test_level_jump_matches_plain_stepping(self):
+        def key(v):
+            if isinstance(v, LIReal):
+                return (v.level, v.mantissa, v.absorbed)
+            return v
+
+        v = 2
+        for count in range(300):
+            assert key(ackermann._a2_iterate(2, count)) == key(v), count
+            v = ackermann._a2_step(v)
+
+    def test_memo_holds_only_towers(self):
+        for m in range(5):
+            for n in range(3):
+                ack(m, n)
+        assert ackermann._memo
+        assert all(m >= 3 for m, _ in ackermann._memo)
+
     def test_range_guards(self):
         with pytest.raises(DomainError):
             ack(5, 0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from growthcalc import classify, lixnum
+from growthcalc import classify, funcexpr, lixnum
 from growthcalc.classify import (
     BetweenClassFn, catalog, classify_expr, inverse_derivative_ratio,
     sandwich_bounds, sandwich_bracket_report, scaled_xi_increment,
@@ -72,6 +72,24 @@ class TestClassifier:
         rep = classify_expr("log(x)")
         assert rep.verdict == "inconclusive"
         assert rep.reason
+
+    def test_h_is_evaluated_once_per_scan_point(self, monkeypatch):
+        # the c-scan and every (k, r) scan of the mu = 1 route read h at
+        # the same points
+        calls = {}
+        evaluate = classify.evaluate
+
+        def counting(expr, x):
+            key = (funcexpr.to_text(expr), x)
+            calls[key] = calls.get(key, 0) + 1
+            return evaluate(expr, x)
+
+        monkeypatch.setattr(classify, "evaluate", counting)
+        rep = classify_expr("x+log(x)")
+        h = rep.diagnostics["h"]
+        h_calls = [n for (text, _), n in calls.items() if text == h]
+        assert len(h_calls) >= len(classify._FRAC_DEEP)
+        assert max(h_calls) == 1
 
 
 class TestBetweenClass:

@@ -156,11 +156,10 @@ class TestIterate:
         assert out == ""
         assert "base" in err
 
-    @pytest.mark.parametrize("lam", ["1e9", "nan"])
-    def test_unreachable_lambda_is_two_at_once(self, capsys, lam):
+    def test_unreachable_lambda_is_two_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run(capsys, "iterate", "--f", "2*x", "--lambda", lam,
-                             "--at", "3")
+        code, out, err = run(capsys, "iterate", "--f", "2*x", "--lambda",
+                             "1e9", "--at", "3")
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
@@ -225,6 +224,26 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["order", "--F", "log(x)"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv,option", [
+        (["order", "--F", "log(x)", "--f", "x^2", "--tol", "nan"], "--tol"),
+        (["order", "--F", "log(x)", "--f", "x^2", "--tol", "-1"], "--tol"),
+        (["order", "--F", "log(x)", "--f", "x^2", "--tol", "0"], "--tol"),
+        (["iterate", "--f", "2*x", "--lambda", "0.5", "--at", "3",
+          "--base", "nan"], "--base"),
+        (["iterate", "--f", "2*x", "--lambda", "nan", "--at", "3"],
+         "--lambda"),
+        (["iterate", "--f", "2*x", "--lambda", "inf", "--at", "3"],
+         "--lambda"),
+    ], ids=["tol-nan", "tol-negative", "tol-zero", "base-nan", "lambda-nan",
+            "lambda-inf"])
+    def test_bad_numeric_option_is_one(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out == ""
+        assert f"argument {option}:" in err
 
     def test_parse_error_is_two(self, capsys):
         code, _, err = run(capsys, "eval", "x+")
@@ -291,6 +310,49 @@ class TestExitCodes:
         assert out == ""
         assert "nested too deeply" in err
         assert "Traceback" not in err
+
+
+class TestSharedParser:
+    CALLS = [
+        ["--format", "text", "eval", "2*x", "--at", "4"],
+        ["eval", "x^2+1", "--at", "3"],
+        ["--format", "csv", "plotdata", "x^2", "--ladder", "geom:1:2:8"],
+        ["xi", "--k", "2", "--at", "10"],
+        ["--format", "text", "ack", "3", "2"],
+        ["iterate", "--f", "2*x", "--lambda", "0.5", "--at", "3",
+         "--base", "0.75"],
+        ["iterate", "--f", "2*x", "--lambda", "0.5", "--at", "3"],
+        ["plotdata", "x+1", "--ladder", "geom:1:2:4"],  # too short: exit 2
+        ["order", "--F", "xi(x)", "--f", "exp(x)", "--tol", "0.01"],
+        ["order", "--F", "xi(x)", "--f", "exp(x)"],
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_print_what_lone_calls_print(self, capsys):
+        lone = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            lone.append(run(capsys, *argv))
+        assert [r[0] for r in lone] == [0] * 7 + [2] + [0] * 2
+        assert [run(capsys, *argv) for argv in self.CALLS] == lone
+
+    def test_defaults_do_not_leak_between_calls(self):
+        parser = cli.build_parser()
+        parser.parse_args(["iterate", "--f", "x", "--lambda", "1", "--at",
+                           "1", "--base", "0.75", "--twice"])
+        args = parser.parse_args(["iterate", "--f", "x", "--lambda", "1",
+                                  "--at", "1"])
+        assert (args.base, args.twice, args.seed_cache) == (0.5, False, None)
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["order", "--F", "log(x)"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        data = run_json(capsys, "eval", "x^2+1", "--at", "3")
+        assert data["points"] == [{"x": 3.0, "value": 10.0}]
 
 
 class TestStrictJson:
