@@ -26,7 +26,6 @@ from .xihier import HIER
 
 __all__ = [
     "ack",
-    "ack_closed_form",
     "G_real",
     "A_real",
     "op_L",
@@ -115,17 +114,6 @@ def ack(m: int, n: int) -> Union[int, LIReal]:
     if m >= 3:
         _memo[key] = val
     return val
-
-
-def ack_closed_form(m: int, n: int) -> int:
-    """The m <= 2 closed forms, kept separate as an independent cross-check."""
-    if m == 0:
-        return n + 2
-    if m == 1:
-        return 2 * n + 2
-    if m == 2:
-        return 2 ** (n + 2) - 2
-    raise DomainError(f"no closed form for m={m!r}")
 
 
 # ---------------------------------------------------------------------------

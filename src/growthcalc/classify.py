@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import ackermann, funcexpr, lixnum
 from .abel import TableSeed
-from .funcexpr import Call, Binary, Const, EvalError, Var, evaluate
+from .funcexpr import Call, Binary, Const, EvalError, Var, compile_expr
 from .lixnum import DomainError, LIReal
 from .orders import Ladder, _tail, order_of
 from .xihier import HIER
@@ -211,14 +211,14 @@ _SCAN_ERRORS = (EvalError, DomainError, ValueError, OverflowError)
 
 
 def _float_values(expr) -> Callable:
-    """x -> float(evaluate(expr, x)), evaluated at most once per point; a
-    point whose evaluation failed raises the same exception again."""
-    memo: dict = {}
+    """x -> float(expr at x), evaluated at most once per point; a point
+    whose evaluation failed raises the same exception again."""
+    f, memo = compile_expr(expr), {}
 
     def value(x):
         if x not in memo:
             try:
-                memo[x] = float(evaluate(expr, x))
+                memo[x] = float(f(x))
             except _SCAN_ERRORS as exc:
                 memo[x] = exc
         got = memo[x]
@@ -265,9 +265,9 @@ def _mu_estimate(fexpr, n: int):
     (iterated exp when n+1 < 0, so n = -2 probes f - x directly)."""
     pts = _MU_LADDERS.get(n, _MU_LADDER_WIDE).points()
     if n == -2:
-        vals = []
+        f, vals = compile_expr(fexpr), []
         for x in pts:
-            diff = float(evaluate(fexpr, x)) - x
+            diff = float(f(x)) - x
             vals.append(math.exp(diff) if diff < 700 else math.inf)
     else:
         vals = _log_ratios(_float_values(fexpr), pts, n + 1, n + 1)
@@ -288,9 +288,9 @@ def _fmt(v: float) -> str:
 
 
 def _growth_precondition(fexpr) -> Tuple[bool, float]:
-    worst = math.inf
+    f, worst = compile_expr(fexpr), math.inf
     for x in Ladder.geometric(4.0, 2.5, 12).points():
-        fx = evaluate(fexpr, x)
+        fx = f(x)
         if isinstance(fx, LIReal) and fx.level >= 2:
             continue  # far beyond x + 1 already
         worst = min(worst, float(fx) - x)

@@ -96,7 +96,8 @@ def cmd_eval(args) -> int:
         pts = [_parse_point(args.at)]
     else:
         _, pts = _ladder_points(args, Ladder.geometric(10.0, 10.0, 8))
-    vals = [funcexpr.evaluate(expr, x) for x in pts]
+    f = funcexpr.compile_expr(expr)
+    vals = [f(x) for x in pts]
     rows = [{"x": _render_value(x if isinstance(x, LIReal) else float(x)),
              "value": _render_value(v)} for x, v in zip(pts, vals)]
     _emit(args, {"expr": args.expr, "points": rows},
@@ -197,7 +198,8 @@ def cmd_iterate(args) -> int:
 def cmd_plotdata(args) -> int:
     expr = funcexpr.parse(args.expr)
     _, pts = _ladder_points(args, Ladder.geometric(1.0, 2.0, 24))
-    vals = [funcexpr.evaluate(expr, x) for x in pts]
+    f = funcexpr.compile_expr(expr)
+    vals = [f(x) for x in pts]
     lines = ["x,f(x)"] + [f"{_render_value(x)},{_render_value(v)}"
                           for x, v in zip(pts, vals)]
     if args.format == "json":

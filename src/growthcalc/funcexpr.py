@@ -12,9 +12,10 @@ Grammar (whitespace-insensitive)::
 
 Function names: exp, log, log_<k>, sqrt, sin, abs, xi, xi_<k>, chi, plus the
 numeric-derivative forms dxi_<k> and dchi emitted by differentiate().
-evaluate(expr, x) works over plain floats or over level-index numbers
-(LIReal); in the latter mode exp/log become exact level shifts.  The xi,
-xi_k, chi and dxi_k nodes read the one fixed hierarchy, xihier.HIER.
+compile_expr(expr), the one evaluator, turns an expression into closures
+with float fast paths that also take Fractions or level-index numbers
+(LIReal), where exp/log become exact level shifts.  The xi, xi_k, chi and
+dxi_k nodes read the one fixed hierarchy, xihier.HIER.
 invert(expr) builds the exact inverse of an increasing expression from the
 invertible fragment (x+c, c*x, x^c, c^x, exp, log, log_k, sqrt, @).
 Fn resolves a function spec (text, a FuncExpr, a callable) once; every
@@ -49,6 +50,7 @@ __all__ = [
     "parse",
     "to_text",
     "evaluate",
+    "compile_expr",
     "differentiate",
     "invert",
     "affine_step",
@@ -56,7 +58,6 @@ __all__ = [
     "invert_at",
 ]
 
-Number = Union[float, Fraction]
 Value = Union[float, Fraction, LIReal]
 
 
@@ -310,6 +311,7 @@ def to_text(e: FuncExpr) -> str:
 
 
 _LI_ZERO = LIReal(0, 0.0)
+_INF = math.inf
 
 
 def _is_li(v) -> bool:
@@ -342,19 +344,17 @@ def _log(v: Value) -> Value:
     return math.log(x)
 
 
-def _log_k(v: Value, k: int) -> Value:
-    for _ in range(k):
-        v = _log(v)
-    return v
-
-
 def _pow(b: Value, p: Value) -> Value:
     if _is_li(b) or _is_li(p):
         bl = lixnum.to_li(b)
         if bl.level == 0 and bl.mantissa == 0.0:
-            return bl  # 0^p
+            if p < 0:
+                raise EvalError(f"zero to the negative power {p!r}")
+            return lixnum.exp_li(bl) if p <= 0 else bl  # 0^0 = e^0 = 1
         return lixnum.exp_li(lixnum.mul(lixnum.ln_li(bl), lixnum.to_li(p)))
     bf, pf = float(b), float(p)
+    if bf == 0.0 and pf < 0.0:
+        raise EvalError(f"zero to the negative power {pf!r}")
     try:
         r = bf ** pf
     except OverflowError:
@@ -378,14 +378,7 @@ _OPS = {"+": (operator.add, lixnum.add), "-": (operator.sub, lixnum.sub),
 
 
 def _binary(op: str, a: Value, b: Value) -> Value:
-    if type(a) is float and type(b) is float and op in "+-*":  # the common case
-        r = a + b if op == "+" else a - b if op == "-" else a * b
-        if r == math.inf and op == "*" and 0.0 < a < r and 0.0 < b < r:
-            # promote instead of overflowing, as _pow does
-            return lixnum.mul(lixnum.from_real(a), lixnum.from_real(b))
-        return r
-    if op == "^":
-        return _pow(a, b)
+    """a op b for + - * / where the compiled float fast path does not apply."""
     num, li = _OPS[op]
     if _is_li(a) or _is_li(b):
         return li(lixnum.to_li(a), lixnum.to_li(b))
@@ -396,7 +389,11 @@ def _binary(op: str, a: Value, b: Value) -> Value:
             a, b = Fraction(a), Fraction(b)
         except (ValueError, OverflowError):
             pass
-    return num(a, b)
+    r = num(a, b)
+    if op == "*" and r == _INF and type(a) is float and type(b) is float and 0.0 < a < r and 0.0 < b < r:
+        # a float product past the range promotes, as _pow does
+        return lixnum.mul(lixnum.from_real(a), lixnum.from_real(b))
+    return r
 
 
 _NUMDIFF_STEP = 1e-5
@@ -407,65 +404,179 @@ def _numdiff(f, x: float) -> float:
     return (float(f(x + h)) - float(f(x - h))) / (2 * h)
 
 
-def evaluate(expr: FuncExpr, x: Value) -> Value:
-    if isinstance(expr, Var):
-        return x
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Binary):
-        return _binary(expr.op, evaluate(expr.left, x), evaluate(expr.right, x))
-    if isinstance(expr, Call):
-        v = evaluate(expr.arg, x)
-        fn = expr.fn
-        if fn == "exp":
-            return _exp(v)
-        if fn == "log":
-            return _log(v)
-        if fn == "log_k":
-            return _log_k(v, expr.param)
-        if fn == "sqrt":
-            if _is_li(v):
-                return _pow(v, 0.5)
-            vf = float(v)
-            if vf < 0:
-                raise EvalError(f"sqrt of negative value {vf!r}")
-            return math.sqrt(vf)
-        if fn == "sin":
-            try:
-                return math.sin(float(v))
-            except DomainError as exc:
-                raise PrecisionError(f"sin needs a float argument ({exc}): "
-                                     "argument reduction is meaningless") from None
-        if fn == "abs":
-            if _is_li(v):
-                if v.level == -1:
-                    return lixnum.from_real(-lixnum.to_real(v))
-                return v
-            return abs(v)
-        if fn == "xi":
-            return HIER.xi_k(3, v)
-        if fn == "xi_k":
-            return HIER.xi_k(expr.param, v)
-        if fn == "chi":
-            return HIER.chi(v)
-        if fn == "dxi_k":
-            return HIER._xi_k_deriv(expr.param, float(v))
-        if fn == "dchi":
-            return _numdiff(HIER.chi, float(v))
-        raise EvalError(f"unknown function {fn!r}")
-    if isinstance(expr, NamedConst):
-        return math.e if expr.name == "e" else math.pi
-    if isinstance(expr, Neg):
-        v = evaluate(expr.arg, x)
+def _call_value(node: Call, v: Value) -> Value:
+    """The value of the call node at the value v of its argument."""
+    fn = node.fn
+    if fn == "exp":
+        return _exp(v)
+    if fn == "log":
+        return _log(v)
+    if fn == "log_k":
+        for _ in range(node.param):
+            v = _log(v)
+        return v
+    if fn == "sqrt":
         if _is_li(v):
+            return _pow(v, 0.5)
+        vf = float(v)
+        if vf < 0:
+            raise EvalError(f"sqrt of negative value {vf!r}")
+        return math.sqrt(vf)
+    if fn == "sin":
+        try:
+            return math.sin(float(v))
+        except DomainError as exc:
+            raise PrecisionError(f"sin needs a float argument ({exc}): "
+                                 "argument reduction is meaningless") from None
+    if fn == "abs":
+        if _is_li(v):
+            if v.level == -1:
+                return lixnum.from_real(-lixnum.to_real(v))
+            return v
+        return abs(v)
+    if fn == "xi":
+        return HIER.xi_k(3, v)
+    if fn == "xi_k":
+        return HIER.xi_k(node.param, v)
+    if fn == "chi":
+        return HIER.chi(v)
+    if fn == "dxi_k":
+        return HIER._xi_k_deriv(node.param, float(v))
+    if fn == "dchi":
+        return _numdiff(HIER.chi, float(v))
+    raise EvalError(f"unknown function {fn!r}")
+
+
+# float arguments strictly inside (lo, hi) take the math function directly;
+# exp stays finite below 709
+_FLOAT_CALLS = {"sqrt": (math.sqrt, 0.0, _INF), "log": (math.log, 0.0, _INF),
+                "exp": (math.exp, -_INF, 709.0)}
+
+
+def _binary_node(op: str, a, b):
+    """The closure for a op b; an overflow leaves the float fast path and
+    promotes in _binary or _pow."""
+    if op == "+":
+        def node(x):
+            u, v = a(x), b(x)
+            if type(u) is float and type(v) is float:
+                return u + v
+            return _binary("+", u, v)
+    elif op == "-":
+        def node(x):
+            u, v = a(x), b(x)
+            if type(u) is float and type(v) is float:
+                return u - v
+            return _binary("-", u, v)
+    elif op == "*":
+        def node(x):
+            u, v = a(x), b(x)
+            if type(u) is float and type(v) is float:
+                r = u * v
+                if r != _INF:
+                    return r
+            return _binary("*", u, v)
+    elif op == "/":
+        def node(x):
+            u, v = a(x), b(x)
+            if type(u) is float and type(v) is float and v != 0.0:
+                return u / v
+            return _binary("/", u, v)
+    else:
+        def node(x):
+            u, p = a(x), b(x)
+            if type(u) is float and type(p) is float and u > 0.0:
+                try:
+                    r = u ** p
+                except OverflowError:
+                    r = _INF
+                if r < _INF:
+                    return r
+            return _pow(u, p)
+    return node
+
+
+def _sum_chain(expr: Binary):
+    """A left-deep chain t0 ± t1 ± ... ± tn as one loop over its terms,
+    combined left to right as the nested nodes would be."""
+    terms = []
+    while isinstance(expr, Binary) and expr.op in "+-":
+        terms.append((expr.op, _compile(expr.right)))
+        expr = expr.left
+    terms.reverse()
+    first = _compile(expr)
+
+    def total(x):
+        acc = first(x)
+        for op, term in terms:
+            v = term(x)
+            if type(acc) is float and type(v) is float:
+                acc = acc + v if op == "+" else acc - v
+            else:
+                acc = _binary(op, acc, v)
+        return acc
+    return total
+
+
+def compile_expr(expr: FuncExpr) -> Callable[[Value], Value]:
+    """expr as a function of x: nested closures, one per node.
+
+    Each closure takes a float fast path for + - * /, ^, unary minus,
+    sqrt, log and exp, and otherwise falls back to _binary, _pow and
+    _call_value, so Fractions, towers, overflow promotion and errors are
+    the same on both paths.  A left-deep chain of + and - is one loop, so
+    a long flat sum needs no recursion.  Compile an expression once and
+    call the result at every point.
+    """
+    return _compile(expr)
+
+
+def _compile(expr: FuncExpr) -> Callable[[Value], Value]:
+    # recursion stays off the public name: one compile is one compile_expr
+    # call, and a tracer that wraps public functions wraps no node
+    if isinstance(expr, Var):
+        return lambda x: x
+    if isinstance(expr, (Const, NamedConst)):
+        c = expr.value if isinstance(expr, Const) else math.e if expr.name == "e" else math.pi
+        return lambda x: c
+    if isinstance(expr, Binary):
+        if expr.op in "+-" and isinstance(expr.left, Binary) and expr.left.op in "+-":
+            return _sum_chain(expr)
+        return _binary_node(expr.op, _compile(expr.left), _compile(expr.right))
+    if isinstance(expr, Call):
+        node, arg = expr, _compile(expr.arg)
+        fast = _FLOAT_CALLS.get(expr.fn)
+        if fast is None:
+            return lambda x: _call_value(node, arg(x))
+        f, lo, hi = fast
+
+        def call(x):
+            v = arg(x)
+            if type(v) is float and lo < v < hi:
+                return f(v)
+            return _call_value(node, v)
+        return call
+    if isinstance(expr, Neg):
+        arg = _compile(expr.arg)
+
+        def neg(x):
+            v = arg(x)
+            if not isinstance(v, LIReal):
+                return -v
             if v > _LI_ZERO:
                 raise DomainError(f"the level-index value {lixnum.format_li(v)} "
                                   "cannot be negated")
             return lixnum.sub(_LI_ZERO, v)
-        return -v
+        return neg
     if isinstance(expr, Compose):
-        return evaluate(expr.outer, evaluate(expr.inner, x))
+        outer, inner = _compile(expr.outer), _compile(expr.inner)
+        return lambda x: outer(inner(x))
     raise TypeError(f"not a FuncExpr: {expr!r}")
+
+
+def evaluate(expr: FuncExpr, x: Value) -> Value:
+    """expr at x, compiled for this one call; see compile_expr."""
+    return compile_expr(expr)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +837,11 @@ class Fn:
     they only ever feed comparisons.  Both are closures stored on the
     instance, not methods: perfbench's tracer wraps public methods, and a
     wrapper on every per-point call would move its per-layer counters.
-    text is the given text, else the expression text, else None; expr is
-    the FuncExpr, or None for a callable.  inverse and derivative are
-    derived on first use.
+    An expression is compiled (compile_expr) on the first call of raw or
+    float, never in the constructor: many Fn are built and called only a
+    few times.  text is the given text, else the expression text, else
+    None; expr is the FuncExpr, or None for a callable.  inverse and
+    derivative are derived on first use.
     """
 
     def __init__(self, spec, text: Optional[str] = None, inverse=None):
@@ -743,7 +856,16 @@ class Fn:
                 expr, self.text = None, None
             else:
                 raise TypeError(f"not a function spec: {spec!r}")
-            raw = spec if expr is None else (lambda x: evaluate(expr, x))
+            if expr is None:
+                raw = spec
+            else:
+                compiled = None
+
+                def raw(x):  # compiles on the first call, then forwards
+                    nonlocal raw, compiled
+                    if compiled is None:
+                        raw = compiled = self.raw = compile_expr(expr)
+                    return compiled(x)
 
             def flt(x):
                 v = raw(x)
@@ -784,8 +906,8 @@ class Fn:
                 raw = self.raw
                 self._derivative = lambda x: _numdiff(raw, x)
             else:
-                d = differentiate(self.expr)
-                self._derivative = lambda x: float(evaluate(d, x))
+                d = compile_expr(differentiate(self.expr))
+                self._derivative = lambda x: float(d(x))
         return self._derivative
 
 

@@ -77,14 +77,17 @@ class TestClassifier:
         # the c-scan and every (k, r) scan of the mu = 1 route read h at
         # the same points
         calls = {}
-        evaluate = classify.evaluate
+        compile_expr = classify.compile_expr
 
-        def counting(expr, x):
-            key = (funcexpr.to_text(expr), x)
-            calls[key] = calls.get(key, 0) + 1
-            return evaluate(expr, x)
+        def counting(expr):
+            text, f = funcexpr.to_text(expr), compile_expr(expr)
 
-        monkeypatch.setattr(classify, "evaluate", counting)
+            def value(x):
+                calls[text, x] = calls.get((text, x), 0) + 1
+                return f(x)
+            return value
+
+        monkeypatch.setattr(classify, "compile_expr", counting)
         rep = classify_expr("x+log(x)")
         h = rep.diagnostics["h"]
         h_calls = [n for (text, _), n in calls.items() if text == h]

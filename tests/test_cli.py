@@ -1,10 +1,15 @@
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_funcexpr import EXPRS
 
 from growthcalc import cli, funcexpr
 
@@ -302,14 +307,13 @@ class TestExitCodes:
         assert out == ""
         assert "ParseError" in err
 
-    def test_long_flat_sum_is_two(self, capsys):
-        # parses with a loop, but evaluate recurses once per term
+    def test_long_flat_sum_answers(self, capsys):
+        # parse builds the left-deep tree with a loop, and the compiled sum
+        # runs as one loop over its terms
         code, out, err = run(capsys, "eval", "+".join(["x"] * 3000),
                              "--at", "2")
-        assert code == 2
-        assert out == ""
-        assert "nested too deeply" in err
-        assert "Traceback" not in err
+        assert (code, err) == (0, "")
+        assert json.loads(out)["points"] == [{"x": 2.0, "value": 6000.0}]
 
 
 class TestSharedParser:
@@ -353,6 +357,33 @@ class TestSharedParser:
         capsys.readouterr()
         data = run_json(capsys, "eval", "x^2+1", "--at", "3")
         assert data["points"] == [{"x": 3.0, "value": 10.0}]
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+class TestEvalFuzz:
+    POINTS = st.one_of(
+        st.floats().map(repr),
+        st.builds("L{}:{!r}".format, st.integers(-3, 45), st.floats(0.0, 1.0)),
+    )
+
+    @settings(max_examples=400)
+    @given(EXPRS.map(funcexpr.to_text), POINTS)
+    @example("x^-1", "0")
+    def test_exit_code_contract(self, expr, point):
+        # every outcome is an answer (0), a usage error (1) or an
+        # evaluation error (2); nothing escapes, and answers are strict JSON
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(["--format", "json", "eval", expr, "--at", point])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_not_json)
 
 
 class TestStrictJson:

@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from growthcalc import abel, ackermann, funcexpr, lixnum, orders
+from growthcalc import abel, ackermann, cli, funcexpr, lixnum, orders
 from growthcalc.classify import BetweenClassFn
 from growthcalc.funcexpr import (
-    EvalError, ParseError, PrecisionError, evaluate, parse, to_text,
+    Binary, Call, Compose, Const, EvalError, NamedConst, Neg, ParseError,
+    PrecisionError, Var, evaluate, parse, to_text,
 )
 from growthcalc.lixnum import LIReal
 from growthcalc.orders import Ladder
@@ -350,3 +351,181 @@ class TestFn:
     def test_not_a_spec(self):
         with pytest.raises(TypeError):
             funcexpr.Fn(3.0)
+
+
+def reference_evaluate(expr, x):
+    """The recursive tree walker the library evaluated with before
+    compile_expr: one isinstance dispatch per node per call, on the same
+    _binary, _pow, _exp and _log helpers."""
+    if isinstance(expr, Var):
+        return x
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Binary):
+        a, b = reference_evaluate(expr.left, x), reference_evaluate(expr.right, x)
+        return funcexpr._pow(a, b) if expr.op == "^" else funcexpr._binary(expr.op, a, b)
+    if isinstance(expr, Call):
+        v = reference_evaluate(expr.arg, x)
+        fn = expr.fn
+        if fn == "exp":
+            return funcexpr._exp(v)
+        if fn == "log":
+            return funcexpr._log(v)
+        if fn == "log_k":
+            for _ in range(expr.param):
+                v = funcexpr._log(v)
+            return v
+        if fn == "sqrt":
+            if isinstance(v, LIReal):
+                return funcexpr._pow(v, 0.5)
+            vf = float(v)
+            if vf < 0:
+                raise EvalError(f"sqrt of negative value {vf!r}")
+            return math.sqrt(vf)
+        if fn == "sin":
+            try:
+                return math.sin(float(v))
+            except lixnum.DomainError as exc:
+                raise PrecisionError(f"sin needs a float argument ({exc}): "
+                                     "argument reduction is meaningless") from None
+        if fn == "abs":
+            if isinstance(v, LIReal):
+                if v.level == -1:
+                    return lixnum.from_real(-lixnum.to_real(v))
+                return v
+            return abs(v)
+        if fn == "xi":
+            return HIER.xi_k(3, v)
+        if fn == "xi_k":
+            return HIER.xi_k(expr.param, v)
+        if fn == "chi":
+            return HIER.chi(v)
+        if fn == "dxi_k":
+            return HIER._xi_k_deriv(expr.param, float(v))
+        if fn == "dchi":
+            return funcexpr._numdiff(HIER.chi, float(v))
+        raise EvalError(f"unknown function {fn!r}")
+    if isinstance(expr, NamedConst):
+        return math.e if expr.name == "e" else math.pi
+    if isinstance(expr, Neg):
+        v = reference_evaluate(expr.arg, x)
+        if isinstance(v, LIReal):
+            zero = LIReal(0, 0.0)
+            if v > zero:
+                raise lixnum.DomainError(f"the level-index value {lixnum.format_li(v)} "
+                                         "cannot be negated")
+            return lixnum.sub(zero, v)
+        return -v
+    if isinstance(expr, Compose):
+        return reference_evaluate(expr.outer, reference_evaluate(expr.inner, x))
+    raise TypeError(f"not a FuncExpr: {expr!r}")
+
+
+# expressions drawn from the DSL grammar: every call name, unary minus, @
+# and constants, including the zero and negative constants that reach the
+# edges of log, sqrt and ^
+_PLAIN_CALLS = ("exp", "log", "sqrt", "sin", "abs", "xi", "chi", "dchi")
+_LEAVES = st.one_of(
+    st.just(Var()),
+    st.just(Var()),  # x twice as often as each constant kind
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 710.0, 1e308]).map(Const),
+    st.sampled_from([NamedConst("e"), NamedConst("pi")]),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(Binary, st.sampled_from("+-*/^"), children, children),
+        st.builds(Call, st.sampled_from(_PLAIN_CALLS), children),
+        st.builds(Call, st.just("log_k"), children, st.integers(0, 3)),
+        st.builds(Call, st.just("xi_k"), children, st.integers(0, 6)),
+        st.builds(Call, st.just("dxi_k"), children, st.integers(4, 5)),
+        st.builds(Compose, children, children),
+    )
+
+
+EXPRS = st.recursive(_LEAVES, _nodes, max_leaves=8)
+POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -2.5, -1e300, 1e-300, 0.5, 2.0, 1e154,
+                     1e308]),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=700.0, max_value=710.0),
+    st.integers(-5, 10 ** 6),
+    st.just(10 ** 400),
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.just(Fraction(10) ** 400 + Fraction(1, 3)),
+    st.builds(LIReal, st.integers(-1, 6), st.floats(0.0, 0.99)),
+    st.builds(LIReal, st.just(40), st.floats(0.0, 0.99)),
+)
+
+
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except Exception as exc:  # the type and message are the outcome
+        return "raises", type(exc), str(exc)
+    return "value", type(v), repr(v)
+
+
+class TestCompiledEvaluation:
+    @settings(max_examples=400)
+    @given(EXPRS, POINTS)
+    @example(parse("x*2"), 1e308)  # a float product past the range promotes
+    @example(parse("exp(x)"), 709.9)  # so does exp just below 710
+    @example(parse("(x+x)^2"), 1e308)  # inf^2 is a DomainError, not inf
+    def test_matches_the_reference_walker(self, expr, x):
+        assert _outcome(evaluate, expr, x) == _outcome(reference_evaluate, expr, x)
+
+    @given(st.lists(st.sampled_from("+-"), min_size=1, max_size=40), POINTS)
+    def test_flat_sums_match_the_reference_walker(self, ops, x):
+        text = "x" + "".join(f"{op}sqrt(x)" if i % 2 else f"{op}{i}"
+                             for i, op in enumerate(ops))
+        e = parse(text)
+        assert _outcome(evaluate, e, x) == _outcome(reference_evaluate, e, x)
+
+    def test_long_flat_sum_needs_no_recursion(self):
+        assert ev("+".join(["x"] * 3000), 2.0) == 6000.0
+
+    def test_fn_compiles_on_the_first_call_only(self, monkeypatch):
+        calls = []
+        compile_expr = funcexpr.compile_expr
+        monkeypatch.setattr(funcexpr, "compile_expr",
+                            lambda e: calls.append(e) or compile_expr(e))
+        fn = funcexpr.Fn("x+sqrt(x)")
+        assert calls == []
+        for i in range(10):
+            (fn.float, fn.raw, fn)[i % 3](float(i))
+        assert calls == [fn.expr]
+
+    def test_derivative_compiles_once(self, monkeypatch):
+        calls = []
+        compile_expr = funcexpr.compile_expr
+        monkeypatch.setattr(funcexpr, "compile_expr",
+                            lambda e: calls.append(e) or compile_expr(e))
+        d = funcexpr.Fn("x+sqrt(x)").derivative
+        assert [d(float(x)) for x in (1, 4)] == [1.5, 1.25]
+        assert len(calls) == 1
+
+
+class TestZeroPower:
+    # 0^p reads the same on floats and on towers: an error for p < 0, 1 for
+    # p = 0 and 0 for p > 0
+    ZERO = LIReal(0, 0.0)
+
+    def test_negative_power_is_an_eval_error(self, capsys):
+        for x in (0.0, -0.0, self.ZERO):
+            with pytest.raises(EvalError, match="zero to the negative power"):
+                ev("x^-1", x)
+        assert cli.main(["eval", "x^-1", "--at", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "growthcalc: EvalError: zero to the negative power -1.0\n"
+
+    def test_zero_power_is_one(self):
+        assert ev("x^0", 0.0) == 1.0
+        assert ev("x^0", self.ZERO) == LIReal(1, 0.0)
+
+    def test_positive_power_is_zero(self):
+        assert ev("x^2", 0.0) == ev("x^0.5", -0.0) == 0.0
+        assert ev("x^2", self.ZERO) == ev("x^exp(x)", self.ZERO) == self.ZERO
