@@ -729,7 +729,7 @@ def _has_x(e: FuncExpr) -> bool:
 def _const_value(e: FuncExpr) -> Optional[float]:
     """The finite float value of a subtree without x, or None."""
     try:
-        c = float(evaluate(e, 0.0))
+        c = float(e.value if isinstance(e, Const) else evaluate(e, 0.0))
     except (ValueError, ArithmeticError):
         return None
     return c if math.isfinite(c) else None
@@ -856,19 +856,21 @@ class Fn:
                 expr, self.text = None, None
             else:
                 raise TypeError(f"not a function spec: {spec!r}")
+            # no closure refers to self or to itself (an unused Fn needs no
+            # cyclic collection); copies share the closures and one compile
             if expr is None:
-                raw = spec
+                compiled = raw = spec
             else:
                 compiled = None
 
                 def raw(x):  # compiles on the first call, then forwards
-                    nonlocal raw, compiled
+                    nonlocal compiled
                     if compiled is None:
-                        raw = compiled = self.raw = compile_expr(expr)
+                        compiled = compile_expr(expr)
                     return compiled(x)
 
             def flt(x):
-                v = raw(x)
+                v = raw(x) if compiled is None else compiled(x)
                 try:
                     return float(v)
                 except DomainError:

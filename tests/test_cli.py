@@ -315,6 +315,15 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert json.loads(out)["points"] == [{"x": 2.0, "value": 6000.0}]
 
+    def test_long_flat_product_is_two(self, capsys):
+        # only + and - chains run as a loop: a 3000-factor product still
+        # compiles by recursion, and main turns its RecursionError into
+        # exit 2 with a one-line message
+        code, out, err = run(capsys, "eval", "*".join(["x"] * 3000),
+                             "--at", "2")
+        assert (code, out) == (2, "")
+        assert "nested too deeply" in err and "Traceback" not in err
+
 
 class TestSharedParser:
     CALLS = [

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -497,6 +499,31 @@ class TestCompiledEvaluation:
         for i in range(10):
             (fn.float, fn.raw, fn)[i % 3](float(i))
         assert calls == [fn.expr]
+
+    def test_copies_share_the_one_compile(self, monkeypatch):
+        calls = []
+        compile_expr = funcexpr.compile_expr
+        monkeypatch.setattr(funcexpr, "compile_expr",
+                            lambda e: calls.append(e) or compile_expr(e))
+        fn = funcexpr.Fn("x+sqrt(x)")
+        copy = funcexpr.Fn(fn, text="f")
+        assert [copy(4.0), fn.float(4.0), copy.float(9.0), fn.raw(9.0)] == [6.0, 6.0, 12.0, 12.0]
+        assert calls == [fn.expr]
+
+    @pytest.mark.parametrize("calls", [0, 1])
+    def test_an_fn_is_freed_without_the_cyclic_collector(self, calls):
+        # its closures refer neither to the Fn nor to themselves
+        fn = funcexpr.Fn("x+sqrt(x)")
+        copy = funcexpr.Fn(fn)
+        for _ in range(calls):
+            fn(4.0), copy.float(4.0)
+        refs = [weakref.ref(fn), weakref.ref(fn.raw), weakref.ref(copy)]
+        gc.disable()
+        try:
+            del fn, copy
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_derivative_compiles_once(self, monkeypatch):
         calls = []
