@@ -518,12 +518,14 @@ class TestCompiledEvaluation:
         for _ in range(calls):
             fn(4.0), copy.float(4.0)
         refs = [weakref.ref(fn), weakref.ref(fn.raw), weakref.ref(copy)]
+        enabled = gc.isenabled()
         gc.disable()
         try:
             del fn, copy
             assert [r() for r in refs] == [None, None, None]
         finally:
-            gc.enable()
+            if enabled:
+                gc.enable()
 
     def test_derivative_compiles_once(self, monkeypatch):
         calls = []
