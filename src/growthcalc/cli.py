@@ -81,9 +81,8 @@ def _emit(args, payload: dict, text_lines=None):
         print(json.dumps(payload, indent=2, default=str, allow_nan=False))
 
 
-def _ladder_points(args, default: Ladder):
-    ladder = Ladder.from_spec(args.ladder) if args.ladder else default
-    return ladder, ladder.points()
+def _ladder(args, default: Ladder) -> Ladder:
+    return Ladder.from_spec(args.ladder) if args.ladder else default
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ def cmd_eval(args) -> int:
     if args.at is not None:
         pts = [_parse_point(args.at)]
     else:
-        _, pts = _ladder_points(args, Ladder.geometric(10.0, 10.0, 8))
+        pts = _ladder(args, Ladder.geometric(10.0, 10.0, 8)).points()
     f = funcexpr.compile_expr(expr)
     vals = [f(x) for x in pts]
     rows = [{"x": _render_value(x if isinstance(x, LIReal) else float(x)),
@@ -131,8 +130,8 @@ def cmd_ack(args) -> int:
 
 
 def cmd_order(args) -> int:
-    _, pts = _ladder_points(args, Ladder.tower(0.5, 30))
-    est = orders.order_of(args.F, args.f, pts, tol=args.tol)
+    ladder = _ladder(args, Ladder.tower(0.5, 30))
+    est = orders.order_of(args.F, args.f, ladder, tol=args.tol)
     payload = est.to_json()
     payload.update({"F": args.F, "f": args.f})
     _emit(args, payload,
@@ -158,10 +157,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_props(args) -> int:
-    ladder, _ = _ladder_points(args, Ladder.geometric(10.0, 1e12, 24))
-    out = {}
-    for cond in ("R0", "R1", "R2", "R3"):
-        out[cond] = orders.check_R(cond, args.F, ladder).to_json()
+    ladder = _ladder(args, Ladder.geometric(10.0, 1e12, 24))
+    reports = orders._check_conditions(("R0", "R1", "R2", "R3"), args.F, ladder)
+    out = {r.condition: r.to_json() for r in reports}
     _emit(args, {"F": args.F, "conditions": out},
           [f"{c}: {'pass' if out[c]['verdict'] else 'fail'} "
            f"(last margin {out[c]['margins'][-1]:.3g})" for c in out])
@@ -197,7 +195,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_plotdata(args) -> int:
     expr = funcexpr.parse(args.expr)
-    _, pts = _ladder_points(args, Ladder.geometric(1.0, 2.0, 24))
+    pts = _ladder(args, Ladder.geometric(1.0, 2.0, 24)).points()
     f = funcexpr.compile_expr(expr)
     vals = [f(x) for x in pts]
     lines = ["x,f(x)"] + [f"{_render_value(x)},{_render_value(v)}"

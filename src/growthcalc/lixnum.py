@@ -96,7 +96,7 @@ class LIReal:
         return (other.level, other.mantissa) <= (self.level, self.mantissa)
 
     def __float__(self) -> float:
-        return to_real(self)
+        return _real(self.level, self.mantissa)
 
     def __repr__(self) -> str:
         flag = ", absorbed" if self.absorbed else ""
@@ -142,6 +142,27 @@ def to_li(v) -> LIReal:
 
 def from_real(d: float) -> LIReal:
     """Normalize a finite nonnegative float into level-index form."""
+    return LIReal(*_pair(d))
+
+
+def from_real_any(d: float) -> LIReal:
+    """Like from_real but maps a negative value to level -1 (d = ln(mantissa))."""
+    return LIReal(*_pair_any(d))
+
+
+def to_real(v: LIReal) -> float:
+    """The represented value; raises on float overflow or formal level -2."""
+    return _real(v.level, v.mantissa)
+
+
+# -- the pair kernel ---------------------------------------------------------
+# The conversions and the arithmetic below work on bare (level, mantissa)
+# pairs; the public functions wrap them and build one LIReal, for the
+# result.  Callers that chain many steps (xihier.chi) loop on the pairs.
+
+
+def _pair(d) -> tuple:
+    """(level, mantissa) of a finite d >= 0: the log chain of from_real."""
     if not math.isfinite(d) or d < 0:
         raise DomainError(f"from_real requires a finite nonnegative value, got {d!r}")
     level = 0
@@ -152,35 +173,73 @@ def from_real(d: float) -> LIReal:
     if x < 0.0:
         # log chain undershot 0 by rounding; clamp to the band edge
         x = 0.0
-    return LIReal(level, x)
+    return level, x
 
 
-def from_real_any(d: float) -> LIReal:
-    """Like from_real but maps a negative value to level -1 (d = ln(mantissa))."""
+def _pair_any(d) -> tuple:
+    """_pair, extended to a negative d as (-1, exp(d)), d = ln(mantissa)."""
     if d >= 0:
-        return from_real(d)
+        return _pair(d)
     if not math.isfinite(d):
         raise DomainError(f"from_real_any requires a finite value, got {d!r}")
-    return LIReal(-1, math.exp(d))
+    return -1, math.exp(d)
 
 
-def to_real(v: LIReal) -> float:
-    """The represented value; raises on float overflow or formal level -2."""
-    if v.level == -2:
-        raise DomainError("level -2 values are formal (no real value)")
-    if v.level == -1:
-        if v.mantissa == 0.0:
+def _real(level: int, m: float) -> float:
+    """The value of the pair (level, m): the exp chain of to_real."""
+    if level < 0:
+        if level == -2:
+            raise DomainError("level -2 values are formal (no real value)")
+        if m == 0.0:
             raise DomainError("ln 0 is not a real value")
-        return math.log(v.mantissa)
-    x = v.mantissa
+        return math.log(m)
+    x, k = m, level
     try:
-        for _ in range(v.level):
+        while k:
             x = math.exp(x)
+            k -= 1
     except OverflowError:
-        raise DomainError(f"{v} exceeds float range") from None
-    if math.isinf(x):
-        raise DomainError(f"{v} exceeds float range")
+        raise DomainError(f"L{level}:{m:.17g} exceeds float range") from None
     return x
+
+
+def _add_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
+    """(level, mantissa, absorbed) of the sum of the pairs a and b.
+
+    At a level above EXACT_ARITH_MAX_LEVEL, or where the smaller term is
+    below ABSORB_REL of the larger, the larger pair is the sum and
+    absorbed is True; otherwise the float sum is normalized again.
+    """
+    if la < lb or (la == lb and ma <= mb):
+        la, ma, lb, mb = lb, mb, la, ma
+    if la > EXACT_ARITH_MAX_LEVEL:
+        return la, ma, True
+    va, vb = _real(la, ma), _real(lb, mb)
+    if va > 0 and vb / va < ABSORB_REL:
+        return la, ma, True
+    level, m = _pair_any(va + vb)
+    return level, m, False
+
+
+def _sub_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
+    """(level, mantissa, absorbed) of a - b, under the rules of _add_pair."""
+    if la < lb or (la == lb and ma < mb):
+        raise DomainError("sub would leave the nonnegative range")
+    if la > EXACT_ARITH_MAX_LEVEL:
+        return la, ma, True
+    va, vb = _real(la, ma), _real(lb, mb)
+    if va > 0 and vb / va < ABSORB_REL:
+        return la, ma, True
+    level, m = _pair_any(va - vb)
+    return level, m, False
+
+
+def _ln_levels(a: LIReal, b: LIReal) -> tuple:
+    """The levels of ln a and ln b, as ln_li checks them."""
+    la, lb = a.level - 1, b.level - 1
+    if la < MIN_LEVEL or lb < MIN_LEVEL:
+        raise DomainError(f"ln below level {MIN_LEVEL} is unsupported")
+    return la, lb
 
 
 def exp_li(v: LIReal) -> LIReal:
@@ -215,45 +274,32 @@ def xi_inv_exact(t) -> LIReal:
     return LIReal(int(k), float(t - k))
 
 
-def _absorb(larger: LIReal) -> LIReal:
-    return LIReal(larger.level, larger.mantissa, absorbed=True)
-
-
 def add(a: LIReal, b: LIReal) -> LIReal:
-    lo, hi = (a, b) if a <= b else (b, a)
-    if hi.level >= EXACT_ARITH_MAX_LEVEL + 1:
-        return _absorb(hi)
-    va, vb = to_real(hi), to_real(lo)
-    if va > 0 and vb / va < ABSORB_REL:
-        return _absorb(hi)
-    return from_real_any(va + vb)
+    return LIReal(*_add_pair(a.level, a.mantissa, b.level, b.mantissa))
 
 
 def sub(a: LIReal, b: LIReal) -> LIReal:
-    if b > a:
-        raise DomainError("sub would leave the nonnegative range")
-    if a.level >= EXACT_ARITH_MAX_LEVEL + 1:
-        return _absorb(a)
-    va, vb = to_real(a), to_real(b)
-    if va > 0 and vb / va < ABSORB_REL:
-        return _absorb(a)
-    return from_real_any(va - vb)
+    return LIReal(*_sub_pair(a.level, a.mantissa, b.level, b.mantissa))
 
 
 def mul(a: LIReal, b: LIReal) -> LIReal:
-    if max(a.level, b.level) >= EXACT_ARITH_MAX_LEVEL + 1:
+    if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
         # exp(ln a + ln b); the inner add applies its own absorption rules
-        return exp_li(add(ln_li(a), ln_li(b)))
-    return from_real_any(to_real(a) * to_real(b))
+        la, lb = _ln_levels(a, b)
+        level, m, absorbed = _add_pair(la, a.mantissa, lb, b.mantissa)
+        return LIReal(level + 1, m, absorbed)
+    return LIReal(*_pair_any(_real(a.level, a.mantissa) * _real(b.level, b.mantissa)))
 
 
 def div(a: LIReal, b: LIReal) -> LIReal:
-    if max(a.level, b.level) >= EXACT_ARITH_MAX_LEVEL + 1:
-        return exp_li(sub(ln_li(a), ln_li(b)))
-    vb = to_real(b)
+    if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
+        la, lb = _ln_levels(a, b)
+        level, m, absorbed = _sub_pair(la, a.mantissa, lb, b.mantissa)
+        return LIReal(level + 1, m, absorbed)
+    vb = _real(b.level, b.mantissa)
     if vb == 0.0:
         raise DomainError("division by zero")
-    return from_real_any(to_real(a) / vb)
+    return LIReal(*_pair_any(_real(a.level, a.mantissa) / vb))
 
 
 def format_li(v: LIReal) -> str:

@@ -15,6 +15,7 @@ converged=False and the caller decides what to do with it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -225,27 +226,42 @@ def check_R(condition: str, F, ladder: Ladder) -> RegReport:
     cond = condition.upper()
     if cond not in ("R0", "R1", "R2", "R3"):
         raise ValueError(f"unknown regularity condition {condition!r}")
+    return _check_conditions((cond,), F, ladder)[0]
+
+
+_SHIFTS = {"R1": (1.0, 2.0, 4.0), "R3": (0.25, 0.5, 2.0, 4.0)}
+
+
+def _check_conditions(conds, F, ladder: Ladder) -> List[RegReport]:
+    """check_R for each of conds ("R0".."R3") in turn, on one ladder.  The
+    conditions share F and F' values: each is evaluated once per distinct
+    point, in caches that live as long as this call."""
     xs = _float_points(ladder)
     F = funcexpr.Fn(F)
-    margins = []
-    if cond == "R0":
-        for x in xs:
-            margins.append(abs(_residual(F.raw(x + _sublinear_probe(x)), F.raw(x))))
-    else:
-        dF = F.derivative
-        shifts = {"R1": (1.0, 2.0, 4.0), "R3": (0.25, 0.5, 2.0, 4.0)}
-        for x in xs:
-            base = dF(x)
-            if base == 0:
-                raise EvalError(f"F' vanished at {x!r}")
-            if cond == "R1":
-                m = max(abs(dF(x + c) / base - 1.0) for c in shifts["R1"])
-            elif cond == "R2":
-                m = abs(dF(x + _sublinear_probe(x)) / base - 1.0)
-            else:
-                m = max(abs(lam * dF(lam * x) / base - 1.0) for lam in shifts["R3"])
-            margins.append(m)
-    tail = _tail(margins)
-    return RegReport(condition=cond, samples=xs, margins=margins,
-                     verdict=max(tail) <= _R_TOL, tol=_R_TOL,
-                     extra={"window": len(tail)})
+    Fx = functools.cache(F.raw)
+    dF = None
+    reports = []
+    for cond in conds:
+        margins = []
+        if cond == "R0":
+            for x in xs:
+                margins.append(abs(_residual(Fx(x + _sublinear_probe(x)), Fx(x))))
+        else:
+            if dF is None:
+                dF = functools.cache(F.derivative)
+            for x in xs:
+                base = dF(x)
+                if base == 0:
+                    raise EvalError(f"F' vanished at {x!r}")
+                if cond == "R1":
+                    m = max(abs(dF(x + c) / base - 1.0) for c in _SHIFTS["R1"])
+                elif cond == "R2":
+                    m = abs(dF(x + _sublinear_probe(x)) / base - 1.0)
+                else:
+                    m = max(abs(lam * dF(lam * x) / base - 1.0) for lam in _SHIFTS["R3"])
+                margins.append(m)
+        tail = _tail(margins)
+        reports.append(RegReport(condition=cond, samples=list(xs), margins=margins,
+                                 verdict=max(tail) <= _R_TOL, tol=_R_TOL,
+                                 extra={"window": len(tail)}))
+    return reports

@@ -28,8 +28,9 @@ There is one hierarchy, levels 0..MAX_LEVEL; it holds no state, so the
 module instance HIER serves every caller.
 
 Companions: chi (the reciprocal of xi_3', defined by chi = 1 on [0, 1] and
-chi(x) = x * chi(ln x), accumulated in log-space so towers never overflow)
-and H_k (a smoothed surrogate for 1 / xi_k').
+chi(x) = x * chi(ln x); its log, ln x + ln ln x + ..., is summed on
+level-index pairs by lixnum's addition, so towers never overflow) and H_k
+(a smoothed surrogate for 1 / xi_k').
 """
 
 from __future__ import annotations
@@ -176,27 +177,37 @@ class XiHierarchy:
     # -- companions ---------------------------------------------------------
 
     def chi(self, x):
-        """chi(x) = x * chi(ln x), chi = 1 on [0, 1]; LIReal for tower output."""
-        if not isinstance(x, LIReal):
-            xf = float(x)
-            if xf < 0:
-                raise DomainError(f"chi needs a nonnegative argument, got {xf!r}")
-            if xf <= 1.0:
-                return 1.0
-            x = lixnum.from_real(xf)
-        # log chi(x) = ln x + ln ln x + ... down to the [0, 1] band
-        acc = lixnum.from_real(0.0)
-        v = x
-        one = LIReal(1, 0.0)
-        while v > one:
-            term = lixnum.ln_li(v)
-            acc = lixnum.add(acc, term)
-            v = term
-        result = lixnum.exp_li(acc)
+        """chi(x) = x * chi(ln x), chi = 1 on [0, 1]; LIReal for tower output.
+
+        ln chi(x) = ln x + ln ln x + ... down to the [0, 1] band.  For
+        x = (L, m) the terms are the pairs (L - 1, m), (L - 2, m), ..., and
+        the sum runs on (level, mantissa) pairs through lixnum's own
+        addition, so towers never overflow and no step builds an LIReal.
+        """
+        if isinstance(x, LIReal):
+            level, m = x.level, x.mantissa
+        else:
+            try:
+                xf = float(x)
+            except OverflowError:
+                # an int or Fraction past the float range, read as xi reads it
+                x = lixnum.to_li(x)
+                level, m = x.level, x.mantissa
+            else:
+                if xf < 0:
+                    raise DomainError(f"chi needs a nonnegative argument, got {xf!r}")
+                if xf <= 1.0:
+                    return 1.0
+                level, m = lixnum._pair(xf)
+        # the running sum; absorbed is the flag of the last addition
+        al, am, absorbed = 0, 0.0, False
+        while level > 1 or (level == 1 and m > 0.0):
+            level -= 1
+            al, am, absorbed = lixnum._add_pair(al, am, level, m)
         try:
-            return lixnum.to_real(result)
+            return lixnum._real(al + 1, am)
         except DomainError:
-            return result
+            return LIReal(al + 1, am, absorbed)
 
     def H_k(self, k: int, x):
         """A function asymptotic to 1/xi_k': H_2 = x, H_3 = chi, numeric above."""

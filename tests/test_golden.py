@@ -1,9 +1,10 @@
-"""`growthcalc repro`, `growthcalc table` and `growthcalc classify` stdout,
-byte for byte.
+"""`growthcalc repro`, `growthcalc table`, `growthcalc classify` and
+`growthcalc props` stdout, byte for byte.
 
 The files under tests/golden/ hold the JSON these commands print;
 classify.json maps each expression to the stdout of
-`growthcalc classify <expression>`.  A change that is meant to alter a
+`growthcalc classify <expression>`, and props.json maps each argument
+string (split on spaces) to the stdout of `growthcalc props <arguments>`.  A change that is meant to alter a
 verdict or a reported figure replaces the file in the same change and says
 why.
 """
@@ -17,6 +18,7 @@ from growthcalc import cli
 
 GOLDEN = Path(__file__).with_name("golden")
 CLASSIFY = json.loads((GOLDEN / "classify.json").read_text())
+PROPS = json.loads((GOLDEN / "props.json").read_text())
 
 
 @pytest.mark.parametrize("command", ["repro", "table"])
@@ -33,3 +35,11 @@ def test_classify_stdout_matches_golden(capsys, expr):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == CLASSIFY[expr]
+
+
+@pytest.mark.parametrize("args", list(PROPS))
+def test_props_stdout_matches_golden(capsys, args):
+    code = cli.main(["props", *args.split()])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == PROPS[args]

@@ -1,13 +1,19 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from growthcalc import cli
 from growthcalc.funcexpr import EvalError
 from growthcalc.lixnum import LIReal
 from growthcalc.orders import Ladder, check_R, order_of
+from growthcalc.xihier import XiHierarchy
 
 
-DEEP = Ladder.geometric(10.0, 1e12, 24)
+DEEP = Ladder.geometric(10.0, 1e12, 24)  # the props default
+PROPS_GOLDEN = json.loads(
+    (Path(__file__).with_name("golden") / "props.json").read_text())
 
 
 class TestLadder:
@@ -123,3 +129,22 @@ class TestRegularity:
         data = check_R("R1", "log(x)", DEEP).to_json()
         assert data["condition"] == "R1"
         assert len(data["margins"]) == len(data["samples"])
+
+    def test_props_evaluates_chi_once_per_point(self, monkeypatch, capsys):
+        # F = xi has F' = 1/chi; R1-R3 share F' at their 150 distinct points
+        # (96 + 48 + 120 = 264 evaluations, one call per point counted here)
+        calls = []
+        chi = XiHierarchy.chi
+        monkeypatch.setattr(XiHierarchy, "chi",
+                            lambda self, x: calls.append(x) or chi(self, x))
+        assert cli.main(["props", "--F", "xi(x)"]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == 150
+
+    @pytest.mark.parametrize("F", ["log(x)", "xi(x)", "log(x)^2"])
+    def test_check_r_alone_matches_the_props_golden(self, F):
+        # the props golden holds each condition's report as check_R made it
+        # when it ran once per condition, with no values shared
+        golden = json.loads(PROPS_GOLDEN[f"--F {F}"])["conditions"]
+        for cond in ("R0", "R1", "R2", "R3"):
+            assert check_R(cond, F, DEEP).to_json() == golden[cond]
