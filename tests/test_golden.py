@@ -4,9 +4,9 @@
 The files under tests/golden/ hold the JSON these commands print;
 classify.json maps each expression to the stdout of
 `growthcalc classify <expression>`, and props.json maps each argument
-string (split on spaces) to the stdout of `growthcalc props <arguments>`.  A change that is meant to alter a
-verdict or a reported figure replaces the file in the same change and says
-why.
+string (split on spaces) to the stdout of `growthcalc props <arguments>`.
+A change that is meant to alter a verdict or a reported figure replaces
+the file in the same change and says why.
 """
 
 import json
