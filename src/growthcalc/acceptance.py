@@ -3,10 +3,10 @@
 Eleven independent checks covering the whole surface: exact super-logarithm
 arithmetic, the half-exponential, the growth-catalog chains, Abel solutions,
 Ackermann levels, the level-lowering operator, regularity testers, the
-classifier, staircase constructions, class separation with sandwich bounds,
-and the wobbly boundary example.  Each check returns a small report dict;
-run_all collects them.  The test suite asserts on these, and the command
-line exposes them as `growthcalc repro`.
+classifier, staircase constructions, class separation with the sandwich
+bracket, and the wobbly boundary example.  Each check returns a small
+report dict; run_all collects them.  The test suite asserts on these, and
+the command line exposes them as `growthcalc repro`.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 The module holds the growth catalog as one table: each row is a reference
 growth rate with its chain of slower scales and the sample points each
 order pair of the chain is checked on.  Beside it sit a numeric
-class-0/1/2 decision procedure with re-checkable witnesses, constructors
-for functions sitting strictly between classes, sandwich bounds, the
-inverse-derivative ratio, and two boundary examples: the exact staircases
-and the wobbly log-derivative.
+class-0/1/2 decision procedure with re-checkable witnesses, the sandwich
+bracket of the class-1 member e*x, the inverse-derivative ratio, and two
+boundary examples: the exact staircases and the wobbly log-derivative.
 
 Classes: a function f of class n admits an Abel-type scale F with
 O_F(f) = 1 whose inverse grows one class higher; x+2 is class 0, 2x and
@@ -33,8 +32,6 @@ __all__ = [
     "catalog",
     "verify_chain",
     "classify_expr",
-    "BetweenClassFn",
-    "sandwich_bounds",
     "sandwich_bracket_report",
     "scaled_xi_increment",
     "inverse_derivative_ratio",
@@ -450,78 +447,14 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
 
 
 # ---------------------------------------------------------------------------
-# Between-class constructions
+# Sandwich bracket
 
 
-class BetweenClassFn:
-    """f = Xi_m^{-1}(Xi_m + c / H_m(F)): sits strictly between the class of
-    F^{-1} minus one and that class, for suitable F.
-    """
-
-    def __init__(self, F, m: int, c: float = 1.0):
-        if m < 2:
-            raise DomainError("H_m is undefined below level 2")
-        if c <= 0:
-            raise DomainError("the between-class offset c must be positive")
-        fn = funcexpr.Fn(F)
-        self.F, self.F_text = fn.raw, fn.text or repr(F)
-        self.m = m
-        self.c = float(c)
-
-    def describe(self) -> str:
-        return f"xi_{self.m}-shift by {self.c}/H_{self.m}({self.F_text})"
-
-    def _forward(self, x: float) -> float:
-        base = float(HIER.xi_k(self.m, x))
-        H = HIER.H_k(self.m, self.F(x))
-        try:
-            shift = self.c / float(H)
-        except DomainError:
-            shift = 0.0  # H beyond float range: the shift underflows
-        return lixnum.to_real(HIER.xi_k_inv(self.m, base + shift))
-
-    def inverse(self, y: float) -> float:
-        return funcexpr._bisect(self._forward, y, y / 4.0, y * 4.0 + 4.0)
-
-    def __call__(self, x: float) -> float:
-        return self._forward(x)
-
-
-# ---------------------------------------------------------------------------
-# Sandwich bounds
-
-
-def sandwich_bounds(n: int, m: int = 1
-                    ) -> Tuple[Optional[BetweenClassFn], BetweenClassFn]:
-    """(g, h) with g below and h above every member of the m-th layer of
-    class n: between-class maps with c = 1/2 (g) and c = 2 (h).  g needs
-    n >= 1, and n = 0 supports only the upper bound with m >= 4 (g is
-    returned as None there)."""
-    if m < 1 or m > 4:
-        raise DomainError("sandwich bounds are constructed for 1 <= m <= 4")
-    if n < 0:
-        raise DomainError("class index must be nonnegative")
-    if n == 0:
-        if m < 4:
-            raise DomainError(
-                "no sandwich below class 0 layers; the upper bound needs m >= 4")
-        return None, _sandwich_recurse(0, m + 1, 2.0)  # over class 1, m layers
-    return _sandwich_recurse(n, m, 0.5), _sandwich_recurse(n, m, 2.0)
-
-
-def _sandwich_recurse(n: int, m: int, c: float) -> BetweenClassFn:
-    if m == 1:
-        return BetweenClassFn(funcexpr.Fn(lambda x: HIER.xi_k(n + 1, x),
-                                          text=f"xi_{n + 1}"), n + 2, c)
-    # the inverse of the one-class-up bound is a slow scale
-    prev = _sandwich_recurse(n + 1, m - 1, c)
-    return BetweenClassFn(funcexpr.Fn(prev.inverse,
-                                      text=f"inverse[{prev.describe()}]"),
-                          n + 3, c)
+_G_SHIFT, _H_SHIFT = 0.5, 2.0
 
 
 def scaled_xi_increment(a: float, x) -> float:
-    """H_{3}-normalized super-log increment of x -> a*x at the point x:
+    """The chi-normalized super-log increment of x -> a*x at the point x:
     chi(log x) * (xi(a x) - xi(x)), equal to xi(u + log a) - xi(u) scaled
     by chi(u) with u = log x.  Beyond the float range the correction
     factors fall below double precision and the limit value 1 is returned
@@ -535,8 +468,6 @@ def scaled_xi_increment(a: float, x) -> float:
     except DomainError:
         return 1.0
     if uf > 1e6:
-        # the increment xi(u + delta) - xi(u) falls below float resolution;
-        # the limit value is exact to double precision here
         return 1.0
     delta = math.log(a)
     lo = float(HIER.xi_k(3, uf))
@@ -548,16 +479,15 @@ def scaled_xi_increment(a: float, x) -> float:
 
 
 def sandwich_bracket_report() -> dict:
-    """The n = 1, m = 1 sandwich against the canonical class-1 member
-    f1 = e*x (unit translation in log coordinates), compared point by point
-    in H_3-normalized super-log increments on the towers L2..L21: g carries
-    1/2, f1 carries chi(log x)(xi(e x) - xi(x)) -> 1, h carries 2."""
-    g, h = sandwich_bounds(1, 1)
+    """The class-1 sandwich against the canonical member f1 = e*x (unit
+    translation in log coordinates), compared point by point in
+    chi-normalized super-log increments on the towers L2..L21: the lower
+    bound carries 1/2, f1 chi(log x)(xi(e x) - xi(x)) -> 1, the upper 2."""
     rows = []
     for x in _tower_points(2, 21):
         nu = scaled_xi_increment(math.e, x)
-        rows.append({"x": str(x), "nu_f1": nu, "ok": g.c < nu < h.c})
-    return {"g_shift": g.c, "h_shift": h.c,
+        rows.append({"x": str(x), "nu_f1": nu, "ok": _G_SHIFT < nu < _H_SHIFT})
+    return {"g_shift": _G_SHIFT, "h_shift": _H_SHIFT,
             "points": rows, "ok": all(r["ok"] for r in rows)}
 
 

@@ -27,10 +27,10 @@ terminates quickly and no level acquires a fixed point above the base.
 There is one hierarchy, levels 0..MAX_LEVEL; it holds no state, so the
 module instance HIER serves every caller.
 
-Companions: chi (the reciprocal of xi_3', defined by chi = 1 on [0, 1] and
+Companions: chi, the reciprocal of xi_3', defined by chi = 1 on [0, 1] and
 chi(x) = x * chi(ln x); its log, ln x + ln ln x + ..., is summed on
-level-index pairs by lixnum's addition, so towers never overflow) and H_k
-(a smoothed surrogate for 1 / xi_k').
+level-index pairs by lixnum's addition, so towers never overflow.  xi_k'
+follows from chi and the seed slope by the chain rule, with no differencing.
 """
 
 from __future__ import annotations
@@ -209,39 +209,31 @@ class XiHierarchy:
         except DomainError:
             return LIReal(al + 1, am, absorbed)
 
-    def H_k(self, k: int, x):
-        """A function asymptotic to 1/xi_k': H_2 = x, H_3 = chi, numeric above."""
-        if k < 2:
-            raise DomainError("H_k is undefined below level 2")
-        if k == 2:
-            return x if isinstance(x, LIReal) else float(x)
-        if k == 3:
-            return self.chi(x)
-        if k > MAX_LEVEL:
-            raise DomainError(f"level {k} outside 2..{MAX_LEVEL}")
-        xf = float(x)
-        d = self._xi_k_deriv(k, xf)
-        if d <= 0:
-            raise DomainError(f"xi_{k} derivative estimate non-positive at {xf!r}")
-        return 1.0 / d
-
     def _xi_k_deriv(self, k: int, x: float) -> float:
-        # Richardson-extrapolated central difference on a geometric stencil;
-        # xi_k is piecewise-defined, so raw differences are noisy at seams.
-        # Levels >= 4 stop at BASE, so a stencil reaching below it turns
-        # one-sided (forward differences, also second order after Richardson).
-        h = 1e-3 * max(abs(x), 1.0)
-        if k >= 4 and x - h < BASE:
-            def fd(h: float) -> float:
-                return (float(self.xi_k(k, x + h)) - float(self.xi_k(k, x))) / h
-
-            return 2 * fd(h / 2) - fd(h)
-
-        def cd(h: float) -> float:
-            return (float(self.xi_k(k, x + h)) - float(self.xi_k(k, x - h))) / (2 * h)
-
-        d1, d2 = cd(h), cd(h / 2)
-        return (4 * d2 - d1) / 3
+        """xi_k'(x): closed forms up to k = 3; above, by the chain rule on
+        xi_k(x) = xi_k(xi_{k-1}(x)) + 1 along the pullback orbit."""
+        if not 0 <= k <= MAX_LEVEL:
+            raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
+        if k <= 1:
+            return _E ** -k  # xi_0 = x - e, xi_1 = x / e
+        if k == 2:
+            if x <= 0:
+                raise DomainError(f"log of non-positive value {x!r}")
+            return 1.0 / x
+        if k == 3:
+            if x < 0:
+                return math.exp(x)  # xi_3(x) = e^x - 1 below 0
+            c = self.chi(x)
+            if isinstance(c, LIReal):
+                return math.exp(-float(lixnum.ln_li(c)))  # subnormal or 0
+            return 1.0 / c
+        slope = 1.0
+        while x >= TOP:
+            slope *= self._xi_k_deriv(k - 1, x)
+            x = float(self.xi_k(k - 1, x))
+        if not x >= BASE - 1e-9:
+            raise DomainError(f"xi_{k} argument below its base {BASE}")
+        return slope / (TOP - BASE)
 
 
 HIER = XiHierarchy()

@@ -5,6 +5,8 @@ whole table is visible in the pytest output (run with -s or look at the
 captured stdout of a failing test).
 """
 
+import math
+
 import pytest
 
 from growthcalc import acceptance, classify
@@ -22,3 +24,15 @@ def test_catalog_criterion_counts_its_rows(monkeypatch):
     rows = classify.catalog()[:7]
     monkeypatch.setattr(classify, "catalog", lambda: rows)
     assert acceptance.check_catalog_chains()["detail"].startswith("7 rows,")
+
+
+@pytest.mark.parametrize("attr,mutant", [
+    ("scaled_xi_increment", lambda a, x: 0.5),
+    ("scaled_xi_increment", lambda a, x: 2.0),
+    ("inverse_derivative_ratio", lambda f, g, x: 2.0 / math.sqrt(x) * (1 + 1e-9)),
+], ids=["increment-at-lower-shift", "increment-at-upper-shift", "ratio-off-by-1e-9"])
+def test_separation_criterion_can_fail(monkeypatch, attr, mutant):
+    # the sandwich bracket is strict at both shifts, and the ratio is held
+    # to 2/sqrt(x) within 1e-12
+    monkeypatch.setattr(classify, attr, mutant)
+    assert not acceptance.run_one(10)["ok"]

@@ -5,9 +5,9 @@ import pytest
 
 from growthcalc import classify, funcexpr, lixnum
 from growthcalc.classify import (
-    BetweenClassFn, catalog, classify_expr, inverse_derivative_ratio,
-    sandwich_bounds, sandwich_bracket_report, scaled_xi_increment,
-    staircase_class0, staircase_class1, verify_chain, wobbly_log_derivative,
+    catalog, classify_expr, inverse_derivative_ratio, sandwich_bracket_report,
+    scaled_xi_increment, staircase_class0, staircase_class1, verify_chain,
+    wobbly_log_derivative,
 )
 from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.xihier import default_hierarchy
@@ -95,28 +95,6 @@ class TestClassifier:
         assert max(h_calls) == 1
 
 
-class TestBetweenClass:
-    def test_m2_matches_closed_form(self):
-        f = BetweenClassFn("log(x)", m=2, c=1.0)
-        # xi_2 = log and H_2 = id, so f(x) = x * e^(1/log x)
-        assert f(100.0) == pytest.approx(100.0 * math.exp(1.0 / math.log(100.0)),
-                                         rel=1e-12)
-
-    def test_forward_inverse_roundtrip(self):
-        f = BetweenClassFn("log(x)", m=2, c=1.0)
-        for x in (10.0, 300.0, 1e5):
-            assert f.inverse(f(x)) == pytest.approx(x, rel=1e-9)
-
-    def test_guards(self):
-        with pytest.raises(DomainError):
-            BetweenClassFn("log(x)", m=1)
-        with pytest.raises(DomainError):
-            BetweenClassFn("log(x)", m=2, c=0.0)
-
-    def test_describe_mentions_levels(self):
-        assert "xi_2" in BetweenClassFn("log(x)", m=2).describe()
-
-
 class TestSandwich:
     def test_class1_bounds_bracket_the_unit_scaling(self):
         rep = sandwich_bracket_report()
@@ -127,43 +105,6 @@ class TestSandwich:
         assert all(0.5 < v < 2.0 for v in nus)
         # the normalized increment settles at its limit value 1
         assert nus[-1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_class0_has_upper_bound_only(self):
-        g, h = sandwich_bounds(0, 4)
-        assert g is None
-        assert h.c == 2.0
-        with pytest.raises(DomainError):
-            sandwich_bounds(0, 1)
-
-    def test_handle_values_pinned(self):
-        g, h = sandwich_bounds(1, 1)
-        assert h(10.0) == 1865.1193669519116
-        assert g(10.0) == 17.5462202454995
-        assert h(1e4) == 105912.38886799965
-        assert g(1e4) == 16825.815233873425
-        assert (g.c, h.c) == (0.5, 2.0)
-
-    def test_nested_description_pinned(self):
-        assert sandwich_bounds(0, 4)[1].describe() == (
-            "xi_3-shift by 2.0/H_3(inverse[xi_4-shift by 2.0/H_4(inverse["
-            "xi_5-shift by 2.0/H_5(inverse[xi_6-shift by 2.0/H_6(inverse["
-            "xi_6-shift by 2.0/H_6(xi_5)])])])])")
-
-    def test_layer_range_guard(self):
-        with pytest.raises(DomainError):
-            sandwich_bounds(1, 5)
-        with pytest.raises(DomainError):
-            sandwich_bounds(-1, 1)
-
-    def test_handles_are_increasing(self):
-        g, h = sandwich_bounds(1, 1)
-        xs = [10.0, 100.0, 1e4]
-        for fn in (g, h):
-            vals = [fn(x) for x in xs]
-            assert all(b > a for a, b in zip(vals, vals[1:]))
-        # g lies below the scaling e*x, h above it
-        for x in xs:
-            assert g(x) < math.e * x < h(x)
 
     def test_increment_needs_scaling_factor(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthcalc import abel, ackermann, cli, funcexpr, lixnum, orders
-from growthcalc.classify import BetweenClassFn
 from growthcalc.funcexpr import (
     Binary, Call, Compose, Const, EvalError, NamedConst, Neg, ParseError,
     PrecisionError, Var, evaluate, parse, to_text,
@@ -133,10 +132,15 @@ class TestDifferentiation:
         assert evaluate(d, x) == pytest.approx(
             1.0 / float(hier.chi(x)))
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
     @pytest.mark.parametrize("x", [10.0, 50.0, 1e3, 1e6])
-    def test_dxi_k_is_reciprocal_of_H_k(self, x):
-        d = funcexpr.differentiate(parse("xi_4(x)"))
-        assert abs(evaluate(d, x) * HIER.H_k(4, x) - 1.0) <= 1e-15
+    def test_dxi_k_matches_central_difference(self, k, x):
+        # the chain-rule product against an independent difference of xi_k,
+        # at points whose stencil stays clear of the pullback seams
+        d = funcexpr.differentiate(parse(f"xi_{k}(x)"))
+        h = 1e-6 * x
+        num = (float(HIER.xi_k(k, x + h)) - float(HIER.xi_k(k, x - h))) / (2 * h)
+        assert evaluate(d, x) == pytest.approx(num, rel=1e-6)
 
     @given(st.floats(min_value=1.5, max_value=30.0))
     def test_derivative_matches_central_difference(self, x):
@@ -291,8 +295,6 @@ def _through_every_layer(form):
         abel.solve_abel(form("2*x"), A=1.0).eval(37.0),
         funcexpr.invert_at(form("x+sqrt(x)"), 12.0),
         ackermann.op_L(form("2*x"))(5.0),
-        BetweenClassFn(form("log(x)"), m=2)(50.0),
-        BetweenClassFn(form("log(x)"), m=2).describe(),
     ]
 
 
@@ -311,13 +313,12 @@ class TestFn:
     def test_every_spec_form_gives_the_same_results(self, form):
         got = _through_every_layer(_SPEC_FORMS[form])
         assert got == _through_every_layer(str)
-        residuals, margins, F, root, lowered, between, text = got
+        residuals, margins, F, root, lowered = got
         assert residuals[-1] == pytest.approx(math.log(2.0), rel=1e-12)
         assert margins[-1] < 1e-9
         assert F == 5.15625  # 37 = 2^5 * 1.15625, linear seed on [1, 2]
         assert root == 9.0
         assert lowered == 7.0
-        assert between > 50.0 and text == "xi_2-shift by 1.0/H_2(log(x))"
 
     def test_inverse_order(self):
         # a given inverse first, even over the callable's own and the derived

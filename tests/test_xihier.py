@@ -172,29 +172,29 @@ class TestChi:
             hier.chi(-1.0)
 
 
-class TestHk:
-    def test_h2_is_identity(self, hier):
-        assert hier.H_k(2, 17.5) == 17.5
+class TestDerivative:
+    @pytest.mark.parametrize("x", [2.0005, 2.001, 2.5])
+    def test_seed_slope_on_the_fundamental_domain(self, x):
+        # xi_4 is the linear seed on [2, e); a stencil there would reach
+        # below the base 2
+        assert evaluate(parse("dxi_4(x)"), x) == 1.0 / (math.e - 2.0)
 
-    def test_h3_is_chi(self, hier):
-        assert hier.H_k(3, 40.0) == hier.chi(40.0)
+    def test_level_3_closed_form_at_both_ends(self):
+        # xi_3(x) = e^x - 1 below 0; past about 1e304, chi leaves the float
+        # range and 1/chi(x) = exp(-(ln x + ln ln x + ...)) is subnormal
+        assert evaluate(parse("dxi_3(x)"), -2.0) == pytest.approx(math.exp(-2.0))
+        log_chi, t = 0.0, 1e308
+        while t > 1.0:
+            t = math.log(t)
+            log_chi += t
+        assert evaluate(parse("dxi_3(x)"), 1e308) == pytest.approx(
+            math.exp(-log_chi), rel=1e-9)
 
-    def test_h4_matches_derivative_reciprocal(self, hier):
-        x = 50.0
-        h = 1e-4 * x
-        d = (float(hier.xi_k(4, x + h)) - float(hier.xi_k(4, x - h))) / (2 * h)
-        assert hier.H_k(4, x) == pytest.approx(1.0 / d, rel=1e-3)
-
-    def test_below_two_rejected(self, hier):
+    @pytest.mark.parametrize("text,x", [("dxi_4(x)", 1.5), ("dxi_9(x)", 10.0),
+                                        ("dxi_2(x)", 0.0), ("dxi_2(x)", -1.0)])
+    def test_domain_errors(self, text, x):
         with pytest.raises(DomainError):
-            hier.H_k(1, 10.0)
-
-    @pytest.mark.parametrize("x", [2.0005, 2.001])
-    def test_h4_just_above_base(self, hier, x):
-        # xi_4 is linear on [2, e]; a central stencil of half-width 1e-3 x
-        # would reach below the base 2 here
-        assert abs(hier.H_k(4, x) - hier.H_k(4, 2.01)) <= 1e-9
-        assert evaluate(parse("dxi_4(x)"), x) * hier.H_k(4, x) == pytest.approx(1.0)
+            evaluate(parse(text), x)
 
 
 class TestConstruction:
@@ -225,6 +225,14 @@ def _public_callables():
                         yield f"{mod.__name__}.{name}.{attr}", meth
             elif inspect.isroutine(obj):
                 yield f"{mod.__name__}.{name}", obj
+
+
+@pytest.mark.parametrize("module", sorted(
+    ["growthcalc"] + [f"growthcalc.{info.name}"
+                      for info in pkgutil.iter_modules(growthcalc.__path__)]))
+def test_star_import_finds_every_exported_name(module):
+    # a name left in __all__ after its definition is deleted fails here
+    exec(f"from {module} import *", {})
 
 
 class TestOneHierarchy:
