@@ -179,6 +179,12 @@ class TestDerivative:
         # below the base 2
         assert evaluate(parse("dxi_4(x)"), x) == 1.0 / (math.e - 2.0)
 
+    def test_dxi_4_matches_central_difference(self, hier):
+        x = 50.0
+        h = 1e-4 * x
+        d = (float(hier.xi_k(4, x + h)) - float(hier.xi_k(4, x - h))) / (2 * h)
+        assert evaluate(parse("dxi_4(x)"), x) == pytest.approx(d, rel=1e-3)
+
     def test_level_3_closed_form_at_both_ends(self):
         # xi_3(x) = e^x - 1 below 0; past about 1e304, chi leaves the float
         # range and 1/chi(x) = exp(-(ln x + ln ln x + ...)) is subnormal
