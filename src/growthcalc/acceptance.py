@@ -56,11 +56,11 @@ def check_half_exponential() -> dict:
     worst = 0.0
     for i in range(100):
         x = 0.1 + (5.0 - 0.1) * i / 99
-        y = lixnum.to_real(phi(phi(lixnum.from_real_any(x))))
+        y = float(phi(phi(lixnum.to_li(x))))
         worst = max(worst, abs(y / math.exp(x) - 1.0))
-    at_one = phi(phi(lixnum.from_real(1.0)))
+    at_one = phi(phi(lixnum.to_li(1.0)))
     exact_e = (lixnum.xi_exact(at_one) ==
-               lixnum.xi_exact(lixnum.from_real(math.e)) == 2)
+               lixnum.xi_exact(lixnum.to_li(math.e)) == 2)
     ok = worst <= 1e-8 and exact_e
     return _report("half-exponential", ok,
                    f"max rel err {worst:.2e}; phi(phi(1)) = e exactly in "
@@ -185,8 +185,7 @@ def check_op_L_chain() -> dict:
             t = 2.0 + 0.5 * i
             a = lowered(t)
             b = HIER.xi_k_inv(k, t)
-            if not isinstance(a, LIReal):
-                a = lixnum.from_real_any(float(a))
+            a = lixnum.to_li(a)
             diff = abs(float(lixnum.xi_exact(a) - lixnum.xi_exact(b)))
             worst_chain = max(worst_chain, diff)
     Lexp = ackermann.op_L("exp(x)", f_inv="log(x)")

@@ -33,7 +33,7 @@ __all__ = [
     "supported_envelope",
 ]
 
-_LN2 = math.log(2.0)
+_LI_TWO, _LI_LN2 = lixnum.to_li(2.0), lixnum.to_li(math.log(2.0))
 
 # largest n per m for exact evaluation; beyond (up to _N_MAX) the value is
 # returned as a level-index tower
@@ -67,8 +67,7 @@ def _a2_step(v: Union[int, LIReal]) -> Union[int, LIReal]:
             return 2 ** (v + 2) - 2
         v = lixnum.to_li(v)
     # tower scale: the -2 and +2 are far below representable resolution
-    return lixnum.exp_li(lixnum.mul(lixnum.add(v, lixnum.from_real(2.0)),
-                                    lixnum.from_real(_LN2)))
+    return lixnum.exp_li(lixnum.mul(lixnum.add(v, _LI_TWO), _LI_LN2))
 
 
 def _a2_iterate(v: Union[int, LIReal], count: int) -> Union[int, LIReal]:

@@ -208,14 +208,15 @@ _SCAN_ERRORS = (EvalError, DomainError, ValueError, OverflowError)
 
 
 def _float_values(expr) -> Callable:
-    """x -> float(expr at x), evaluated at most once per point; a point
-    whose evaluation failed raises the same exception again."""
+    """x -> expr at x as a float, or an LIReal if a tower, evaluated at most
+    once per point; a point whose evaluation failed raises it again."""
     f, memo = compile_expr(expr), {}
 
     def value(x):
         if x not in memo:
             try:
-                memo[x] = float(f(x))
+                v = f(x)
+                memo[x] = v if isinstance(v, LIReal) else float(v)
             except _SCAN_ERRORS as exc:
                 memo[x] = exc
         got = memo[x]
@@ -227,16 +228,19 @@ def _float_values(expr) -> Callable:
 
 
 def _log_ratios(h: Callable, pts, r: int, s: int) -> list:
-    """log_r h(x) / log_s x at each x of pts, for h a float function such
-    as _float_values gives; EvalError where a log leaves its domain or the
-    denominator is 0."""
+    """log_r h(x) / log_s x at each x of pts, for h as _float_values gives,
+    whose towers take their logs exactly by ln_li; EvalError where a log
+    leaves its domain (DomainError for a tower) or the denominator is 0."""
 
-    def log_n(v: float, n: int) -> float:
+    def log_n(v, n: int) -> float:
         for _ in range(n):
-            if v <= 0:
+            if isinstance(v, LIReal):
+                v = lixnum.ln_li(v)
+            elif v <= 0:
                 raise EvalError("iterated log left the domain")
-            v = math.log(v)
-        return v
+            else:
+                v = math.log(v)
+        return float(v)
 
     out = []
     for x in pts:
@@ -461,8 +465,9 @@ def scaled_xi_increment(a: float, x) -> float:
     (the true value differs from it by less than 1/log x)."""
     if a <= 1.0:
         raise DomainError("needs a scaling factor a > 1")
-    if not isinstance(x, LIReal):
-        x = lixnum.from_real(float(x))
+    x = lixnum.to_li(x)
+    if not x > 0:
+        raise DomainError(f"needs a point x > 0, got {x}")
     try:
         uf = float(lixnum.ln_li(x))
     except DomainError:

@@ -295,12 +295,19 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except (DomainError, EvalError, ParseError, ValueError, OverflowError) as exc:
         print(f"growthcalc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("growthcalc: expression nested too deeply", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): send what is left, and
+        # the interpreter's final flush, to the null device, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

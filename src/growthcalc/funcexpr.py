@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive)::
     atom    := NUMBER | 'x' | 'e' | 'pi' | NAME '(' expr ')' | '(' expr ')'
 
 Function names: exp, log, log_<k>, sqrt, sin, abs, xi, xi_<k>, chi, plus the
-numeric-derivative forms dxi_<k> and dchi emitted by differentiate().
+derivative forms dxi_<k> (exact, by the chain rule) and dchi (a central
+difference) emitted by differentiate().
 compile_expr(expr), the one evaluator, turns an expression into closures
 with float fast paths that also take Fractions or level-index numbers
 (LIReal), where exp/log become exact level shifts.  The xi, xi_k, chi and
@@ -328,7 +329,7 @@ def _exp(v: Value) -> Value:
         r = math.inf
     if math.isinf(r):
         # promote instead of overflowing; x > 0 here necessarily
-        return lixnum.exp_li(lixnum.from_real(x))
+        return lixnum.exp_li(lixnum.to_li(x))
     return r
 
 
@@ -362,7 +363,7 @@ def _pow(b: Value, p: Value) -> Value:
     if isinstance(r, complex):
         raise EvalError(f"complex power {bf!r} ** {pf!r}")
     if math.isinf(r) and bf > 1:
-        return lixnum.exp_li(lixnum.from_real(pf * math.log(bf)))
+        return lixnum.exp_li(lixnum.to_li(pf * math.log(bf)))
     return r
 
 
@@ -392,7 +393,7 @@ def _binary(op: str, a: Value, b: Value) -> Value:
     r = num(a, b)
     if op == "*" and r == _INF and type(a) is float and type(b) is float and 0.0 < a < r and 0.0 < b < r:
         # a float product past the range promotes, as _pow does
-        return lixnum.mul(lixnum.from_real(a), lixnum.from_real(b))
+        return lixnum.mul(lixnum.to_li(a), lixnum.to_li(b))
     return r
 
 
@@ -431,7 +432,7 @@ def _call_value(node: Call, v: Value) -> Value:
     if fn == "abs":
         if _is_li(v):
             if v.level == -1:
-                return lixnum.from_real(-lixnum.to_real(v))
+                return lixnum.to_li(-float(v))
             return v
         return abs(v)
     if fn == "xi":
@@ -635,8 +636,9 @@ def _div(a, b):
 def differentiate(expr: FuncExpr) -> FuncExpr:
     """Symbolic derivative with respect to x.
 
-    xi differentiates to 1/chi; xi_k for k >= 4 (and chi) fall back to
-    numeric-derivative nodes since no closed form is available.
+    xi differentiates to 1/chi; xi_k for k >= 4 to a dxi_k node, exact by
+    the chain rule along the pullback, and chi to a dchi node, the one
+    numeric derivative.  Neither node is differentiated again.
     """
     if isinstance(expr, Var):
         return _ONE
@@ -704,7 +706,7 @@ def differentiate(expr: FuncExpr) -> FuncExpr:
         if fn == "chi":
             return _mul(Call("dchi", u), du)
         if fn in ("dxi_k", "dchi"):
-            raise EvalError(f"{fn} (a numeric-derivative node) cannot be differentiated again")
+            raise EvalError(f"{fn} (a derivative node) cannot be differentiated again")
     raise TypeError(f"not a FuncExpr: {expr!r}")
 
 

@@ -9,9 +9,12 @@ Level bands: level 0 holds [0, 1), level 1 holds [1, e), level k holds
 [e_{k-1}(0), e_k(0)).  In this form exp and log are exact level shifts and
 the super-logarithm of (k, m) is exactly k + m.
 
-Negative levels encode iterated logs: level -1 holds ln of a level-0 value
-(a negative real), level -2 is kept as a formal pre-image so that
-ln_li(exp_li(v)) round-trips; it has no real value of its own.
+Level -1 holds the negative reals: (-1, m) stands for ln m, the log of a
+level-0 value.  Every pair has a real value (ln 0 aside, the bottom of the
+order), so ln_li refuses zero and the negatives, as the float log does.
+
+to_li is the one way into a tower, from a float, int or Fraction, and the
+builtin float() the one way out.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ from fractions import Fraction
 __all__ = [
     "LIReal",
     "DomainError",
-    "from_real",
-    "from_real_any",
     "to_li",
-    "to_real",
     "exp_li",
     "ln_li",
     "add",
@@ -45,7 +45,7 @@ class DomainError(ValueError):
     """Input outside the representable / mathematically defined range."""
 
 
-MIN_LEVEL = -2
+MIN_LEVEL = -1
 
 # Same-level relative gap below which addition cannot move the mantissa.
 ABSORB_REL = 2.0 ** -50
@@ -106,6 +106,7 @@ class LIReal:
         return format_li(self)
 
 
+_ZERO = LIReal(0, 0.0)
 _LN_ZERO = LIReal(-1, 0.0)
 
 
@@ -122,51 +123,38 @@ def _comparable(other):
 
 
 def to_li(v) -> LIReal:
-    """v as a level-index number.
-
-    An LIReal passes through; a float, int or Fraction is converted, also
-    past the float range, where one exact log of its numerator and
-    denominator brings it back.
+    """v as a level-index number: the one way into a tower, as float() is
+    the one way out.  An LIReal passes through; a float, int or Fraction
+    is converted, also past the float range, where one exact log of its
+    numerator and denominator brings it back.
     """
     if isinstance(v, LIReal):
         return v
     try:
-        return from_real_any(float(v))
+        return LIReal(*_pair_any(float(v)))
     except OverflowError:
         pass
     p, q = v.numerator, v.denominator
     if p <= 0:
         raise DomainError(f"cannot represent non-positive value {v!r}")
-    return exp_li(from_real(math.log(p) - math.log(q)))
-
-
-def from_real(d: float) -> LIReal:
-    """Normalize a finite nonnegative float into level-index form."""
-    return LIReal(*_pair(d))
-
-
-def from_real_any(d: float) -> LIReal:
-    """Like from_real but maps a negative value to level -1 (d = ln(mantissa))."""
-    return LIReal(*_pair_any(d))
-
-
-def to_real(v: LIReal) -> float:
-    """The represented value; raises on float overflow or formal level -2."""
-    return _real(v.level, v.mantissa)
+    return exp_li(to_li(math.log(p) - math.log(q)))
 
 
 # -- the pair kernel ---------------------------------------------------------
 # The conversions and the arithmetic below work on bare (level, mantissa)
 # pairs; the public functions wrap them and build one LIReal, for the
-# result.  Callers that chain many steps (xihier.chi) loop on the pairs.
+# result.  Callers that chain many steps (xihier.chi and the xi_4 pullback)
+# loop on the pairs.
 
 
-def _pair(d) -> tuple:
-    """(level, mantissa) of a finite d >= 0: the log chain of from_real."""
-    if not math.isfinite(d) or d < 0:
-        raise DomainError(f"from_real requires a finite nonnegative value, got {d!r}")
-    level = 0
-    x = float(d)
+def _pair_any(d) -> tuple:
+    """(level, mantissa) of a finite float d: the log chain of to_li for
+    d >= 0, and (-1, exp(d)) for d < 0, d = ln(mantissa)."""
+    if not math.isfinite(d):
+        raise DomainError(f"to_li requires a finite value, got {d!r}")
+    if d < 0:
+        return -1, math.exp(d)
+    level, x = 0, d
     while x >= 1.0:
         x = math.log(x)
         level += 1
@@ -176,20 +164,9 @@ def _pair(d) -> tuple:
     return level, x
 
 
-def _pair_any(d) -> tuple:
-    """_pair, extended to a negative d as (-1, exp(d)), d = ln(mantissa)."""
-    if d >= 0:
-        return _pair(d)
-    if not math.isfinite(d):
-        raise DomainError(f"from_real_any requires a finite value, got {d!r}")
-    return -1, math.exp(d)
-
-
 def _real(level: int, m: float) -> float:
-    """The value of the pair (level, m): the exp chain of to_real."""
+    """The value of the pair (level, m): the exp chain of float()."""
     if level < 0:
-        if level == -2:
-            raise DomainError("level -2 values are formal (no real value)")
         if m == 0.0:
             raise DomainError("ln 0 is not a real value")
         return math.log(m)
@@ -234,23 +211,16 @@ def _sub_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
     return level, m, False
 
 
-def _ln_levels(a: LIReal, b: LIReal) -> tuple:
-    """The levels of ln a and ln b, as ln_li checks them."""
-    la, lb = a.level - 1, b.level - 1
-    if la < MIN_LEVEL or lb < MIN_LEVEL:
-        raise DomainError(f"ln below level {MIN_LEVEL} is unsupported")
-    return la, lb
-
-
 def exp_li(v: LIReal) -> LIReal:
     """Exact level increment: exp of the represented value."""
     return LIReal(v.level + 1, v.mantissa, v.absorbed)
 
 
 def ln_li(v: LIReal) -> LIReal:
-    """Exact level decrement; defined down to the formal level -2."""
-    if v.level - 1 < MIN_LEVEL:
-        raise DomainError(f"ln below level {MIN_LEVEL} is unsupported")
+    """Exact level decrement: ln of the represented value, which must be
+    positive."""
+    if (v.level, v.mantissa) <= (0, 0.0):
+        raise DomainError(f"log of non-positive value {v}")
     return LIReal(v.level - 1, v.mantissa, v.absorbed)
 
 
@@ -282,19 +252,31 @@ def sub(a: LIReal, b: LIReal) -> LIReal:
     return LIReal(*_sub_pair(a.level, a.mantissa, b.level, b.mantissa))
 
 
+def _tower_operand(v: LIReal) -> bool:
+    """Whether v may enter a tower product or quotient through its log:
+    False for zero; DomainError for a negative v."""
+    if v.level < 0:
+        raise DomainError(f"negative operand {v} in a tower product or quotient")
+    return v.level > 0 or v.mantissa > 0.0
+
+
 def mul(a: LIReal, b: LIReal) -> LIReal:
     if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
+        if not (_tower_operand(a) and _tower_operand(b)):
+            return _ZERO
         # exp(ln a + ln b); the inner add applies its own absorption rules
-        la, lb = _ln_levels(a, b)
-        level, m, absorbed = _add_pair(la, a.mantissa, lb, b.mantissa)
+        level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa)
         return LIReal(level + 1, m, absorbed)
     return LIReal(*_pair_any(_real(a.level, a.mantissa) * _real(b.level, b.mantissa)))
 
 
 def div(a: LIReal, b: LIReal) -> LIReal:
     if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
-        la, lb = _ln_levels(a, b)
-        level, m, absorbed = _sub_pair(la, a.mantissa, lb, b.mantissa)
+        if not _tower_operand(b):
+            raise DomainError("division by zero")
+        if not _tower_operand(a):
+            return _ZERO
+        level, m, absorbed = _sub_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa)
         return LIReal(level + 1, m, absorbed)
     vb = _real(b.level, b.mantissa)
     if vb == 0.0:

@@ -47,6 +47,7 @@ __all__ = ["XiHierarchy", "HIER", "MAX_LEVEL", "default_hierarchy", "BASE", "BAS
 Value = Union[float, Fraction, LIReal]
 
 _E = math.e
+_LI_E = lixnum.to_li(_E)
 
 BASE = 2.0            # base point of the level >= 4 fundamental domains
 TOP = math.e          # right end: xi_{k-1}(e) = 2 exactly, for every k >= 4
@@ -83,17 +84,17 @@ class XiHierarchy:
             raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
         if k == 0:
             if isinstance(x, LIReal):
-                return lixnum.sub(x, lixnum.from_real(_E))
+                return lixnum.sub(x, _LI_E)
             return float(x) - _E
         if k == 1:
             if isinstance(x, LIReal):
-                return lixnum.div(x, lixnum.from_real(_E))
+                return lixnum.div(x, _LI_E)
             return float(x) / _E
         if k == 2:
             if isinstance(x, LIReal):
                 w = lixnum.ln_li(x)
                 try:
-                    return lixnum.to_real(w)
+                    return float(w)
                 except DomainError:
                     return w
             xf = float(x)
@@ -121,30 +122,31 @@ class XiHierarchy:
         """(n, y): the least n for which xi_3 applied n times to x is below
         e, and that value as a float (y is x itself when n = 0).
 
-        Runs on the level-index pair v of each value L + m, so no step
-        builds a Fraction: L + m >= e is exact as below, and while L is an
-        exact float, L + m rounds as float(Fraction(L) + Fraction(m)) does.
+        Steps on bare (L, m) pairs, so no step builds an LIReal or a
+        Fraction: L + m >= e is exact as below, and while L is an exact
+        float, L + m rounds as float(Fraction(L) + Fraction(m)) does.
         """
         if not XiHierarchy._at_least(x, TOP):
             return 0, x
         v = lixnum.to_li(x)
-        n = 1
-        while v.level >= 3 or (v.level == 2 and v.mantissa >= _E_MINUS_2):
-            if v.level < _EXACT_INT:
-                v = lixnum.from_real_any(v.level + v.mantissa)
+        level, m, n = v.level, v.mantissa, 1
+        while level >= 3 or (level == 2 and m >= _E_MINUS_2):
+            if level < _EXACT_INT:
+                level, m = lixnum._pair_any(level + m)
             else:
-                v = lixnum.to_li(lixnum.xi_exact(v))
+                v = lixnum.to_li(level + Fraction(m))
+                level, m = v.level, v.mantissa
             n += 1
             if n > _MAX_STEPS:
                 raise DomainError("xi_4 pullback failed to terminate")
-        return n, v.level + v.mantissa
+        return n, level + m
 
     @staticmethod
     def _at_least(y, top: float) -> bool:
         if isinstance(y, LIReal):
             if y.level >= 4:
                 return True  # any tower dwarfs the float-sized domain top
-            return lixnum.to_real(y) >= top
+            return float(y) >= top
         if isinstance(y, (int, Fraction)):
             return y >= top  # exact; avoids float conversion of big rationals
         return float(y) >= top
@@ -156,9 +158,9 @@ class XiHierarchy:
         if k != 3 or isinstance(t, LIReal):
             t = float(t)
         if k == 0:
-            return lixnum.from_real_any(t + _E)
+            return lixnum.to_li(t + _E)
         if k == 1:
-            return lixnum.from_real_any(t * _E)
+            return lixnum.to_li(t * _E)
         if k == 3:
             return lixnum.xi_inv_exact(t)
         if not 4 <= k <= MAX_LEVEL:
@@ -198,7 +200,7 @@ class XiHierarchy:
                     raise DomainError(f"chi needs a nonnegative argument, got {xf!r}")
                 if xf <= 1.0:
                     return 1.0
-                level, m = lixnum._pair(xf)
+                level, m = lixnum._pair_any(xf)
         # the running sum; absorbed is the flag of the last addition
         al, am, absorbed = 0, 0.0, False
         while level > 1 or (level == 1 and m > 0.0):

@@ -155,9 +155,7 @@ class TestOpL:
             for t in (2.0, 4.5, 9.0):
                 got = L(t)
                 want = hier.xi_k_inv(k, t)
-                if not isinstance(got, LIReal):
-                    got = lixnum.from_real_any(float(got))
-                diff = abs(float(lixnum.xi_exact(got) - lixnum.xi_exact(want)))
+                diff = abs(float(lixnum.xi_exact(lixnum.to_li(got)) - lixnum.xi_exact(want)))
                 assert diff <= 1e-9
 
     def test_ackermann_anchor_identity(self):

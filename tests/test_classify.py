@@ -110,6 +110,12 @@ class TestSandwich:
         with pytest.raises(DomainError):
             scaled_xi_increment(1.0, 100.0)
 
+    @pytest.mark.parametrize("x", [-5.0, 0.0, LIReal(-1, 0.5)], ids=str)
+    def test_increment_needs_a_positive_point(self, x):
+        # ln x is refused before the limit value 1 could stand in for it
+        with pytest.raises(DomainError, match="x > 0"):
+            scaled_xi_increment(math.e, x)
+
     def test_increment_limit_at_towers(self):
         assert scaled_xi_increment(math.e, LIReal(20, 0.5)) == 1.0
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -314,6 +315,42 @@ class TestExitCodes:
                              "--at", "2")
         assert (code, err) == (0, "")
         assert json.loads(out)["points"] == [{"x": 2.0, "value": 6000.0}]
+
+    def test_zero_times_a_tower_is_exact_zero(self, capsys):
+        data = run_json(capsys, "eval", "0*x", "--at", "L5:0.5")
+        assert data["points"] == [{"x": "L5:0.5", "value": "L0:0"}]
+
+    @pytest.mark.parametrize("argv,value", [
+        (["eval", "log(log(x))", "--at", "L0:0.5"], "L-1:0.5"),
+        (["eval", "log(x)", "--at", "L0:0"], "L0:0"),
+        (["xi", "--k", "2", "--at", "L0:0"], "L0:0"),
+    ])
+    def test_log_of_a_non_positive_tower_is_two(self, capsys, argv, value):
+        # as the float point 0.5 does for log(log(x)): no formal level -2
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"DomainError: log of non-positive value {value}" in err
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["--format", "text", "eval", "x", "--ladder", "geom:1:1.001:50000"], 1),
+        (["eval", "x", "--at", "2"], 0),
+    ])
+    def test_closed_pipe_is_two_without_traceback(self, argv, lines):
+        # a reader that stops early, as `| head -n 1` does, closes the pipe
+        # while main is printing, or before a short answer leaves stdout's
+        # buffer; a process of its own, with stdout buffered as usual, also
+        # sees the interpreter's last flush at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from growthcalc import cli; sys.exit(cli.main())", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for _ in range(lines):
+            assert proc.stdout.readline() == "1.0\t1.0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (2, "")
 
     def test_long_flat_product_is_two(self, capsys):
         # only + and - chains run as a loop: a 3000-factor product still

@@ -15,6 +15,8 @@ levels = st.integers(min_value=0, max_value=100)
 
 
 class TestRepresentation:
+    """to_li is the conversion from a real, float() the one back to it."""
+
     def test_mantissa_range_enforced(self):
         with pytest.raises(DomainError):
             LIReal(2, 1.0)
@@ -26,35 +28,39 @@ class TestRepresentation:
             LIReal(-3, 0.5)
 
     def test_from_real_small_values(self):
-        v = lixnum.from_real(0.25)
+        v = lixnum.to_li(0.25)
         assert v.level == 0 and v.mantissa == 0.25
 
     def test_from_real_log_chain(self):
         # 10 -> ln 10 = 2.302.. -> ln(2.302..) = 0.834..: level 2
-        v = lixnum.from_real(10.0)
+        v = lixnum.to_li(10.0)
         assert v.level == 2
         assert v.mantissa == pytest.approx(math.log(math.log(10.0)))
 
-    def test_from_real_rejects_negative(self):
-        with pytest.raises(DomainError):
-            lixnum.from_real(-1.0)
+    def test_to_li_rejects_non_finite(self):
+        for d in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                lixnum.to_li(d)
 
-    def test_from_real_any_negative_goes_level_minus_one(self):
-        v = lixnum.from_real_any(-2.0)
+    def test_to_li_negative_goes_level_minus_one(self):
+        v = lixnum.to_li(-2.0)
         assert v.level == -1
-        assert lixnum.to_real(v) == pytest.approx(-2.0)
+        assert float(v) == pytest.approx(-2.0)
 
     @given(st.floats(min_value=1e-300, max_value=1e300))
     def test_roundtrip(self, d):
-        assert lixnum.to_real(lixnum.from_real(d)) == pytest.approx(d, rel=1e-12)
+        assert float(lixnum.to_li(d)) == pytest.approx(d, rel=1e-12)
 
     def test_to_real_overflow_is_domain_error(self):
         with pytest.raises(DomainError):
-            lixnum.to_real(LIReal(7, 0.5))
+            float(LIReal(7, 0.5))
 
     def test_formal_level_has_no_value(self):
+        # level -2 once stood for the log of a negative real; it is refused
         with pytest.raises(DomainError):
-            lixnum.to_real(LIReal(-2, 0.5))
+            LIReal(-2, 0.5)
+        with pytest.raises(DomainError):
+            lixnum.parse_li("L-2:0.5")
 
 
 class TestExpLog:
@@ -70,12 +76,20 @@ class TestExpLog:
         assert lixnum.ln_li(lixnum.exp_li(v)) == v
 
     def test_ln_stops_at_formal_floor(self):
-        with pytest.raises(DomainError):
-            lixnum.ln_li(LIReal(-2, 0.5))
+        # ln of zero or of a negative value would reach the deleted level -2:
+        # refused, naming the value, as the float log refuses it
+        for v in (LIReal(0, 0.0), LIReal(0, -0.0), LIReal(-1, 0.5), LIReal(-1, 0.0)):
+            with pytest.raises(DomainError, match=f"non-positive value {v}"):
+                lixnum.ln_li(v)
+
+    def test_ln_of_a_small_positive_is_negative(self):
+        v = lixnum.ln_li(LIReal(0, 0.5))
+        assert v == LIReal(-1, 0.5)
+        assert float(v) == math.log(0.5)
 
     def test_exp_matches_float_exp_in_range(self):
-        v = lixnum.from_real(3.0)
-        assert lixnum.to_real(lixnum.exp_li(v)) == pytest.approx(math.exp(3.0))
+        v = lixnum.to_li(3.0)
+        assert float(lixnum.exp_li(v)) == pytest.approx(math.exp(3.0))
 
 
 class TestXiExact:
@@ -96,7 +110,7 @@ class TestXiExact:
         assert lixnum.xi_inv_exact(t) == v
 
     def test_value_of_e_is_two(self):
-        assert lixnum.xi_exact(lixnum.from_real(math.e)) == 2
+        assert lixnum.xi_exact(lixnum.to_li(math.e)) == 2
 
 
 class TestOrdering:
@@ -108,7 +122,7 @@ class TestOrdering:
     def test_compare_against_floats(self):
         assert LIReal(2, 0.5) > 4.0
         assert LIReal(0, 0.25) < 1.0
-        assert lixnum.from_real(7.0) <= 7.0
+        assert lixnum.to_li(7.0) <= 7.0
 
     def test_compare_against_numbers_past_float_range(self):
         # 10**400 lies between L3:0.5 (about 1.8e2) and L5:0.5
@@ -127,54 +141,82 @@ class TestOrdering:
 
 class TestArithmetic:
     def test_small_level_add_is_float_exact(self):
-        a, b = lixnum.from_real(5.0), lixnum.from_real(3.0)
-        assert lixnum.to_real(lixnum.add(a, b)) == pytest.approx(8.0)
+        a, b = lixnum.to_li(5.0), lixnum.to_li(3.0)
+        assert float(lixnum.add(a, b)) == pytest.approx(8.0)
         assert not lixnum.add(a, b).absorbed
 
     def test_small_level_sub_mul_div(self):
-        a, b = lixnum.from_real(12.0), lixnum.from_real(3.0)
-        assert lixnum.to_real(lixnum.sub(a, b)) == pytest.approx(9.0)
-        assert lixnum.to_real(lixnum.mul(a, b)) == pytest.approx(36.0)
-        assert lixnum.to_real(lixnum.div(a, b)) == pytest.approx(4.0)
+        a, b = lixnum.to_li(12.0), lixnum.to_li(3.0)
+        assert float(lixnum.sub(a, b)) == pytest.approx(9.0)
+        assert float(lixnum.mul(a, b)) == pytest.approx(36.0)
+        assert float(lixnum.div(a, b)) == pytest.approx(4.0)
 
     def test_sub_below_zero_rejected(self):
         with pytest.raises(DomainError):
-            lixnum.sub(lixnum.from_real(1.0), lixnum.from_real(2.0))
+            lixnum.sub(lixnum.to_li(1.0), lixnum.to_li(2.0))
 
     def test_deep_add_absorbs(self):
         big = LIReal(9, 0.3)
-        out = lixnum.add(big, lixnum.from_real(1e10))
+        out = lixnum.add(big, lixnum.to_li(1e10))
         assert out.level == 9 and out.mantissa == 0.3
         assert out.absorbed
 
     def test_tiny_relative_term_absorbs_even_at_low_level(self):
-        a = lixnum.from_real(1e40)
-        b = lixnum.from_real(1.0)
+        a = lixnum.to_li(1e40)
+        b = lixnum.to_li(1.0)
         out = lixnum.add(a, b)
         assert out.absorbed
-        assert lixnum.to_real(out) == pytest.approx(1e40)
+        assert float(out) == pytest.approx(1e40)
 
     def test_deep_mul_is_log_drop(self):
         # e^1000 * e^5: one log drop adds the exponents exactly in floats
-        a = lixnum.exp_li(lixnum.from_real(1000.0))
-        b = lixnum.exp_li(lixnum.from_real(5.0))
+        a = lixnum.exp_li(lixnum.to_li(1000.0))
+        b = lixnum.exp_li(lixnum.to_li(5.0))
         out = lixnum.mul(a, b)
-        assert lixnum.to_real(lixnum.ln_li(out)) == pytest.approx(1005.0)
+        assert float(lixnum.ln_li(out)) == pytest.approx(1005.0)
 
     def test_div_by_zero_rejected(self):
         with pytest.raises(DomainError):
-            lixnum.div(lixnum.from_real(1.0), lixnum.from_real(0.0))
+            lixnum.div(lixnum.to_li(1.0), lixnum.to_li(0.0))
+
+
+_TOWER, _ZERO = LIReal(5, 0.5), LIReal(0, 0.0)
+
+
+class TestTowerZeroAndSign:
+    """Above level 3 mul and div go through one log, which zero and the
+    negatives do not have: zero is exact, a negative operand is refused."""
+
+    def test_zero_times_tower_is_exact_zero(self):
+        for out in (lixnum.mul(_ZERO, _TOWER), lixnum.mul(_TOWER, _ZERO),
+                    lixnum.mul(LIReal(0, -0.0), _TOWER)):
+            assert (out.level, out.mantissa, out.absorbed) == (0, 0.0, False)
+
+    def test_zero_over_tower_is_exact_zero(self):
+        out = lixnum.div(_ZERO, _TOWER)
+        assert (out.level, out.mantissa, out.absorbed) == (0, 0.0, False)
+
+    def test_tower_over_zero_rejected(self):
+        with pytest.raises(DomainError, match="division by zero"):
+            lixnum.div(_TOWER, _ZERO)
+
+    @pytest.mark.parametrize("neg", [LIReal(-1, 0.5), LIReal(-1, 0.0)], ids=str)
+    def test_negative_operand_against_a_tower_rejected(self, neg):
+        for op, a, b in ((lixnum.mul, _TOWER, neg), (lixnum.mul, neg, _TOWER),
+                         (lixnum.div, _TOWER, neg), (lixnum.div, neg, _TOWER)):
+            with pytest.raises(DomainError, match=f"negative operand {neg}"):
+                op(a, b)
 
 
 class TestXiExact:
-    @given(st.one_of(st.integers(min_value=-2, max_value=100),
+    @given(st.one_of(st.integers(min_value=-1, max_value=100),
                      st.integers(min_value=2 ** 53 - 2, max_value=2 ** 53 + 2),
                      st.integers(min_value=10 ** 60, max_value=10 ** 300)),
            st.one_of(st.just(0.0), mantissas))
     def test_one_fraction_is_the_sum(self, k, m):
         assert lixnum.xi_exact(LIReal(k, m)) == Fraction(k) + Fraction(m)
 
-    @pytest.mark.parametrize("k,m", [(-2, 0.0), (-1, 0.0), (-1, 0.5), (0, 0.0),
+    @pytest.mark.parametrize("k,m", [(-1, 0.0), (-1, 0.5), (0, 0.0),
                                      (7, 0.25), (10 ** 300, 0.0),
                                      (10 ** 300, math.nextafter(1.0, 0.0))])
     def test_edge_values(self, k, m):

@@ -110,7 +110,7 @@ _EDGE_ARGS = [
     math.nextafter(math.e, 0.0),
     Fraction(math.e),
     *[LIReal(k, m) for k in _BIG_LEVELS for m in (0.0, 0.5, math.nextafter(1.0, 0.0))],
-    LIReal(-1, 0.5), LIReal(-1, 0.0), LIReal(-2, 0.5),
+    LIReal(-1, 0.5), LIReal(-1, 0.0),
     Fraction(10 ** 400, 3), Fraction(-(10 ** 400), 3), -(10 ** 400),
     2.0, 1.5, 1e300, LIReal(7, 0.0), LIReal(4, 0.9),
 ]
@@ -127,7 +127,7 @@ class TestXi4PullbackMatchesFractions:
 
     @given(st.one_of(
         st.floats(min_value=1.9, max_value=1e300),
-        st.builds(LIReal, st.integers(min_value=-2, max_value=60),
+        st.builds(LIReal, st.integers(min_value=-1, max_value=60),
                   st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         st.builds(Fraction, st.integers(min_value=1, max_value=10 ** 400),
                   st.integers(min_value=1, max_value=10 ** 30)),
