@@ -93,8 +93,7 @@ def check_catalog_chains() -> dict:
 
 
 def _geomspace(lo: float, hi: float, count: int) -> List[float]:
-    r = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * r ** i for i in range(count)]
+    return Ladder.geometric(lo, (hi / lo) ** (1.0 / (count - 1)), count).points()
 
 
 def check_abel_solver() -> dict:

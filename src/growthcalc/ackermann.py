@@ -17,8 +17,9 @@ integer anchors.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional, Union
+from typing import Union
 
 from . import abel, funcexpr, lixnum
 from .lixnum import DomainError, LIReal
@@ -40,9 +41,6 @@ _LI_TWO, _LI_LN2 = lixnum.to_li(2.0), lixnum.to_li(math.log(2.0))
 _N_EXACT = {3: 3, 4: 1}
 _N_MAX = {0: None, 1: None, 2: 10 ** 4, 3: 6, 4: 2}
 _M_MAX = 4
-
-# towers only (m >= 3); the m <= 2 values are O(1) closed forms
-_memo: dict = {}
 
 
 def supported_envelope() -> dict:
@@ -90,29 +88,28 @@ def _a2_iterate(v: Union[int, LIReal], count: int) -> Union[int, LIReal]:
 def ack(m: int, n: int) -> Union[int, LIReal]:
     """A(m, n): exact integer while feasible, level-index tower beyond."""
     _check_range(m, n)
-    key = (m, n)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
     if n == 0:
-        val: Union[int, LIReal] = 2
-    elif m == 0:
-        val = n + 2
-    elif m == 1:
-        val = 2 * n + 2
-    elif m == 2:
-        val = 2 ** (n + 2) - 2
-    elif m == 3:
-        val = _a2_step(ack(3, n - 1))
-    else:  # m == 4: A(4, n+1) = A(3, A(4, n)), and A(4, 1) = A(3, 2)
-        inner = ack(4, n - 1)
-        if not isinstance(inner, int):
-            raise DomainError("ack(4, n) needs an integer inner height")
-        # A(3, inner): iterate the A(2, .) step from A(3, 0) = 2
-        val = _a2_iterate(2, inner)
-    if m >= 3:
-        _memo[key] = val
-    return val
+        return 2
+    if m == 0:
+        return n + 2
+    if m == 1:
+        return 2 * n + 2
+    if m == 2:
+        return 2 ** (n + 2) - 2
+    return _ack_tower(m, n)
+
+
+@functools.cache
+def _ack_tower(m: int, n: int) -> Union[int, LIReal]:
+    """A(m, n) for m >= 3 and n >= 1, the values past the closed forms."""
+    if m == 3:
+        return _a2_step(ack(3, n - 1))
+    # m == 4: A(4, n+1) = A(3, A(4, n)), and A(4, 1) = A(3, 2)
+    inner = ack(4, n - 1)
+    if not isinstance(inner, int):
+        raise DomainError("ack(4, n) needs an integer inner height")
+    # A(3, inner): iterate the A(2, .) step from A(3, 0) = 2
+    return _a2_iterate(2, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +126,12 @@ def _a2_real_inv(y: float) -> float:
     return math.log2(y + 2.0) - 2.0
 
 
-_g3_solution: Optional[abel.AbelSolution] = None
-
-
+@functools.cache
 def _g3() -> abel.AbelSolution:
     """Abel solution G(3, .) of the step A(2, .), anchored so that
     G(3, A(3, n)) = n: smooth seed on the fundamental domain [2, 14]."""
-    global _g3_solution
-    if _g3_solution is None:
-        _g3_solution = abel.solve_abel(_a2_real, A=2.0, seed_kind="smooth_c1",
-                                       f_inv=_a2_real_inv)
-    return _g3_solution
+    return abel.solve_abel(_a2_real, A=2.0, seed_kind="smooth_c1",
+                           f_inv=_a2_real_inv)
 
 
 def G_real(m: int, x) -> float:

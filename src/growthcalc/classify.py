@@ -229,17 +229,12 @@ def _float_values(expr) -> Callable:
 
 def _log_ratios(h: Callable, pts, r: int, s: int) -> list:
     """log_r h(x) / log_s x at each x of pts, for h as _float_values gives,
-    whose towers take their logs exactly by ln_li; EvalError where a log
-    leaves its domain (DomainError for a tower) or the denominator is 0."""
+    whose towers take their logs exactly (funcexpr._log); EvalError where a
+    log leaves its domain (DomainError for a tower) or the denominator is 0."""
 
     def log_n(v, n: int) -> float:
         for _ in range(n):
-            if isinstance(v, LIReal):
-                v = lixnum.ln_li(v)
-            elif v <= 0:
-                raise EvalError("iterated log left the domain")
-            else:
-                v = math.log(v)
+            v = funcexpr._log(v)
         return float(v)
 
     out = []

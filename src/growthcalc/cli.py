@@ -177,8 +177,10 @@ def cmd_iterate(args) -> int:
     store = {}
     if cache and cache.exists():
         store = json.loads(cache.read_text())
-        if args.f in store:
-            sol = abel.solution_from_json(store[args.f])
+        entry = store.get(args.f)
+        # an entry serves only the base it was solved at
+        if entry is not None and entry["A"] == args.base:
+            sol = abel.solution_from_json(entry)
     if sol is None:
         sol = abel.solve_abel(args.f, A=args.base)
         if cache:

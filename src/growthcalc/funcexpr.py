@@ -363,7 +363,10 @@ def _pow(b: Value, p: Value) -> Value:
     if isinstance(r, complex):
         raise EvalError(f"complex power {bf!r} ** {pf!r}")
     if math.isinf(r) and bf > 1:
-        return lixnum.exp_li(lixnum.to_li(pf * math.log(bf)))
+        e = pf * math.log(bf)
+        if math.isinf(e):  # past about L4: form the exponent on towers
+            return lixnum.exp_li(lixnum.mul(lixnum.to_li(pf), lixnum.to_li(math.log(bf))))
+        return lixnum.exp_li(lixnum.to_li(e))
     return r
 
 
@@ -403,6 +406,22 @@ _NUMDIFF_STEP = 1e-5
 def _numdiff(f, x: float) -> float:
     h = _NUMDIFF_STEP * max(1.0, abs(x))
     return (float(f(x + h)) - float(f(x - h))) / (2 * h)
+
+
+# past ln(max float / min subnormal) = 1453.6, x * m^k has no float value
+_LOG_FLOAT_SPAN = 1500.0
+
+
+def _times_power(x: float, m: float, k: int) -> float:
+    """x * m^k, splitting k while m^k alone would leave the normal float
+    range; inf or 0.0 once |k log m| rules out a float product."""
+    e = k * math.log(m)
+    if abs(e) > _LOG_FLOAT_SPAN:
+        return math.inf if e > 0 else 0.0
+    if abs(e) > 700.0:
+        h = k // 2
+        return _times_power(_times_power(x, m, h), m, k - h)
+    return x * m ** k
 
 
 def _call_value(node: Call, v: Value) -> Value:

@@ -78,7 +78,7 @@ class Ladder:
 
     def points(self) -> list:
         if self.kind == "geometric":
-            return [_geometric_point(self.x0, self.ratio, i) for i in range(self.count)]
+            return [funcexpr._times_power(self.x0, self.ratio, i) for i in range(self.count)]
         return [LIReal(j, self.mantissa) for j in range(1, self.count + 1)]
 
     def to_json(self) -> dict:
@@ -100,16 +100,6 @@ class Ladder:
             raise ValueError(f"bad ladder spec {spec!r}: {exc}") from None
         raise ValueError(f"bad ladder spec {spec!r}; want geom:x0:ratio:count "
                          f"or tower:mantissa:levels")
-
-
-def _geometric_point(x0: float, ratio: float, i: int) -> float:
-    """x0 * ratio**i; where ratio**i alone overflows, the power is split in
-    halves, each step of which stays below the (representable) result."""
-    try:
-        return x0 * ratio ** i
-    except OverflowError:
-        h = i // 2
-        return _geometric_point(_geometric_point(x0, ratio, h), ratio, i - h)
 
 
 # ---------------------------------------------------------------------------

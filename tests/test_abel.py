@@ -528,10 +528,15 @@ class TestRegularized:
         right = (reg_log.F(A + h) - reg_log.F(A)) / h
         assert right == pytest.approx(left, rel=1e-6)
 
-    def test_regularity_ratio_matches_H(self, reg_log):
+    def test_regularity_ratio_matches_numeric_log_F_prime(self, reg_log):
+        # -x (log F')' by a central difference of log F', itself a central
+        # difference of F: independent of H and of how F is built
         for x in (1.5, 3.0, 10.0, 1e3, 1e5, 1e8):
-            assert reg_log.regularity_ratio(x) == pytest.approx(
-                reg_log.H(x) + 1.0, abs=1e-5)
+            h = 1e-3 * x
+            slope = (_central_log_F_prime(reg_log.F, x + h)
+                     - _central_log_F_prime(reg_log.F, x - h)) / (2 * h)
+            assert reg_log.regularity_ratio(x) == pytest.approx(-x * slope, abs=1e-5)
+            assert reg_log.regularity_ratio(x) == 1.0 + reg_log.H(x)
 
     def test_derivative_ratio_tends_to_one(self, reg_log):
         # H(x) = (1 + H(log x)) / log x: -x F''/F' decreases toward 1

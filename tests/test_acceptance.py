@@ -36,3 +36,14 @@ def test_separation_criterion_can_fail(monkeypatch, attr, mutant):
     # to 2/sqrt(x) within 1e-12
     monkeypatch.setattr(classify, attr, mutant)
     assert not acceptance.run_one(10)["ok"]
+
+
+@pytest.mark.parametrize("lo,hi,count", [
+    (1.0, 4000.0, 1000), (1.01, 1e12, 1000), (2.0, 1e150, 1000),
+    (0.55, 700.0, 1000), (1.5, 40.0, 25), (1.0, 4000.0, 200),
+    (1.0, 100.0, 40), (4.0, 65536.0, 60), (10.0, 1e6, 25),
+])
+def test_geomspace_is_the_plain_formula(lo, hi, count):
+    # the sample points of criteria 4, 6, 9 and 10, bit for bit
+    r = (hi / lo) ** (1.0 / (count - 1))
+    assert acceptance._geomspace(lo, hi, count) == [lo * r ** i for i in range(count)]

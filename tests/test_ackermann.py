@@ -79,12 +79,17 @@ class TestExactValues:
             assert key(ackermann._a2_iterate(2, count)) == key(v), count
             v = ackermann._a2_step(v)
 
-    def test_memo_holds_only_towers(self):
-        for m in range(5):
+    def test_tower_cache_holds_only_towers(self):
+        cache = ackermann._ack_tower
+        for m in range(3, 5):
             for n in range(3):
                 ack(m, n)
-        assert ackermann._memo
-        assert all(m >= 3 for m, _ in ackermann._memo)
+        size = cache.cache_info().currsize
+        assert size
+        for m in range(3):
+            for n in range(40):
+                ack(m, n)
+        assert cache.cache_info().currsize == size
 
     def test_range_guards(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_funcexpr import EXPRS
 
-from growthcalc import cli, funcexpr
+from growthcalc import cli, funcexpr, lixnum
 
 
 def run(capsys, *argv):
@@ -51,6 +51,16 @@ class TestEval:
         level, m = data["points"][0]["value"].split(":")
         assert level == "L4"
         assert float(m) == pytest.approx(mantissa, abs=1e-15)
+
+    def test_power_whose_exponent_overflows_is_a_tower(self, capsys):
+        # x^x at 1e308 is exp(1e308 ln 1e308); the float exponent is inf,
+        # so it is formed on towers: ln ln of the value is
+        # ln(1e308) + ln ln(1e308) = 715.7603408703876
+        data = run_json(capsys, "eval", "x^x", "--at", "1e308")
+        v = lixnum.parse_li(data["points"][0]["value"])
+        assert v.level == 5
+        assert float(lixnum.ln_li(lixnum.ln_li(v))) == pytest.approx(
+            math.log(1e308) + math.log(math.log(1e308)), rel=1e-14)
 
     def test_ladder_values(self, capsys):
         data = run_json(capsys, "eval", "x+1", "--ladder", "geom:1:2:8")
@@ -145,6 +155,16 @@ class TestIterate:
         assert "2*x" in json.loads(cache.read_text())
         second = run_json(capsys, *argv)
         assert second["value"] == pytest.approx(first["value"], abs=1e-9)
+
+    def test_seed_cache_entry_serves_only_its_base(self, capsys, tmp_path):
+        # x+sqrt(x) has a different Abel solution at each base; one cache
+        # file shared by two bases must answer what uncached runs answer
+        argv = ("iterate", "--f", "x+sqrt(x)", "--lambda", "0.5", "--at", "50")
+        cache = ("--seed-cache", str(tmp_path / "seeds.json"))
+        want = {b: run_json(capsys, *argv, "--base", b)["value"] for b in ("2", "5")}
+        assert want["2"] != want["5"]
+        for b in ("2", "5", "2"):
+            assert run_json(capsys, *argv, "--base", b, *cache)["value"] == want[b]
 
     def test_non_finite_point_is_two(self, capsys):
         code, out, err = run(capsys, "iterate", "--f", "x+1", "--lambda",

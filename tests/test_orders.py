@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,34 @@ class TestLadder:
             (2.0, 1.4, 16), (1.0, 1.2, 10)]]
         for lad in ladders:
             assert lad.points() == [lad.x0 * lad.ratio ** i for i in range(lad.count)]
+
+    def test_points_match_the_plain_formula_below_700(self):
+        # x0 * ratio**i, bit for bit, wherever i ln(ratio) <= 700: a grid
+        # over the ladders of the goldens, the tests, the CLI defaults and
+        # perfbench (x0 from 1e-300 to 1e180, ratio from 1.001 to 1e18)
+        ratios = [1.001, 1.2, 1.35, 1.4, 2.5, 3.0] + [10 ** (j / 8) for j in range(1, 145)]
+        for x0 in (1e-300, 1e-10, 0.55, 1.0, 1.5, 2.0, 7.3, 10.0, 100.0, 1e8, 1e180):
+            for ratio in ratios:
+                # the longest ladder, up to 60 points, that fits in floats
+                room = (math.log(sys.float_info.max) - math.log(x0)) / math.log(ratio)
+                count = min(60, int(room - 1e-9) + 1)
+                if count < Ladder.MIN_COUNT:
+                    continue
+                pts = Ladder.geometric(x0, ratio, count).points()
+                for i, p in enumerate(pts):
+                    if i * math.log(ratio) <= 700:
+                        assert p == x0 * ratio ** i, (x0, ratio, i)
+
+    def test_split_ladder_is_exact_to_rounding(self):
+        # 1e10^i alone overflows from i = 31 on; the points (up to 1e290) do not
+        lad = Ladder.from_spec("geom:1e-300:1e10:60")
+        pts = lad.points()
+        assert all(math.isfinite(p) for p in pts)
+        assert all(b > a for a, b in zip(pts, pts[1:]))
+        x0, ratio = Fraction(lad.x0), Fraction(lad.ratio)
+        for i, p in enumerate(pts):
+            exact = x0 * ratio ** i
+            assert abs(Fraction(p) - exact) <= Fraction(1, 10 ** 14) * exact, i
 
     def test_tower_points_are_li(self):
         pts = Ladder.tower(0.5, 10).points()
