@@ -1,8 +1,9 @@
 """Abel functional equation solver.
 
 Solves F(f(x)) = F(x) + 1 for strictly increasing f with f(x) > x by the
-classical fundamental-domain construction: pick a monotone seed S on
-[A, f(A)] with S(f(A)) = S(A) + 1, then extend by the recursion.  For a
+classical fundamental-domain construction: a linear or smooth C^1 seed on
+[A, f(A)] that gains exactly 1, extended by the recursion, so f, A and the
+seed kind fix a solution (and are all its JSON holds).  For a
 contracting map (f(x) < x, e.g. log) the orientation flips: the solved F
 satisfies F(f(x)) = F(x) - 1 and is still increasing.  Evaluating F pulls
 x back into the fundamental domain.  For a translation or a scaling
@@ -25,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import funcexpr
 from .lixnum import DomainError
@@ -62,8 +63,6 @@ class CubicSeed:
     boundary.  m0 is fixed so the mean slope matches the secant.
     """
 
-    kind = "smooth_c1"
-
     def __init__(self, x0: float, x1: float, y0: float, fpA: float):
         if fpA <= 0:
             raise DomainError(f"f'(A) must be positive, got {fpA!r}")
@@ -92,16 +91,11 @@ class CubicSeed:
             return self.x1
         return funcexpr._bisect(self, t, self.x0, self.x1)
 
-    def params(self) -> dict:
-        return {"x0": self.x0, "x1": self.x1, "y0": self.y0, "fpA": self.fpA}
-
 
 class TableSeed:
     """The piecewise-linear interpolant through knots strictly increasing in
     both coordinates, and its inverse, extended past the end knots.  Knots
     keep their type: Fraction knots and arguments give exact Fractions."""
-
-    kind = "table"
 
     def __init__(self, knots: Sequence[tuple]):
         xs = [x for x, _ in knots]
@@ -125,9 +119,6 @@ class TableSeed:
 
     def inv(self, t):
         return self._interp(self.ys, self.xs, t)
-
-    def params(self) -> dict:
-        return {"knots": list(zip(self.xs, self.ys))}
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +238,11 @@ class AbelSolution:
         return self.inverse(self.eval(x) + lam)
 
 
-def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
+def solve_abel(f, A: float, seed_kind: str = "linear",
                f_inv: Optional[Callable[[float], float]] = None) -> AbelSolution:
-    """seed_kind: "linear" (the two-knot table 0 -> 1 across the domain),
-    "smooth_c1" or a table's (x, y) knots.  The pullback's backward step
-    is funcexpr.Fn(f, inverse=f_inv).inverse; without one, an expression
+    """seed_kind: "linear" (the two-knot table 0 -> 1 across the domain) or
+    "smooth_c1" (the Hermite cubic); each gains exactly 1.  The backward
+    step is funcexpr.Fn(f, inverse=f_inv).inverse; without one, an expression
     gives f' for Newton steps in the bisection and a callable gives none."""
     fn = funcexpr.Fn(f, inverse=f_inv)
     inv, fp = fn.inverse, None
@@ -280,17 +271,12 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
             raise DomainError(f"f is not strictly increasing near {t!r}")
         prev = v
 
-    if seed_kind == "smooth_c1":
+    if seed_kind == "linear":
+        seed = TableSeed([(lo, 0.0), (hi, 1.0)])
+    elif seed_kind == "smooth_c1":
         seed = CubicSeed(lo, hi, 0.0, funcexpr._numdiff(fn.float, A))
-    elif isinstance(seed_kind, str) and seed_kind != "linear":
-        raise DomainError(f"unknown seed kind {seed_kind!r}")
     else:
-        seed = TableSeed([(lo, 0.0), (hi, 1.0)] if seed_kind == "linear"
-                         else seed_kind)
-    gain = seed(hi) - seed(lo)
-    if abs(gain - 1.0) > 1e-12:
-        raise DomainError(f"the seed must gain exactly 1 across the fundamental "
-                          f"domain [{lo!r}, {hi!r}], not {gain!r}")
+        raise DomainError(f"unknown seed kind {seed_kind!r}")
 
     affine = None if fn.expr is None else funcexpr.affine_step(fn.expr)
     if affine is not None and affine[0] == "*" and lo <= 0:
@@ -305,28 +291,17 @@ def solve_abel(f, A: float, seed_kind: Union[str, Sequence] = "linear",
 
 
 def solution_to_json(sol: AbelSolution) -> dict:
+    """The arguments of the solve: {"f": text, "A": A, "seed_kind": kind}."""
     if sol.f_text is None:
         raise DomainError("only solutions built from expression text are serializable")
-    return {
-        "f": sol.f_text,
-        "A": sol.A,
-        "seed_kind": sol.seed.kind,
-        "seed_params": sol.seed.params(),
-    }
+    kind = "smooth_c1" if isinstance(sol.seed, CubicSeed) else "linear"
+    return {"f": sol.f_text, "A": sol.A, "seed_kind": kind}
 
 
 def solution_from_json(data: dict) -> AbelSolution:
-    """Rebuild a solution_to_json entry by solve_abel, which re-checks f on
-    the stored base.  Entries of the older "linear" kind (x0, x1, y0) load
-    as the two-knot table they are."""
-    kind, p = data["seed_kind"], data["seed_params"]
-    if kind == "linear":
-        kind = [(p["x0"], p["y0"]), (p["x1"], p["y0"] + 1.0)]
-    elif kind == "table":
-        kind = [tuple(k) for k in p["knots"]]
-    elif kind != "smooth_c1":
-        raise DomainError(f"unknown seed kind {kind!r}")
-    return solve_abel(data["f"], data["A"], kind)
+    """Solve a solution_to_json entry again, with the same checks on f as a
+    fresh solve; any other key is ignored."""
+    return solve_abel(data["f"], data["A"], data["seed_kind"])
 
 
 # ---------------------------------------------------------------------------

@@ -171,16 +171,27 @@ def _cache_path(args) -> Path | None:
     return Path(p) if p else None
 
 
-def cmd_iterate(args) -> int:
-    cache = _cache_path(args)
-    sol = None
-    store = {}
-    if cache and cache.exists():
+def _load_cache(cache: Path, args):
+    """(entries, the solution stored for args.f at args.base or None); a
+    file that is not a JSON object of entries, or an entry that does not
+    load, is a DomainError naming the file."""
+    try:
         store = json.loads(cache.read_text())
+        if not isinstance(store, dict):
+            raise ValueError("not a JSON object of entries")
         entry = store.get(args.f)
         # an entry serves only the base it was solved at
-        if entry is not None and entry["A"] == args.base:
-            sol = abel.solution_from_json(entry)
+        if entry is None or entry["A"] != args.base:
+            return store, None
+        return store, abel.solution_from_json(entry)
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
+        raise DomainError(f"seed cache {str(cache)!r} does not load: "
+                          f"{type(exc).__name__}: {exc}") from None
+
+
+def cmd_iterate(args) -> int:
+    cache = _cache_path(args)
+    store, sol = _load_cache(cache, args) if cache and cache.exists() else ({}, None)
     if sol is None:
         sol = abel.solve_abel(args.f, A=args.base)
         if cache:

@@ -147,10 +147,16 @@ def order_of(F, f, ladder, tol: float = 1e-3) -> OrderEstimate:
     The estimate is the mean of the last-window residuals; converged means
     the tail is Cauchy within tol.  Non-convergence is a result, not an
     error; evaluation failures are errors and name the offending point.
-    A plain increasing sequence of points is accepted in place of a Ladder.
+    A plain sequence of at least Ladder.MIN_COUNT strictly increasing
+    points is accepted in place of a Ladder.
     """
     Ffn, ffn = funcexpr.Fn(F).raw, funcexpr.Fn(f).raw
-    pts = ladder.points() if hasattr(ladder, "points") else list(ladder)
+    if hasattr(ladder, "points"):
+        pts = ladder.points()
+    elif len(pts := list(ladder)) < Ladder.MIN_COUNT or any(
+            not a < b for a, b in zip(pts, pts[1:])):
+        raise ValueError(f"order_of needs at least {Ladder.MIN_COUNT} "
+                         "strictly increasing points")
     residuals = []
     for x in pts:
         try:

@@ -201,11 +201,15 @@ class XiHierarchy:
                 if xf <= 1.0:
                     return 1.0
                 level, m = lixnum._pair_any(xf)
-        # the running sum; absorbed is the flag of the last addition
-        al, am, absorbed = 0, 0.0, False
-        while level > 1 or (level == 1 and m > 0.0):
-            level -= 1
-            al, am, absorbed = lixnum._add_pair(al, am, level, m)
+        # terms (level - 1, m) down to (0, m), or to (1, m) if m = 0.  The
+        # sum starts at the first, flagged absorbed as 0 + ln x is; past an
+        # absorbed addition every term is smaller, so absorbed too.
+        last = 0 if m > 0.0 else 1
+        al, am, absorbed = (level - 1, m, True) if level > last else (0, 0.0, False)
+        for lb in range(level - 2, last - 1, -1):
+            al, am, absorbed = lixnum._add_pair(al, am, lb, m)
+            if absorbed:
+                break
         try:
             return lixnum._real(al + 1, am)
         except DomainError:

@@ -145,11 +145,14 @@ class TestSeeds:
             assert sol.eval(2 * x) - sol.eval(x) == pytest.approx(1.0, abs=1e-9)
 
     def test_table_seed(self):
-        knots = [(1.0, 0.0), (1.5, 0.6), (2.0, 1.0)]
-        sol = abel.solve_abel("2*x", A=1.0, seed_kind=knots,
-                              f_inv=lambda y: y / 2.0)
-        assert sol.eval(1.5) == pytest.approx(0.6, abs=1e-12)
-        assert sol.eval(3.0) == pytest.approx(1.6, abs=1e-12)
+        seed = abel.TableSeed([(1.0, 0.0), (1.5, 0.6), (2.0, 1.0)])
+        assert seed(1.5) == 0.6 and seed.inv(0.6) == 1.5
+        assert seed(1.25) == pytest.approx(0.3, abs=1e-15)
+        # extended past the end knots along the end segments
+        assert seed(3.0) == pytest.approx(1.8, abs=1e-15)
+        assert seed.inv(1.8) == pytest.approx(3.0, abs=1e-15)
+        exact = abel.TableSeed([(Fraction(1), Fraction(0)), (Fraction(3), Fraction(1))])
+        assert exact(Fraction(2)) == Fraction(1, 2)
 
     @pytest.mark.parametrize("knots", [
         [(1.0, 0.0), (1.0, 0.5), (2.0, 1.0)],
@@ -159,38 +162,35 @@ class TestSeeds:
     ])
     def test_table_knots_must_strictly_increase(self, knots):
         with pytest.raises(DomainError, match="strictly increasing"):
-            abel.solve_abel("2*x", A=1.0, seed_kind=knots)
-
-    def test_table_must_gain_one(self):
-        with pytest.raises(DomainError, match="gain exactly 1"):
-            abel.solve_abel("2*x", A=1.0, seed_kind=[(1.0, 0.0), (2.0, 0.9)])
-
-    @pytest.mark.parametrize("knots", [
-        [(0.5, 0.0), (2.0, 1.0)],
-        [(1, 0), (1.5, 0.5), (3, 1)],
-    ])
-    def test_table_must_span_the_domain(self, knots):
-        # each gains 1 between its end knots but only 2/3 across [1, 2], so
-        # F would jump where the domain's images meet
-        with pytest.raises(DomainError, match=r"gain exactly 1 .*\[1\.0, 2\.0\]"):
-            abel.solve_abel("2*x", A=1.0, seed_kind=knots)
+            abel.TableSeed(knots)
 
     def test_unknown_seed_kind(self):
-        with pytest.raises(DomainError, match="unknown seed kind"):
-            abel.solve_abel("2*x", A=1.0, seed_kind="cubic")
+        for kind in ("cubic", "table"):
+            with pytest.raises(DomainError, match="unknown seed kind"):
+                abel.solve_abel("2*x", A=1.0, seed_kind=kind)
+
+    @pytest.mark.parametrize("knots", [
+        [(1.0, 0.0), (2.0, 1.0)], [(1.0, 0.0), (1.5, 0.6), (2.0, 1.0)]])
+    def test_knot_list_is_no_seed_kind(self, knots):
+        # not even the linear seed's own knots, which gain exactly 1
+        with pytest.raises(DomainError, match=r"unknown seed kind \[\("):
+            abel.solve_abel("2*x", A=1.0, seed_kind=knots)
 
 
-# seed-cache entries as written before linear seeds became two-knot tables
+# seed-cache entries as written before they held only the solve arguments
 _OLD_CACHE_ENTRIES = [
     ({"f": "x+sqrt(x)", "A": 1.0, "seed_kind": "linear",
       "seed_params": {"x0": 1.0, "x1": 2.0, "y0": 0.0}}, "linear"),
-    ({"f": "2*x", "A": 1.0, "seed_kind": "table",
-      "seed_params": {"knots": [[1.0, 0.0], [1.25, 0.4], [2.0, 1.0]]}},
-     [(1.0, 0.0), (1.25, 0.4), (2.0, 1.0)]),
     ({"f": "x+sqrt(x)", "A": 1.0, "seed_kind": "smooth_c1",
       "seed_params": {"x0": 1.0, "x1": 2.0, "y0": 0.0,
                       "fpA": 1.5000000000098266}}, "smooth_c1"),
 ]
+_OLD_TABLE_ENTRY = {"f": "2*x", "A": 1.0, "seed_kind": "table",
+                    "seed_params": {"knots": [[1.0, 0.0], [1.25, 0.4], [2.0, 1.0]]}}
+
+# (f, A, seed kind) of the solutions whose JSON round trip is checked
+_ROUNDTRIP_SOLVES = [("x+sqrt(x)", 1.0, "linear"), ("x+sqrt(x)", 1.0, "smooth_c1"),
+                     ("2*x", 1.0, "linear"), ("x^2", 2.0, "linear")]
 
 
 class TestSerialization:
@@ -204,25 +204,24 @@ class TestSerialization:
             assert back.inverse(t) == fresh.inverse(t)
 
     def test_older_cache_entries_keep_their_values(self):
-        # table and smooth seeds evaluate as they did before the change
-        table = abel.solution_from_json(_OLD_CACHE_ENTRIES[1][0])
-        assert [table.eval(x) for x in (1.7, 40.0, 1e4)] == [
-            0.76, 5.4, 13.353125]
-        assert table.inverse(2.5) == 5.5
-        smooth = abel.solution_from_json(_OLD_CACHE_ENTRIES[2][0])
+        # a smooth seed evaluates as it did when the entry was written
+        smooth = abel.solution_from_json(_OLD_CACHE_ENTRIES[1][0])
         assert [smooth.eval(x) for x in (1.7, 40.0, 1e4)] == [
             0.7420000000006602, 11.568266997396384, 200.29516600968734]
         assert smooth.inverse(2.5) == 4.284225286766327
 
+    def test_older_table_entries_are_refused(self):
+        with pytest.raises(DomainError, match="unknown seed kind 'table'"):
+            abel.solution_from_json(_OLD_TABLE_ENTRY)
+
     def test_from_json_checks_f(self):
-        data = {"f": "x", "A": 1.0, "seed_kind": "table",
-                "seed_params": {"knots": [[1.0, 0.0], [2.0, 1.0]]}}
+        data = {"f": "x", "A": 1.0, "seed_kind": "linear"}
         with pytest.raises(DomainError, match="fixed point"):
             abel.solution_from_json(data)
         data["f"] = "2*x+sin(8*x)"
         with pytest.raises(DomainError, match="not strictly increasing"):
             abel.solution_from_json(data)
-        data["seed_kind"] = "spline"
+        data["f"], data["seed_kind"] = "2*x", "spline"
         with pytest.raises(DomainError, match="unknown seed kind"):
             abel.solution_from_json(data)
 
@@ -234,11 +233,36 @@ class TestSerialization:
         for x in (1.0, 5.25, 333.0):
             assert back.eval(x) == pytest.approx(sol_shift.eval(x), abs=1e-9)
 
+    @pytest.mark.parametrize("f,A,seed_kind", _ROUNDTRIP_SOLVES)
+    def test_json_is_the_solve_arguments(self, f, A, seed_kind):
+        sol = abel.solve_abel(f, A, seed_kind)
+        data = abel.solution_to_json(sol)
+        assert data == {"f": f, "A": A, "seed_kind": seed_kind}
+        back = abel.solution_from_json(data)
+        for x in (1.0, 1.7, 2.0, 40.0, 1e4):
+            if x < sol.domain_lo:  # x^2 at A = 2 starts at 2
+                with pytest.raises(DomainError, match="below the solution base"):
+                    back.eval(x)
+            else:
+                assert back.eval(x) == sol.eval(x)
+        for t in (0.0, 0.3, 2.5, 7.0):
+            assert back.inverse(t) == sol.inverse(t)
+
     def test_roundtrip_of_table_seed(self):
-        knots = [(1.0, 0.0), (2.0, 1.0)]
-        sol = abel.solve_abel("2*x", A=1.0, seed_kind=knots)
+        # the linear seed is the two-knot table [(1, 0), (2, 1)] here
+        sol = abel.solve_abel("2*x", A=1.0)
+        assert (sol.seed.xs, sol.seed.ys) == ([1.0, 2.0], [0.0, 1.0])
         back = abel.solution_from_json(abel.solution_to_json(sol))
-        assert back.eval(7.7) == pytest.approx(sol.eval(7.7), abs=1e-12)
+        assert back.eval(7.7) == sol.eval(7.7)
+
+    def test_roundtrip_of_smooth_seed(self):
+        sol = abel.solve_abel("2*x", A=1.0, seed_kind="smooth_c1")
+        data = abel.solution_to_json(sol)
+        assert data["seed_kind"] == "smooth_c1"
+        back = abel.solution_from_json(data)
+        assert isinstance(back.seed, abel.CubicSeed)
+        assert back.eval(7.7) == sol.eval(7.7)
+        assert back.inverse(3.3) == sol.inverse(3.3)
 
 
 def _count_bisections(monkeypatch):

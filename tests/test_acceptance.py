@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from growthcalc import acceptance, classify
+from growthcalc import abel, acceptance, classify
 
 
 @pytest.mark.parametrize("n", sorted(acceptance.CRITERIA))
@@ -36,6 +36,30 @@ def test_separation_criterion_can_fail(monkeypatch, attr, mutant):
     # to 2/sqrt(x) within 1e-12
     monkeypatch.setattr(classify, attr, mutant)
     assert not acceptance.run_one(10)["ok"]
+
+
+class _ShortLinearSeed(abel.TableSeed):
+    """The linear seed with its upper knot 1e-6 short of a gain of 1."""
+
+    def __init__(self, knots):
+        (x0, y0), (x1, y1) = knots
+        super().__init__([(x0, y0), (x1, y1 - 1e-6)])
+
+
+def _scaled(method):
+    return lambda self, v: method(self, v) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("target,mutant", [
+    ("growthcalc.abel.TableSeed", _ShortLinearSeed),
+    ("growthcalc.abel.AbelSolution.inverse", _scaled(abel.AbelSolution.inverse)),
+    ("growthcalc.abel.AbelSolution.eval", _scaled(abel.AbelSolution.eval)),
+], ids=["seed-gains-1-minus-1e-6", "inverse-off-by-1e-9", "eval-off-by-1e-9"])
+def test_abel_criterion_can_fail(monkeypatch, target, mutant):
+    # no solve checks that a seed gains exactly 1 across its domain; the
+    # residual and group-law bounds of criterion 4 must catch one that does not
+    monkeypatch.setattr(target, mutant)
+    assert not acceptance.run_one(4)["ok"]
 
 
 @pytest.mark.parametrize("lo,hi,count", [

@@ -166,6 +166,34 @@ class TestIterate:
         for b in ("2", "5", "2"):
             assert run_json(capsys, *argv, "--base", b, *cache)["value"] == want[b]
 
+    def test_seed_cache_holds_the_solve_arguments(self, capsys, tmp_path):
+        cache = tmp_path / "seeds.json"
+        argv = ("iterate", "--f", "x+sqrt(x)", "--lambda", "0.5", "--at", "50",
+                "--base", "2", "--seed-cache", str(cache))
+        miss = run(capsys, *argv)
+        assert json.loads(cache.read_text()) == {
+            "x+sqrt(x)": {"f": "x+sqrt(x)", "A": 2.0, "seed_kind": "linear"}}
+        assert run(capsys, *argv) == miss
+
+    @pytest.mark.parametrize("content,why", [
+        ("[]", "ValueError: not a JSON object of entries"),
+        ('{"x+1": 5}', "TypeError: 'int' object is not subscriptable"),
+        ('{"x+1": {"f": "x+1"}}', "KeyError: 'A'"),
+        ('{"x+1": {"f": "x+1", "A": 0.5, "seed_kind": "table", "seed_params":'
+         ' {"knots": [[0.5, 0.0], [1.5, 1.0]]}}}',
+         "DomainError: unknown seed kind 'table'"),
+        ("{", "JSONDecodeError: Expecting property name"),
+    ], ids=["list", "number-entry", "no-base", "table-entry", "truncated"])
+    def test_malformed_seed_cache_is_two(self, capsys, tmp_path, content, why):
+        cache = tmp_path / "seeds.json"
+        cache.write_text(content)
+        code, out, err = run(capsys, "iterate", "--f", "x+1", "--lambda", "0.5",
+                             "--at", "3", "--seed-cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith("growthcalc: ") and err.count("\n") == 1
+        assert f"seed cache {str(cache)!r} does not load: {why}" in err
+        assert cache.read_text() == content  # left for the user to delete
+
     def test_non_finite_point_is_two(self, capsys):
         code, out, err = run(capsys, "iterate", "--f", "x+1", "--lambda",
                              "0.5", "--at", "nan")

@@ -121,6 +121,16 @@ class TestOrderOf:
         assert est.converged
         assert est.lambda_hat == pytest.approx(math.log(2.0), abs=1e-3)
 
+    @pytest.mark.parametrize("pts", [
+        [], [10.0], [10.0 * 4.0 ** i for i in range(7)], [10, 1e300, 5],
+        [10.0 * 4.0 ** i for i in range(11)] + [10.0],
+        [10.0 * 4.0 ** min(i, 8) for i in range(12)],
+        [10.0 * 4.0 ** i for i in range(11)] + [math.nan],
+    ], ids=["empty", "one", "seven", "unordered", "step-back", "repeated", "nan"])
+    def test_plain_points_need_a_ladder_worth(self, pts):
+        with pytest.raises(ValueError, match="at least 8 strictly increasing"):
+            order_of("log(x)", "x^2", pts)
+
     def test_failure_names_the_point(self):
         with pytest.raises(EvalError, match="ladder point"):
             order_of("log(x)", "x-100", Ladder.geometric(2.0, 2.0, 8))

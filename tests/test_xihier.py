@@ -138,6 +138,34 @@ class TestXi4PullbackMatchesFractions:
             assert _outcome(HIER.xi_k, k, x) == _outcome(_fraction_xi_k, k, x)
 
 
+_CHI_MANTISSAS = (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999)
+
+
+def _chi_by_every_term(x):
+    """chi summed over every term of ln x + ln ln x + ..., the flag of the
+    last addition kept: the loop before the early stop."""
+    if isinstance(x, LIReal):
+        level, m = x.level, x.mantissa
+    else:
+        try:
+            xf = float(x)
+        except OverflowError:
+            x = lixnum.to_li(x)
+            level, m = x.level, x.mantissa
+        else:
+            if xf <= 1.0:
+                return 1.0
+            level, m = lixnum._pair_any(xf)
+    al, am, absorbed = 0, 0.0, False
+    while level > 1 or (level == 1 and m > 0.0):
+        level -= 1
+        al, am, absorbed = lixnum._add_pair(al, am, level, m)
+    try:
+        return lixnum._real(al + 1, am)
+    except DomainError:
+        return LIReal(al + 1, am, absorbed)
+
+
 class TestChi:
     def test_band_value(self, hier):
         assert hier.chi(0.5) == 1.0
@@ -170,6 +198,30 @@ class TestChi:
     def test_negative_rejected(self, hier):
         with pytest.raises(DomainError):
             hier.chi(-1.0)
+
+    def test_early_stop_matches_every_term(self):
+        # the sum stops at its first absorbed addition; summing every term
+        # gives the same value and the same absorbed flag
+        points = [LIReal(level, m) for level in range(61) for m in _CHI_MANTISSAS]
+        points += [LIReal(-1, 0.5), 0.0, 0.5, 1.0, 1.0000001, 1.5, math.e,
+                   15.15, 1e8, 1e300, 1.7e308, 1, 2, 3, 10 ** 6, 10 ** 400,
+                   Fraction(7, 3), Fraction(10 ** 400, 3)]
+        for x in points:
+            got, want = HIER.chi(x), _chi_by_every_term(x)
+            if isinstance(want, LIReal):
+                assert isinstance(got, LIReal), x
+                assert ((got.level, got.mantissa, got.absorbed)
+                        == (want.level, want.mantissa, want.absorbed)), x
+            else:
+                assert got == want and not isinstance(got, LIReal), x
+
+    def test_high_tower_is_prompt(self, capsys):
+        # the early stop makes chi independent of the level past the first
+        # absorbed term; summing all 1e20 terms would not finish
+        from growthcalc import cli
+        assert cli.main(["eval", "chi(x)", "--at", "L99999999999999999999:0.5"]) == 0
+        out = capsys.readouterr().out
+        assert '"value": "L99999999999999999999:0.5"' in out
 
 
 class TestDerivative:
