@@ -10,9 +10,9 @@ x back into the fundamental domain.  For a translation or a scaling
 (funcexpr.affine_step) the pullback and the push of the inverse are one
 closed-form iterate, x + k*d or x * m^k, in O(1) at any distance.  Other
 maps step once per unit of F, at most MAX_PULLBACK_STEPS times; a
-backward step uses the inverse funcexpr.Fn resolves (the caller's f_inv,
-the callable's own .inverse or the exact inverse of an expression), else
-a bisection narrowed by Newton steps on f'.
+backward step uses the inverse funcexpr.Fn resolves (the caller's f_inv
+or the exact inverse of an expression), else a bisection narrowed by
+Newton steps on f'.
 
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second

@@ -92,8 +92,8 @@ def check_catalog_chains() -> dict:
 # 4 -------------------------------------------------------------------------
 
 
-def _geomspace(lo: float, hi: float, count: int) -> List[float]:
-    return Ladder.geometric(lo, (hi / lo) ** (1.0 / (count - 1)), count).points()
+def _geomspace(lo: float, hi: float, count: int) -> Ladder:
+    return Ladder.geometric(lo, (hi / lo) ** (1.0 / (count - 1)), count)
 
 
 def check_abel_solver() -> dict:
@@ -207,14 +207,12 @@ def check_regularity() -> dict:
     ladder = Ladder.geometric(10.0, 1e12, 24)  # reaches ~1e277
     fails: List[str] = []
     for F in ("log(x)", "xi(x)"):
-        for cond in ("R0", "R3"):
-            rep = orders.check_R(cond, F, ladder)
+        for rep in orders.check_R(("R0", "R3"), F, ladder):
             if not rep.verdict:
-                fails.append(f"{F} {cond}")
-    sq = "log(x)^2"
-    if not orders.check_R("R3", sq, ladder).verdict:
+                fails.append(f"{F} {rep.condition}")
+    r0, r3 = orders.check_R(("R0", "R3"), "log(x)^2", ladder)
+    if not r3.verdict:
         fails.append("log^2 R3")
-    r0 = orders.check_R("R0", sq, ladder)
     growing = all(b >= a - 1e-9 for a, b in zip(r0.margins, r0.margins[1:]))
     if r0.verdict or not growing or r0.margins[-1] < 1.0:
         fails.append("log^2 R0 should fail with growing margin")

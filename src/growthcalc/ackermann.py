@@ -184,7 +184,7 @@ def op_L(f, f_inv=None) -> funcexpr.Fn:
     elif fn.expr is not None:
         inv = lambda y: funcexpr.invert_at(fn, float(y))  # noqa: E731
     else:
-        raise DomainError("op_L needs an inverse: pass f_inv or a handle with .inverse")
+        raise DomainError("op_L needs an inverse: pass f_inv or an Fn with one")
     f_raw = fn.raw
     # an expression inverse can return a level-index number; the unit
     # shift needs a float

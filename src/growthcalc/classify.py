@@ -61,11 +61,11 @@ def _tower_points(lo: int, hi: int) -> tuple:
     return tuple(LIReal(j, 0.5) for j in range(lo, hi + 1))
 
 
-_TOWER = _tower_points(2, 41)
-_DEEP_TOWER = tuple(LIReal(10 ** (60 + 60 * i), 0.5) for i in range(12))
+_TOWER = Ladder(_tower_points(2, 41))
+_DEEP_TOWER = Ladder(LIReal(10 ** (60 + 60 * i), 0.5) for i in range(12))
 # large mantissas: the residual error of sub-tower structure at level 4
 # decays like 1/log x, so stay near the top of the band
-_BAND = tuple(LIReal(4, 0.90 + 0.085 * i / 11) for i in range(12))
+_BAND = Ladder(LIReal(4, 0.90 + 0.085 * i / 11) for i in range(12))
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class CatalogEntry:
     declared_class: int
     f0: object  # expression text or a funcexpr.Fn
     chain: Tuple[str, ...]  # (F0, F1, F2, F3, F4)
-    ladders: tuple  # one Ladder or point tuple per pair
+    ladders: Tuple[Ladder, ...]  # one per pair
 
 
 # a = 2 wherever a row's family has a parameter (x+a, a*x, x^a)
@@ -118,14 +118,6 @@ def catalog() -> List[CatalogEntry]:
     return list(_CATALOG)
 
 
-def _ladder_desc(ladder) -> dict:
-    if isinstance(ladder, Ladder):
-        return ladder.to_json()
-    pts = list(ladder)
-    return {"kind": "points", "count": len(pts),
-            "first": str(pts[0]), "last": str(pts[-1])}
-
-
 def _order_check(F, f, ladder, target: float, tol: float) -> dict:
     """O_F(f) estimated on ladder; ok when it converged to within tol of
     target."""
@@ -159,7 +151,7 @@ def verify_chain(entry: CatalogEntry) -> dict:
         pairs.append((chain[k + 1], chain[k], -1.0))
     rows = [{"F": F.text, "f": f.text, "target": target,
              **_order_check(F, f, ladder, target, _CHAIN_TOL),
-             "ladder": _ladder_desc(ladder)}
+             "ladder": ladder.to_json()}
             for (F, f, target), ladder in zip(pairs, entry.ladders)]
     inv = _inverse_check(f0, chain[0])
     return {
@@ -189,7 +181,7 @@ class ClassReport:
                 "order_checks": self.order_checks, "reason": self.reason}
 
 
-_K_TOWER = _tower_points(2, 33)  # super-log order ladder
+_K_TOWER = Ladder(_tower_points(2, 33))  # super-log order ladder
 _N_MIN, _N_MAX, _R_MAX = -2, 6, 6  # scan ranges of the log depth n and of r
 _MU_BAND, _MU_TOL, _ORDER_TOL = 0.05, 1e-2, 1e-3
 _MU_LADDERS = {
@@ -259,7 +251,7 @@ def _settle(vals, tol: float):
 def _mu_estimate(fexpr, n: int):
     """mu in log_n f = (log_n x)^mu, via log_{n+1} f / log_{n+1} x
     (iterated exp when n+1 < 0, so n = -2 probes f - x directly)."""
-    pts = _MU_LADDERS.get(n, _MU_LADDER_WIDE).points()
+    pts = _MU_LADDERS.get(n, _MU_LADDER_WIDE)
     if n == -2:
         f, vals = compile_expr(fexpr), []
         for x in pts:
@@ -285,7 +277,7 @@ def _fmt(v: float) -> str:
 
 def _growth_precondition(fexpr) -> Tuple[bool, float]:
     f, worst = compile_expr(fexpr), math.inf
-    for x in Ladder.geometric(4.0, 2.5, 12).points():
+    for x in Ladder.geometric(4.0, 2.5, 12):
         fx = f(x)
         if isinstance(fx, LIReal) and fx.level >= 2:
             continue  # far beyond x + 1 already
@@ -386,7 +378,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
         h_expr = Binary("/", Const(1.0),
                         Binary("-", _logk_expr(fexpr, n + 2),
                                _logk_expr(Var(), n + 2)))
-        scan_pts = _GEOM_DEEP.points()
+        scan_pts = _GEOM_DEEP
     diags["h"] = funcexpr.to_text(h_expr)
     h = _float_values(h_expr)  # shared by the c-scan and every (k, r) scan
 

@@ -28,8 +28,6 @@ from .lixnum import DomainError, LIReal
 from .orders import Ladder
 from .xihier import HIER
 
-SEED_CACHE_ENV = "GROWTHCALC_SEED_CACHE"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
@@ -81,10 +79,6 @@ def _emit(args, payload: dict, text_lines=None):
         print(json.dumps(payload, indent=2, default=str, allow_nan=False))
 
 
-def _ladder(args, default: Ladder) -> Ladder:
-    return Ladder.from_spec(args.ladder) if args.ladder else default
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -94,7 +88,7 @@ def cmd_eval(args) -> int:
     if args.at is not None:
         pts = [_parse_point(args.at)]
     else:
-        pts = _ladder(args, Ladder.geometric(10.0, 10.0, 8)).points()
+        pts = Ladder.from_spec(args.ladder)
     f = funcexpr.compile_expr(expr)
     vals = [f(x) for x in pts]
     rows = [{"x": _render_value(x if isinstance(x, LIReal) else float(x)),
@@ -130,8 +124,8 @@ def cmd_ack(args) -> int:
 
 
 def cmd_order(args) -> int:
-    ladder = _ladder(args, Ladder.tower(0.5, 30))
-    est = orders.order_of(args.F, args.f, ladder, tol=args.tol)
+    est = orders.order_of(args.F, args.f, Ladder.from_spec(args.ladder),
+                          tol=args.tol)
     payload = est.to_json()
     payload.update({"F": args.F, "f": args.f})
     _emit(args, payload,
@@ -157,8 +151,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_props(args) -> int:
-    ladder = _ladder(args, Ladder.geometric(10.0, 1e12, 24))
-    reports = orders._check_conditions(("R0", "R1", "R2", "R3"), args.F, ladder)
+    reports = orders.check_R(("R0", "R1", "R2", "R3"), args.F,
+                             Ladder.from_spec(args.ladder))
     out = {r.condition: r.to_json() for r in reports}
     _emit(args, {"F": args.F, "conditions": out},
           [f"{c}: {'pass' if out[c]['verdict'] else 'fail'} "
@@ -166,15 +160,10 @@ def cmd_props(args) -> int:
     return 0
 
 
-def _cache_path(args) -> Path | None:
-    p = args.seed_cache or os.environ.get(SEED_CACHE_ENV)
-    return Path(p) if p else None
-
-
 def _load_cache(cache: Path, args):
     """(entries, the solution stored for args.f at args.base or None); a
-    file that is not a JSON object of entries, or an entry that does not
-    load, is a DomainError naming the file."""
+    file that cannot be read or is not a JSON object of entries, or an
+    entry that does not load, is a DomainError naming the file."""
     try:
         store = json.loads(cache.read_text())
         if not isinstance(store, dict):
@@ -184,19 +173,27 @@ def _load_cache(cache: Path, args):
         if entry is None or entry["A"] != args.base:
             return store, None
         return store, abel.solution_from_json(entry)
-    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
+    except (KeyError, OSError, TypeError, ValueError) as exc:  # DomainError included
         raise DomainError(f"seed cache {str(cache)!r} does not load: "
                           f"{type(exc).__name__}: {exc}") from None
 
 
+def _save_cache(cache: Path, store: dict) -> None:
+    try:
+        cache.write_text(json.dumps(store, indent=2, allow_nan=False))
+    except OSError as exc:
+        raise DomainError(f"seed cache {str(cache)!r} cannot be written: "
+                          f"{type(exc).__name__}: {exc}") from None
+
+
 def cmd_iterate(args) -> int:
-    cache = _cache_path(args)
+    cache = args.seed_cache and Path(args.seed_cache)
     store, sol = _load_cache(cache, args) if cache and cache.exists() else ({}, None)
     if sol is None:
         sol = abel.solve_abel(args.f, A=args.base)
         if cache:
             store[args.f] = abel.solution_to_json(sol)
-            cache.write_text(json.dumps(store, indent=2, allow_nan=False))
+            _save_cache(cache, store)
     x = float(_parse_point(args.at))
     y = sol.fractional_iterate(args.lam, x)
     if args.twice:
@@ -208,7 +205,7 @@ def cmd_iterate(args) -> int:
 
 def cmd_plotdata(args) -> int:
     expr = funcexpr.parse(args.expr)
-    pts = _ladder(args, Ladder.geometric(1.0, 2.0, 24)).points()
+    pts = Ladder.from_spec(args.ladder)
     f = funcexpr.compile_expr(expr)
     vals = [f(x) for x in pts]
     lines = ["x,f(x)"] + [f"{_render_value(x)},{_render_value(v)}"
@@ -260,7 +257,8 @@ def build_parser() -> _Parser:
     sp = add("eval", cmd_eval, "evaluate an expression at a point or ladder")
     sp.add_argument("expr")
     sp.add_argument("--at", help="point: float or L<level>:<mantissa>")
-    sp.add_argument("--ladder", help="geom:x0:ratio:count or tower:m:levels")
+    sp.add_argument("--ladder", default="geom:10:10:8",
+                    help="geom:x0:ratio:count or tower:m:levels")
 
     sp = add("xi", cmd_xi, "evaluate a hierarchy level xi_k")
     sp.add_argument("--k", type=int, required=True)
@@ -273,7 +271,7 @@ def build_parser() -> _Parser:
     sp = add("order", cmd_order, "order of f on the scale F along a ladder")
     sp.add_argument("--F", required=True)
     sp.add_argument("--f", required=True)
-    sp.add_argument("--ladder")
+    sp.add_argument("--ladder", default="tower:0.5:30")
     sp.add_argument("--tol", type=_positive_float, default=1e-3)
 
     sp = add("classify", cmd_classify, "growth-class decision with witness")
@@ -283,7 +281,7 @@ def build_parser() -> _Parser:
 
     sp = add("props", cmd_props, "regularity conditions R0-R3 for a scale")
     sp.add_argument("--F", required=True)
-    sp.add_argument("--ladder")
+    sp.add_argument("--ladder", default="geom:10:1e12:24")
 
     sp = add("iterate", cmd_iterate, "fractional iterate via an Abel solution")
     sp.add_argument("--f", required=True)
@@ -294,12 +292,11 @@ def build_parser() -> _Parser:
                     help="fundamental-domain base for the Abel solution")
     sp.add_argument("--twice", action="store_true",
                     help="apply the iterate twice")
-    sp.add_argument("--seed-cache",
-                    help=f"solution cache path (default ${SEED_CACHE_ENV})")
+    sp.add_argument("--seed-cache", help="solution cache path")
 
     sp = add("plotdata", cmd_plotdata, "emit x,f(x) sample data")
     sp.add_argument("expr")
-    sp.add_argument("--ladder")
+    sp.add_argument("--ladder", default="geom:1:2:24")
 
     add("repro", cmd_repro, "run the full verification suite")
     return p

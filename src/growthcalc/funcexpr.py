@@ -909,15 +909,11 @@ class Fn:
 
     @property
     def inverse(self) -> Optional["Fn"]:
-        """The given inverse, else the callable's own .inverse, else the
-        exact inverse invert() derives from the expression, else None."""
+        """The given inverse, else the exact inverse invert() derives from
+        the expression, else None."""
         if self._inverse is _DERIVE:
-            own = getattr(self.raw, "inverse", None)
-            if callable(own):
-                self._inverse = Fn(own)
-            else:
-                inv = None if self.expr is None else invert(self.expr)
-                self._inverse = None if inv is None else Fn(inv)
+            inv = None if self.expr is None else invert(self.expr)
+            self._inverse = None if inv is None else Fn(inv)
         return self._inverse
 
     @property

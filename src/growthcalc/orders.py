@@ -40,22 +40,34 @@ __all__ = [
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """A strictly increasing sequence of sample points.
+class Ladder(tuple):
+    """A strictly increasing sequence of sample points, built once, and the
+    description to_json() returns.
 
-    geometric(x0, ratio, count) emits floats x0 * ratio^i; tower(m, levels)
-    emits the level-index points e_1(m), ..., e_levels(m), which is where
+    Ladder(points) holds any sequence of at least MIN_COUNT strictly
+    increasing points (a Ladder is returned as it is); geometric(x0, ratio,
+    count) holds the floats x0 * ratio^i; tower(m, levels) holds the
+    level-index points e_1(m), ..., e_levels(m), which is where
     super-logarithm-scale limits actually turn on.
     """
 
-    kind: str
-    x0: float = 0.0
-    ratio: float = 0.0
-    count: int = 0
-    mantissa: float = 0.0
-
     MIN_COUNT = 8
+
+    def __new__(cls, points):
+        if isinstance(points, Ladder):
+            return points
+        pts = tuple(points)
+        if len(pts) < cls.MIN_COUNT or any(not a < b for a, b in zip(pts, pts[1:])):
+            raise ValueError(f"a ladder needs at least {cls.MIN_COUNT} "
+                             "strictly increasing points")
+        return cls._described(pts, {"kind": "points", "count": len(pts),
+                                    "first": str(pts[0]), "last": str(pts[-1])})
+
+    @classmethod
+    def _described(cls, points, desc: dict) -> "Ladder":
+        self = tuple.__new__(cls, points)
+        self._desc = desc
+        return self
 
     @classmethod
     def geometric(cls, x0: float, ratio: float, count: int) -> "Ladder":
@@ -66,7 +78,10 @@ class Ladder:
         if math.log(x0) + (count - 1) * math.log(ratio) > _LOG_FLOAT_MAX:
             raise ValueError(f"geometric ladder x0={x0!r}, ratio={ratio!r}, "
                              f"count={count} overflows the float range")
-        return cls(kind="geometric", x0=float(x0), ratio=float(ratio), count=int(count))
+        x0, ratio, count = float(x0), float(ratio), int(count)
+        return cls._described(
+            (funcexpr._times_power(x0, ratio, i) for i in range(count)),
+            {"kind": "geometric", "x0": x0, "ratio": ratio, "count": count})
 
     @classmethod
     def tower(cls, mantissa: float, levels: int) -> "Ladder":
@@ -74,18 +89,12 @@ class Ladder:
             raise ValueError("tower mantissa must lie in [0, 1)")
         if levels < cls.MIN_COUNT:
             raise ValueError(f"ladder needs at least {cls.MIN_COUNT} points")
-        return cls(kind="tower", mantissa=float(mantissa), count=int(levels))
-
-    def points(self) -> list:
-        if self.kind == "geometric":
-            return [funcexpr._times_power(self.x0, self.ratio, i) for i in range(self.count)]
-        return [LIReal(j, self.mantissa) for j in range(1, self.count + 1)]
+        mantissa, levels = float(mantissa), int(levels)
+        return cls._described((LIReal(j, mantissa) for j in range(1, levels + 1)),
+                              {"kind": "tower", "mantissa": mantissa, "levels": levels})
 
     def to_json(self) -> dict:
-        if self.kind == "geometric":
-            return {"kind": "geometric", "x0": self.x0, "ratio": self.ratio,
-                    "count": self.count}
-        return {"kind": "tower", "mantissa": self.mantissa, "levels": self.count}
+        return dict(self._desc)
 
     @classmethod
     def from_spec(cls, spec: str) -> "Ladder":
@@ -136,9 +145,7 @@ class OrderEstimate:
     window: int
 
     def to_json(self) -> dict:
-        return {"lambda_hat": self.lambda_hat, "residuals": self.residuals,
-                "converged": self.converged, "tail_spread": self.tail_spread,
-                "tol": self.tol, "window": self.window}
+        return dict(vars(self))  # the fields, in field order
 
 
 def order_of(F, f, ladder, tol: float = 1e-3) -> OrderEstimate:
@@ -147,18 +154,11 @@ def order_of(F, f, ladder, tol: float = 1e-3) -> OrderEstimate:
     The estimate is the mean of the last-window residuals; converged means
     the tail is Cauchy within tol.  Non-convergence is a result, not an
     error; evaluation failures are errors and name the offending point.
-    A plain sequence of at least Ladder.MIN_COUNT strictly increasing
-    points is accepted in place of a Ladder.
+    Any sequence Ladder() accepts serves as the ladder.
     """
     Ffn, ffn = funcexpr.Fn(F).raw, funcexpr.Fn(f).raw
-    if hasattr(ladder, "points"):
-        pts = ladder.points()
-    elif len(pts := list(ladder)) < Ladder.MIN_COUNT or any(
-            not a < b for a, b in zip(pts, pts[1:])):
-        raise ValueError(f"order_of needs at least {Ladder.MIN_COUNT} "
-                         "strictly increasing points")
     residuals = []
-    for x in pts:
+    for x in Ladder(ladder):
         try:
             fx = ffn(x)
             residuals.append(_residual(Ffn(fx), Ffn(x)))
@@ -187,14 +187,12 @@ class RegReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {"condition": self.condition, "samples": self.samples,
-                "margins": self.margins, "verdict": self.verdict,
-                "tol": self.tol, "extra": self.extra}
+        return dict(vars(self))  # the fields, in field order
 
 
-def _float_points(ladder: Ladder) -> List[float]:
+def _float_points(ladder) -> List[float]:
     pts = []
-    for x in ladder.points():
+    for x in Ladder(ladder):
         try:
             pts.append(float(x))
         except DomainError as exc:
@@ -209,29 +207,25 @@ def _sublinear_probe(x: float) -> float:
 
 
 _R_TOL = 5e-2  # a condition holds when every tail margin is at most this
+_SHIFTS = {"R1": (1.0, 2.0, 4.0), "R3": (0.25, 0.5, 2.0, 4.0)}
 
 
-def check_R(condition: str, F, ladder: Ladder) -> RegReport:
-    """Sample one of the regularity conditions R0-R3 along the ladder.
+def check_R(conditions, F, ladder) -> List[RegReport]:
+    """Sample regularity conditions R0-R3 along the ladder: one report per
+    condition, in the given order.
 
     R0: F(x + o(x)) = F(x) + o(1)        margin |F(x+p) - F(x)|, p = x/log x
     R1: F'(x + c) ~ F'(x), c constant    margin |F'(x+c)/F'(x) - 1|
     R2: F'(x + o(x)) ~ F'(x)             margin with the same probe as R0
     R3: F'(cx) ~ (1/c) F'(x)             margin |c F'(cx)/F'(x) - 1|
+
+    The conditions share F and F' values: each is evaluated once per
+    distinct point, in caches that live as long as this call.
     """
-    cond = condition.upper()
-    if cond not in ("R0", "R1", "R2", "R3"):
-        raise ValueError(f"unknown regularity condition {condition!r}")
-    return _check_conditions((cond,), F, ladder)[0]
-
-
-_SHIFTS = {"R1": (1.0, 2.0, 4.0), "R3": (0.25, 0.5, 2.0, 4.0)}
-
-
-def _check_conditions(conds, F, ladder: Ladder) -> List[RegReport]:
-    """check_R for each of conds ("R0".."R3") in turn, on one ladder.  The
-    conditions share F and F' values: each is evaluated once per distinct
-    point, in caches that live as long as this call."""
+    conds = [c.upper() for c in conditions]
+    for c in conds:
+        if c not in ("R0", "R1", "R2", "R3"):
+            raise ValueError(f"unknown regularity condition {c!r}")
     xs = _float_points(ladder)
     F = funcexpr.Fn(F)
     Fx = functools.cache(F.raw)

@@ -70,4 +70,4 @@ def test_abel_criterion_can_fail(monkeypatch, target, mutant):
 def test_geomspace_is_the_plain_formula(lo, hi, count):
     # the sample points of criteria 4, 6, 9 and 10, bit for bit
     r = (hi / lo) ** (1.0 / (count - 1))
-    assert acceptance._geomspace(lo, hi, count) == [lo * r ** i for i in range(count)]
+    assert list(acceptance._geomspace(lo, hi, count)) == [lo * r ** i for i in range(count)]

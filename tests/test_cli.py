@@ -236,11 +236,28 @@ class TestIterate:
         assert calls == []
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
+        # --seed-cache is the only way to name a cache file; the variable
+        # that once did is ignored
         cache = tmp_path / "env-seeds.json"
-        monkeypatch.setenv(cli.SEED_CACHE_ENV, str(cache))
+        monkeypatch.setenv("GROWTHCALC_SEED_CACHE", str(cache))
+        monkeypatch.chdir(tmp_path)
         run_json(capsys, "iterate", "--f", "2*x", "--lambda", "0.25",
                  "--at", "5")
-        assert cache.exists()
+        assert not hasattr(cli, "SEED_CACHE_ENV")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where,why", [
+        (".", "does not load: IsADirectoryError"),
+        ("nodir/seeds.json", "cannot be written: FileNotFoundError"),
+    ], ids=["directory", "missing-parent"])
+    def test_unusable_seed_cache_path_is_two(self, capsys, tmp_path, where, why):
+        cache = tmp_path / where
+        code, out, err = run(capsys, "iterate", "--f", "x+1", "--lambda",
+                             "0.5", "--at", "3", "--seed-cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"growthcalc: DomainError: seed cache {str(cache)!r} {why}")
+        assert err.count("\n") == 1
 
 
 class TestPlotdata:

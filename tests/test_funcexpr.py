@@ -291,7 +291,7 @@ def _through_every_layer(form):
     ladder = Ladder.geometric(10.0, 10.0, 12)
     return [
         orders.order_of(form("log(x)"), form("2*x"), ladder).residuals,
-        orders.check_R("R1", form("log(x)"), ladder).margins,
+        orders.check_R(("R1",), form("log(x)"), ladder)[0].margins,
         abel.solve_abel(form("2*x"), A=1.0).eval(37.0),
         funcexpr.invert_at(form("x+sqrt(x)"), 12.0),
         ackermann.op_L(form("2*x"))(5.0),
@@ -299,7 +299,7 @@ def _through_every_layer(form):
 
 
 class _Doubling:
-    """A callable with its own .inverse."""
+    """A callable with a method named inverse, which Fn does not read."""
 
     def __call__(self, x):
         return 2.0 * x
@@ -321,11 +321,14 @@ class TestFn:
         assert lowered == 7.0
 
     def test_inverse_order(self):
-        # a given inverse first, even over the callable's own and the derived
+        # a given inverse first, even over the derived
         assert funcexpr.Fn("2*x", inverse="x/3").inverse.text == "x/3"
         assert funcexpr.Fn(_Doubling(), inverse=lambda y: -y).inverse(8.0) == -8.0
-        # then the callable's own .inverse
-        assert funcexpr.Fn(_Doubling()).inverse(8.0) == 4.0
+        # a callable's own .inverse is not an inverse: Fn(f, inverse=...) is
+        # the one way to attach one, and an Fn copy keeps it
+        assert funcexpr.Fn(_Doubling()).inverse is None
+        doubling = funcexpr.Fn(_Doubling(), inverse=_Doubling().inverse)
+        assert funcexpr.Fn(doubling, text="double").inverse(8.0) == 4.0
         # then the exact inverse derived from the expression
         assert funcexpr.Fn(parse("2*x")).inverse.text == "x/2"
         # then none

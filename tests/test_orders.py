@@ -20,22 +20,24 @@ PROPS_GOLDEN = json.loads(
 
 class TestLadder:
     def test_geometric_points(self):
-        pts = Ladder.geometric(2.0, 3.0, 8).points()
-        assert pts == [2.0 * 3.0 ** i for i in range(8)]
+        pts = Ladder.geometric(2.0, 3.0, 8)
+        assert list(pts) == [2.0 * 3.0 ** i for i in range(8)]
 
     def test_library_ladders_unchanged(self):
         # every ladder the catalog, the classifier and the CLI default to
         # keeps the points of the plain formula, bit for bit
         from growthcalc import classify
         ladders = [lad for row in classify.catalog() for lad in row.ladders
-                   if isinstance(lad, Ladder)]
+                   if lad.to_json()["kind"] == "geometric"]
         ladders += list(classify._MU_LADDERS.values()) + [
             classify._MU_LADDER_WIDE, classify._CHECK_LADDER, DEEP]
         ladders += [Ladder.geometric(*a) for a in [
             (10.0, 10.0, 8), (1.0, 2.0, 24), (4.0, 2.5, 12), (64.0, 2.0, 16),
             (2.0, 1.4, 16), (1.0, 1.2, 10)]]
         for lad in ladders:
-            assert lad.points() == [lad.x0 * lad.ratio ** i for i in range(lad.count)]
+            desc = lad.to_json()
+            x0, ratio, count = desc["x0"], desc["ratio"], desc["count"]
+            assert list(lad) == [x0 * ratio ** i for i in range(count)]
 
     def test_points_match_the_plain_formula_below_700(self):
         # x0 * ratio**i, bit for bit, wherever i ln(ratio) <= 700: a grid
@@ -49,7 +51,7 @@ class TestLadder:
                 count = min(60, int(room - 1e-9) + 1)
                 if count < Ladder.MIN_COUNT:
                     continue
-                pts = Ladder.geometric(x0, ratio, count).points()
+                pts = Ladder.geometric(x0, ratio, count)
                 for i, p in enumerate(pts):
                     if i * math.log(ratio) <= 700:
                         assert p == x0 * ratio ** i, (x0, ratio, i)
@@ -57,16 +59,18 @@ class TestLadder:
     def test_split_ladder_is_exact_to_rounding(self):
         # 1e10^i alone overflows from i = 31 on; the points (up to 1e290) do not
         lad = Ladder.from_spec("geom:1e-300:1e10:60")
-        pts = lad.points()
+        pts = list(lad)
+        assert len(pts) == 60
         assert all(math.isfinite(p) for p in pts)
         assert all(b > a for a, b in zip(pts, pts[1:]))
-        x0, ratio = Fraction(lad.x0), Fraction(lad.ratio)
+        desc = lad.to_json()
+        x0, ratio = Fraction(desc["x0"]), Fraction(desc["ratio"])
         for i, p in enumerate(pts):
             exact = x0 * ratio ** i
             assert abs(Fraction(p) - exact) <= Fraction(1, 10 ** 14) * exact, i
 
     def test_tower_points_are_li(self):
-        pts = Ladder.tower(0.5, 10).points()
+        pts = Ladder.tower(0.5, 10)
         assert all(isinstance(p, LIReal) for p in pts)
         assert [p.level for p in pts] == list(range(1, 11))
 
@@ -91,6 +95,25 @@ class TestLadder:
     def test_json_shape(self):
         assert Ladder.tower(0.5, 9).to_json() == {
             "kind": "tower", "mantissa": 0.5, "levels": 9}
+
+    def test_points_ladder(self):
+        pts = [LIReal(j, 0.25) for j in range(3, 11)]
+        lad = Ladder(iter(pts))
+        assert list(lad) == pts
+        assert lad.to_json() == {"kind": "points", "count": 8,
+                                 "first": str(pts[0]), "last": str(pts[-1])}
+        # a Ladder is already checked and described: it is returned as it is
+        geom = Ladder.geometric(2.0, 3.0, 8)
+        assert Ladder(geom) is geom
+        assert Ladder(lad) is lad
+
+    def test_ladder_is_immutable(self):
+        lad = Ladder.geometric(2.0, 3.0, 8)
+        with pytest.raises(TypeError):
+            lad[0] = 1.0
+        desc = lad.to_json()
+        desc["x0"] = 5.0
+        assert lad.to_json()["x0"] == 2.0
 
 
 class TestOrderOf:
@@ -121,6 +144,12 @@ class TestOrderOf:
         assert est.converged
         assert est.lambda_hat == pytest.approx(math.log(2.0), abs=1e-3)
 
+    def test_point_list_reads_as_its_ladder(self):
+        for pts in ([10.0 * 4.0 ** i for i in range(12)],
+                    [LIReal(j, 0.5) for j in range(2, 14)]):
+            assert (order_of("xi(x)", "x^2", pts).to_json()
+                    == order_of("xi(x)", "x^2", Ladder(pts)).to_json())
+
     @pytest.mark.parametrize("pts", [
         [], [10.0], [10.0 * 4.0 ** i for i in range(7)], [10, 1e300, 5],
         [10.0 * 4.0 ** i for i in range(11)] + [10.0],
@@ -128,8 +157,12 @@ class TestOrderOf:
         [10.0 * 4.0 ** i for i in range(11)] + [math.nan],
     ], ids=["empty", "one", "seven", "unordered", "step-back", "repeated", "nan"])
     def test_plain_points_need_a_ladder_worth(self, pts):
-        with pytest.raises(ValueError, match="at least 8 strictly increasing"):
+        # order_of and Ladder refuse them with the one message
+        msg = "^a ladder needs at least 8 strictly increasing points$"
+        with pytest.raises(ValueError, match=msg):
             order_of("log(x)", "x^2", pts)
+        with pytest.raises(ValueError, match=msg):
+            Ladder(pts)
 
     def test_failure_names_the_point(self):
         with pytest.raises(EvalError, match="ladder point"):
@@ -145,30 +178,52 @@ class TestOrderOf:
 
 class TestRegularity:
     def test_log_satisfies_r0_and_r3(self):
-        assert check_R("R0", "log(x)", DEEP).verdict
-        assert check_R("R3", "log(x)", DEEP).verdict
+        r0, r3 = check_R(("R0", "R3"), "log(x)", DEEP)
+        assert r0.verdict
+        assert r3.verdict
 
     def test_xi_satisfies_r0(self):
-        assert check_R("R0", "xi(x)", DEEP).verdict
+        assert check_R(("R0",), "xi(x)", DEEP)[0].verdict
 
     def test_log_squared_splits_r0_from_r3(self):
-        assert check_R("R3", "log(x)^2", DEEP).verdict
-        rep = check_R("R0", "log(x)^2", DEEP)
+        r3, rep = check_R(("R3", "R0"), "log(x)^2", DEEP)
+        assert r3.verdict
         assert not rep.verdict
         # the R0 margin for log^2 tends to 2 log log x / log x * log x = 2
         assert rep.margins[-1] == pytest.approx(2.0, rel=2e-2)
 
     def test_identity_fails_r0(self):
-        assert not check_R("R0", "x", DEEP).verdict
+        assert not check_R(("R0",), "x", DEEP)[0].verdict
 
     def test_unknown_condition(self):
         with pytest.raises(ValueError):
-            check_R("R9", "log(x)", DEEP)
+            check_R(("R9",), "log(x)", DEEP)
+        with pytest.raises(ValueError, match="unknown regularity condition 'R9'"):
+            check_R(("R0", "R9"), "log(x)", DEEP)
+
+    def test_bare_string_is_not_a_condition_list(self):
+        # "R0" iterates to "R" and "0"
+        with pytest.raises(ValueError, match="unknown regularity condition 'R'"):
+            check_R("R0", "log(x)", DEEP)
 
     def test_report_json(self):
-        data = check_R("R1", "log(x)", DEEP).to_json()
+        (rep,) = check_R(("R1",), "log(x)", DEEP)
+        data = rep.to_json()
         assert data["condition"] == "R1"
         assert len(data["margins"]) == len(data["samples"])
+        assert list(data) == ["condition", "samples", "margins", "verdict",
+                              "tol", "extra"]
+
+    @pytest.mark.parametrize("F", ["log(x)", "xi(x)", "log(x)^2"])
+    def test_all_conditions_at_once_match_one_at_a_time(self, F):
+        conds = ("R0", "R1", "R2", "R3")
+        together = check_R(conds, F, DEEP)
+        assert [r.condition for r in together] == list(conds)
+        alone = [check_R((c,), F, DEEP)[0] for c in conds]
+        assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+        # in any order, report for report
+        backwards = check_R(conds[::-1], F, DEEP)
+        assert [r.to_json() for r in backwards[::-1]] == [r.to_json() for r in alone]
 
     def test_props_evaluates_chi_once_per_point(self, monkeypatch, capsys):
         # F = xi has F' = 1/chi; R1-R3 share F' at their 150 distinct points
@@ -187,4 +242,4 @@ class TestRegularity:
         # when it ran once per condition, with no values shared
         golden = json.loads(PROPS_GOLDEN[f"--F {F}"])["conditions"]
         for cond in ("R0", "R1", "R2", "R3"):
-            assert check_R(cond, F, DEEP).to_json() == golden[cond]
+            assert check_R((cond,), F, DEEP)[0].to_json() == golden[cond]
