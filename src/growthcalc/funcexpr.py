@@ -313,6 +313,7 @@ def to_text(e: FuncExpr) -> str:
 
 _LI_ZERO = LIReal(0, 0.0)
 _INF = math.inf
+_HALF = Fraction(1, 2)
 
 
 def _is_li(v) -> bool:
@@ -336,7 +337,7 @@ def _exp(v: Value) -> Value:
 def _log(v: Value) -> Value:
     if _is_li(v):
         return lixnum.ln_li(v)
-    if isinstance(v, Fraction) and Fraction(1, 2) < v < 2:
+    if isinstance(v, Fraction) and _HALF < v < 2:
         # keep precision when the rational is a hair away from 1
         return math.log1p(float(v - 1))
     x = float(v)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -56,19 +55,39 @@ ABSORB_REL = 2.0 ** -50
 EXACT_ARITH_MAX_LEVEL = 3
 
 
-@dataclass(frozen=True, order=False)
 class LIReal:
-    """Immutable level-index number; totally ordered like the reals it encodes."""
+    """Immutable level-index number; totally ordered like the reals it encodes.
+    Equality and hash read (level, mantissa), not the absorbed flag."""
 
-    level: int
-    mantissa: float
-    absorbed: bool = field(default=False, compare=False)
+    __slots__ = ("level", "mantissa", "absorbed")
 
-    def __post_init__(self):
-        if not (0.0 <= self.mantissa < 1.0):
-            raise DomainError(f"mantissa {self.mantissa!r} not in [0, 1)")
-        if self.level < MIN_LEVEL:
-            raise DomainError(f"level {self.level} below supported minimum {MIN_LEVEL}")
+    def __new__(cls, level: int, mantissa: float, absorbed: bool = False):
+        if not (0.0 <= mantissa < 1.0):
+            raise DomainError(f"mantissa {mantissa!r} not in [0, 1)")
+        if level < MIN_LEVEL:
+            raise DomainError(f"level {level} below supported minimum {MIN_LEVEL}")
+        self = _new(cls)
+        _set_level(self, level)
+        _set_mantissa(self, mantissa)
+        _set_absorbed(self, absorbed)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return LIReal, (self.level, self.mantissa, self.absorbed)
+
+    def __eq__(self, other):
+        if other.__class__ is not LIReal:
+            return NotImplemented
+        return (self.level, self.mantissa) == (other.level, other.mantissa)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.mantissa))
 
     # lexicographic (level, mantissa) agrees with the value order
     def __lt__(self, other) -> bool:
@@ -105,6 +124,11 @@ class LIReal:
     def __str__(self) -> str:
         return format_li(self)
 
+
+_new = object.__new__
+_set_level = LIReal.level.__set__
+_set_mantissa = LIReal.mantissa.__set__
+_set_absorbed = LIReal.absorbed.__set__
 
 _ZERO = LIReal(0, 0.0)
 _LN_ZERO = LIReal(-1, 0.0)

@@ -11,10 +11,12 @@ Level map:
         [2, xi_{k-1}^{-1}(2)] and counting the steps; linear seed there.
 
 xi_3 returns an exact Fraction only when called at top level (order_of's
-exact residual on deep towers needs it).  Inside the xi_4 pullback, which
-xi_5..xi_8 reach through their own, each xi_3 step stays a level-index
-pair (L, m): the test L + m >= e is exact on the pair, and the next pair
-comes from the float L + m, which rounds as the Fraction would.
+exact residual on deep towers needs it).  For k >= 5 the first pullback
+step is xi_{k-1} of any input, which answers a float; every later step runs
+in one float loop that never re-enters the public xi_k.  Each xi_3 step of
+the xi_4 pullback stays a level-index pair (L, m): L + m >= e is exact on
+the pair, and the next pair comes from the float L + m, which rounds as
+the Fraction would.
 
 The base point for levels >= 4 is 2, not 1: the super-logarithm fixes 1
 (xi_3(1) = 1), so a fundamental domain anchored at 1 would be degenerate.
@@ -103,43 +105,17 @@ class XiHierarchy:
             return math.log(xf)
         if k == 3:
             return lixnum.xi_exact(lixnum.to_li(x))
-        # k >= 4: collapse with xi_{k-1} until inside [2, e)
+        # k >= 4: pull back with xi_{k-1} until inside [2, e)
+        if type(x) is float:
+            return _xi_float(k, x)
+        if not self._at_least(x, TOP):
+            if not self._at_least(x, BASE - 1e-9):
+                raise DomainError(f"xi_{k} argument below its base {BASE}")
+            return self._seed(min(max(float(x), BASE), TOP))
         if k == 4:
-            n, y = self._xi_3_steps(x)
-        else:
-            n, y = 0, x
-            while self._at_least(y, TOP):
-                y = self.xi_k(k - 1, y)
-                n += 1
-                if n > _MAX_STEPS:
-                    raise DomainError(f"xi_{k} pullback failed to terminate")
-        if not self._at_least(y, BASE - 1e-9):
-            raise DomainError(f"xi_{k} argument below its base {BASE}")
-        return n + self._seed(min(max(float(y), BASE), TOP))
-
-    @staticmethod
-    def _xi_3_steps(x):
-        """(n, y): the least n for which xi_3 applied n times to x is below
-        e, and that value as a float (y is x itself when n = 0).
-
-        Steps on bare (L, m) pairs, so no step builds an LIReal or a
-        Fraction: L + m >= e is exact as below, and while L is an exact
-        float, L + m rounds as float(Fraction(L) + Fraction(m)) does.
-        """
-        if not XiHierarchy._at_least(x, TOP):
-            return 0, x
-        v = lixnum.to_li(x)
-        level, m, n = v.level, v.mantissa, 1
-        while level >= 3 or (level == 2 and m >= _E_MINUS_2):
-            if level < _EXACT_INT:
-                level, m = lixnum._pair_any(level + m)
-            else:
-                v = lixnum.to_li(level + Fraction(m))
-                level, m = v.level, v.mantissa
-            n += 1
-            if n > _MAX_STEPS:
-                raise DomainError("xi_4 pullback failed to terminate")
-        return n, level + m
+            v = lixnum.to_li(x)
+            return _xi_4_pairs(v.level, v.mantissa)
+        return _xi_float(k, self.xi_k(k - 1, x), 1)
 
     @staticmethod
     def _at_least(y, top: float) -> bool:
@@ -236,10 +212,44 @@ class XiHierarchy:
         slope = 1.0
         while x >= TOP:
             slope *= self._xi_k_deriv(k - 1, x)
-            x = float(self.xi_k(k - 1, x))
+            x = _xi_float(k - 1, x) if k > 4 and type(x) is float else float(self.xi_k(k - 1, x))
         if not x >= BASE - 1e-9:
             raise DomainError(f"xi_{k} argument below its base {BASE}")
         return slope / (TOP - BASE)
+
+
+def _xi_4_pairs(level: int, m: float) -> float:
+    """xi_4 of a pair at or above e, stepped by xi_3 on bare (L, m) pairs:
+    no step builds an LIReal or a Fraction, and while L is an exact float,
+    L + m rounds as float(Fraction(L) + Fraction(m)) does."""
+    n = 1
+    while level >= 3 or (level == 2 and m >= _E_MINUS_2):
+        if level < _EXACT_INT:
+            level, m = lixnum._pair_any(level + m)
+        else:
+            v = lixnum.to_li(level + Fraction(m))
+            level, m = v.level, v.mantissa
+        n += 1
+        if n > _MAX_STEPS:
+            raise DomainError("xi_4 pullback failed to terminate")
+    return n + XiHierarchy._seed(min(max(level + m, BASE), TOP))
+
+
+def _xi_float(k: int, y: float, n: int = 0) -> float:
+    """xi_k(y), k >= 4, of a float y reached after n pullback steps: the
+    one pullback loop, whose xi_4 steps are _pair_any log chains."""
+    if k == 4:
+        if y >= TOP:
+            return _xi_4_pairs(*lixnum._pair_any(y))
+    else:
+        while y >= TOP:
+            y = _xi_float(k - 1, y)
+            n += 1
+    if not y >= BASE - 1e-9:
+        if y != y:  # NaN is below nothing
+            raise DomainError(f"to_li requires a finite value, got {y!r}")
+        raise DomainError(f"xi_{k} argument below its base {BASE}")
+    return n + XiHierarchy._seed(min(max(y, BASE), TOP))
 
 
 HIER = XiHierarchy()

@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -61,6 +64,59 @@ class TestRepresentation:
             LIReal(-2, 0.5)
         with pytest.raises(DomainError):
             lixnum.parse_li("L-2:0.5")
+
+
+class TestLIRealContract:
+    """A level-index number is an immutable value: equal by (level, mantissa)
+    whatever its absorbed flag, never equal to a tuple, and kept intact by
+    pickle, copy and JSON's str fallback."""
+
+    def test_equality_and_hash_ignore_absorbed(self):
+        a, b = LIReal(1, 0.5), LIReal(1, 0.5, True)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert LIReal(1, 0.5) != LIReal(1, 0.25) and LIReal(1, 0.5) != LIReal(2, 0.5)
+
+    def test_not_equal_to_a_tuple(self):
+        assert LIReal(1, 0.5) != (1, 0.5, False)
+        assert LIReal(1, 0.5) != (1, 0.5)
+        assert not isinstance(LIReal(1, 0.5), tuple)
+
+    @pytest.mark.parametrize("name", ["level", "mantissa", "absorbed", "other"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        v = LIReal(1, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+        assert (v.level, v.mantissa, v.absorbed) == (1, 0.5, False)
+
+    @pytest.mark.parametrize("v", [LIReal(1, 0.5), LIReal(10 ** 40, 0.25, True),
+                                   LIReal(-1, 0.0)])
+    def test_pickle_and_copy_round_trip(self, v):
+        for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(w) is LIReal
+            assert (w.level, w.mantissa, w.absorbed) == (v.level, v.mantissa, v.absorbed)
+
+    def test_json_falls_back_to_the_literal(self):
+        assert json.dumps({"v": LIReal(1, 0.5)}, default=str) == '{"v": "L1:0.5"}'
+
+    def test_text_forms(self):
+        assert repr(LIReal(1, 0.5)) == "LIReal(1, 0.5)"
+        assert repr(LIReal(4, 0.5, True)) == "LIReal(4, 0.5, absorbed)"
+        assert str(LIReal(1, 0.5)) == "L1:0.5"
+        assert float(LIReal(1, 0.5)) == math.exp(0.5)
+
+    def test_keyword_construction(self):
+        v = LIReal(level=3, mantissa=0.25, absorbed=True)
+        assert (v.level, v.mantissa, v.absorbed) == (3, 0.25, True)
+        assert LIReal(2, mantissa=0.5).absorbed is False
+
+    def test_domain_error_messages(self):
+        with pytest.raises(DomainError, match=r"^mantissa 1\.0 not in \[0, 1\)$"):
+            LIReal(2, 1.0)
+        with pytest.raises(DomainError, match="^level -2 below supported minimum -1$"):
+            LIReal(-2, 0.5)
 
 
 class TestExpLog:

@@ -95,8 +95,8 @@ def _fraction_xi_k(k, x):
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
-    except Exception as exc:  # the exception type is part of the outcome
-        return type(exc).__name__
+    except Exception as exc:  # the exception type and message are the outcome
+        return f"{type(exc).__name__}: {exc}"
 
 
 _E_MINUS_2 = math.e - 2.0
@@ -136,6 +136,128 @@ class TestXi4PullbackMatchesFractions:
     def test_drawn_arguments(self, x):
         for k in range(4, 9):
             assert _outcome(HIER.xi_k, k, x) == _outcome(_fraction_xi_k, k, x)
+
+
+_LI_E = lixnum.to_li(math.e)
+
+
+def _reference_xi_k(k, x):
+    """xi_k as it was computed before the float loop: each nested pullback
+    step re-enters xi_k, and only the xi_4 steps run on (L, m) pairs."""
+    if not 0 <= k <= 8:
+        raise DomainError(f"level {k} outside 0..8")
+    if k == 0:
+        return lixnum.sub(x, _LI_E) if isinstance(x, LIReal) else float(x) - math.e
+    if k == 1:
+        return lixnum.div(x, _LI_E) if isinstance(x, LIReal) else float(x) / math.e
+    if k == 2:
+        if isinstance(x, LIReal):
+            w = lixnum.ln_li(x)
+            try:
+                return float(w)
+            except DomainError:
+                return w
+        xf = float(x)
+        if xf <= 0:
+            raise DomainError(f"log of non-positive value {xf!r}")
+        return math.log(xf)
+    if k == 3:
+        return lixnum.xi_exact(lixnum.to_li(x))
+    n, y = 0, x
+    if k == 4 and HIER._at_least(x, TOP):
+        v = lixnum.to_li(x)
+        level, m, n = v.level, v.mantissa, 1
+        while level >= 3 or (level == 2 and m >= _E_MINUS_2):
+            if level < 2 ** 53:
+                level, m = lixnum._pair_any(level + m)
+            else:
+                v = lixnum.to_li(level + Fraction(m))
+                level, m = v.level, v.mantissa
+            n += 1
+        y = level + m
+    while k > 4 and HIER._at_least(y, TOP):
+        y = _reference_xi_k(k - 1, y)
+        n += 1
+    if not HIER._at_least(y, BASE - 1e-9):
+        raise DomainError(f"xi_{k} argument below its base {BASE}")
+    return n + HIER._seed(min(max(float(y), BASE), TOP))
+
+
+def _reference_xi_k_deriv(k, x):
+    """xi_k' as it was computed before the float loop: the orbit steps
+    through _reference_xi_k."""
+    if not 0 <= k <= 8:
+        raise DomainError(f"level {k} outside 0..8")
+    if k <= 1:
+        return math.e ** -k
+    if k == 2:
+        if x <= 0:
+            raise DomainError(f"log of non-positive value {x!r}")
+        return 1.0 / x
+    if k == 3:
+        if x < 0:
+            return math.exp(x)
+        c = HIER.chi(x)
+        if isinstance(c, LIReal):
+            return math.exp(-float(lixnum.ln_li(c)))
+        return 1.0 / c
+    slope = 1.0
+    while x >= TOP:
+        slope *= _reference_xi_k_deriv(k - 1, x)
+        x = float(_reference_xi_k(k - 1, x))
+    if not x >= BASE - 1e-9:
+        raise DomainError(f"xi_{k} argument below its base {BASE}")
+    return slope / (TOP - BASE)
+
+
+_REF_GRID = [
+    -1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.0 + 1e-9, 2.0 - 1e-9, math.e,
+    math.nextafter(math.e, 0.0), math.nextafter(math.e, 3.0), 3.0, 15.15,
+    1e8, 1e300, 1.7976931348623157e308, math.inf, -math.inf,
+    1, 2, 3, 10 ** 6, 10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3),
+    Fraction(-(10 ** 400), 3), Fraction(math.e), Fraction(7, 3),
+    *[LIReal(level, m) for level in range(-1, 61)
+      for m in (0.0, 0.25, 0.5, _E_MINUS_2, math.nextafter(_E_MINUS_2, 0.0),
+                math.nextafter(1.0, 0.0))],
+    *[LIReal(10 ** k, 0.5) for k in range(0, 400, 25)],
+    *[LIReal(2 ** 53 + d, 0.5) for d in (-1, 0, 1)],
+]
+
+
+class TestFloatLoopMatchesReference:
+    """xi_k and xi_k', k = 0..8, give the same repr, or the same exception
+    and message, as the pullback that re-enters xi_k at every step."""
+
+    @staticmethod
+    def _check(x):
+        for k in range(9):
+            assert _outcome(HIER.xi_k, k, x) == _outcome(_reference_xi_k, k, x), (k, x)
+            assert (_outcome(HIER._xi_k_deriv, k, x)
+                    == _outcome(_reference_xi_k_deriv, k, x)), (k, x)
+
+    def test_grid(self):
+        for x in _REF_GRID:
+            self._check(x)
+
+    @given(st.one_of(
+        st.floats(min_value=-1.0, max_value=1.8e308),
+        st.integers(min_value=2 ** 1024, max_value=10 ** 700),
+        st.builds(Fraction, st.integers(min_value=2 ** 1040, max_value=10 ** 700),
+                  st.integers(min_value=1, max_value=10 ** 6)),
+        st.builds(LIReal, st.integers(min_value=-1, max_value=60),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        st.builds(LIReal, st.integers(min_value=0, max_value=400).map(lambda k: 10 ** k),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    ))
+    @settings(max_examples=300)
+    def test_drawn(self, x):
+        self._check(x)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_nan_names_the_non_finite_argument(self, k):
+        # NaN is below nothing; the reference called it below the base
+        with pytest.raises(DomainError, match="^to_li requires a finite value, got nan$"):
+            HIER.xi_k(k, math.nan)
 
 
 _CHI_MANTISSAS = (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999)
