@@ -12,11 +12,10 @@ Level map:
 
 xi_3 returns an exact Fraction only when called at top level (order_of's
 exact residual on deep towers needs it).  For k >= 5 the first pullback
-step is xi_{k-1} of any input, which answers a float; every later step runs
-in one float loop that never re-enters the public xi_k.  Each xi_3 step of
-the xi_4 pullback stays a level-index pair (L, m): L + m >= e is exact on
-the pair, and the next pair comes from the float L + m, which rounds as
-the Fraction would.
+step is xi_{k-1} of any input, which answers a float; every later step
+runs in one float loop that never re-enters the public xi_k.  Each xi_3
+step of the xi_4 pullback is a pair (L, m): L + m >= e is exact on it, and
+the next pair comes from the float L + m, which rounds as the Fraction would.
 
 The base point for levels >= 4 is 2, not 1: the super-logarithm fixes 1
 (xi_3(1) = 1), so a fundamental domain anchored at 1 would be degenerate.
@@ -109,9 +108,9 @@ class XiHierarchy:
         if type(x) is float:
             return _xi_float(k, x)
         if not self._at_least(x, TOP):
-            if not self._at_least(x, BASE - 1e-9):
-                raise DomainError(f"xi_{k} argument below its base {BASE}")
-            return self._seed(min(max(float(x), BASE), TOP))
+            # exact base test: a negative int past the float range has no
+            # float, and a Fraction just under the base may round onto it
+            return _seeded(k, 0, float(x) if self._at_least(x, BASE - 1e-9) else -math.inf)
         if k == 4:
             v = lixnum.to_li(x)
             return _xi_4_pairs(v.level, v.mantissa)
@@ -212,7 +211,7 @@ class XiHierarchy:
         slope = 1.0
         while x >= TOP:
             slope *= self._xi_k_deriv(k - 1, x)
-            x = _xi_float(k - 1, x) if k > 4 and type(x) is float else float(self.xi_k(k - 1, x))
+            x = float(self.xi_k(k - 1, x))
         if not x >= BASE - 1e-9:
             raise DomainError(f"xi_{k} argument below its base {BASE}")
         return slope / (TOP - BASE)
@@ -232,7 +231,7 @@ def _xi_4_pairs(level: int, m: float) -> float:
         n += 1
         if n > _MAX_STEPS:
             raise DomainError("xi_4 pullback failed to terminate")
-    return n + XiHierarchy._seed(min(max(level + m, BASE), TOP))
+    return _seeded(4, n, level + m)
 
 
 def _xi_float(k: int, y: float, n: int = 0) -> float:
@@ -245,9 +244,14 @@ def _xi_float(k: int, y: float, n: int = 0) -> float:
         while y >= TOP:
             y = _xi_float(k - 1, y)
             n += 1
+    return _seeded(k, n, y)
+
+
+def _seeded(k: int, n: int, y: float) -> float:
+    """n + the [2, e] seed at y, the float left after n pullback steps."""
     if not y >= BASE - 1e-9:
-        if y != y:  # NaN is below nothing
-            raise DomainError(f"to_li requires a finite value, got {y!r}")
+        if y != y:
+            lixnum._pair_any(y)  # NaN is below nothing: name it non-finite
         raise DomainError(f"xi_{k} argument below its base {BASE}")
     return n + XiHierarchy._seed(min(max(y, BASE), TOP))
 

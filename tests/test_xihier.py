@@ -216,6 +216,8 @@ _REF_GRID = [
     1e8, 1e300, 1.7976931348623157e308, math.inf, -math.inf,
     1, 2, 3, 10 ** 6, 10 ** 400, -(10 ** 400), Fraction(10 ** 400, 3),
     Fraction(-(10 ** 400), 3), Fraction(math.e), Fraction(7, 3),
+    # exactly below the base and below e, but rounding onto them as floats
+    Fraction(2.0 - 1e-9) - Fraction(1, 10 ** 30), Fraction(math.e) - Fraction(1, 10 ** 30),
     *[LIReal(level, m) for level in range(-1, 61)
       for m in (0.0, 0.25, 0.5, _E_MINUS_2, math.nextafter(_E_MINUS_2, 0.0),
                 math.nextafter(1.0, 0.0))],
