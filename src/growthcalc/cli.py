@@ -9,6 +9,10 @@ Outputs are JSON by default (`--format text` for summaries, `--format csv`
 where tabular).  Tower-valued numbers appear as "L<level>:<mantissa>"
 literals, and the same syntax is accepted for inputs.  Exit codes: 0 for
 data-bearing runs, 1 for usage errors, 2 for evaluation errors.
+
+JSON on stdout is what json.dumps(payload, indent=2, default=str,
+allow_nan=False) writes, byte for byte; _dumps lays it out and hands each
+list of plain numbers to json's C encoder, whose output indent would forgo.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import abel, acceptance, ackermann, classify, funcexpr, lixnum, orders
@@ -27,6 +32,11 @@ from .funcexpr import EvalError, ParseError
 from .lixnum import DomainError, LIReal
 from .orders import Ladder
 from .xihier import HIER
+
+# the magnitude from which an exact rational prints as its digits, not a float
+_FLOAT_LIMIT = 10 ** 300
+# lists holding only these types go through json's C encoder in one call
+_PLAIN_NUMBERS = frozenset((int, float))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +77,67 @@ def _render_value(v):
     if isinstance(v, LIReal):
         return lixnum.format_li(v)
     if isinstance(v, Fraction):
-        return float(v) if abs(v) < 10 ** 300 else str(v)
+        return float(v) if abs(v) < _FLOAT_LIMIT else str(v)
     return v
+
+
+@functools.cache
+def _number_list(pad: str):
+    """json's C encoder, writing list items apart by a comma and pad."""
+    return json.JSONEncoder(allow_nan=False, separators=("," + pad, ": ")).encode
+
+
+def _write(o, pad: str) -> str:
+    """o as json.dumps(o, indent=2, default=str, allow_nan=False) writes it
+    after the newline and indent pad; a value json refuses raises TypeError
+    or ValueError, with no message of json's."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(o)
+        return float.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if _PLAIN_NUMBERS.issuperset(map(type, o)):
+            items = _number_list(inner)(o)[1:-1]
+        else:
+            items = ("," + inner).join([_write(v, inner) for v in o])
+        return "[" + inner + items + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                if not (k is None or isinstance(k, (int, float))):
+                    raise TypeError(k)
+                k = _write(k, pad)
+            items.append(encode_basestring_ascii(k) + ": " + _write(v, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return encode_basestring_ascii(str(o))
+
+
+def _dumps(payload) -> str:
+    """json.dumps(payload, indent=2, default=str, allow_nan=False), byte for
+    byte.  indent selects json's pure-Python encoder, which walks every
+    float of a long list; _write lays the text out instead.  What json
+    refuses (NaN, inf, a key of another type) json.dumps then refuses
+    itself, with its own error and message."""
+    try:
+        return _write(payload, "\n")
+    except (TypeError, ValueError):
+        return json.dumps(payload, indent=2, default=str, allow_nan=False)
 
 
 def _emit(args, payload: dict, text_lines=None):
@@ -76,7 +145,7 @@ def _emit(args, payload: dict, text_lines=None):
         for line in text_lines:
             print(line)
     else:
-        print(json.dumps(payload, indent=2, default=str, allow_nan=False))
+        print(_dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "text", "csv"),
                    default="json", help="output format (default json)")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices  # each subcommand's parser, by name
 
     def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
@@ -302,8 +372,29 @@ def build_parser() -> _Parser:
     return p
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv).  When argv opens with a subcommand,
+    the top-level pass is skipped: it would hand every later token to that
+    subcommand's parser, on top of its own defaults.  An argv the top-level
+    parser reads more of takes the full pass, so namespaces, usage errors
+    and exit codes are the same either way: an option or no subcommand
+    first, a `--` (which it may strip), a `--=...` token (ambiguous between
+    its own --help and --format), or a token the subcommand leaves over
+    (which it refuses)."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None and not any(t == "--" or t.startswith("--=") for t in argv):
+        top = argparse.Namespace(format=parser.get_default("format"),
+                                 command=argv[0])
+        args, rest = sub.parse_known_args(argv[1:], top)
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

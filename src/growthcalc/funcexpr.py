@@ -387,11 +387,15 @@ def _binary(op: str, a: Value, b: Value) -> Value:
     num, li = _OPS[op]
     if _is_li(a) or _is_li(b):
         return li(lixnum.to_li(a), lixnum.to_li(b))
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
+    a_exact, b_exact = isinstance(a, Fraction), isinstance(b, Fraction)
+    if a_exact != b_exact:
         # keep rational arithmetic exact; super-logarithm values can hold
         # integers far past the float range
         try:
-            a, b = Fraction(a), Fraction(b)
+            if a_exact:
+                b = Fraction(b)
+            else:
+                a = Fraction(a)
         except (ValueError, OverflowError):
             pass
     r = num(a, b)

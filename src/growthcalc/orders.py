@@ -116,9 +116,12 @@ class Ladder(tuple):
 
 
 def _residual(a, b) -> float:
-    # exact when both sides are exact rationals (the super-logarithm path)
+    # exact when both sides are exact rationals (the super-logarithm path):
+    # float(a - b) as one correctly rounded int division, with no Fraction
+    # built for the difference
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return float(a - b)
+        return ((a.numerator * b.denominator - b.numerator * a.denominator)
+                / (a.denominator * b.denominator))
     return float(a) - float(b)
 
 

@@ -213,7 +213,8 @@ class XiHierarchy:
             slope *= self._xi_k_deriv(k - 1, x)
             x = float(self.xi_k(k - 1, x))
         if not x >= BASE - 1e-9:
-            raise DomainError(f"xi_{k} argument below its base {BASE}")
+            # _seeded raises: below the base, or non-finite for a NaN
+            _seeded(k, 0, x if type(x) is float else -math.inf)
         return slope / (TOP - BASE)
 
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from test_funcexpr import EXPRS
 
 from growthcalc import cli, funcexpr, lixnum
+from growthcalc.lixnum import LIReal
+from growthcalc.orders import Ladder
 
 
 def run(capsys, *argv):
@@ -474,27 +478,167 @@ def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
+def _outcome(argv):
+    """(exit code, stdout, stderr) of cli.main(argv), argparse's exits
+    included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors, and -h
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(argv):
+    # every outcome is an answer (0), a usage error (1) or an evaluation
+    # error (2); nothing escapes, and answers are strict JSON (ints read as
+    # text: A(3, 3) has more digits than int() reads by default)
+    code, out, err = _outcome(argv)
+    assert code in (0, 1, 2), err
+    if code == 0:
+        json.loads(out, parse_constant=_not_json, parse_int=str)
+
+
+FUZZ_EXPRS = EXPRS.map(funcexpr.to_text)
+FUZZ_POINTS = st.one_of(
+    st.floats().map(repr),
+    st.builds("L{}:{!r}".format, st.integers(-3, 45), st.floats(0.0, 1.0)),
+)
+# short ladders keep each drawn order or props run to milliseconds
+FUZZ_LADDERS = st.one_of(
+    st.builds("geom:{!r}:{!r}:{}".format, st.floats(), st.floats(), st.integers(-1, 12)),
+    st.builds("tower:{!r}:{}".format, st.floats(), st.integers(-1, 12)),
+)
+
+
 class TestEvalFuzz:
-    POINTS = st.one_of(
-        st.floats().map(repr),
-        st.builds("L{}:{!r}".format, st.integers(-3, 45), st.floats(0.0, 1.0)),
-    )
+    POINTS = FUZZ_POINTS
 
     @settings(max_examples=400)
-    @given(EXPRS.map(funcexpr.to_text), POINTS)
+    @given(FUZZ_EXPRS, POINTS)
     @example("x^-1", "0")
     def test_exit_code_contract(self, expr, point):
-        # every outcome is an answer (0), a usage error (1) or an
-        # evaluation error (2); nothing escapes, and answers are strict JSON
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(["--format", "json", "eval", expr, "--at", point])
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-        assert code in (0, 1, 2), err.getvalue()
-        if code == 0:
-            json.loads(out.getvalue(), parse_constant=_not_json)
+        _assert_contract(["--format", "json", "eval", expr, "--at", point])
+
+    @settings(max_examples=150)
+    @given(st.one_of(
+        st.builds(lambda k, at: ["xi", "--k", str(k), "--at", at],
+                  st.integers(-2, 10), FUZZ_POINTS),
+        st.builds(lambda m, n: ["ack", str(m), str(n)],
+                  st.integers(-1, 5), st.integers(-1, 12)),
+        st.builds(lambda F, f, spec: ["order", "--F", F, "--f", f, "--ladder", spec],
+                  FUZZ_EXPRS, FUZZ_EXPRS, FUZZ_LADDERS),
+        st.builds(lambda e, spec: ["plotdata", e, "--ladder", spec],
+                  FUZZ_EXPRS, FUZZ_LADDERS),
+        st.builds(lambda F, spec: ["props", "--F", F, "--ladder", spec],
+                  FUZZ_EXPRS, FUZZ_LADDERS),
+    ))
+    @example(["ack", "3", "3"])
+    @example(["xi", "--k", "5", "--at", "nan"])
+    def test_other_commands_keep_the_contract(self, argv):
+        _assert_contract(argv)
+
+
+def _reference_main(argv):
+    """main as it ran before the one-pass parse and the layout writer: the
+    full parse_args and json.dumps."""
+    with mock.patch.object(cli, "_parse_args", lambda a: cli.build_parser().parse_args(a)), \
+            mock.patch.object(cli, "_dumps", lambda payload: json.dumps(
+                payload, indent=2, default=str, allow_nan=False)):
+        return _outcome(argv)
+
+
+# argv pieces per subcommand: drawn in any order and any subset, so
+# required flags go missing, options land before and after positionals,
+# and prefixes such as --lad and --to stand for whole options; repro only
+# ever meets a usage error here (a full run takes 0.2 s)
+_PIECES = {
+    "eval": [["x^2+1"], ["log(x)"], ["--at", "3"], ["--at=L5:0.5"],
+             ["--ladder", "geom:1:2:8"], ["--lad", "tower:0.5:9"]],
+    "xi": [["--k", "3"], ["--k", "5"], ["--at", "10"], ["--at", "L4:0.5"]],
+    "ack": [["3"], ["2"], ["-1"]],
+    "order": [["--F", "xi(x)"], ["--f", "exp(x)"], ["--f", "2*x"],
+              ["--ladder", "tower:0.5:10"], ["--to", "0.01"], ["--tol", "-1"]],
+    "classify": [["x^2"], ["2*x"]],
+    "table": [],
+    "props": [["--F", "log(x)"], ["--ladder", "geom:10:10:8"]],
+    "iterate": [["--f", "2*x"], ["--lambda", "0.5"], ["--at", "3"],
+                ["--base", "0.75"], ["--twice"]],
+    "plotdata": [["x^2"], ["--ladder", "geom:1:2:8"]],
+    "repro": [],
+}
+_ANY_COMMAND = [["--format", "text"], ["--format=csv"], ["--"], ["--bogus"],
+                ["-h"], ["--=x"], ["stray"]]
+_HEADS = [[], ["--format", "text"], ["--format", "csv"], ["--format=json"],
+          ["--form", "text"], ["--format"], ["-h"]]
+
+
+@st.composite
+def _argvs(draw):
+    head = draw(st.sampled_from(_HEADS))
+    command = draw(st.sampled_from([*_PIECES, "nope", ""]))
+    pieces = draw(st.lists(st.sampled_from(_PIECES.get(command) or [[]]),
+                           max_size=4, unique_by=tuple))
+    pieces += [draw(st.sampled_from(_ANY_COMMAND))] if command == "repro" else draw(
+        st.lists(st.sampled_from(_ANY_COMMAND), max_size=1))
+    if command == "repro" and pieces[-1] in (["--"], ["-h"]):
+        pieces[-1] = ["--bogus"]
+    pieces = draw(st.permutations(pieces))
+    return head + ([command] if command else []) + [t for p in pieces for t in p]
+
+
+class TestOnePassParse:
+    @settings(max_examples=150)
+    @given(_argvs())
+    @example(["eval", "--at", "1e308", "--", "-(2*x)"])
+    @example(["eval", "x", "--at", "3", "--format", "text"])
+    @example(["order", "--F", "log(x)"])
+    @example(["--format", "text", "eval", "2*x", "--at", "4"])
+    @example(["props", "--F", "xi(x)"])
+    def test_same_outcome_as_the_full_parse(self, argv):
+        assert _outcome(argv) == _reference_main(argv)
+
+    def test_subcommand_first_skips_the_top_level_pass(self):
+        with mock.patch.object(cli.build_parser(), "parse_args",
+                               side_effect=AssertionError("full pass")):
+            args = cli._parse_args(["eval", "x", "--lad", "geom:1:2:8"])
+        assert vars(args) == {"format": "json", "command": "eval",
+                              "expr": "x", "at": None, "ladder": "geom:1:2:8",
+                              "fn": cli.cmd_eval}
+
+
+# what _dumps may meet: every JSON scalar, the floats json refuses, huge
+# ints (one past the int-to-str digit limit), non-ASCII text, and objects
+# json writes through str (towers, rationals)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.just(4400).map(lambda n: 10 ** n), st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, 1.7976931348623157e308]),
+    st.text(), st.sampled_from(["é", "\u2028", "\x00\"", "😀"]),
+    st.fractions(), st.builds(LIReal, st.integers(-1, 50), st.floats(0.0, 1.0, exclude_max=True)),
+)
+# keys json takes (str, int, float, bool, None) and one it refuses
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(),
+                  st.tuples(st.integers()))
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS,
+              st.lists(st.one_of(st.integers(), st.floats()), max_size=30),
+              st.builds(Ladder.tower, st.floats(0.1, 0.9), st.integers(8, 10)),
+              st.builds(Ladder.geometric, st.floats(1.0, 10.0), st.floats(1.5, 10.0),
+                        st.integers(8, 10))),
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=5).map(tuple),
+                               st.dictionaries(_KEYS, children, max_size=5)),
+    max_leaves=8,
+)
+
+
+def _text_or_error(dumps, payload):
+    try:
+        return "text", dumps(payload)
+    except Exception as exc:  # the type and message are the outcome
+        return "raises", type(exc), str(exc)
 
 
 class TestStrictJson:
@@ -503,6 +647,32 @@ class TestStrictJson:
         with pytest.raises(ValueError):
             cli._emit(args, {"value": math.nan})
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("payload,value", [
+        ({"value": math.nan}, "nan"),
+        ({"margins": [0.5, 1, math.nan, 2.0]}, "nan"),
+        ({"R0": {"margins": [0.5, -math.inf]}}, "-inf"),
+    ])
+    def test_emit_names_the_refused_float(self, capsys, payload, value):
+        args = cli.build_parser().parse_args(["eval", "x"])
+        with pytest.raises(ValueError) as exc:
+            cli._emit(args, payload)
+        assert str(exc.value) == f"Out of range float values are not JSON compliant: {value}"
+        assert capsys.readouterr().out == ""
+
+    def test_answer_past_the_float_range_is_two(self, capsys):
+        # x+x at 1e308 is the float inf, which strict JSON cannot hold
+        assert run(capsys, "eval", "x+x", "--at", "1e308") == (
+            2, "", "growthcalc: ValueError: Out of range float values are not "
+                   "JSON compliant: inf\n")
+
+    @settings(max_examples=120)
+    @given(_PAYLOADS)
+    @example({"x": Fraction(1, 3), "points": (1, 2.5, -0.0), "": {}, "l": []})
+    @example({1.5: [float("nan")], None: True})
+    def test_same_text_as_json_dumps(self, payload):
+        assert _text_or_error(cli._dumps, payload) == _text_or_error(
+            lambda p: json.dumps(p, indent=2, default=str, allow_nan=False), payload)
 
 
 def test_import_loads_no_numeric_stack():

@@ -5,8 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from growthcalc import cli
+from growthcalc import cli, orders
 from growthcalc.funcexpr import EvalError
 from growthcalc.lixnum import LIReal
 from growthcalc.orders import Ladder, check_R, order_of
@@ -114,6 +116,40 @@ class TestLadder:
         desc = lad.to_json()
         desc["x0"] = 5.0
         assert lad.to_json()["x0"] == 2.0
+
+
+def _difference(f, a, b):
+    """f(a, b) to the bit (float.hex tells -0.0 from 0.0), or its overflow."""
+    try:
+        return "value", f(a, b).hex()
+    except OverflowError as exc:
+        return "raises", str(exc)
+
+
+# exact values as the super-logarithm path makes them, a level plus a float
+# mantissa, with levels near 10^780; and rationals whose difference is past
+# the float range as often as not
+_LEVELS = st.integers(10 ** 780 - 10 ** 6, 10 ** 780 + 10 ** 6)
+_EXACT = st.one_of(
+    st.builds(lambda level, m: level + Fraction(m), _LEVELS,
+              st.floats(0.0, 1.0, exclude_max=True)),
+    st.builds(Fraction, st.integers(-10 ** 800, 10 ** 800), st.integers(1, 10 ** 800)),
+    st.fractions(max_denominator=10 ** 6),
+)
+
+
+class TestResidual:
+    @settings(max_examples=150)
+    @given(_EXACT, _EXACT)
+    def test_fractions_round_as_their_difference(self, a, b):
+        assert (_difference(orders._residual, a, b)
+                == _difference(lambda a, b: float(a - b), a, b))
+
+    def test_equal_levels_cancel_exactly(self):
+        level = 10 ** 780
+        a, b = level + Fraction(0.75), level + Fraction(0.25)
+        assert orders._residual(a, b) == 0.5
+        assert orders._residual(b, b).hex() == "0x0.0p+0"
 
 
 class TestOrderOf:

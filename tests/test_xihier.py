@@ -372,6 +372,12 @@ class TestDerivative:
         assert evaluate(parse("dxi_3(x)"), 1e308) == pytest.approx(
             math.exp(-log_chi), rel=1e-9)
 
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_nan_names_the_non_finite_argument(self, k):
+        # as xi_k does: NaN is below nothing, so not below the base either
+        with pytest.raises(DomainError, match="^to_li requires a finite value, got nan$"):
+            evaluate(parse(f"dxi_{k}(x)"), math.nan)
+
     @pytest.mark.parametrize("text,x", [("dxi_4(x)", 1.5), ("dxi_9(x)", 10.0),
                                         ("dxi_2(x)", 0.0), ("dxi_2(x)", -1.0)])
     def test_domain_errors(self, text, x):
