@@ -10,9 +10,10 @@ where tabular).  Tower-valued numbers appear as "L<level>:<mantissa>"
 literals, and the same syntax is accepted for inputs.  Exit codes: 0 for
 data-bearing runs, 1 for usage errors, 2 for evaluation errors.
 
-JSON on stdout is what json.dumps(payload, indent=2, default=str,
-allow_nan=False) writes, byte for byte; _dumps lays it out and hands each
-list of plain numbers to json's C encoder, whose output indent would forgo.
+JSON on stdout is the text json.dumps(payload, indent=2, default=str,
+allow_nan=False) writes, byte for byte.  _dumps writes it itself and hands
+each list of plain numbers to json's C encoder, which json.dumps leaves
+unused whenever indent is set.
 """
 
 from __future__ import annotations
@@ -378,13 +379,12 @@ def _parse_args(argv) -> argparse.Namespace:
     subcommand's parser, on top of its own defaults.  An argv the top-level
     parser reads more of takes the full pass, so namespaces, usage errors
     and exit codes are the same either way: an option or no subcommand
-    first, a `--` (which it may strip), a `--=...` token (ambiguous between
-    its own --help and --format), or a token the subcommand leaves over
-    (which it refuses)."""
+    first, a `--=...` token (ambiguous between its own --help and
+    --format), or a token the subcommand leaves over (which it refuses)."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.commands.get(argv[0]) if argv else None
-    if sub is not None and not any(t == "--" or t.startswith("--=") for t in argv):
+    if sub is not None and not any(t.startswith("--=") for t in argv):
         top = argparse.Namespace(format=parser.get_default("format"),
                                  command=argv[0])
         args, rest = sub.parse_known_args(argv[1:], top)

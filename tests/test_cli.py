@@ -513,10 +513,8 @@ FUZZ_LADDERS = st.one_of(
 
 
 class TestEvalFuzz:
-    POINTS = FUZZ_POINTS
-
     @settings(max_examples=400)
-    @given(FUZZ_EXPRS, POINTS)
+    @given(FUZZ_EXPRS, FUZZ_POINTS)
     @example("x^-1", "0")
     def test_exit_code_contract(self, expr, point):
         _assert_contract(["--format", "json", "eval", expr, "--at", point])
@@ -568,8 +566,10 @@ _PIECES = {
     "plotdata": [["x^2"], ["--ladder", "geom:1:2:8"]],
     "repro": [],
 }
-_ANY_COMMAND = [["--format", "text"], ["--format=csv"], ["--"], ["--bogus"],
-                ["-h"], ["--=x"], ["stray"]]
+# pieces any subcommand may meet: usage errors after it, then `--` and -h
+_USAGE_ERRORS = [["--format", "text"], ["--format=csv"], ["--bogus"], ["--=x"],
+                 ["stray"]]
+_ANY_COMMAND = _USAGE_ERRORS + [["--"], ["-h"]]
 _HEADS = [[], ["--format", "text"], ["--format", "csv"], ["--format=json"],
           ["--form", "text"], ["--format"], ["-h"]]
 
@@ -580,10 +580,10 @@ def _argvs(draw):
     command = draw(st.sampled_from([*_PIECES, "nope", ""]))
     pieces = draw(st.lists(st.sampled_from(_PIECES.get(command) or [[]]),
                            max_size=4, unique_by=tuple))
-    pieces += [draw(st.sampled_from(_ANY_COMMAND))] if command == "repro" else draw(
-        st.lists(st.sampled_from(_ANY_COMMAND), max_size=1))
-    if command == "repro" and pieces[-1] in (["--"], ["-h"]):
-        pieces[-1] = ["--bogus"]
+    if command == "repro":
+        pieces.append(draw(st.sampled_from(_USAGE_ERRORS)))
+    else:
+        pieces += draw(st.lists(st.sampled_from(_ANY_COMMAND), max_size=1))
     pieces = draw(st.permutations(pieces))
     return head + ([command] if command else []) + [t for p in pieces for t in p]
 
