@@ -12,7 +12,8 @@ closed-form iterate, x + k*d or x * m^k, in O(1) at any distance.  Other
 maps step once per unit of F, at most MAX_PULLBACK_STEPS times; a
 backward step uses the inverse funcexpr.Fn resolves (the caller's f_inv
 or the exact inverse of an expression), else a bisection narrowed by
-Newton steps on f'.
+Newton steps on f'.  A solution binds that choice, its direction and its
+seed constants when it is built, so eval and inverse each run one loop.
 
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second
@@ -138,96 +139,115 @@ class AbelSolution:
     fp: Optional[Callable[[float], float]] = None  # f', for Newton steps without f_inv
     affine: Optional[tuple] = None  # funcexpr.affine_step of f: f^k in closed form
 
+    def __post_init__(self):
+        """Bind the evaluation path: _pull for eval and _push for inverse
+        hold the domain ends with their rounding slack, the seed at both
+        ends, a two-knot table seed's line, and an affine step's constants
+        or the step map (None: the bisected pre-image of f, which reads f
+        and fp at each step)."""
+        lo, hi, seed = self.domain_lo, self.domain_hi, self.seed
+        tol = 1e-12 * (hi - lo)  # rounding slack, scaled to the domain's width
+        edge = hi + tol
+        line = None  # y0 + (y - x0) * (y1 - y0) / (x1 - x0), as TableSeed
+        if isinstance(seed, TableSeed) and len(seed.xs) == 2:
+            (x0, x1), (y0, y1) = seed.xs, seed.ys
+            line = (x0, y0, x1 - x0, y1 - y0)
+        toward = -1 if self.direction == "expanding" else 1
+        back, fwd = (self.f_inv, self.f) if toward < 0 else (self.f, self.f_inv)
+        affine = None  # (plus, s, toward, n's origin, n's unit)
+        if self.affine is not None:
+            op, s = self.affine
+            affine = ((True, s, toward, edge, abs(s)) if op == "+" else
+                      (False, s, toward, math.log(edge), abs(math.log(s))))
+        self._pull = (lo - tol, edge, lo, hi, line, affine, back)
+        self._push = (seed(lo), seed(hi), line, affine, fwd)
+
     def _inverse_step(self, y: float) -> float:
-        if self.f_inv is not None:
-            return self.f_inv(y)
         # the pullback only steps from y > domain_hi = f(domain_lo)
         return funcexpr._bisect(self.f, y, self.domain_lo, y, self.fp)
 
-    def _iterate(self, x: float, k: int) -> float:
-        """f^k(x) for an affine f and any integer k."""
-        op, s = self.affine
-        return x + k * s if op == "+" else funcexpr._times_power(x, s, k)
-
-    def _pull_closed_form(self, x: float, edge: float):
-        """The stepwise pullback's (y, n) for an affine f: n is the least
-        count of steps toward the domain that takes x to at most edge."""
-        op, s = self.affine
-        if op == "+":
-            est = (x - edge) / abs(s)
-        else:
-            est = (math.log(x) - math.log(edge)) / abs(math.log(s))
-        if not math.isfinite(est):
-            raise DomainError(f"the pullback of {x!r} overflows its step count")
-        toward = -1 if self.direction == "expanding" else 1
-        n = max(1, math.ceil(est))
-        # rounding in est (and in the closed form) is at most a step or two
-        for _ in range(3):
-            y = self._iterate(x, toward * n)
-            if y > edge:
-                n += 1
-            elif n > 1 and self._iterate(x, toward * (n - 1)) <= edge:
-                n -= 1
-            else:
-                return min(max(y, self.domain_lo), self.domain_hi), n
-        raise DomainError(
-            f"the pullback of {x!r} into the fundamental domain "
-            f"[{self.domain_lo!r}, {self.domain_hi!r}] is lost in float rounding: "
-            f"one step of f does not change a number of that size")
-
-    def _pull_into_domain(self, x: float):
-        """Return (y, n) with y in the fundamental domain and x = step^n(y)."""
-        lo, hi = self.domain_lo, self.domain_hi
+    def eval(self, x) -> float:
+        """n + seed(y), where n steps toward the domain take x to y in it."""
+        x = float(x)
         if not math.isfinite(x):
             raise DomainError(f"the Abel solution is not defined at {x!r}")
-        # rounding slack at the domain ends, scaled to the domain's width
-        tol = 1e-12 * (hi - lo)
-        if x < lo - tol:
+        floor, edge, lo, hi, line, affine, back = self._pull
+        if x < floor:
             raise DomainError(f"{x!r} below the solution base {lo!r}")
-        edge = hi + tol
-        if self.affine is not None and x > edge:
-            return self._pull_closed_form(x, edge)
-        back = (self._inverse_step if self.direction == "expanding" else self.f)
         y, n = x, 0
-        while y > edge:
-            if n >= MAX_PULLBACK_STEPS:
-                raise DomainError("pullback failed to enter the fundamental domain")
-            prev, y = y, back(y)
-            n += 1
-            if not y < prev:
+        if affine is not None and x > edge:
+            # the least n that takes x to at most edge, read off in closed
+            # form; rounding there moves it by a step or two
+            plus, s, toward, origin, unit = affine
+            est = ((x if plus else math.log(x)) - origin) / unit
+            if not math.isfinite(est):
+                raise DomainError(f"the pullback of {x!r} overflows its step count")
+            n = math.ceil(est) if est > 1 else 1
+            for _ in range(3):
+                y = x + toward * n * s if plus else funcexpr._times_power(x, s, toward * n)
+                if y > edge:
+                    n += 1
+                elif n > 1 and (x + toward * (n - 1) * s if plus else
+                                funcexpr._times_power(x, s, toward * (n - 1))) <= edge:
+                    n -= 1
+                else:
+                    break
+            else:
                 raise DomainError(
-                    f"the pullback of {x!r} does not approach the fundamental "
-                    f"domain [{lo!r}, {hi!r}] of base A={self.A!r} (a step "
-                    f"from {prev!r} gave {y!r})")
-        return min(y, hi), n
-
-    def eval(self, x) -> float:
-        y, n = self._pull_into_domain(float(x))
-        return n + self.seed(y)
+                    f"the pullback of {x!r} into the fundamental domain "
+                    f"[{lo!r}, {hi!r}] is lost in float rounding: "
+                    f"one step of f does not change a number of that size")
+            if y < lo:
+                y = lo
+        else:
+            back = back or self._inverse_step
+            while y > edge:
+                if n >= MAX_PULLBACK_STEPS:
+                    raise DomainError("pullback failed to enter the fundamental domain")
+                prev, y = y, back(y)
+                n += 1
+                if not y < prev:
+                    raise DomainError(
+                        f"the pullback of {x!r} does not approach the fundamental "
+                        f"domain [{lo!r}, {hi!r}] of base A={self.A!r} (a step "
+                        f"from {prev!r} gave {y!r})")
+        if y > hi:
+            y = hi
+        if line is None:
+            return n + self.seed(y)
+        x0, y0, dx, dy = line
+        return n + (y0 + (y - x0) * dy / dx)
 
     __call__ = eval
 
     def inverse(self, t: float) -> float:
+        """The seed's inverse at t - n, pushed n steps out of the domain."""
         if not math.isfinite(t):
             raise DomainError(f"the Abel solution's inverse is not defined at {t!r}")
-        s_lo = self.seed(self.domain_lo)
+        s_lo, s_hi, line, affine, fwd = self._push
         if t < s_lo - 1e-12:
             raise DomainError(f"{t!r} below the solution range start {s_lo!r}")
-        n = int(math.floor(t - s_lo))
-        if n > MAX_PULLBACK_STEPS and self.affine is None:
+        n = math.floor(t - s_lo)
+        if n > MAX_PULLBACK_STEPS and affine is None:
             raise DomainError(f"{t!r} needs more than {MAX_PULLBACK_STEPS} steps "
                               "from the fundamental domain")
         frac = t - n
-        if frac > self.seed(self.domain_hi):
+        if frac > s_hi:
             n += 1
             frac = t - n
-        y = self.seed.inv(frac)
-        if self.affine is not None:
-            y = self._iterate(y, n if self.direction == "expanding" else -n)
+        if line is None:
+            y = self.seed.inv(frac)
+        else:
+            x0, y0, dx, dy = line
+            y = x0 + (frac - y0) * dx / dy
+        if affine is not None:
+            plus, s, toward, _, _ = affine
+            k = -toward * n
+            y = y + k * s if plus else funcexpr._times_power(y, s, k)
             if not math.isfinite(y):
                 raise DomainError(f"the inverse at {t!r} leaves the float range")
             return y
-        fwd = self.f if self.direction == "expanding" else self._inverse_step
+        fwd = fwd or self._inverse_step
         for _ in range(n):
             y = fwd(y)
             if not math.isfinite(y):

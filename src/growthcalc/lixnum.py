@@ -207,16 +207,16 @@ def _real(level: int, m: float) -> float:
 def _add_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
     """(level, mantissa, absorbed) of the sum of the pairs a and b.
 
-    At a level above EXACT_ARITH_MAX_LEVEL, or where the smaller term is
-    below ABSORB_REL of the larger, the larger pair is the sum and
-    absorbed is True; otherwise the float sum is normalized again.
+    At a level above EXACT_ARITH_MAX_LEVEL, or where the magnitude of the
+    smaller term is below ABSORB_REL of the larger, the larger pair is the
+    sum and absorbed is True; otherwise the float sum is normalized again.
     """
     if la < lb or (la == lb and ma <= mb):
         la, ma, lb, mb = lb, mb, la, ma
     if la > EXACT_ARITH_MAX_LEVEL:
         return la, ma, True
     va, vb = _real(la, ma), _real(lb, mb)
-    if va > 0 and vb / va < ABSORB_REL:
+    if va > 0 and abs(vb) / va < ABSORB_REL:
         return la, ma, True
     level, m = _pair_any(va + vb)
     return level, m, False
@@ -229,7 +229,7 @@ def _sub_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
     if la > EXACT_ARITH_MAX_LEVEL:
         return la, ma, True
     va, vb = _real(la, ma), _real(lb, mb)
-    if va > 0 and vb / va < ABSORB_REL:
+    if va > 0 and abs(vb) / va < ABSORB_REL:
         return la, ma, True
     level, m = _pair_any(va - vb)
     return level, m, False

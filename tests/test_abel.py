@@ -321,6 +321,9 @@ class TestDerivedInverse:
             x = f(x)
         sol.f, sol.fp = counted("f", f), counted("fp", fp)
         assert sol.eval(x) == pytest.approx(exact.eval(x), abs=1e-9)
+        # the pullback reads f and f' off the solution at each step, so
+        # the swapped-in counters see every evaluation
+        assert counts["f"] > 0 and counts["fp"] > 0
         steps = 2000
         assert (counts["f"] + counts["fp"]) / steps <= 12
         assert counts["fp"] / steps <= 5
@@ -465,6 +468,95 @@ class TestClosedForm:
         x = sol.domain_lo * (top / sol.domain_lo) ** u
         assert sol.eval(x) == F(x)
         assert sol.inverse(t) == F_inv(t)
+
+
+def _bisected(sol):
+    """The no-inverse pullback step of sol, as the solve binds it."""
+    return lambda y: funcexpr._bisect(sol.f, y, sol.domain_lo, y, sol.fp)
+
+
+def _own(name):
+    return lambda sol: getattr(sol, name)
+
+
+# (f, A, seed kind, f_inv, pullback, push, top of the x range): one
+# solution on each evaluation path a solve can bind; the pullback and push
+# maps take the solution, so a derived inverse and bisection are its own.
+# Domains of non-dyadic width keep the seed's rounding visible.
+_PATHS = [
+    # affine with dyadic steps, where the closed form is stepping exactly
+    ("x+2", 1.0, "linear", None, lambda s: lambda y: y - 2.0,
+     lambda s: lambda y: y + 2.0, 1e6),
+    ("2*x", 1.0, "linear", None, lambda s: lambda y: y / 2.0,
+     lambda s: lambda y: 2.0 * y, 1e300),
+    ("x/2", 8.0, "linear", None, lambda s: lambda y: y / 2.0,
+     lambda s: lambda y: 2.0 * y, 1e300),
+    ("2*x", 1.0, "smooth_c1", None, lambda s: lambda y: y / 2.0,
+     lambda s: lambda y: 2.0 * y, 1e300),
+    # stepping with a given inverse, and a contracting map's derived one
+    ("x^2", 3.0, "linear", math.sqrt, _own("f_inv"), _own("f"), 1e150),
+    ("exp(x)", 0.5, "linear", math.log, _own("f_inv"), _own("f"), 700.0),
+    ("sqrt(x)", 16.0, "linear", None, _own("f"), _own("f_inv"), 1e150),
+    # bisection without an inverse, on both seeds
+    ("x+sqrt(x)", 1.3, "linear", None, _bisected, _own("f"), 1e5),
+    ("x+sqrt(x)", 1.3, "smooth_c1", None, _bisected, _own("f"), 1e5),
+]
+
+
+class TestBoundPaths:
+    """eval, inverse and fractional_iterate run the path that the solve
+    bound; on each path they give the stepwise reference's floats bit for
+    bit, and so does the solution a JSON round trip solves again."""
+
+    @pytest.mark.parametrize("text,A,seed_kind,f_inv,back,fwd,top", _PATHS,
+                             ids=[f"{p[0]}-{p[2]}" for p in _PATHS])
+    @given(u=st.floats(min_value=0.0, max_value=1.0),
+           lam=st.floats(min_value=-0.9, max_value=0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_same_floats_as_stepping(self, text, A, seed_kind, f_inv, back,
+                                     fwd, top, u, lam):
+        sol = abel.solve_abel(text, A, seed_kind, f_inv=f_inv)
+        for s in (sol, abel.solution_from_json(abel.solution_to_json(sol))):
+            F, F_inv = _stepwise(s, back(s), fwd(s))
+            x = s.domain_lo * (top / s.domain_lo) ** u
+            t = F(x)
+            assert s.eval(x) == t
+            assert s.inverse(t) == F_inv(t)
+            if t + lam >= 0.0:
+                assert s.fractional_iterate(lam, x) == F_inv(t + lam)
+
+    @pytest.mark.parametrize("f,A,f_inv,method,arg,message", [
+        ("2*x", 1.0, None, "eval", math.nan, "the Abel solution is not defined at nan"),
+        ("x^2", 2.0, None, "eval", -math.inf,
+         "the Abel solution is not defined at -inf"),
+        ("2*x", 1.0, None, "inverse", math.inf,
+         "the Abel solution's inverse is not defined at inf"),
+        ("x+sqrt(x)", 1.0, None, "eval", 0.5, "0.5 below the solution base 1.0"),
+        ("x^2", 2.0, None, "inverse", -0.5, "-0.5 below the solution range start 0.0"),
+        ("x^2", 0.5, None, "eval", 3.0,
+         "the pullback of 3.0 does not approach the fundamental domain "
+         "[0.25, 0.5] of base A=0.5 (a step from 3.0 gave 9.0)"),
+        (lambda y: y + 1.0, 1.0, lambda y: y - 1.0, "eval", 3e6,
+         "pullback failed to enter the fundamental domain"),
+        ("x^2", 2.0, None, "inverse", 1e7,
+         "10000000.0 needs more than 1000000 steps from the fundamental domain"),
+        ("x+1", 1.0, None, "eval", 1e300,
+         "the pullback of 1e+300 into the fundamental domain [1.0, 2.0] is lost "
+         "in float rounding: one step of f does not change a number of that size"),
+        ("x+1e-13", 0.5, None, "eval", 1e308,
+         "the pullback of 1e+308 overflows its step count"),
+        ("x^2", 2.0, None, "inverse", 2000.0,
+         "the inverse at 2000.0 leaves the float range"),
+        ("2*x", 1.0, None, "inverse", 1030.0,
+         "the inverse at 1030.0 leaves the float range"),
+    ], ids=["nan", "-inf", "inverse-inf", "below-base", "below-range",
+            "no-approach", "step-cap", "inverse-step-cap", "rounding-loss",
+            "step-count-overflow", "push-overflow", "closed-form-overflow"])
+    def test_errors_keep_their_messages(self, f, A, f_inv, method, arg, message):
+        sol = abel.solve_abel(f, A, f_inv=f_inv)
+        with pytest.raises(DomainError) as err:
+            getattr(sol, method)(arg)
+        assert str(err.value) == message
 
 
 # points just past the end of a wide domain, and on domains far narrower

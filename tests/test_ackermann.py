@@ -66,7 +66,17 @@ class TestExactValues:
     def test_a4_2_pinned(self):
         # the value 65,534 plain A(2, .) steps give; the level jump must
         # keep it, absorbed flag included
-        assert repr(ack(4, 2)) == "LIReal(65535, 0.8639313890411017, absorbed)"
+        assert repr(ack(4, 2)) == "LIReal(65535, 0.863931071912917, absorbed)"
+
+    @pytest.mark.parametrize("m,n,level", [(3, 4, 5), (3, 5, 6), (3, 6, 7), (4, 2, 65535)])
+    def test_tower_mantissa_matches_mpmath(self, m, n, level):
+        # by mpmath at 50 digits, A(3, 4) = 2^(2^65536) - 2 is
+        # L5:0.86393107191291692300601183890...; every later A(3, n) has
+        # that mantissa to better than 10^-19000, as the step's -2 and
+        # ln ln 2 shift it by less.  A step that drops ln ln 2 at level 3
+        # reads 0.8639313890411017, the mantissa of A(3, 3).
+        v = ack(m, n)
+        assert (v.level, v.mantissa) == (level, 0.86393107191291692300601183890)
 
     def test_level_jump_matches_plain_stepping(self):
         def key(v):

@@ -5,10 +5,11 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthcalc import lixnum
+from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import DomainError, LIReal
 
 
@@ -223,6 +224,20 @@ class TestArithmetic:
         out = lixnum.add(a, b)
         assert out.absorbed
         assert float(out) == pytest.approx(1e40)
+
+    @given(level=st.integers(1, 3), m=st.floats(0.0, 1.0, exclude_max=True),
+           c=st.floats(1e-3, 0.9))
+    @example(level=3, m=0.5, c=0.3)
+    def test_negative_term_is_not_absorbed(self, level, m, c):
+        # x+(-c) is x-c, and x-(-c) is x+c, at tower points x >= 1 > c; the
+        # size test compares |c| with x, so a negative term is not taken as
+        # below ABSORB_REL of x
+        x = LIReal(level, m)
+        neg, pos = lixnum.to_li(-c), lixnum.to_li(c)
+        for got, want in ((evaluate(parse(f"x+(-{c!r})"), x), evaluate(parse(f"x-{c!r}"), x)),
+                          (lixnum.sub(x, neg), lixnum.add(x, pos))):
+            assert not got.absorbed and not want.absorbed
+            assert float(got) == pytest.approx(float(want), rel=1e-14)
 
     def test_deep_mul_is_log_drop(self):
         # e^1000 * e^5: one log drop adds the exponents exactly in floats

@@ -4,7 +4,9 @@ LIReal-based code they replaced.
 The reference functions below are that earlier code, apart from names, the
 one conversion each way (to_li, float()) and the later rules for zero and
 negative values (ln refuses them; a tower product or quotient takes zero
-exactly and refuses a negative operand): every step builds an LIReal.  The
+exactly and refuses a negative operand; a sum or difference absorbs a
+negative term only when its magnitude is below ABSORB_REL of the larger
+term): every step builds an LIReal.  The
 new code must give the same type, the same bits and the same absorbed
 flag, or raise the same exception type with the same message.
 """
@@ -77,7 +79,7 @@ def ref_add(a, b):
     if hi.level >= EXACT_ARITH_MAX_LEVEL + 1:
         return ref_absorb(hi)
     va, vb = ref_to_real(hi), ref_to_real(lo)
-    if va > 0 and vb / va < ABSORB_REL:
+    if va > 0 and abs(vb) / va < ABSORB_REL:
         return ref_absorb(hi)
     return ref_to_li(va + vb)
 
@@ -88,7 +90,7 @@ def ref_sub(a, b):
     if a.level >= EXACT_ARITH_MAX_LEVEL + 1:
         return ref_absorb(a)
     va, vb = ref_to_real(a), ref_to_real(b)
-    if va > 0 and vb / va < ABSORB_REL:
+    if va > 0 and abs(vb) / va < ABSORB_REL:
         return ref_absorb(a)
     return ref_to_li(va - vb)
 
