@@ -227,7 +227,7 @@ class AbelSolution:
         s_lo, s_hi, line, affine, fwd = self._push
         if t < s_lo - 1e-12:
             raise DomainError(f"{t!r} below the solution range start {s_lo!r}")
-        n = math.floor(t - s_lo)
+        n = max(0, math.floor(t - s_lo))  # the slack below s_lo takes no step
         if n > MAX_PULLBACK_STEPS and affine is None:
             raise DomainError(f"{t!r} needs more than {MAX_PULLBACK_STEPS} steps "
                               "from the fundamental domain")

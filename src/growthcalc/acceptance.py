@@ -161,6 +161,13 @@ def check_ackermann() -> dict:
             worst_g = max(worst_g, abs(ackermann.G_real(m, a) - n))
     if worst_g > 1e-9:
         fails.append(f"G anchors ({worst_g:.2e})")
+    # ln ln A(3, 4) = 65536 ln 2 + ln ln 2, and every later A(3, n) and
+    # A(4, 2) keep its mantissa to far below float resolution
+    mantissa = lixnum.to_li(65536 * math.log(2.0) + math.log(math.log(2.0))).mantissa
+    for m, n, level in ((3, 4, 5), (3, 5, 6), (3, 6, 7), (4, 2, 65535)):
+        a = ackermann.ack(m, n)
+        if not (isinstance(a, LIReal) and (a.level, a.mantissa) == (level, mantissa)):
+            fails.append(f"A({m},{n}) tower")
     L3 = ackermann.op_L(lambda t: ackermann.A_real(3, t),
                         f_inv=lambda y: ackermann.G_real(3, y))
     for n in (0, 1):

@@ -5,9 +5,12 @@ The two-variable recursion here is the base-2 variant
     A(m, 0) = 2,  A(0, n) = n + 2,  A(m+1, n+1) = A(m, A(m+1, n)),
 
 so A(1, n) = 2n + 2, A(2, n) = 2^(n+2) - 2, and A(3, .) climbs a tower of
-twos.  Values stay exact integers while feasible and spill into level-index
-numbers beyond that.  G(m, .) is the real inverse of A(m, .) in the second
-argument: closed forms through m = 2, an Abel-equation solution for m = 3.
+twos: each rung is the n-fold iterate of the one below, started at 2.  One
+table holds the closed forms through m = 2, and A(3, .) and A(4, .) are
+iterates of A(2, .).  Values stay exact integers while feasible and spill
+into level-index numbers beyond that.  G(m, .) is the real inverse of
+A(m, .) in the second argument: the table's inverses through m = 2, an
+Abel-equation solution for m = 3.
 
 op_L is the operator f -> f(f^{-1} + 1).  It lowers each growth class by
 one and walks down both ladders: op_L of the inverse super-logarithm at
@@ -43,6 +46,19 @@ _N_MAX = {0: None, 1: None, 2: 10 ** 4, 3: 6, 4: 2}
 _M_MAX = 4
 
 
+def _a2_inv(y):
+    """G(2, y), the inverse of A(2, .), on floats and on exact ints."""
+    if y <= -2:
+        raise DomainError(f"A(2, .) inverse needs y > -2, got {y!r}")
+    return math.log2(y + 2) - 2
+
+
+# A(m, .) for m <= 2 in closed form, exact on ints and real on floats, and
+# its inverse G(m, .)
+_CLOSED = (lambda n: n + 2, lambda n: 2 * n + 2, lambda n: 2 ** (n + 2) - 2)
+_CLOSED_INV = (lambda y: y - 2, lambda y: y / 2 - 1, _a2_inv)
+
+
 def supported_envelope() -> dict:
     """The (m, n) region ack accepts, and where values go tower-valued."""
     return {"m_max": _M_MAX, "n_max": dict(_N_MAX), "n_exact": dict(_N_EXACT)}
@@ -62,7 +78,7 @@ def _a2_step(v: Union[int, LIReal]) -> Union[int, LIReal]:
     """One application of A(2, .): v -> 2^(v+2) - 2."""
     if isinstance(v, int):
         if v <= 10 ** 5:
-            return 2 ** (v + 2) - 2
+            return _CLOSED[2](v)
         v = lixnum.to_li(v)
     # tower scale: the -2 and +2 are far below representable resolution
     return lixnum.exp_li(lixnum.mul(lixnum.add(v, _LI_TWO), _LI_LN2))
@@ -90,67 +106,42 @@ def ack(m: int, n: int) -> Union[int, LIReal]:
     _check_range(m, n)
     if n == 0:
         return 2
-    if m == 0:
-        return n + 2
-    if m == 1:
-        return 2 * n + 2
-    if m == 2:
-        return 2 ** (n + 2) - 2
-    return _ack_tower(m, n)
+    if m <= 2:
+        return _CLOSED[m](n)
+    return _ack_iterated(m, n)
 
 
 @functools.cache
-def _ack_tower(m: int, n: int) -> Union[int, LIReal]:
-    """A(m, n) for m >= 3 and n >= 1, the values past the closed forms."""
+def _ack_iterated(m: int, n: int) -> Union[int, LIReal]:
+    """A(m, n) for m >= 3 and n >= 1, the n-fold iterate of A(m - 1, .)
+    from A(m, 0) = 2: A(3, n) steps A(2, .), and A(4, n) = A(3, A(4, n - 1))."""
     if m == 3:
-        return _a2_step(ack(3, n - 1))
-    # m == 4: A(4, n+1) = A(3, A(4, n)), and A(4, 1) = A(3, 2)
-    inner = ack(4, n - 1)
-    if not isinstance(inner, int):
-        raise DomainError("ack(4, n) needs an integer inner height")
-    # A(3, inner): iterate the A(2, .) step from A(3, 0) = 2
-    return _a2_iterate(2, inner)
+        return _a2_iterate(2, n)
+    return _ack_iterated(3, ack(4, n - 1))
 
 
 # ---------------------------------------------------------------------------
 # Real extensions
 
 
-def _a2_real(x: float) -> float:
-    return 2.0 ** (x + 2.0) - 2.0
-
-
-def _a2_real_inv(y: float) -> float:
-    if y <= -2.0:
-        raise DomainError(f"A(2, .) inverse needs y > -2, got {y!r}")
-    return math.log2(y + 2.0) - 2.0
-
-
 @functools.cache
 def _g3() -> abel.AbelSolution:
     """Abel solution G(3, .) of the step A(2, .), anchored so that
     G(3, A(3, n)) = n: smooth seed on the fundamental domain [2, 14]."""
-    return abel.solve_abel(_a2_real, A=2.0, seed_kind="smooth_c1",
-                           f_inv=_a2_real_inv)
+    return abel.solve_abel(_CLOSED[2], A=2.0, seed_kind="smooth_c1",
+                           f_inv=_CLOSED_INV[2])
 
 
 def G_real(m: int, x) -> float:
     """G(m, x), the real inverse of A(m, .): G(m, A(m, n)) = n."""
     if not 0 <= m <= 3:
         raise DomainError(f"G_real supports 0 <= m <= 3, got m={m!r}")
-    if m == 3:
-        shift = 0
-        if isinstance(x, int) and x >= 2 ** 1024:
-            # exact pullback through powers of two keeps huge anchors exact
-            x = math.log2(x + 2) - 2.0
-            shift = 1
-        return _g3().eval(float(x)) + shift
-    xf = float(x)
-    if m == 0:
-        return xf - 2.0
-    if m == 1:
-        return xf / 2.0 - 1.0
-    return _a2_real_inv(xf)
+    if m < 3:
+        return _CLOSED_INV[m](float(x))
+    if isinstance(x, int) and x >= 2 ** 1024:
+        # exact pullback through powers of two keeps huge anchors exact
+        return _g3().eval(_a2_inv(x)) + 1
+    return _g3().eval(float(x))
 
 
 def A_real(m: int, t: float) -> float:
@@ -159,13 +150,7 @@ def A_real(m: int, t: float) -> float:
     if not 0 <= m <= 3:
         raise DomainError(f"A_real supports 0 <= m <= 3, got m={m!r}")
     t = float(t)
-    if m == 0:
-        return t + 2.0
-    if m == 1:
-        return 2.0 * t + 2.0
-    if m == 2:
-        return _a2_real(t)
-    return _g3().inverse(t)
+    return _CLOSED[m](t) if m < 3 else _g3().inverse(t)
 
 
 # ---------------------------------------------------------------------------

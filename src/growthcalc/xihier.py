@@ -142,7 +142,7 @@ class XiHierarchy:
             raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
         if t < BASE_XI - 1e-12:
             raise DomainError(f"xi_{k}_inv needs t >= {BASE_XI}, got {t!r}")
-        n = int(math.floor(t - BASE_XI))
+        n = max(0, math.floor(t - BASE_XI))  # the slack below takes no step
         frac = t - n
         z: Value = self._seed_inv(frac)
         for _ in range(n):

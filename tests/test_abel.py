@@ -378,7 +378,7 @@ def _stepwise(sol, back, fwd):
         return n + sol.seed(min(y, hi))
 
     def F_inv(t):
-        n = math.floor(t)
+        n = max(0, math.floor(t))
         y = sol.seed.inv(t - n)
         for _ in range(n):
             y = fwd(y)
@@ -557,6 +557,25 @@ class TestBoundPaths:
         with pytest.raises(DomainError) as err:
             getattr(sol, method)(arg)
         assert str(err.value) == message
+
+
+# every path of _PATHS, plus a callable with a callable inverse
+_SLACK_PATHS = [p[:4] for p in _PATHS] + [(lambda y: y * y, 3.0, "linear", math.sqrt)]
+
+
+class TestRangeStartSlack:
+    """A target in the rounding slack just below the range start takes no
+    step: the seed's inverse answers near the domain's lower end, as eval
+    answers the seed's value in the slack past the domain's ends."""
+
+    @pytest.mark.parametrize("f,A,seed_kind,f_inv", _SLACK_PATHS,
+                             ids=[f"{p[0]}-{p[2]}" for p in _PATHS] + ["callable"])
+    def test_inverse_answers_the_domain_start(self, f, A, seed_kind, f_inv):
+        sol = abel.solve_abel(f, A, seed_kind, f_inv=f_inv)
+        lo, hi = sol.domain_lo, sol.domain_hi
+        assert sol.inverse(0.0) == lo
+        for t in (-1e-13, -5e-13, -9e-13):
+            assert abs(sol.inverse(t) - lo) <= 1e-12 * (hi - lo) + 4 * math.ulp(lo), t
 
 
 # points just past the end of a wide domain, and on domains far narrower

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from growthcalc import abel, acceptance, classify
+from growthcalc import abel, acceptance, ackermann, classify, lixnum
 
 
 @pytest.mark.parametrize("n", sorted(acceptance.CRITERIA))
@@ -60,6 +60,30 @@ def test_abel_criterion_can_fail(monkeypatch, target, mutant):
     # residual and group-law bounds of criterion 4 must catch one that does not
     monkeypatch.setattr(target, mutant)
     assert not acceptance.run_one(4)["ok"]
+
+
+@pytest.fixture
+def fresh_ack_cache():
+    # a mutant's tower values must not outlive it in ack's cache
+    ackermann._ack_iterated.cache_clear()
+    yield
+    ackermann._ack_iterated.cache_clear()
+
+
+def _one_level_high(iterate):
+    # the height-65534 iterate behind A(4, 2) takes one step too many
+    return lambda v, count: iterate(v, count + 1 if count > 6 else count)
+
+
+@pytest.mark.parametrize("attr,mutant", [
+    ("_LI_LN2", lixnum.to_li(0.7)),
+    ("_a2_iterate", _one_level_high(ackermann._a2_iterate)),
+], ids=["tower-step-times-0.7", "a4-2-one-level-high"])
+def test_ackermann_criterion_can_fail(monkeypatch, fresh_ack_cache, attr, mutant):
+    # the closed forms, G anchors and op_L anchors read no tower value; the
+    # ln ln A(3, 4) identity must catch a wrong one
+    monkeypatch.setattr(ackermann, attr, mutant)
+    assert not acceptance.run_one(5)["ok"]
 
 
 @pytest.mark.parametrize("lo,hi,count", [

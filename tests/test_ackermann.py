@@ -90,7 +90,7 @@ class TestExactValues:
             v = ackermann._a2_step(v)
 
     def test_tower_cache_holds_only_towers(self):
-        cache = ackermann._ack_tower
+        cache = ackermann._ack_iterated
         for m in range(3, 5):
             for n in range(3):
                 ack(m, n)

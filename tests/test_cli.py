@@ -223,6 +223,13 @@ class TestIterate:
         assert out == ""
         assert err.startswith("growthcalc: DomainError:")
 
+    def test_inverse_just_below_the_range_start(self, capsys):
+        # F(x) is 2e-13 below 1 here, so f^-1(x) = sqrt(x) is just below
+        # the base 2, not the top of the domain
+        data = run_json(capsys, "iterate", "--f", "x^2", "--lambda", "-1",
+                        "--at", "3.9999999999996", "--base", "2")
+        assert data["value"] == pytest.approx(2.0, abs=2e-12)
+
     def test_translation_past_the_step_cap(self, capsys):
         # 2e6 unit steps from the domain: x+1 iterates in closed form
         data = run_json(capsys, "iterate", "--f", "x+1", "--lambda", "0.5",

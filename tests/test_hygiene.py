@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it does not use."""
+"""Source hygiene: no module of the package imports a name it does not use,
+and the package reads every private name it defines."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,43 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_defs(tree: ast.Module) -> dict:
+    """Private name -> line of every top-level function, class and constant
+    of a module, and of every method of its classes."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs.update((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and _private(item.name))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(id=node.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and _private(name.id):
+                    defs[name.id] = node.lineno
+    return defs
+
+
+def _read(tree: ast.Module) -> set:
+    """Names and attributes the module loads."""
+    loads = [n for n in ast.walk(tree) if isinstance(getattr(n, "ctx", None), ast.Load)]
+    return ({n.id for n in loads if isinstance(n, ast.Name)}
+            | {n.attr for n in loads if isinstance(n, ast.Attribute)})
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_read, trees.values()))
+    unread = [f"{path}:{line} {name}" for path, tree in trees.items()
+              for name, line in _private_defs(tree).items() if name not in read]
+    assert not unread, f"private names the package defines but never reads: {unread}"

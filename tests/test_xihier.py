@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growthcalc
-from growthcalc import lixnum
+from growthcalc import abel, lixnum
 from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.xihier import BASE, BASE_XI, HIER, TOP, default_hierarchy
@@ -59,6 +59,11 @@ class TestNormalization:
         # xi_5(xi_4^{-1}(t)) = xi_5(x) + ... counts xi_4 steps
         x = hier.xi_k_inv(4, 3.25)
         assert float(hier.xi_k(4, x)) == pytest.approx(3.25, abs=1e-9)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_inverse_in_the_slack_below_the_base(self, hier, k):
+        # t just below BASE_XI takes no step: the seed's inverse is near 2
+        assert float(hier.xi_k_inv(k, BASE_XI - 1e-13)) == pytest.approx(BASE, abs=1e-12)
 
     def test_tower_argument(self, hier):
         v = float(hier.xi_k(4, LIReal(30, 0.5)))
@@ -263,6 +268,39 @@ class TestFloatLoopMatchesReference:
 
 
 _CHI_MANTISSAS = (0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999999)
+
+
+def _finite_float(fn, *args):
+    """float(fn(*args)), or None where it is past the float range."""
+    try:
+        v = float(fn(*args))
+    except (DomainError, OverflowError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+class TestAbelOfTheLevelBelow:
+    """xi_k, k >= 4, is BASE_XI plus the linear-seed Abel solution of
+    f = xi_{k-1}^{-1} with base 2 and f^-1 = xi_{k-1}: the same [2, e)
+    domain, seed and step count, reached by the separate abel solver."""
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_same_values_as_the_abel_solver(self, k):
+        sol = abel.solve_abel(lambda t: float(HIER.xi_k_inv(k - 1, t)), BASE,
+                              f_inv=lambda y: float(HIER.xi_k(k - 1, y)))
+        assert (sol.domain_lo, sol.domain_hi) == (BASE, TOP)
+        for i in range(12):
+            x = BASE * (1e300 / BASE) ** (i / 11)
+            want = HIER.xi_k(k, x)
+            assert abs(BASE_XI + sol.eval(x) - want) <= math.ulp(want), x
+        compared = 0
+        for t in (BASE_XI - 1e-13, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.75, 4.5, 5.5):
+            want = _finite_float(HIER.xi_k_inv, k, t)
+            got = _finite_float(sol.inverse, t - BASE_XI)
+            if want is not None and got is not None:
+                assert got == want, t
+                compared += 1
+        assert compared >= 7
 
 
 def _chi_by_every_term(x):
