@@ -49,19 +49,18 @@ def _private_defs(tree: ast.Module) -> dict:
     of a module, and of every method of its classes."""
     defs = {}
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            defs.update((item.name, item.lineno) for item in node.body
-                        if isinstance(item, ast.FunctionDef) and _private(item.name))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            targets = [ast.Name(id=node.name)]
+            names = [(node.name, node.lineno)]
+            if isinstance(node, ast.ClassDef):
+                names += [(item.name, item.lineno) for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [(n.id, node.lineno) for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
         else:
             continue
-        for target in targets:
-            for name in ast.walk(target):
-                if isinstance(name, ast.Name) and _private(name.id):
-                    defs[name.id] = node.lineno
+        defs.update((name, line) for name, line in names if _private(name))
     return defs
 
 
