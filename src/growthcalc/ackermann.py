@@ -108,16 +108,27 @@ def ack(m: int, n: int) -> Union[int, LIReal]:
         return 2
     if m <= 2:
         return _CLOSED[m](n)
-    return _ack_iterated(m, n)
-
-
-@functools.cache
-def _ack_iterated(m: int, n: int) -> Union[int, LIReal]:
-    """A(m, n) for m >= 3 and n >= 1, the n-fold iterate of A(m - 1, .)
-    from A(m, 0) = 2: A(3, n) steps A(2, .), and A(4, n) = A(3, A(4, n - 1))."""
     if m == 3:
-        return _a2_iterate(2, n)
-    return _ack_iterated(3, ack(4, n - 1))
+        return _a3(n)
+    v = 2  # A(4, n) = A(3, A(4, n - 1)) from A(4, 0) = 2
+    for _ in range(n):
+        v = _a3(v)
+    return v
+
+
+# A(3, n) for every n asked so far, and A(3, 0)
+_A3 = {0: 2}
+
+
+def _a3(n: int) -> Union[int, LIReal]:
+    """A(3, n), the n-fold iterate of A(2, .) from 2: n - j more steps from
+    the highest A(3, j) with j < n already known.  One loop, whatever n:
+    A(4, 2) asks for A(3, 65534)."""
+    v = _A3.get(n)
+    if v is None:
+        j = max(k for k in _A3 if k < n)
+        v = _A3[n] = _a2_iterate(_A3[j], n - j)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,10 @@ FuncExpr = Union[Var, Const, NamedConst, Neg, Binary, Call, Compose]
 
 _NODE_TYPES = (Var, Const, NamedConst, Neg, Binary, Call, Compose)
 
+# the leaves every parse shares
+_X = Var()
+_NAMED = {"e": NamedConst("e"), "pi": NamedConst("pi")}
+
 _PLAIN_FNS = {"exp", "log", "sqrt", "sin", "abs", "xi", "chi", "dchi"}
 _PARAM_FN_RE = re.compile(r"^(log|xi|dxi)_(\d+)$")
 
@@ -161,6 +165,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        # one(key, node) is node, or the equal node this parse built
+        # before: key is node's class and fields, a child by its id, which
+        # stands for its structure since every child is such a node too.
+        # So a subtree that occurs twice is one object, and compile_expr
+        # evaluates it once a point
+        self.one = {}.setdefault
 
     def peek(self):
         return self.tokens[self.i]
@@ -187,40 +197,46 @@ class _Parser:
         e = self.sum()
         while self.peek()[:2] == ("sym", "@"):
             self.next()
-            e = Compose(e, self.sum())
+            r = self.sum()
+            e = self.one((Compose, id(e), id(r)), Compose(e, r))
         return e
 
     def sum(self) -> FuncExpr:
         e = self.term()
         while self.peek()[0] == "sym" and self.peek()[1] in "+-":
             op = self.next()[1]
-            e = Binary(op, e, self.term())
+            r = self.term()
+            e = self.one((Binary, op, id(e), id(r)), Binary(op, e, r))
         return e
 
     def term(self) -> FuncExpr:
         e = self.unary()
         while self.peek()[0] == "sym" and self.peek()[1] in "*/":
             op = self.next()[1]
-            e = Binary(op, e, self.unary())
+            r = self.unary()
+            e = self.one((Binary, op, id(e), id(r)), Binary(op, e, r))
         return e
 
     def unary(self) -> FuncExpr:
         if self.peek()[:2] == ("sym", "-"):
             self.next()
-            return Neg(self.unary())
+            a = self.unary()
+            return self.one((Neg, id(a)), Neg(a))
         return self.power()
 
     def power(self) -> FuncExpr:
         base = self.atom()
         if self.peek()[:2] == ("sym", "^"):
             self.next()
-            return Binary("^", base, self.unary())
+            p = self.unary()
+            return self.one((Binary, "^", id(base), id(p)), Binary("^", base, p))
         return base
 
     def atom(self) -> FuncExpr:
         kind, val, pos = self.next()
         if kind == "num":
-            return Const(float(val))
+            c = float(val)
+            return self.one((Const, c), Const(c))
         if kind == "name":
             if self.peek()[:2] == ("sym", "("):
                 self.next()
@@ -228,9 +244,9 @@ class _Parser:
                 self.expect_sym(")")
                 return self._call(val, arg, pos)
             if val == "x":
-                return Var()
+                return _X
             if val in ("e", "pi"):
-                return NamedConst(val)
+                return _NAMED[val]
             raise ParseError(f"unknown identifier {val!r}", pos, expected={"x", "e", "pi", "function call"})
         if kind == "sym" and val == "(":
             e = self.comp()
@@ -238,13 +254,13 @@ class _Parser:
             return e
         raise ParseError(f"got {val!r}", pos, expected={"number", "identifier", "("})
 
-    @staticmethod
-    def _call(name: str, arg: FuncExpr, pos: int) -> FuncExpr:
+    def _call(self, name: str, arg: FuncExpr, pos: int) -> FuncExpr:
         if name in _PLAIN_FNS:
-            return Call(name, arg)
+            return self.one((Call, name, id(arg)), Call(name, arg))
         m = _PARAM_FN_RE.match(name)
         if m:
-            return Call(m.group(1) + "_k", arg, param=int(m.group(2)))
+            fn, k = m.group(1) + "_k", int(m.group(2))
+            return self.one((Call, fn, id(arg), k), Call(fn, arg, param=k))
         raise ParseError(f"unknown function {name!r}", pos, expected=_PLAIN_FNS)
 
 
@@ -313,7 +329,6 @@ def to_text(e: FuncExpr) -> str:
 
 _LI_ZERO = LIReal(0, 0.0)
 _INF = math.inf
-_HALF = Fraction(1, 2)
 
 
 def _is_li(v) -> bool:
@@ -337,10 +352,16 @@ def _exp(v: Value) -> Value:
 def _log(v: Value) -> Value:
     if _is_li(v):
         return lixnum.ln_li(v)
-    if isinstance(v, Fraction) and _HALF < v < 2:
-        # keep precision when the rational is a hair away from 1
-        return math.log1p(float(v - 1))
-    x = float(v)
+    if type(v) is Fraction:
+        # on the integers p/q (q > 0, in lowest terms), each float one
+        # correctly rounded division, as float() of a Fraction is
+        p, q = v.numerator, v.denominator
+        if q < 2 * p < 4 * q:
+            # 1/2 < v < 2: keep precision when v is a hair away from 1
+            return math.log1p((p - q) / q)
+        x = p / q
+    else:
+        x = float(v)
     if x <= 0:
         raise EvalError(f"log of non-positive value {x!r}")
     return math.log(x)
@@ -521,15 +542,15 @@ def _binary_node(op: str, a, b):
     return node
 
 
-def _sum_chain(expr: Binary):
+def _sum_chain(expr: Binary, memo: dict, shared: set):
     """A left-deep chain t0 ± t1 ± ... ± tn as one loop over its terms,
     combined left to right as the nested nodes would be."""
     terms = []
     while isinstance(expr, Binary) and expr.op in "+-":
-        terms.append((expr.op, _compile(expr.right)))
+        terms.append((expr.op, _compile(expr.right, memo, shared)))
         expr = expr.left
     terms.reverse()
-    first = _compile(expr)
+    first = _compile(expr, memo, shared)
 
     def total(x):
         acc = first(x)
@@ -543,6 +564,22 @@ def _sum_chain(expr: Binary):
     return total
 
 
+def _slotted(f):
+    """f with one (argument, value) slot: called again with the argument
+    of its last call, that same object, it returns the last value."""
+    slot = (_slotted, None)  # matches no argument
+
+    def shared(x):
+        nonlocal slot
+        arg, v = slot
+        if arg is x:
+            return v
+        v = f(x)
+        slot = (x, v)  # one store: a reader sees an argument with its value
+        return v
+    return shared
+
+
 def compile_expr(expr: FuncExpr) -> Callable[[Value], Value]:
     """expr as a function of x: nested closures, one per node.
 
@@ -552,39 +589,64 @@ def compile_expr(expr: FuncExpr) -> Callable[[Value], Value]:
     the same on both paths.  A left-deep chain of + and - is one loop, so
     a long flat sum needs no recursion.  Compile an expression once and
     call the result at every point.
+
+    A non-leaf subtree that occurs more than once, as one object (parse
+    makes equal subtrees one object), is one closure with one (argument,
+    value) slot: at one point it is evaluated once, and its other
+    occurrences read the slot.  The slot lives as long as the compiled
+    function.  The values, exceptions and messages are those of evaluating
+    every occurrence, since a subtree's value depends on its argument
+    only and an exception ends the whole evaluation.  Repeats are found
+    while compiling; only an expression that has one is compiled twice.
     """
-    return _compile(expr)
+    shared: set = set()
+    f = _compile(expr, {}, shared)
+    return _compile(expr, {}, shared) if shared else f
 
 
-def _compile(expr: FuncExpr) -> Callable[[Value], Value]:
+def _identity(x):
+    return x
+
+
+def _compile(expr: FuncExpr, memo: dict, shared: set) -> Callable[[Value], Value]:
     # recursion stays off the public name: one compile is one compile_expr
-    # call, and a tracer that wraps public functions wraps no node
-    if isinstance(expr, Var):
-        return lambda x: x
-    if isinstance(expr, (Const, NamedConst)):
-        c = expr.value if isinstance(expr, Const) else math.e if expr.name == "e" else math.pi
+    # call, and a tracer that wraps public functions wraps no node.  memo
+    # maps the id of each non-leaf node compiled so far to its closure; a
+    # node met again joins shared, and on the second pass each node in
+    # shared is slotted
+    t = type(expr)
+    if t is Var:
+        return _identity
+    if t is Const or t is NamedConst:
+        c = expr.value if t is Const else math.e if expr.name == "e" else math.pi
         return lambda x: c
-    if isinstance(expr, Binary):
+    key = id(expr)
+    if key in memo:
+        shared.add(key)
+        return memo[key]
+    if t is Binary:
         if expr.op in "+-" and isinstance(expr.left, Binary) and expr.left.op in "+-":
-            return _sum_chain(expr)
-        return _binary_node(expr.op, _compile(expr.left), _compile(expr.right))
-    if isinstance(expr, Call):
-        node, arg = expr, _compile(expr.arg)
+            f = _sum_chain(expr, memo, shared)
+        else:
+            f = _binary_node(expr.op, _compile(expr.left, memo, shared),
+                             _compile(expr.right, memo, shared))
+    elif t is Call:
+        node, arg = expr, _compile(expr.arg, memo, shared)
         fast = _FLOAT_CALLS.get(expr.fn)
         if fast is None:
-            return lambda x: _call_value(node, arg(x))
-        f, lo, hi = fast
+            f = lambda x: _call_value(node, arg(x))  # noqa: E731
+        else:
+            fn, lo, hi = fast
 
-        def call(x):
-            v = arg(x)
-            if type(v) is float and lo < v < hi:
-                return f(v)
-            return _call_value(node, v)
-        return call
-    if isinstance(expr, Neg):
-        arg = _compile(expr.arg)
+            def f(x):
+                v = arg(x)
+                if type(v) is float and lo < v < hi:
+                    return fn(v)
+                return _call_value(node, v)
+    elif t is Neg:
+        arg = _compile(expr.arg, memo, shared)
 
-        def neg(x):
+        def f(x):
             v = arg(x)
             if not isinstance(v, LIReal):
                 return -v
@@ -592,11 +654,15 @@ def _compile(expr: FuncExpr) -> Callable[[Value], Value]:
                 raise DomainError(f"the level-index value {lixnum.format_li(v)} "
                                   "cannot be negated")
             return lixnum.sub(_LI_ZERO, v)
-        return neg
-    if isinstance(expr, Compose):
-        outer, inner = _compile(expr.outer), _compile(expr.inner)
-        return lambda x: outer(inner(x))
-    raise TypeError(f"not a FuncExpr: {expr!r}")
+    elif t is Compose:
+        outer, inner = _compile(expr.outer, memo, shared), _compile(expr.inner, memo, shared)
+        f = lambda x: outer(inner(x))  # noqa: E731
+    else:
+        raise TypeError(f"not a FuncExpr: {expr!r}")
+    if key in shared:
+        f = _slotted(f)
+    memo[key] = f
+    return f
 
 
 def evaluate(expr: FuncExpr, x: Value) -> Value:

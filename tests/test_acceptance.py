@@ -63,11 +63,9 @@ def test_abel_criterion_can_fail(monkeypatch, target, mutant):
 
 
 @pytest.fixture
-def fresh_ack_cache():
+def fresh_ack_cache(monkeypatch):
     # a mutant's tower values must not outlive it in ack's cache
-    ackermann._ack_iterated.cache_clear()
-    yield
-    ackermann._ack_iterated.cache_clear()
+    monkeypatch.setattr(ackermann, "_A3", {0: 2})
 
 
 def _one_level_high(iterate):

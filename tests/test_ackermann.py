@@ -90,16 +90,31 @@ class TestExactValues:
             v = ackermann._a2_step(v)
 
     def test_tower_cache_holds_only_towers(self):
-        cache = ackermann._ack_iterated
         for m in range(3, 5):
             for n in range(3):
                 ack(m, n)
-        size = cache.cache_info().currsize
-        assert size
+        size = len(ackermann._A3)
+        assert size > 1
         for m in range(3):
             for n in range(40):
                 ack(m, n)
-        assert cache.cache_info().currsize == size
+        assert len(ackermann._A3) == size
+
+    def test_each_rung_steps_from_the_highest_one_known(self, monkeypatch):
+        # in a fresh process: 4 steps to A(3, 4) and 1 more to A(3, 5),
+        # whose absorbed tower reaches A(3, 6) by a level jump; A(4, 2)
+        # takes 2 steps to A(3, 2) = A(4, 1) and jumps from A(3, 6) to
+        # A(3, 65534).  Each built from 2, they took 4 + 5 + 5 + 2 + 5
+        monkeypatch.setattr(ackermann, "_A3", {0: 2})
+        steps = []
+        step = ackermann._a2_step
+        monkeypatch.setattr(ackermann, "_a2_step", lambda v: steps.append(1) or step(v))
+        want = [ack(3, n) for n in (4, 5, 6)] + [ack(4, 2)]
+        assert len(steps) == 7
+        assert [(v.level, v.mantissa, v.absorbed) for v in want] == [
+            (v.level, v.mantissa, v.absorbed)
+            for v in (ackermann._a2_iterate(2, n) for n in (4, 5, 6, 65534))]
+        assert sorted(ackermann._A3) == [0, 2, 4, 5, 6, 65534]
 
     def test_range_guards(self):
         with pytest.raises(DomainError):

@@ -503,6 +503,7 @@ def _assert_contract(argv):
     # text: A(3, 3) has more digits than int() reads by default)
     code, out, err = _outcome(argv)
     assert code in (0, 1, 2), err
+    assert "Traceback" not in err
     if code == 0:
         json.loads(out, parse_constant=_not_json, parse_int=str)
 
@@ -512,6 +513,9 @@ FUZZ_POINTS = st.one_of(
     st.floats().map(repr),
     st.builds("L{}:{!r}".format, st.integers(-3, 45), st.floats(0.0, 1.0)),
 )
+# classify's slow route, mu = 1 on x + c g(x), costs up to about 10 ms
+FUZZ_GROWTH = st.builds("x+{!r}*{}".format, st.floats(), st.sampled_from(
+    ["log(x)", "sqrt(x)", "x/log(x)", "log(x)^2", "x^0.9", "log(log(x))"]))
 # short ladders keep each drawn order or props run to milliseconds
 FUZZ_LADDERS = st.one_of(
     st.builds("geom:{!r}:{!r}:{}".format, st.floats(), st.floats(), st.integers(-1, 12)),
@@ -538,8 +542,11 @@ class TestEvalFuzz:
                   FUZZ_EXPRS, FUZZ_LADDERS),
         st.builds(lambda F, spec: ["props", "--F", F, "--ladder", spec],
                   FUZZ_EXPRS, FUZZ_LADDERS),
+        st.builds(lambda e: ["classify", e], st.one_of(FUZZ_EXPRS, FUZZ_GROWTH)),
     ))
     @example(["ack", "3", "3"])
+    @example(["classify", "x+log(x)"])
+    @example(["classify", "x+nan*sqrt(x)"])
     @example(["xi", "--k", "5", "--at", "nan"])
     def test_other_commands_keep_the_contract(self, argv):
         _assert_contract(argv)

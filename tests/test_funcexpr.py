@@ -14,7 +14,7 @@ from growthcalc.funcexpr import (
 )
 from growthcalc.lixnum import LIReal
 from growthcalc.orders import Ladder
-from growthcalc.xihier import HIER, default_hierarchy
+from growthcalc.xihier import HIER, XiHierarchy, default_hierarchy
 
 
 def ev(text, x):
@@ -30,6 +30,13 @@ class TestParsing:
     def test_roundtrip_through_text(self, text):
         e = parse(text)
         assert parse(to_text(e)) == e
+
+    def test_equal_subtrees_are_one_object(self):
+        e = parse("log(x+1)*log(x + 1) - (x+1)")
+        assert e.left.left is e.left.right
+        assert e.right is e.left.left.arg
+        assert e == Binary("-", Binary("*", Call("log", parse("x+1")), Call("log", parse("x+1"))),
+                           parse("x+1"))
 
     def test_power_is_right_associative(self):
         assert ev("2^3^2", 1.0) == pytest.approx(512.0)
@@ -98,6 +105,27 @@ class TestEvaluation:
         ratio = 1 + Fraction(1, 10 ** 30)
         v = ev("log(x)", ratio)
         assert v == pytest.approx(1e-30, rel=1e-12)
+
+    @pytest.mark.parametrize("v", [
+        Fraction(1, 2), Fraction(2),
+        1 + Fraction(1, 2 ** 60), 1 - Fraction(1, 2 ** 60),
+        # one step inside and one outside each end of 1/2 < v < 2
+        Fraction(2 ** 60 + 1, 2 ** 61 + 1), Fraction(2 ** 60, 2 ** 61 + 1),
+        Fraction(2 ** 62 + 1, 2 ** 61 + 1), Fraction(2 ** 62 + 3, 2 ** 61 + 1),
+        Fraction(3, 7), Fraction(10 ** 30 + 7, 10 ** 30),
+        Fraction(10) ** 400 + Fraction(1, 3),
+        Fraction(0), Fraction(-3, 7),
+    ])
+    def test_fraction_log_is_the_fraction_formula(self, v):
+        def formula(v):  # on Fraction comparisons and float()
+            if Fraction(1, 2) < v < 2:
+                return math.log1p(float(v - 1))
+            x = float(v)
+            if x <= 0:
+                raise EvalError(f"log of non-positive value {x!r}")
+            return math.log(x)
+
+        assert _outcome(funcexpr._log, v) == _outcome(formula, v)
 
     def test_sin_on_deep_tower_is_precision_error(self):
         with pytest.raises(PrecisionError):
@@ -466,6 +494,32 @@ POINTS = st.one_of(
 )
 
 
+SUBTREES = EXPRS.filter(lambda e: not isinstance(e, (Var, Const, NamedConst)))
+
+
+@st.composite
+def _planted(draw):
+    """One drawn non-leaf subtree, one object, at 2-4 sites, each site
+    under + - * / ^, log_k, xi_k or @ with a drawn other side."""
+    sub = draw(SUBTREES)
+
+    def site():
+        kind = draw(st.sampled_from(["+", "-", "*", "/", "^", "log_k", "xi_k", "@", ""]))
+        if kind in ("log_k", "xi_k"):
+            return Call(kind, sub, draw(st.integers(0, 3 if kind == "log_k" else 6)))
+        if not kind:
+            return sub
+        other = draw(EXPRS)
+        a, b = (sub, other) if draw(st.booleans()) else (other, sub)
+        return Compose(a, b) if kind == "@" else Binary(kind, a, b)
+
+    e = site()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from("+-*/^@"))
+        e = Compose(e, site()) if op == "@" else Binary(op, e, site())
+    return e
+
+
 def _outcome(f, *args):
     try:
         v = f(*args)
@@ -489,6 +543,60 @@ class TestCompiledEvaluation:
                              for i, op in enumerate(ops))
         e = parse(text)
         assert _outcome(evaluate, e, x) == _outcome(reference_evaluate, e, x)
+
+    @settings(max_examples=300)
+    @given(_planted(), POINTS)
+    @example(parse("log(x+1)*log(x+1)"), -1.0)  # both sites would raise
+    @example(parse("(x-x)/(x-x) @ log(x)"), 1.0)
+    @example(parse("xi_4(x/3) + log_2(x/3) ^ (x/3)"), Fraction(9))
+    def test_repeated_subtrees_match_the_reference_walker(self, expr, x):
+        assert _outcome(evaluate, expr, x) == _outcome(reference_evaluate, expr, x)
+
+    @settings(max_examples=25)
+    @given(SUBTREES, st.sets(st.integers(0, 2999), min_size=2, max_size=4), POINTS)
+    def test_repeated_subtree_in_a_long_flat_sum(self, sub, sites, x):
+        terms = [sub if i in sites else Var() if i % 2 else Const(float(i))
+                 for i in range(3000)]
+        ops = ["-" if i % 3 == 0 else "+" for i in range(3000)]
+        e = terms[0]
+        for op, t in zip(ops[1:], terms[1:]):
+            e = Binary(op, e, t)
+
+        def reference(x):
+            # the walker's left-to-right order, one term at a time: on the
+            # whole sum it would recurse 3,000 deep
+            acc = reference_evaluate(terms[0], x)
+            for op, t in zip(ops[1:], terms[1:]):
+                acc = funcexpr._binary(op, acc, reference_evaluate(t, x))
+            return acc
+
+        assert _outcome(evaluate, e, x) == _outcome(reference, x)
+
+    @pytest.mark.parametrize("text,per_point", [
+        ("chi(x) + log(chi(x)) * chi(x)^2", 1),
+        ("(x+chi(x)+1) * (x+chi(x)+1-2)", 1),  # a link of a + chain
+        ("xi_4(chi(x)) - 1/xi_4(chi(x))", 1),
+        ("(chi(x)+chi(x)) @ (2*chi(x))", 2),  # two arguments: x and 2 chi(x)
+    ])
+    def test_a_repeated_subtree_runs_once_a_point(self, monkeypatch, text, per_point):
+        calls = []
+        chi = XiHierarchy.chi
+        monkeypatch.setattr(XiHierarchy, "chi", lambda self, v: calls.append(v) or chi(self, v))
+        e = parse(text)
+        f = funcexpr.compile_expr(e)
+        for x in (3.0, 10.0, Fraction(7, 2), LIReal(3, 0.5), 3.0):
+            calls.clear()
+            got = f(x)
+            assert len(calls) == per_point and calls[0] is x
+            calls.clear()
+            assert _outcome(lambda: got) == _outcome(reference_evaluate, e, x)
+            assert len(calls) > per_point
+
+    def test_the_slot_matches_the_argument_object(self):
+        # equal arguments of another type are evaluated again
+        f = funcexpr.compile_expr(parse("(x/3) * (x/3)"))
+        assert [f(3.0), f(Fraction(3)), f(3), f(3.0)] == [1.0, 1, 1, 1.0]
+        assert [type(f(v)) for v in (3.0, Fraction(3), 3.0)] == [float, Fraction, float]
 
     def test_long_flat_sum_needs_no_recursion(self):
         assert ev("+".join(["x"] * 3000), 2.0) == 6000.0
