@@ -165,12 +165,12 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        # one(key, node) is node, or the equal node this parse built
-        # before: key is node's class and fields, a child by its id, which
-        # stands for its structure since every child is such a node too.
-        # So a subtree that occurs twice is one object, and compile_expr
-        # evaluates it once a point
-        self.one = {}.setdefault
+        # node(key, n) is n, or the equal node this parse built before:
+        # key is n's class and fields, a child by its id, which stands for
+        # its structure since every child is such a node too.  So a subtree
+        # that occurs twice is one object, and compile_expr evaluates it
+        # once a point
+        self.node = {}.setdefault
 
     def peek(self):
         return self.tokens[self.i]
@@ -198,7 +198,7 @@ class _Parser:
         while self.peek()[:2] == ("sym", "@"):
             self.next()
             r = self.sum()
-            e = self.one((Compose, id(e), id(r)), Compose(e, r))
+            e = self.node((Compose, id(e), id(r)), Compose(e, r))
         return e
 
     def sum(self) -> FuncExpr:
@@ -206,7 +206,7 @@ class _Parser:
         while self.peek()[0] == "sym" and self.peek()[1] in "+-":
             op = self.next()[1]
             r = self.term()
-            e = self.one((Binary, op, id(e), id(r)), Binary(op, e, r))
+            e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
         return e
 
     def term(self) -> FuncExpr:
@@ -214,14 +214,14 @@ class _Parser:
         while self.peek()[0] == "sym" and self.peek()[1] in "*/":
             op = self.next()[1]
             r = self.unary()
-            e = self.one((Binary, op, id(e), id(r)), Binary(op, e, r))
+            e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
         return e
 
     def unary(self) -> FuncExpr:
         if self.peek()[:2] == ("sym", "-"):
             self.next()
             a = self.unary()
-            return self.one((Neg, id(a)), Neg(a))
+            return self.node((Neg, id(a)), Neg(a))
         return self.power()
 
     def power(self) -> FuncExpr:
@@ -229,14 +229,14 @@ class _Parser:
         if self.peek()[:2] == ("sym", "^"):
             self.next()
             p = self.unary()
-            return self.one((Binary, "^", id(base), id(p)), Binary("^", base, p))
+            return self.node((Binary, "^", id(base), id(p)), Binary("^", base, p))
         return base
 
     def atom(self) -> FuncExpr:
         kind, val, pos = self.next()
         if kind == "num":
             c = float(val)
-            return self.one((Const, c), Const(c))
+            return self.node((Const, c), Const(c))
         if kind == "name":
             if self.peek()[:2] == ("sym", "("):
                 self.next()
@@ -256,11 +256,11 @@ class _Parser:
 
     def _call(self, name: str, arg: FuncExpr, pos: int) -> FuncExpr:
         if name in _PLAIN_FNS:
-            return self.one((Call, name, id(arg)), Call(name, arg))
+            return self.node((Call, name, id(arg)), Call(name, arg))
         m = _PARAM_FN_RE.match(name)
         if m:
             fn, k = m.group(1) + "_k", int(m.group(2))
-            return self.one((Call, fn, id(arg), k), Call(fn, arg, param=k))
+            return self.node((Call, fn, id(arg), k), Call(fn, arg, param=k))
         raise ParseError(f"unknown function {name!r}", pos, expected=_PLAIN_FNS)
 
 
