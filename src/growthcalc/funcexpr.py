@@ -173,6 +173,8 @@ class _Parser:
         self.node = {}.setdefault
 
     def peek(self):
+        # its text alone tells a symbol token: no number, name or end of
+        # input has the text of one
         return self.tokens[self.i]
 
     def next(self):
@@ -195,7 +197,7 @@ class _Parser:
 
     def comp(self) -> FuncExpr:
         e = self.sum()
-        while self.peek()[:2] == ("sym", "@"):
+        while self.peek()[1] == "@":
             self.next()
             r = self.sum()
             e = self.node((Compose, id(e), id(r)), Compose(e, r))
@@ -203,7 +205,7 @@ class _Parser:
 
     def sum(self) -> FuncExpr:
         e = self.term()
-        while self.peek()[0] == "sym" and self.peek()[1] in "+-":
+        while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             r = self.term()
             e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
@@ -211,14 +213,14 @@ class _Parser:
 
     def term(self) -> FuncExpr:
         e = self.unary()
-        while self.peek()[0] == "sym" and self.peek()[1] in "*/":
+        while self.peek()[1] in ("*", "/"):
             op = self.next()[1]
             r = self.unary()
             e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
         return e
 
     def unary(self) -> FuncExpr:
-        if self.peek()[:2] == ("sym", "-"):
+        if self.peek()[1] == "-":
             self.next()
             a = self.unary()
             return self.node((Neg, id(a)), Neg(a))
@@ -226,7 +228,7 @@ class _Parser:
 
     def power(self) -> FuncExpr:
         base = self.atom()
-        if self.peek()[:2] == ("sym", "^"):
+        if self.peek()[1] == "^":
             self.next()
             p = self.unary()
             return self.node((Binary, "^", id(base), id(p)), Binary("^", base, p))
@@ -238,7 +240,7 @@ class _Parser:
             c = float(val)
             return self.node((Const, c), Const(c))
         if kind == "name":
-            if self.peek()[:2] == ("sym", "("):
+            if self.peek()[1] == "(":
                 self.next()
                 arg = self.comp()
                 self.expect_sym(")")
