@@ -199,10 +199,10 @@ _FRAC_MID = [Fraction(10) ** k for k in range(5, 17)]
 _SCAN_ERRORS = (EvalError, DomainError, ValueError, OverflowError)
 
 
-def _float_values(expr) -> Callable:
-    """x -> expr at x as a float, or an LIReal if a tower, evaluated at most
+def _float_values(f: Callable) -> Callable:
+    """x -> f(x) as a float, or an LIReal if a tower, evaluated at most
     once per point; a point whose evaluation failed raises it again."""
-    f, memo = compile_expr(expr), {}
+    memo = {}
 
     def value(x):
         if x not in memo:
@@ -248,17 +248,18 @@ def _settle(vals, tol: float):
     return mean, spread, spread <= tol * max(1.0, abs(mean))
 
 
-def _mu_estimate(fexpr, n: int):
+def _mu_estimate(fv: Callable, n: int):
     """mu in log_n f = (log_n x)^mu, via log_{n+1} f / log_{n+1} x
-    (iterated exp when n+1 < 0, so n = -2 probes f - x directly)."""
+    (iterated exp when n+1 < 0, so n = -2 probes f - x directly), for f
+    as _float_values gives it."""
     pts = _MU_LADDERS.get(n, _MU_LADDER_WIDE)
     if n == -2:
-        f, vals = compile_expr(fexpr), []
+        vals = []
         for x in pts:
-            diff = float(f(x)) - x
+            diff = float(fv(x)) - x
             vals.append(math.exp(diff) if diff < 700 else math.inf)
     else:
-        vals = _log_ratios(_float_values(fexpr), pts, n + 1, n + 1)
+        vals = _log_ratios(fv, pts, n + 1, n + 1)
     mean, _, settled = _settle(vals, _MU_TOL)
     return mean, settled
 
@@ -275,8 +276,8 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _growth_precondition(fexpr) -> Tuple[bool, float]:
-    f, worst = compile_expr(fexpr), math.inf
+def _growth_precondition(f: Callable) -> Tuple[bool, float]:
+    worst = math.inf
     for x in Ladder.geometric(4.0, 2.5, 12):
         fx = f(x)
         if isinstance(fx, LIReal) and fx.level >= 2:
@@ -285,9 +286,11 @@ def _growth_precondition(fexpr) -> Tuple[bool, float]:
     return worst > 1.0, worst
 
 
-def _self_check(witness_text: str, fexpr, ladder) -> dict:
-    return {"witness": witness_text,
-            **_order_check(witness_text, fexpr, ladder, 1.0, _ORDER_TOL)}
+def _self_check(witness: str, f: Callable, ladder, checks: list) -> bool:
+    """Append the order check O_witness(f) -> 1 on ladder; True if it passed."""
+    checks.append({"witness": witness,
+                   **_order_check(witness, f, ladder, 1.0, _ORDER_TOL)})
+    return checks[-1]["ok"]
 
 
 def classify_expr(f) -> ClassReport:
@@ -303,33 +306,31 @@ def classify_expr(f) -> ClassReport:
     fexpr = funcexpr.Fn(f).expr
     if fexpr is None:
         raise TypeError(f"classify_expr needs a DSL expression, got {f!r}")
-    ftext = funcexpr.to_text(fexpr)
-    diags: dict = {"f": ftext}
+    diags: dict = {"f": funcexpr.to_text(fexpr)}
+    fc = compile_expr(fexpr)  # the one compile: every scan and check calls it
 
-    ok, margin = _growth_precondition(fexpr)
+    ok, margin = _growth_precondition(fc)
     diags["min_f_minus_x"] = margin
     if not ok:
         return ClassReport("inconclusive", None, diags,
                            reason="f(x) >= x + 1 + delta fails on the sample")
 
     # super-logarithm order first: positive k means class 2
-    k_est = order_of("xi(x)", fexpr, _K_TOWER, tol=_ORDER_TOL)
+    k_est = order_of("xi(x)", fc, _K_TOWER, tol=_ORDER_TOL)
     diags["k_hat"] = k_est.lambda_hat
     checks = []
     if k_est.converged and k_est.lambda_hat >= 0.9:
         k = round(k_est.lambda_hat)
         witness = "xi(x)" if k == 1 else f"xi(x)/{k}"
-        chk = _self_check(witness, fexpr, _K_TOWER)
-        checks.append(chk)
-        if chk["ok"]:
+        if _self_check(witness, fc, _K_TOWER, checks):
             return ClassReport("2", witness, diags, checks)
         return ClassReport("inconclusive", witness, diags, checks,
                            reason="class-2 witness order check did not converge to 1")
 
-    mu_scan = {}
+    mu_scan, fv = {}, _float_values(fc)  # one value memo for every depth n
     for n in range(_N_MIN, _N_MAX + 1):
         try:
-            mu, converged = _mu_estimate(fexpr, n)
+            mu, converged = _mu_estimate(fv, n)
         except _SCAN_ERRORS as exc:
             mu_scan[n] = f"failed: {exc}"
             continue
@@ -341,32 +342,26 @@ def classify_expr(f) -> ClassReport:
         diags["mu_hat"] = mu
         diags["mu_scan"] = mu_scan
         if mu > 1.0 + _MU_BAND:
-            log_mu = math.log(mu)
-            if n == -2:
-                # additive shift: check on small points, large x cancels
-                witness, cls, lad = f"x/{_fmt(log_mu)}", "0", _MU_LADDERS[-2]
-            elif n == -1:
-                witness, cls, lad = f"log(x)/{_fmt(log_mu)}", "1", _CHECK_LADDER
-            else:
-                witness, cls, lad = (f"log_{n + 2}(x)/{_fmt(log_mu)}", "1",
-                                     _CHECK_LADDER)
-            chk = _self_check(witness, fexpr, lad)
-            checks.append(chk)
-            if chk["ok"]:
+            # log_{n+2} x / log mu; an additive shift (n = -2) is checked on
+            # small points, where large x cancels
+            witness = (funcexpr.to_text(_logk_expr(Var(), n + 2)) + "/"
+                       + _fmt(math.log(mu)))
+            cls, lad = ("0", _MU_LADDERS[-2]) if n == -2 else ("1", _CHECK_LADDER)
+            if _self_check(witness, fc, lad, checks):
                 return ClassReport(cls, witness, diags, checks)
             return ClassReport("inconclusive", witness, diags, checks,
                                reason="witness order check did not converge to 1")
         if abs(mu - 1.0) <= _MU_BAND:
-            return _classify_mu_one(fexpr, n, diags, checks)
+            return _classify_mu_one(fexpr, fc, n, diags, checks)
         mu_scan[n]["note"] = "mu < 1: not a growth scale at this depth"
     diags["mu_scan"] = mu_scan
     return ClassReport("inconclusive", None, diags, checks,
                        reason="no stabilizing exponent found in the n-scan")
 
 
-def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
+def _classify_mu_one(fexpr, fc: Callable, n: int, diags, checks) -> ClassReport:
     """The mu = 1 subcases: write log_{n+2} f = log_{n+2} x + 1/h and build
-    the witness from h's own growth depth."""
+    the witness from h's own growth depth; fc is f compiled."""
     if n == -1:
         # same function, written as 1/log(f/x): with exact rational sample
         # points the quotient keeps digits that the float difference of the
@@ -380,7 +375,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
                                _logk_expr(Var(), n + 2)))
         scan_pts = _GEOM_DEEP
     diags["h"] = funcexpr.to_text(h_expr)
-    h = _float_values(h_expr)  # shared by the c-scan and every (k, r) scan
+    h = _float_values(compile_expr(h_expr))  # read by the c- and (k, r) scans
 
     # subcase: log h ~ c log_{n+3} x with finite c  =>  F = h log_{n+2} x / (c+1)
     try:
@@ -395,9 +390,7 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
             F = Binary("/", Binary("*", h_expr, _logk_expr(Var(), n + 2)),
                        Const(c_hat + 1.0))
             witness = funcexpr.to_text(F)
-            chk = _self_check(witness, fexpr, _GEOM_DEEP)
-            checks.append(chk)
-            if chk["ok"]:
+            if _self_check(witness, fc, _GEOM_DEEP, checks):
                 return ClassReport("1", witness, diags, checks)
 
     # subcase: log h outgrows log_{n+3} x; find r with log_r h ~ log_{r+k} x
@@ -423,11 +416,10 @@ def _classify_mu_one(fexpr, n: int, diags, checks) -> ClassReport:
                     den = t if den is None else Binary("*", den, t)
                 F = num if den is None else Binary("/", num, den)
                 witness = funcexpr.to_text(F)
-                chk = _self_check(witness, fexpr, check_pts)
-                checks.append(chk)
+                ok = _self_check(witness, fc, check_pts, checks)
                 diags["r"] = r
                 diags["k_of_h"] = k
-                if chk["ok"]:
+                if ok:
                     # k = 0 at the f/x level: h (hence the scale) is a power
                     # of x, the class-0 signature; extra logs mean class 1
                     cls = "0" if (n == -1 and k == 0) else "1"

@@ -94,6 +94,56 @@ class TestClassifier:
         assert len(h_calls) >= len(classify._FRAC_DEEP)
         assert max(h_calls) == 1
 
+    @pytest.mark.parametrize("text", ["x+log(x)", "x^2", "exp(x)"])
+    def test_f_is_compiled_once(self, monkeypatch, text):
+        # the precondition, the k-order, the mu-scan and every witness
+        # self-check call one compiled f; an Fn built on the expression
+        # would compile it again
+        compiled = []
+        compile_expr = funcexpr.compile_expr
+
+        def counting(expr):
+            compiled.append(funcexpr.to_text(expr))
+            return compile_expr(expr)
+
+        monkeypatch.setattr(classify, "compile_expr", counting)
+        monkeypatch.setattr(funcexpr, "compile_expr", counting)
+        rep = classify_expr(text)
+        assert rep.order_checks
+        assert compiled.count(rep.diagnostics["f"]) == 1
+
+    def test_mu_scan_evaluates_f_once_per_point(self, monkeypatch):
+        # x*log(x) reaches n = 1, so the wide ladder serves n = 0 and n = 1;
+        # the scan reads f there through one value memo
+        calls, scanning = {}, []
+        compile_expr, mu_estimate = classify.compile_expr, classify._mu_estimate
+
+        def counting(expr):
+            f = compile_expr(expr)
+            if funcexpr.to_text(expr) != "x*log(x)":
+                return f
+
+            def value(x):
+                if scanning:
+                    calls[x] = calls.get(x, 0) + 1
+                return f(x)
+            return value
+
+        def in_scan(fv, n):
+            scanning.append(n)
+            try:
+                return mu_estimate(fv, n)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(classify, "compile_expr", counting)
+        monkeypatch.setattr(classify, "_mu_estimate", in_scan)
+        rep = classify_expr("x*log(x)")
+        assert rep.diagnostics["n"] == 1
+        wide = set(classify._MU_LADDER_WIDE)
+        assert wide <= set(calls)
+        assert max(n for x, n in calls.items() if x in wide) == 1
+
 
 class TestSandwich:
     def test_class1_bounds_bracket_the_unit_scaling(self):
