@@ -340,7 +340,10 @@ def _is_li(v) -> bool:
 def _exp(v: Value) -> Value:
     if _is_li(v):
         return lixnum.exp_li(v)
-    x = float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an int or Fraction past the float range
+        return lixnum.exp_li(lixnum.to_li(v)) if v > 0 else 0.0
     try:
         r = math.exp(x)
     except OverflowError:
@@ -354,22 +357,33 @@ def _exp(v: Value) -> Value:
 def _log(v: Value) -> Value:
     if _is_li(v):
         return lixnum.ln_li(v)
-    if type(v) is Fraction:
-        # on the integers p/q (q > 0, in lowest terms), each float one
-        # correctly rounded division, as float() of a Fraction is
-        p, q = v.numerator, v.denominator
-        if q < 2 * p < 4 * q:
-            # 1/2 < v < 2: keep precision when v is a hair away from 1
-            return math.log1p((p - q) / q)
-        x = p / q
-    else:
-        x = float(v)
+    try:
+        if type(v) is Fraction:
+            # on the integers p/q (q > 0, in lowest terms), each float one
+            # correctly rounded division, as float() of a Fraction is
+            p, q = v.numerator, v.denominator
+            if q < 2 * p < 4 * q:
+                # 1/2 < v < 2: keep precision when v is a hair away from 1
+                return math.log1p((p - q) / q)
+            x = p / q
+        else:
+            x = float(v)
+    except OverflowError:
+        # an int or Fraction past the float range: the log to_li takes of it
+        if v > 0:
+            return math.log(v.numerator) - math.log(v.denominator)
+        x = -_INF
     if x <= 0:
         raise EvalError(f"log of non-positive value {x!r}")
     return math.log(x)
 
 
 def _pow(b: Value, p: Value) -> Value:
+    if not (_is_li(b) or _is_li(p)):
+        try:
+            bf, pf = float(b), float(p)
+        except OverflowError:  # an int or Fraction past the float range
+            b = lixnum.to_li(b)
     if _is_li(b) or _is_li(p):
         bl = lixnum.to_li(b)
         if bl.level == 0 and bl.mantissa == 0.0:
@@ -377,7 +391,6 @@ def _pow(b: Value, p: Value) -> Value:
                 raise EvalError(f"zero to the negative power {p!r}")
             return lixnum.exp_li(bl) if p <= 0 else bl  # 0^0 = e^0 = 1
         return lixnum.exp_li(lixnum.mul(lixnum.ln_li(bl), lixnum.to_li(p)))
-    bf, pf = float(b), float(p)
     if bf == 0.0 and pf < 0.0:
         raise EvalError(f"zero to the negative power {pf!r}")
     try:
@@ -464,16 +477,19 @@ def _call_value(node: Call, v: Value) -> Value:
             v = _log(v)
         return v
     if fn == "sqrt":
-        if _is_li(v):
-            return _pow(v, 0.5)
-        vf = float(v)
+        try:
+            vf = v if _is_li(v) else float(v)
+        except OverflowError:  # an int or Fraction past the float range
+            vf = lixnum.to_li(v) if v > 0 else -_INF
+        if _is_li(vf):
+            return _pow(vf, 0.5)
         if vf < 0:
             raise EvalError(f"sqrt of negative value {vf!r}")
         return math.sqrt(vf)
     if fn == "sin":
         try:
             return math.sin(float(v))
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:  # a tower, or past the float range
             raise PrecisionError(f"sin needs a float argument ({exc}): "
                                  "argument reduction is meaningless") from None
     if fn == "abs":

@@ -261,9 +261,9 @@ def xi_exact(v: LIReal) -> Fraction:
 
 
 def xi_inv_exact(t) -> LIReal:
-    """Inverse of xi_exact: t >= 0 maps to (floor(t), frac(t))."""
-    if t < 0:
-        raise DomainError(f"xi_inv_exact requires t >= 0, got {t!r}")
+    """Inverse of xi_exact: a finite t >= 0 maps to (floor(t), frac(t))."""
+    if not 0 <= t < math.inf:
+        raise DomainError(f"xi_inv_exact requires a finite t >= 0, got {t!r}")
     k = math.floor(t)
     return LIReal(int(k), float(t - k))
 

@@ -83,14 +83,17 @@ class XiHierarchy:
         """xi_k(x); returns an exact Fraction for k = 3 on LIReal input."""
         if not 0 <= k <= MAX_LEVEL:
             raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
+        if k <= 2 and not isinstance(x, LIReal):
+            try:
+                x = float(x)
+            except OverflowError:  # an int or Fraction past the float range
+                if k == 2 and x > 0:  # the log to_li takes of it
+                    return math.log(x.numerator) - math.log(x.denominator)
+                x = lixnum.to_li(x)
         if k == 0:
-            if isinstance(x, LIReal):
-                return lixnum.sub(x, _LI_E)
-            return float(x) - _E
+            return lixnum.sub(x, _LI_E) if isinstance(x, LIReal) else x - _E
         if k == 1:
-            if isinstance(x, LIReal):
-                return lixnum.div(x, _LI_E)
-            return float(x) / _E
+            return lixnum.div(x, _LI_E) if isinstance(x, LIReal) else x / _E
         if k == 2:
             if isinstance(x, LIReal):
                 w = lixnum.ln_li(x)
@@ -98,10 +101,9 @@ class XiHierarchy:
                     return float(w)
                 except DomainError:
                     return w
-            xf = float(x)
-            if xf <= 0:
-                raise DomainError(f"log of non-positive value {xf!r}")
-            return math.log(xf)
+            if x <= 0:
+                raise DomainError(f"log of non-positive value {x!r}")
+            return math.log(x)
         if k == 3:
             return lixnum.xi_exact(lixnum.to_li(x))
         # k >= 4: pull back with xi_{k-1} until inside [2, e)
@@ -130,6 +132,11 @@ class XiHierarchy:
         """xi_k^{-1}(t); exact on a tower for k = 2, on a Fraction for k = 3."""
         if k == 2:
             return lixnum.exp_li(lixnum.to_li(t))
+        if k <= 1 and not isinstance(t, LIReal):
+            try:
+                t = float(t)
+            except OverflowError:  # an int or Fraction past the float range
+                return (lixnum.add if k == 0 else lixnum.mul)(lixnum.to_li(t), _LI_E)
         if k != 3 or isinstance(t, LIReal):
             t = float(t)
         if k == 0:
@@ -140,8 +147,8 @@ class XiHierarchy:
             return lixnum.xi_inv_exact(t)
         if not 4 <= k <= MAX_LEVEL:
             raise DomainError(f"level {k} outside 0..{MAX_LEVEL}")
-        if t < BASE_XI - 1e-12:
-            raise DomainError(f"xi_{k}_inv needs t >= {BASE_XI}, got {t!r}")
+        if not BASE_XI - 1e-12 <= t < math.inf:
+            raise DomainError(f"xi_{k}_inv needs a finite t >= {BASE_XI}, got {t!r}")
         n = max(0, math.floor(t - BASE_XI))  # the slack below takes no step
         frac = t - n
         z: Value = self._seed_inv(frac)

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from fractions import Fraction
@@ -113,14 +114,19 @@ class TestEvaluation:
         Fraction(2 ** 60 + 1, 2 ** 61 + 1), Fraction(2 ** 60, 2 ** 61 + 1),
         Fraction(2 ** 62 + 1, 2 ** 61 + 1), Fraction(2 ** 62 + 3, 2 ** 61 + 1),
         Fraction(3, 7), Fraction(10 ** 30 + 7, 10 ** 30),
-        Fraction(10) ** 400 + Fraction(1, 3),
+        Fraction(10) ** 400 + Fraction(1, 3), -Fraction(10) ** 400 - Fraction(1, 3),
         Fraction(0), Fraction(-3, 7),
     ])
     def test_fraction_log_is_the_fraction_formula(self, v):
         def formula(v):  # on Fraction comparisons and float()
             if Fraction(1, 2) < v < 2:
                 return math.log1p(float(v - 1))
-            x = float(v)
+            try:
+                x = float(v)
+            except OverflowError:  # the logs of numerator and denominator
+                if v > 0:
+                    return math.log(v.numerator) - math.log(v.denominator)
+                x = -math.inf
             if x <= 0:
                 raise EvalError(f"log of non-positive value {x!r}")
             return math.log(x)
@@ -138,6 +144,52 @@ class TestEvaluation:
     def test_log_of_negative(self):
         with pytest.raises(EvalError):
             ev("log(x-4)", 3.0)
+
+
+# an exact rational past the float range: xi at the tower L(10^400):0.5
+_HUGE = Fraction(10) ** 400 + Fraction(1, 2)
+
+
+class TestPastTheFloatRange:
+    """An int or Fraction that float() cannot hold is taken as its tower,
+    and its log is the one to_li takes: log numerator - log denominator."""
+
+    @pytest.mark.parametrize("v", [_HUGE, 10 ** 400, Fraction(3 ** 1000, 7)])
+    def test_log_is_the_log_of_numerator_and_denominator(self, v):
+        want = math.log(v.numerator) - math.log(v.denominator)
+        assert ev("log(x)", v) == want
+        assert ev("xi_2(x)", v) == want
+        assert ev("log_2(x)", v) == math.log(want)
+
+    def test_cli_answers_log_of_xi(self, capsys):
+        code = cli.main(["eval", "log(xi(x))", "--at", f"L{10 ** 400}:0.5"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["points"][0]["value"] == 921.0340371976183
+
+    @pytest.mark.parametrize("text", ["exp(x)", "sqrt(x)", "x^2", "2^x", "xi_0(x)",
+                                      "xi_1(x)", "xi(x)", "chi(x)"])
+    def test_tower_functions_answer_as_on_the_tower(self, text):
+        assert ev(text, _HUGE) == ev(text, lixnum.to_li(_HUGE))
+
+    def test_exp_of_a_huge_negative_is_zero(self):
+        assert ev("exp(x)", -_HUGE) == 0.0
+
+    @pytest.mark.parametrize("text", ["log(x)", "sqrt(x)"])
+    def test_non_positive_keeps_its_error(self, text):
+        with pytest.raises(EvalError):
+            ev(text, -_HUGE)
+
+    @pytest.mark.parametrize("v", [_HUGE, -_HUGE])
+    def test_sin_is_a_precision_error(self, v):
+        with pytest.raises(PrecisionError):
+            ev("sin(x)", v)
+
+    def test_low_inverses_answer_on_the_tower(self):
+        t = lixnum.to_li(_HUGE)
+        assert HIER.xi_k_inv(0, _HUGE) == lixnum.add(t, lixnum.to_li(math.e))
+        assert HIER.xi_k_inv(1, _HUGE) == lixnum.mul(t, lixnum.to_li(math.e))
+        assert HIER.xi_k_inv(2, _HUGE) == lixnum.exp_li(t)
 
 
 class TestDifferentiation:
@@ -410,6 +462,11 @@ def reference_evaluate(expr, x):
                 v = funcexpr._log(v)
             return v
         if fn == "sqrt":
+            if not isinstance(v, LIReal):
+                try:
+                    float(v)
+                except OverflowError:  # past the float range: a tower
+                    v = lixnum.to_li(v) if v > 0 else -math.inf
             if isinstance(v, LIReal):
                 return funcexpr._pow(v, 0.5)
             vf = float(v)
@@ -419,7 +476,7 @@ def reference_evaluate(expr, x):
         if fn == "sin":
             try:
                 return math.sin(float(v))
-            except lixnum.DomainError as exc:
+            except (lixnum.DomainError, OverflowError) as exc:
                 raise PrecisionError(f"sin needs a float argument ({exc}): "
                                      "argument reduction is meaningless") from None
         if fn == "abs":

@@ -35,6 +35,12 @@ class TestLowLevels:
             v = hier.xi_k_inv(k, t)
             assert float(hier.xi_k(k, v)) == pytest.approx(t, abs=1e-9)
 
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_inverse_names_a_non_finite_target(self, k, t):
+        with pytest.raises(DomainError, match=f"got {t!r}$"):
+            HIER.xi_k_inv(k, t)
+
 
 class TestNormalization:
     def test_base_point(self, hier):
@@ -151,6 +157,13 @@ def _reference_xi_k(k, x):
     step re-enters xi_k, and only the xi_4 steps run on (L, m) pairs."""
     if not 0 <= k <= 8:
         raise DomainError(f"level {k} outside 0..8")
+    if k <= 2 and not isinstance(x, LIReal):
+        try:
+            float(x)
+        except OverflowError:  # past the float range: a tower, or its log
+            if k == 2 and x > 0:
+                return math.log(x.numerator) - math.log(x.denominator)
+            x = lixnum.to_li(x)
     if k == 0:
         return lixnum.sub(x, _LI_E) if isinstance(x, LIReal) else float(x) - math.e
     if k == 1:
