@@ -552,6 +552,33 @@ class TestEvalFuzz:
         _assert_contract(argv)
 
 
+# iterate's Abel generators, as the queries benchmark draws them, and maps
+# that are not increasing; each run solves an Abel equation (up to about
+# 0.2 s), so the draw stays small
+FUZZ_ITERATE_F = st.one_of(
+    st.builds("x+{!r}".format, st.floats(-3.0, 5.0)),
+    st.builds("{!r}*x".format, st.floats(-3.0, 5.0)),
+    st.builds("x^{!r}".format, st.floats(-3.0, 5.0)),
+    st.sampled_from(["exp(x)", "x+sqrt(x)", "x+2*sin(x)", "x^2-3*x", "-x",
+                     "1/x", "sin(x)", "x-1", "2*x-x^2"]),
+)
+
+
+class TestIterateFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(FUZZ_ITERATE_F, st.floats(-3.0, 3.0),
+           st.one_of(st.floats(max_value=1e3), st.floats(0.5, 1e3)),
+           st.one_of(st.floats(), st.sampled_from(["0", "-1", "abc", "inf", "nan"])),
+           st.booleans())
+    @example("x+1", 0.5, 3.0, "nan", False)
+    @example("x^2-3*x", -2.5, 10.0, 4.0, True)
+    def test_iterate_keeps_the_contract(self, f, lam, at, base, twice):
+        # --opt=value, so that a negative value is not read as an option
+        argv = ["iterate", f"--f={f}", f"--lambda={lam!r}", f"--at={at!r}",
+                f"--base={base if isinstance(base, str) else repr(base)}"]
+        _assert_contract(argv + (["--twice"] if twice else []))
+
+
 def _reference_main(argv):
     """main as it ran before the one-pass parse and the layout writer: the
     full parse_args and json.dumps."""
