@@ -10,9 +10,13 @@ is outside the tier-1 testpaths, so the test suite does not collect it.
 
 import math
 
-from growthcalc import abel, classify
+import pytest
+
+from growthcalc import abel, classify, lixnum
 from growthcalc.funcexpr import compile_expr, evaluate, parse
-from growthcalc.lixnum import parse_li
+from growthcalc.lixnum import LIReal, parse_li
+from growthcalc.orders import Ladder, order_of
+from growthcalc.xihier import HIER
 
 # the r = 5 witness classify_expr("x+log(x)") self-checks: h = 1/log(f/x)
 # at five sites
@@ -57,3 +61,48 @@ def test_classify_scaled_sqrt(benchmark):
 def test_solve_abel(benchmark):
     sol = benchmark(abel.solve_abel, "x+sqrt(x)", 1.0)
     assert sol.domain_hi == 2.0
+
+
+def test_lixnum_add_level_2(benchmark):
+    a, b = LIReal(2, 0.5), LIReal(2, 0.25)
+    assert float(benchmark(lixnum.add, a, b)) == float(a) + float(b)
+
+
+@pytest.mark.parametrize("x", [1e6, "L7:0.5"])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_xi_k_high(benchmark, k, x):
+    x = parse_li(x) if isinstance(x, str) else x
+    # the Abel equation of the level below: xi_k(x) = xi_k(xi_{k-1}(x)) + 1
+    want = float(HIER.xi_k(k, HIER.xi_k(k - 1, x))) + 1.0
+    assert benchmark(HIER.xi_k, k, x) == want
+
+
+def test_chi_tower(benchmark):
+    x = parse_li("L30:0.5")
+    chi = benchmark(HIER.chi, x)
+    assert chi.level == 30 and chi >= x
+
+
+def test_order_of_tower_ladder(benchmark):
+    est = benchmark(order_of, "xi(x)", "exp(x)", Ladder.tower(0.5, 30))
+    assert est.converged and est.lambda_hat == 1.0
+
+
+def test_verify_chain_catalog(benchmark):
+    reports = benchmark(lambda: [classify.verify_chain(e) for e in classify.catalog()])
+    assert all(r["ok"] for r in reports)
+
+
+def test_classify_power(benchmark):
+    # the mu > 1 route at depth n = 0: witness log_2(x)/log(2)
+    rep = benchmark(classify.classify_expr, "x^2")
+    assert (rep.verdict, rep.witness) == ("1", "log_2(x)/0.69314718056")
+
+
+def test_regularized_F(benchmark):
+    def solve_and_eval():
+        sol = abel.solve_abel_regularized("log(x)", 2)
+        return sol, sol.F(500.0)
+
+    sol, F500 = benchmark(solve_and_eval)
+    assert F500 - sol.F(math.log(500.0)) == pytest.approx(1.0, abs=1e-9)
