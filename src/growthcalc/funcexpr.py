@@ -379,12 +379,13 @@ def _log(v: Value) -> Value:
 
 
 def _pow(b: Value, p: Value) -> Value:
-    if not (_is_li(b) or _is_li(p)):
+    tower = _is_li(b) or _is_li(p)
+    if not tower:
         try:
             bf, pf = float(b), float(p)
         except OverflowError:  # an int or Fraction past the float range
-            b = lixnum.to_li(b)
-    if _is_li(b) or _is_li(p):
+            tower = True
+    if tower:
         bl = lixnum.to_li(b)
         if bl.level == 0 and bl.mantissa == 0.0:
             if p < 0:

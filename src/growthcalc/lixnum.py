@@ -262,9 +262,12 @@ def xi_exact(v: LIReal) -> Fraction:
 
 def xi_inv_exact(t) -> LIReal:
     """Inverse of xi_exact: a finite t >= 0 maps to (floor(t), frac(t))."""
-    if not 0 <= t < math.inf:
+    try:
+        k = math.floor(t)
+    except (ValueError, OverflowError):  # NaN or inf
+        k = -1
+    if k < 0:
         raise DomainError(f"xi_inv_exact requires a finite t >= 0, got {t!r}")
-    k = math.floor(t)
     return LIReal(int(k), float(t - k))
 
 
