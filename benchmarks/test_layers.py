@@ -8,12 +8,15 @@ Add --benchmark-disable to run each row once as a plain test.  The file
 is outside the tier-1 testpaths, so the test suite does not collect it.
 """
 
+import io
+import json
 import math
+from contextlib import redirect_stdout
 
 import pytest
 
-from growthcalc import abel, classify, lixnum
-from growthcalc.funcexpr import compile_expr, evaluate, parse
+from growthcalc import abel, acceptance, classify, cli, lixnum
+from growthcalc.funcexpr import Fn, compile_expr, evaluate, parse
 from growthcalc.lixnum import LIReal, parse_li
 from growthcalc.orders import Ladder, order_of
 from growthcalc.xihier import HIER
@@ -61,6 +64,41 @@ def test_classify_scaled_sqrt(benchmark):
 def test_solve_abel(benchmark):
     sol = benchmark(abel.solve_abel, "x+sqrt(x)", 1.0)
     assert sol.domain_hi == 2.0
+
+
+def test_abel_eval_stepwise(benchmark):
+    # no inverse and no affine step: each pullback step bisects f
+    sol, x = abel.solve_abel("x+sqrt(x)", 2.0), 1e4
+    F = benchmark(sol.eval, x)
+    assert sol.eval(x + math.sqrt(x)) - F == pytest.approx(1.0, abs=1e-9)
+
+
+def test_abel_eval_closed_form(benchmark):
+    # a scaling: the step count is read off in closed form; the linear seed
+    # on [1, 2] is y - 1
+    sol = abel.solve_abel("2*x", 1.0)
+    assert benchmark(sol.eval, 1e300) == pytest.approx(996 + 1e300 / 2 ** 996 - 1, abs=1e-9)
+
+
+def test_fn_build(benchmark):
+    # parse and the one compile
+    assert benchmark(Fn, "x+sqrt(x)")(4.0) == 6.0
+
+
+def test_cli_eval_in_process(benchmark):
+    def eval_once():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["eval", "x^2+1", "--at", "3"])
+        return code, out.getvalue()
+
+    code, out = benchmark(eval_once)
+    assert code == 0 and json.loads(out)["points"] == [{"x": 3.0, "value": 10.0}]
+
+
+def test_acceptance_run_all(benchmark):
+    reports = benchmark(acceptance.run_all)
+    assert len(reports) == 11 and all(r["ok"] for r in reports)
 
 
 def test_lixnum_add_level_2(benchmark):

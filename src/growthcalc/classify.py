@@ -21,9 +21,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import ackermann, funcexpr, lixnum
 from .abel import TableSeed
-from .funcexpr import Call, Binary, Const, EvalError, Var, compile_expr
+from .funcexpr import Call, Binary, Const, EvalError, Var
 from .lixnum import DomainError, LIReal
-from .orders import Ladder, _tail, order_of
+from .orders import Ladder, _mean, _tail, order_of
 from .xihier import HIER
 
 __all__ = [
@@ -244,7 +244,7 @@ def _settle(vals, tol: float):
     tail = _tail(vals)
     if not all(math.isfinite(v) for v in tail):
         return math.inf, math.inf, False
-    mean, spread = sum(tail) / len(tail), max(tail) - min(tail)
+    mean, spread = _mean(tail), max(tail) - min(tail)
     return mean, spread, spread <= tol * max(1.0, abs(mean))
 
 
@@ -303,11 +303,11 @@ def classify_expr(f) -> ClassReport:
     analysis.  Every verdict carries a converged order check of the
     witness; anything that fails to converge is reported inconclusive.
     """
-    fexpr = funcexpr.Fn(f).expr
+    fn = funcexpr.Fn(f)
+    fexpr, fc = fn.expr, fn.raw  # the one compile: every scan and check calls fc
     if fexpr is None:
         raise TypeError(f"classify_expr needs a DSL expression, got {f!r}")
     diags: dict = {"f": funcexpr.to_text(fexpr)}
-    fc = compile_expr(fexpr)  # the one compile: every scan and check calls it
 
     ok, margin = _growth_precondition(fc)
     diags["min_f_minus_x"] = margin
@@ -375,7 +375,7 @@ def _classify_mu_one(fexpr, fc: Callable, n: int, diags, checks) -> ClassReport:
                                _logk_expr(Var(), n + 2)))
         scan_pts = _GEOM_DEEP
     diags["h"] = funcexpr.to_text(h_expr)
-    h = _float_values(compile_expr(h_expr))  # read by the c- and (k, r) scans
+    h = _float_values(funcexpr.Fn(h_expr).raw)  # read by the c- and (k, r) scans
 
     # subcase: log h ~ c log_{n+3} x with finite c  =>  F = h log_{n+2} x / (c+1)
     try:
@@ -509,25 +509,16 @@ def _unit_step_scale(knots) -> Tuple[Callable, Callable]:
     return F, lambda x: table.inv(F(x) + 1)
 
 
-_STAIRCASE1_STEPS = 34  # default a_k = 2^k for k = 1..34
+_STAIRCASE1_STEPS = 34  # a_k = 2^k for k = 1..34
 _STAIRCASE0_LEVELS = 6  # a_k = 2^(2^k) for k = 1..6
 
 
-def staircase_class1(a: Optional[Sequence[int]] = None) -> Tuple[Callable, Callable]:
-    """A scale F with F(a_k) = 2k and F(a_k - 1) = 2k - 1 (default
-    a_k = 2^k), so f = F^{-1}(F+1) satisfies f(a_k - 1) = a_k exactly:
-    a class-1 function that keeps returning to x + 1."""
-    if a is None:
-        a = [2 ** k for k in range(1, _STAIRCASE1_STEPS + 1)]
-    a = list(a)
-    for prev, nxt in zip(a, a[1:]):
-        if nxt <= prev + 1:
-            raise ValueError("staircase spacing needs a_{k+1} > a_k + 1")
-    knots = []
-    for k, ak in enumerate(a, start=1):
-        knots.append((ak - 1, 2 * k - 1))
-        knots.append((ak, 2 * k))
-    return _unit_step_scale(knots)
+def staircase_class1() -> Tuple[Callable, Callable]:
+    """A scale F with F(a_k) = 2k and F(a_k - 1) = 2k - 1, a_k = 2^k, so
+    f = F^{-1}(F+1) satisfies f(a_k - 1) = a_k exactly: a class-1 function
+    that keeps returning to x + 1."""
+    return _unit_step_scale([(2 ** k - d, 2 * k - d)
+                             for k in range(1, _STAIRCASE1_STEPS + 1) for d in (1, 0)])
 
 
 def staircase_class0() -> Tuple[Callable, Callable]:

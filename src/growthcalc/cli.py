@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -41,6 +42,12 @@ _PLAIN_NUMBERS = frozenset((int, float))
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e5 and -.5e1 are values, as -3 and -1.5 are, not options:
+        # argparse's own test misses them, and it differs between versions
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # argparse exits 2 on usage errors; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -154,12 +161,11 @@ def _emit(args, payload: dict, text_lines=None):
 
 
 def cmd_eval(args) -> int:
-    expr = funcexpr.parse(args.expr)
+    f = funcexpr.Fn(args.expr).raw
     if args.at is not None:
         pts = [_parse_point(args.at)]
     else:
         pts = Ladder.from_spec(args.ladder)
-    f = funcexpr.compile_expr(expr)
     vals = [f(x) for x in pts]
     rows = [{"x": _render_value(x if isinstance(x, LIReal) else float(x)),
              "value": _render_value(v)} for x, v in zip(pts, vals)]
@@ -274,9 +280,8 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    expr = funcexpr.parse(args.expr)
+    f = funcexpr.Fn(args.expr).raw
     pts = Ladder.from_spec(args.ladder)
-    f = funcexpr.compile_expr(expr)
     vals = [f(x) for x in pts]
     lines = ["x,f(x)"] + [f"{_render_value(x)},{_render_value(v)}"
                           for x, v in zip(pts, vals)]

@@ -948,11 +948,10 @@ class Fn:
     they only ever feed comparisons.  Both are closures stored on the
     instance, not methods: perfbench's tracer wraps public methods, and a
     wrapper on every per-point call would move its per-layer counters.
-    An expression is compiled (compile_expr) on the first call of raw or
-    float, never in the constructor: many Fn are built and called only a
-    few times.  text is the given text, else the expression text, else
-    None; expr is the FuncExpr, or None for a callable.  inverse and
-    derivative are derived on first use.
+    An expression is compiled (compile_expr) once, when the Fn is built.
+    text is the given text, else the expression text, else None; expr is
+    the FuncExpr, or None for a callable.  inverse and derivative are
+    derived on first use.
     """
 
     def __init__(self, spec, text: Optional[str] = None, inverse=None):
@@ -969,21 +968,11 @@ class Fn:
                 raise TypeError(f"not a function spec: {spec!r}")
             # no closure refers to self or to itself (an unused Fn needs no
             # cyclic collection); copies share the closures and one compile
-            if expr is None:
-                compiled = raw = spec
-            else:
-                compiled = None
-
-                def raw(x):  # compiles on the first call, then forwards
-                    nonlocal compiled
-                    if compiled is None:
-                        compiled = compile_expr(expr)
-                    return compiled(x)
+            raw = spec if expr is None else compile_expr(expr)
 
             def flt(x):
-                v = raw(x) if compiled is None else compiled(x)
                 try:
-                    return float(v)
+                    return float(raw(x))
                 except DomainError:
                     return math.inf
 

@@ -160,7 +160,11 @@ def to_li(v) -> LIReal:
         pass
     p, q = v.numerator, v.denominator
     if p <= 0:
-        raise DomainError(f"cannot represent non-positive value {v!r}")
+        # v is past the float range: name its size, not its digits
+        d = int(math.log10(-p)) + 1
+        d += (-p >= 10 ** d) - (-p < 10 ** (d - 1))  # log10 may be off by one
+        raise DomainError(f"cannot represent non-positive {type(v).__name__} "
+                          f"with a {d}-digit numerator")
     return exp_li(to_li(math.log(p) - math.log(q)))
 
 

@@ -130,6 +130,15 @@ def _tail(seq: Sequence) -> list:
     return seq[-max(2, math.ceil(len(seq) / 3)):]
 
 
+def _mean(tail: Sequence) -> float:
+    """The mean, summed left to right: sum() of floats is compensated from
+    Python 3.12 on, which moves last digits the goldens hold."""
+    total = 0.0
+    for v in tail:
+        total += v
+    return total / len(tail)
+
+
 def _point_repr(x) -> str:
     return str(x) if isinstance(x, LIReal) else repr(float(x))
 
@@ -170,7 +179,7 @@ def order_of(F, f, ladder, tol: float = 1e-3) -> OrderEstimate:
                             f"{exc}") from exc
     tail = _tail(residuals)
     spread = max(tail) - min(tail)
-    return OrderEstimate(lambda_hat=sum(tail) / len(tail),
+    return OrderEstimate(lambda_hat=_mean(tail),
                          residuals=residuals,
                          converged=spread <= tol,
                          tail_spread=spread, tol=tol, window=len(tail))

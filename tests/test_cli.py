@@ -354,6 +354,16 @@ class TestExitCodes:
         assert out == ""
         assert "DomainError: xi_4 argument below its base" in err
 
+    def test_square_of_a_huge_negative_is_two_in_one_short_line(self, capsys):
+        # -(10^400 + 1/2) has no tower to square through; the message names
+        # its size, not its 401 digits
+        code, out, err = run(capsys, "eval", "(0-xi(x))^2",
+                             "--at", f"L1{'0' * 400}:0.5")
+        assert (code, out) == (2, "")
+        assert err == ("growthcalc: DomainError: cannot represent non-positive "
+                       "Fraction with a 401-digit numerator\n")
+        assert len(err.encode()) < 120
+
     def test_negated_zero_tower_is_zero(self, capsys):
         data = run_json(capsys, "eval", "--at", "L0:0", "--", "-x")
         assert data["points"][0]["value"] == "L0:0"
@@ -506,6 +516,7 @@ def _assert_contract(argv):
     assert "Traceback" not in err
     if code == 0:
         json.loads(out, parse_constant=_not_json, parse_int=str)
+    return code, out, err
 
 
 FUZZ_EXPRS = EXPRS.map(funcexpr.to_text)
@@ -564,19 +575,63 @@ FUZZ_ITERATE_F = st.one_of(
 )
 
 
+def _finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 class TestIterateFuzz:
     @settings(max_examples=40, deadline=None)
     @given(FUZZ_ITERATE_F, st.floats(-3.0, 3.0),
            st.one_of(st.floats(max_value=1e3), st.floats(0.5, 1e3)),
            st.one_of(st.floats(), st.sampled_from(["0", "-1", "abc", "inf", "nan"])),
-           st.booleans())
-    @example("x+1", 0.5, 3.0, "nan", False)
-    @example("x^2-3*x", -2.5, 10.0, 4.0, True)
-    def test_iterate_keeps_the_contract(self, f, lam, at, base, twice):
-        # --opt=value, so that a negative value is not read as an option
-        argv = ["iterate", f"--f={f}", f"--lambda={lam!r}", f"--at={at!r}",
-                f"--base={base if isinstance(base, str) else repr(base)}"]
-        _assert_contract(argv + (["--twice"] if twice else []))
+           st.booleans(), st.booleans())
+    @example("x+1", 0.5, 3.0, "nan", False, True)
+    @example("x^2-3*x", -2.5, 10.0, 4.0, True, True)
+    @example("x+1", -1e-05, -1e+300, 0.5, False, False)
+    def test_iterate_keeps_the_contract(self, f, lam, at, base, twice, joined):
+        # values written as --opt=value or as --opt value; spelled apart, a
+        # value that is a negative number reads as --opt=value does, and a
+        # value such as -x or -inf is a usage error
+        values = {"--f": f, "--lambda": repr(lam), "--at": repr(at),
+                  "--base": base if isinstance(base, str) else repr(base)}
+        twice = ["--twice"] if twice else []
+        one_token = ["iterate", *(f"{k}={v}" for k, v in values.items()), *twice]
+        if joined:
+            _assert_contract(one_token)
+            return
+        got = _assert_contract(["iterate", *(t for kv in values.items() for t in kv), *twice])
+        if all(not v.startswith("-") or _finite_number(v) for v in values.values()):
+            assert got == _outcome(one_token)
+        else:
+            assert got[0] == 1
+
+
+# a negative number in exponent form; argparse's own test reads each one
+# as an option
+NEGATIVE_EXPONENT_FORMS = ["-1e5", "-1.5e-3", "-1E+2", "-.5e1"]
+
+
+class TestNegativeNumberValues:
+    @pytest.mark.parametrize("number", NEGATIVE_EXPONENT_FORMS)
+    def test_eval_at(self, capsys, number):
+        data = run_json(capsys, "eval", "x+1", "--at", number)
+        assert data["points"] == [{"x": float(number), "value": float(number) + 1.0}]
+
+    @pytest.mark.parametrize("option", ["--at", "--lambda"])
+    @pytest.mark.parametrize("number", NEGATIVE_EXPONENT_FORMS)
+    def test_iterate(self, option, number):
+        values = {"--f": "x+1", "--lambda": "0.5", "--at": "3", option: number}
+        got = _outcome(["iterate", *(t for kv in values.items() for t in kv)])
+        assert got[0] != 1, got[2]
+        assert got == _outcome(["iterate", *(f"{k}={v}" for k, v in values.items())])
+
+    def test_an_expression_is_still_an_option(self):
+        code, out, err = _outcome(["iterate", "--f", "-x", "--lambda", "0.5", "--at", "3"])
+        assert (code, out) == (1, "")
+        assert "argument --f: expected one argument" in err
 
 
 def _reference_main(argv):

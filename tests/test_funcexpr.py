@@ -658,13 +658,13 @@ class TestCompiledEvaluation:
     def test_long_flat_sum_needs_no_recursion(self):
         assert ev("+".join(["x"] * 3000), 2.0) == 6000.0
 
-    def test_fn_compiles_on_the_first_call_only(self, monkeypatch):
+    def test_fn_compiles_once_when_built(self, monkeypatch):
         calls = []
         compile_expr = funcexpr.compile_expr
         monkeypatch.setattr(funcexpr, "compile_expr",
                             lambda e: calls.append(e) or compile_expr(e))
         fn = funcexpr.Fn("x+sqrt(x)")
-        assert calls == []
+        assert calls == [fn.expr]
         for i in range(10):
             (fn.float, fn.raw, fn)[i % 3](float(i))
         assert calls == [fn.expr]
@@ -701,9 +701,11 @@ class TestCompiledEvaluation:
         compile_expr = funcexpr.compile_expr
         monkeypatch.setattr(funcexpr, "compile_expr",
                             lambda e: calls.append(e) or compile_expr(e))
-        d = funcexpr.Fn("x+sqrt(x)").derivative
+        fn = funcexpr.Fn("x+sqrt(x)")
+        assert calls == [fn.expr]  # f's own compile, when the Fn is built
+        d = fn.derivative
         assert [d(float(x)) for x in (1, 4)] == [1.5, 1.25]
-        assert len(calls) == 1
+        assert calls == [fn.expr, funcexpr.differentiate(fn.expr)]
 
 
 class TestZeroPower:

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it does not use,
-and the package reads every private name it defines."""
+the package reads every private name it defines, and only funcexpr turns
+an expression into a callable itself."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,14 @@ def test_every_private_name_is_read():
     unread = [f"{path}:{line} {name}" for path, tree in trees.items()
               for name, line in _private_defs(tree).items() if name not in read]
     assert not unread, f"private names the package defines but never reads: {unread}"
+
+
+def test_only_funcexpr_compiles():
+    # one way from a function spec to a callable: the other modules build a
+    # funcexpr.Fn, which compiles once, and never call compile_expr
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "funcexpr.py" and "compile_expr" in _read(tree) | set(_imported(tree)):
+            refs.append(path.name)
+    assert not refs, f"modules that call compile_expr themselves: {refs}"

@@ -46,6 +46,22 @@ class TestRepresentation:
             with pytest.raises(DomainError, match="finite"):
                 lixnum.to_li(d)
 
+    @pytest.mark.parametrize("v,name", [(-10 ** 400, "int"),
+                                        (Fraction(-2 * 10 ** 400 - 1, 2), "Fraction")])
+    def test_to_li_names_a_huge_negative_in_one_short_line(self, v, name):
+        # the type and the digit count of the numerator, not its 401 digits
+        with pytest.raises(DomainError) as exc:
+            lixnum.to_li(v)
+        msg = str(exc.value)
+        assert msg == f"cannot represent non-positive {name} with a 401-digit numerator"
+        assert "\n" not in msg and len(msg.encode()) < 120
+
+    @pytest.mark.parametrize("digits", [310, 400, 513, 5000])  # log10 reads 10^512 low
+    def test_to_li_counts_the_digits_next_to_a_power_of_ten(self, digits):
+        for v in (-(10 ** (digits - 1)), -(10 ** digits - 1)):
+            with pytest.raises(DomainError, match=f" a {digits}-digit numerator"):
+                lixnum.to_li(v)
+
     def test_to_li_negative_goes_level_minus_one(self):
         v = lixnum.to_li(-2.0)
         assert v.level == -1
