@@ -597,12 +597,12 @@ class TestIterateFuzz:
         # value such as -x or -inf is a usage error
         values = {"--f": f, "--lambda": repr(lam), "--at": repr(at),
                   "--base": base if isinstance(base, str) else repr(base)}
-        twice = ["--twice"] if twice else []
-        one_token = ["iterate", *(f"{k}={v}" for k, v in values.items()), *twice]
+        flags = ["--twice"] if twice else []
+        one_token = ["iterate", *(f"{k}={v}" for k, v in values.items()), *flags]
         if joined:
             _assert_contract(one_token)
             return
-        got = _assert_contract(["iterate", *(t for kv in values.items() for t in kv), *twice])
+        got = _assert_contract(["iterate", *(t for kv in values.items() for t in kv), *flags])
         if all(not v.startswith("-") or _finite_number(v) for v in values.values()):
             assert got == _outcome(one_token)
         else:
