@@ -12,6 +12,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from growthcalc.funcexpr import Fn, compile_expr, evaluate, parse
 from growthcalc.lixnum import LIReal, parse_li
 from growthcalc.orders import Ladder, order_of
 from growthcalc.xihier import HIER
+
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 
 # the r = 5 witness classify_expr("x+log(x)") self-checks: h = 1/log(f/x)
 # at five sites
@@ -99,6 +102,29 @@ def test_cli_eval_in_process(benchmark):
 def test_acceptance_run_all(benchmark):
     reports = benchmark(acceptance.run_all)
     assert len(reports) == 11 and all(r["ok"] for r in reports)
+
+
+def test_xi_exactness(benchmark):
+    # criterion 1: 10^4 exact identities xi(exp v) - xi(v) = 1
+    rep = benchmark(acceptance.check_xi_exactness)
+    assert rep["ok"] and rep["detail"].startswith("0 failures out of 10000")
+
+
+def test_catalog_chains(benchmark):
+    # criterion 3: one catalog pass, each shared order estimate once
+    rep = benchmark(acceptance.check_catalog_chains)
+    assert rep["ok"] and rep["detail"].startswith("8 rows,")
+
+
+def test_cli_table_in_process(benchmark):
+    def table_once():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["table"])
+        return code, out.getvalue()
+
+    code, out = benchmark(table_once)
+    assert code == 0 and out == (GOLDEN / "table.json").read_text()
 
 
 def test_lixnum_add_level_2(benchmark):

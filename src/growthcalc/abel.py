@@ -461,13 +461,22 @@ def solve_abel_regularized(f, A: float) -> RegularizedSolution:
         raise HypothesisError("regularized mode needs a contracting map (f(x) < x)",
                               {"A": A, "f(A)": fA})
     # f' and f'': symbolic for an expression, central differences for a
-    # callable and for an f' with no symbolic derivative
-    fp = fn.derivative
-    try:
-        fpp = funcexpr.Fn(fp if fn.expr is None
-                          else funcexpr.differentiate(fn.expr)).derivative
-    except funcexpr.EvalError:
+    # callable and for an f' with no symbolic derivative; an expression's
+    # f' is compiled once and serves as fp and as the base of fpp
+    if fn.expr is None:
+        fp = fn.derivative
         fpp = funcexpr.Fn(fp).derivative
+    else:
+        dfn = funcexpr.Fn(funcexpr.differentiate(fn.expr))
+        d = dfn.raw
+
+        def fp(x):
+            return float(d(x))
+
+        try:
+            fpp = dfn.derivative
+        except funcexpr.EvalError:
+            fpp = funcexpr.Fn(fp).derivative
 
     # scan f'' ~ -f'/x and |eta| < 1 on [A, A * _SCAN_SPAN]
     ratios, etas = [], []

@@ -37,7 +37,11 @@ def check_xi_exactness(rng_seed: int = 20240817) -> dict:
     bad = 0
     for _ in range(10 ** 4):
         v = LIReal(rng.randint(0, 100), rng.random())
-        if lixnum.xi_exact(lixnum.exp_li(v)) - lixnum.xi_exact(v) != 1:
+        a, b = lixnum.xi_exact(lixnum.exp_li(v)), lixnum.xi_exact(v)
+        # a - b == 1 by cross-multiplication: the same exact predicate, with
+        # no Fraction built for the difference
+        if (a.numerator * b.denominator - b.numerator * a.denominator
+                != a.denominator * b.denominator):
             bad += 1
     return _report("xi exactness", bad == 0,
                    f"{bad} failures out of 10000 random level-index values")
@@ -75,15 +79,14 @@ def check_catalog_chains() -> dict:
     fails: List[str] = []
     worst_spread = 0.0
     rows = classify.catalog()
-    for entry in rows:
-        rep = classify.verify_chain(entry)
+    for rep in classify.verify_rows(rows):
         for pair in rep["pairs"]:
             worst_spread = max(worst_spread, pair["tail_spread"])
             if not pair["ok"]:
-                fails.append(f"{entry.name}: O[{pair['F']}]({pair['f']}) = "
+                fails.append(f"{rep['name']}: O[{pair['F']}]({pair['f']}) = "
                              f"{pair['lambda_hat']:.6f}")
         if not rep["inverse_check"]["ok"]:
-            fails.append(f"{entry.name}: inverse check")
+            fails.append(f"{rep['name']}: inverse check")
     return _report("growth-catalog chains", not fails,
                    f"{len(rows)} rows, worst tail spread {worst_spread:.2e}"
                    + (f"; failures: {fails}" if fails else ""))

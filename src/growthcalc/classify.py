@@ -31,6 +31,7 @@ __all__ = [
     "ClassReport",
     "catalog",
     "verify_chain",
+    "verify_rows",
     "classify_expr",
     "sandwich_bracket_report",
     "scaled_xi_increment",
@@ -145,14 +146,31 @@ def _inverse_check(f0: funcexpr.Fn, F0: funcexpr.Fn) -> dict:
 
 def verify_chain(entry: CatalogEntry) -> dict:
     """Check O_{F1}(f0) -> 1 and O_{F_{k+1}}(F_k) -> -1 for the row."""
+    return _verify_row(entry, {})
+
+
+def verify_rows(entries: Sequence[CatalogEntry]) -> List[dict]:
+    """verify_chain of each row.  Rows whose chains share a pair (the same
+    F and f texts on the same ladder, toward the same target) share its
+    order estimate, computed once per call."""
+    checks: dict = {}
+    return [_verify_row(entry, checks) for entry in entries]
+
+
+def _verify_row(entry: CatalogEntry, checks: dict) -> dict:
+    """verify_chain, taking each pair's order check from checks when it is
+    there and storing it there when it is not."""
     f0, *chain = (funcexpr.Fn(spec) for spec in (entry.f0, *entry.chain))
     pairs = [(chain[1], f0, 1.0)]
     for k in range(1, 4):
         pairs.append((chain[k + 1], chain[k], -1.0))
-    rows = [{"F": F.text, "f": f.text, "target": target,
-             **_order_check(F, f, ladder, target, _CHAIN_TOL),
-             "ladder": ladder.to_json()}
-            for (F, f, target), ladder in zip(pairs, entry.ladders)]
+    rows = []
+    for (F, f, target), ladder in zip(pairs, entry.ladders):
+        key = (F.text, f.text, id(ladder), target)
+        if key not in checks:
+            checks[key] = _order_check(F, f, ladder, target, _CHAIN_TOL)
+        rows.append({"F": F.text, "f": f.text, "target": target, **checks[key],
+                     "ladder": ladder.to_json()})
     inv = _inverse_check(f0, chain[0])
     return {
         "name": entry.name,

@@ -642,6 +642,31 @@ class TestRegularized:
         assert calls.count(2.0) == 1
         assert len(calls) == 49
 
+    def test_f_and_each_derivative_compiled_once(self, monkeypatch):
+        # f' is compiled once: it is fp, and f'' is its derivative
+        compiled = []
+        compile_expr = funcexpr.compile_expr
+
+        def counting(expr):
+            compiled.append(funcexpr.to_text(expr))
+            return compile_expr(expr)
+
+        monkeypatch.setattr(funcexpr, "compile_expr", counting)
+        abel.solve_abel_regularized("log(x)", A=2.0)
+        assert compiled == ["log(x)", "1/x", "-1/x^2"]
+
+    def test_second_derivative_falls_back_to_numeric(self):
+        # f' of xi_4 is a dxi_4 node, which has no symbolic derivative:
+        # f'' is the central difference of f'
+        sol = abel.solve_abel_regularized("xi_4(x)", A=10.0)
+        for x in (10.0, 20.0, 1e3):
+            assert sol.fp(x) == funcexpr.Fn("xi_4(x)").derivative(x)
+            assert sol.fpp(x) == funcexpr._numdiff(sol.fp, x)
+
+    def test_f_without_symbolic_derivative_rejected(self):
+        with pytest.raises(funcexpr.EvalError, match="abs is not differentiable"):
+            abel.solve_abel_regularized("abs(log(x))", A=3.0)
+
     def test_log_step_at_reference(self, reg_log):
         # 2000 was the point where the old construction was rescaled; the
         # step is 1 there and everywhere else

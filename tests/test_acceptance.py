@@ -6,6 +6,7 @@ captured stdout of a failing test).
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,85 @@ def test_criterion(n):
     status = "PASS" if rep["ok"] else "FAIL"
     print(f"criterion {n:2d} {status}  {rep['name']}: {rep['detail']}")
     assert rep["ok"], f"criterion {n} ({rep['name']}): {rep['detail']}"
+
+
+def _exp_li_mantissa_up(exp_li):
+    def mutant(v):
+        r = exp_li(v)
+        return lixnum.LIReal(r.level, r.mantissa + 1e-9, r.absorbed)
+    return mutant
+
+
+def _xi_exact_high_levels_up(xi_exact):
+    # 2^-80 is far below float resolution at level 50 and up, so a float
+    # comparison of the two sides would not see it
+    return lambda v: xi_exact(v) + (Fraction(1, 2 ** 80) if v.level >= 50 else 0)
+
+
+@pytest.mark.parametrize("attr,mutant", [
+    ("exp_li", _exp_li_mantissa_up(lixnum.exp_li)),
+    ("xi_exact", _xi_exact_high_levels_up(lixnum.xi_exact)),
+], ids=["exp-mantissa-plus-1e-9", "xi-plus-2^-80-from-level-50"])
+def test_xi_exactness_criterion_can_fail(monkeypatch, attr, mutant):
+    monkeypatch.setattr(lixnum, attr, mutant)
+    assert not acceptance.run_one(1)["ok"]
+
+
+def test_catalog_pass_matches_verify_chain():
+    rows = classify.catalog()
+    assert classify.verify_rows(rows) == [classify.verify_chain(e) for e in rows]
+
+
+def test_catalog_criterion_estimates_each_shared_pair_once(monkeypatch):
+    # 32 pairs over 8 rows, 18 of them distinct: the rows' chains end in
+    # the same xi_4 -> xi_5 -> xi_6 tail
+    calls = []
+    order_of = classify.order_of
+
+    def counting(F, f, ladder, tol):
+        calls.append((F.text, f.text))
+        return order_of(F, f, ladder, tol=tol)
+
+    monkeypatch.setattr(classify, "order_of", counting)
+    assert acceptance.check_catalog_chains()["ok"]
+    assert len(calls) == 18 == len(set(calls))
+
+
+def _per_row_detail(rows) -> str:
+    """Criterion 3's detail as one verify_chain a row would build it."""
+    fails, worst = [], 0.0
+    for rep in (classify.verify_chain(e) for e in rows):
+        for pair in rep["pairs"]:
+            worst = max(worst, pair["tail_spread"])
+            if not pair["ok"]:
+                fails.append(f"{rep['name']}: O[{pair['F']}]({pair['f']}) = "
+                             f"{pair['lambda_hat']:.6f}")
+        if not rep["inverse_check"]["ok"]:
+            fails.append(f"{rep['name']}: inverse check")
+    return (f"{len(rows)} rows, worst tail spread {worst:.2e}"
+            + (f"; failures: {fails}" if fails else ""))
+
+
+def test_catalog_criterion_fails_every_row_of_a_shared_pair(monkeypatch):
+    # a miss on O[xi_5](xi_4) over the 40-rung tower is named once for each
+    # of the six rows that hold the pair
+    order_check = classify._order_check
+
+    def mutant(F, f, ladder, target, tol):
+        got = order_check(F, f, ladder, target, tol)
+        if (F.text, f.text) == ("xi_5(x)", "xi_4(x)") and ladder is classify._TOWER:
+            got = {**got, "lambda_hat": target + 0.5, "ok": False}
+        return got
+
+    monkeypatch.setattr(classify, "_order_check", mutant)
+    rep = acceptance.run_one(3)
+    assert not rep["ok"]
+    assert rep["detail"] == _per_row_detail(classify.catalog())
+    named = [e.name for e in classify.catalog() if "xi_5(x)" in e.chain]
+    assert len(named) == 6
+    assert rep["detail"].count("O[xi_5(x)](xi_4(x)) = -0.500000") == 6
+    for name in named:
+        assert f"'{name}: O[xi_5(x)](xi_4(x))" in rep["detail"]
 
 
 def test_catalog_criterion_counts_its_rows(monkeypatch):

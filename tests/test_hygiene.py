@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it does not use,
-the package reads every private name it defines, and only funcexpr turns
-an expression into a callable itself."""
+the package reads every private name it defines, only funcexpr turns an
+expression into a callable itself, and acceptance and classify keep no
+memo beyond one call."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,47 @@ def test_only_funcexpr_compiles():
         if path.name != "funcexpr.py" and "compile_expr" in _read(tree) | set(_imported(tree)):
             refs.append(path.name)
     assert not refs, f"modules that call compile_expr themselves: {refs}"
+
+
+def _module_memos(tree: ast.Module) -> list:
+    """functools.cache/lru_cache decorators anywhere in the module, and
+    module-level names bound to an empty dict or written into by key."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name in ("cache", "lru_cache"):
+                    found.append(f"{node.lineno} @{name} on {node.name}")
+    top = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            top.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    for name, node in top.items():
+        v = node.value
+        empty = ((isinstance(v, ast.Dict) and not v.keys)
+                 or (isinstance(v, ast.Call)
+                     and getattr(v.func, "id", "") in ("dict", "defaultdict")))
+        if empty:
+            found.append(f"{node.lineno} {name} = an empty dict")
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        for t in targets:
+            if (isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+                    and t.value.id in top):
+                found.append(f"{node.lineno} {t.value.id}[...] written")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in top
+                and node.func.attr in ("setdefault", "update", "__setitem__")):
+            found.append(f"{node.lineno} {node.func.value.id}.{node.func.attr}")
+    return found
+
+
+@pytest.mark.parametrize("name", ["acceptance.py", "classify.py"])
+def test_no_cross_call_memo(name):
+    # repro and table share work inside one call only: a cache that
+    # outlived the call would make repeated passes free
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert not _module_memos(tree), f"{name}: module-level memos {_module_memos(tree)}"
