@@ -153,7 +153,7 @@ def verify_rows(entries: Sequence[CatalogEntry]) -> List[dict]:
     """verify_chain of each row.  Rows whose chains share a pair (the same
     F and f texts on the same ladder, toward the same target) share its
     order estimate, computed once per call."""
-    checks: dict = {}
+    checks = {}
     return [_verify_row(entry, checks) for entry in entries]
 
 

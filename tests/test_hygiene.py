@@ -132,5 +132,5 @@ def _module_memos(tree: ast.Module) -> list:
 def test_no_cross_call_memo(name):
     # repro and table share work inside one call only: a cache that
     # outlived the call would make repeated passes free
-    tree = ast.parse((SRC / name).read_text(), filename=name)
-    assert not _module_memos(tree), f"{name}: module-level memos {_module_memos(tree)}"
+    memos = _module_memos(ast.parse((SRC / name).read_text(), filename=name))
+    assert not memos, f"{name}: module-level memos {memos}"
