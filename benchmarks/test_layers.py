@@ -127,6 +127,27 @@ def test_cli_table_in_process(benchmark):
     assert code == 0 and out == (GOLDEN / "table.json").read_text()
 
 
+def test_cli_props_xi_in_process(benchmark):
+    # check_R's R0-R3 on F = xi, whose F' is xihier's dxi_3
+    def props_once():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["props", "--F", "xi(x)"])
+        return code, out.getvalue()
+
+    code, out = benchmark(props_once)
+    golden = json.loads((GOLDEN / "props.json").read_text())
+    assert code == 0 and out == golden["--F xi(x)"]
+
+
+def test_dxi_6_derivative(benchmark):
+    # the chain rule along the pullback, against a central difference
+    d, x = Fn("xi_6(x)").derivative, 1e3
+    h = 1e-6 * x
+    num = (HIER.xi_k(6, x + h) - HIER.xi_k(6, x - h)) / (2 * h)
+    assert benchmark(d, x) == pytest.approx(num, rel=1e-6)
+
+
 def test_lixnum_add_level_2(benchmark):
     a, b = LIReal(2, 0.5), LIReal(2, 0.25)
     assert float(benchmark(lixnum.add, a, b)) == float(a) + float(b)

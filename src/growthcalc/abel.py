@@ -460,23 +460,19 @@ def solve_abel_regularized(f, A: float) -> RegularizedSolution:
     if not fA < A:
         raise HypothesisError("regularized mode needs a contracting map (f(x) < x)",
                               {"A": A, "f(A)": fA})
-    # f' and f'': symbolic for an expression, central differences for a
-    # callable and for an f' with no symbolic derivative; an expression's
-    # f' is compiled once and serves as fp and as the base of fpp
-    if fn.expr is None:
-        fp = fn.derivative
+    # f' is one Fn: symbolic for an expression, a central difference of a
+    # callable; f'' is its derivative, a central difference of fp where f'
+    # has no symbolic derivative
+    dfn = funcexpr.Fn(fn.derivative if fn.expr is None else funcexpr.differentiate(fn.expr))
+    d = dfn.raw
+
+    def fp(x):
+        return float(d(x))
+
+    try:
+        fpp = dfn.derivative
+    except funcexpr.EvalError:
         fpp = funcexpr.Fn(fp).derivative
-    else:
-        dfn = funcexpr.Fn(funcexpr.differentiate(fn.expr))
-        d = dfn.raw
-
-        def fp(x):
-            return float(d(x))
-
-        try:
-            fpp = dfn.derivative
-        except funcexpr.EvalError:
-            fpp = funcexpr.Fn(fp).derivative
 
     # scan f'' ~ -f'/x and |eta| < 1 on [A, A * _SCAN_SPAN]
     ratios, etas = [], []

@@ -499,10 +499,8 @@ def _call_value(node: Call, v: Value) -> Value:
                 return lixnum.to_li(-float(v))
             return v
         return abs(v)
-    if fn == "xi":
-        return HIER.xi_k(3, v)
-    if fn == "xi_k":
-        return HIER.xi_k(node.param, v)
+    if fn == "xi" or fn == "xi_k":  # xi is level 3
+        return HIER.xi_k(3 if fn == "xi" else node.param, v)
     if fn == "chi":
         return HIER.chi(v)
     if fn == "dxi_k":
@@ -745,9 +743,9 @@ def _div(a, b):
 def differentiate(expr: FuncExpr) -> FuncExpr:
     """Symbolic derivative with respect to x.
 
-    xi differentiates to 1/chi; xi_k for k >= 4 to a dxi_k node, exact by
-    the chain rule along the pullback, and chi to a dchi node, the one
-    numeric derivative.  Neither node is differentiated again.
+    xi and every xi_k differentiate to a dxi_k node (xi as k = 3), which
+    reads xihier's exact derivative of that level, and chi to a dchi node,
+    the one numeric derivative.  Neither node is differentiated again.
     """
     if isinstance(expr, Var):
         return _ONE
@@ -799,19 +797,8 @@ def differentiate(expr: FuncExpr) -> FuncExpr:
             return _mul(Call("sin", _sub(_div(NamedConst("pi"), Const(2.0)), u)), du)
         if fn == "abs":
             raise EvalError("abs is not differentiable")
-        if fn == "xi":
-            return _div(du, Call("chi", u))
-        if fn == "xi_k":
-            k = expr.param
-            if k == 0:
-                return du
-            if k == 1:
-                return _div(du, NamedConst("e"))
-            if k == 2:
-                return _div(du, u)
-            if k == 3:
-                return _div(du, Call("chi", u))
-            return _mul(Call("dxi_k", u, param=k), du)
+        if fn == "xi" or fn == "xi_k":
+            return _mul(Call("dxi_k", u, param=3 if fn == "xi" else expr.param), du)
         if fn == "chi":
             return _mul(Call("dchi", u), du)
         if fn in ("dxi_k", "dchi"):

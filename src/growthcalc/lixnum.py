@@ -9,9 +9,11 @@ Level bands: level 0 holds [0, 1), level 1 holds [1, e), level k holds
 [e_{k-1}(0), e_k(0)).  In this form exp and log are exact level shifts and
 the super-logarithm of (k, m) is exactly k + m.
 
-Level -1 holds the negative reals: (-1, m) stands for ln m, the log of a
-level-0 value.  Every pair has a real value (ln 0 aside, the bottom of the
-order), so ln_li refuses zero and the negatives, as the float log does.
+Level -1 holds the negative reals down to about -708.4: (-1, m) stands for
+ln m, the log of a level-0 value, and to_li refuses a number whose m would
+be below the normal floats.  Every pair has a real value (ln 0 aside, the
+bottom of the order), so ln_li refuses zero and the negatives, as the float
+log does.
 
 to_li is the one way into a tower, from a float, int or Fraction, and the
 builtin float() the one way out.
@@ -137,12 +139,15 @@ _LN_ZERO = LIReal(-1, 0.0)
 def _comparable(other):
     if isinstance(other, LIReal):
         return other
-    if isinstance(other, (int, Fraction)) and other < -sys.float_info.max:
-        # as a float below about -745 does, a negative number past the
-        # float range orders as ln 0, below every real-valued level
-        return _LN_ZERO
     if isinstance(other, (int, float, Fraction)):
-        return to_li(other)
+        try:
+            return to_li(other)
+        except DomainError:
+            if -math.inf < other < 0:
+                # a finite negative below level -1's range, the float range
+                # included, orders as ln 0, below every value to_li gives
+                return _LN_ZERO
+            raise
     return None
 
 
@@ -177,11 +182,16 @@ def to_li(v) -> LIReal:
 
 def _pair_any(d) -> tuple:
     """(level, mantissa) of a finite float d: the log chain of to_li for
-    d >= 0, and (-1, exp(d)) for d < 0, d = ln(mantissa)."""
+    d >= 0, and (-1, exp(d)) for d < 0, d = ln(mantissa), while exp(d) is a
+    normal float (d above about -708.4): a subnormal mantissa loses digits
+    and 0 is ln 0, so below that d is refused."""
     if not math.isfinite(d):
         raise DomainError(f"to_li requires a finite value, got {d!r}")
     if d < 0:
-        return -1, math.exp(d)
+        m = math.exp(d)
+        if m < sys.float_info.min:
+            raise DomainError(f"{d!r} is below the level -1 range (about -708.4)")
+        return -1, m
     level, x = 0, d
     while x >= 1.0:
         x = math.log(x)

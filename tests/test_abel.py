@@ -663,6 +663,14 @@ class TestRegularized:
             assert sol.fp(x) == funcexpr.Fn("xi_4(x)").derivative(x)
             assert sol.fpp(x) == funcexpr._numdiff(sol.fp, x)
 
+    def test_callable_derivatives_are_central_differences(self):
+        # a callable's f' is Fn's central difference, and f'' one of f'
+        sol = abel.solve_abel_regularized(math.log, A=2.0)
+        fp = funcexpr.Fn(math.log).derivative
+        for x in (3.0, 20.0, 1e3):
+            assert sol.fp(x) == fp(x)
+            assert sol.fpp(x) == funcexpr._numdiff(fp, x)
+
     def test_f_without_symbolic_derivative_rejected(self):
         with pytest.raises(funcexpr.EvalError, match="abs is not differentiable"):
             abel.solve_abel_regularized("abs(log(x))", A=3.0)

@@ -337,6 +337,14 @@ class TestExitCodes:
         assert code == 2
         assert "DomainError" in err
 
+    @pytest.mark.parametrize("expr,at,d", [("x+x", "L-1:1e-174", "-801.2996123619279"),
+                                           ("x*400", "L-1:0.01", "-1842.068074395236")])
+    def test_below_level_minus_1_is_two(self, capsys, expr, at, d):
+        # not L-1:0, which is ln 0
+        code, out, err = run(capsys, "eval", expr, f"--at={at}")
+        assert code == 2 and out == ""
+        assert f"DomainError: {d} is below the level -1 range" in err
+
     def test_negated_tower_is_two(self, capsys):
         # 2*x at 1e308 promotes to the tower L4:0.632..., which has no negative
         code, out, err = run(capsys, "eval", "--at", "1e308", "--", "-(2*x)")

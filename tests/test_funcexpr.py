@@ -222,6 +222,41 @@ class TestDifferentiation:
         num = (float(HIER.xi_k(k, x + h)) - float(HIER.xi_k(k, x - h))) / (2 * h)
         assert evaluate(d, x) == pytest.approx(num, rel=1e-6)
 
+    @pytest.mark.parametrize("text,k", [("xi(x)", 3)] + [(f"xi_{k}(x)", k) for k in range(9)])
+    def test_every_xi_level_differentiates_to_a_dxi_node(self, text, k):
+        # xihier holds the derivative of every level; differentiate none
+        assert funcexpr.differentiate(parse(text)) == Call("dxi_k", Var(), param=k)
+
+    # ln (level 2) has no value below 0
+    @pytest.mark.parametrize("k,x", [(k, x) for k in range(4) for x in (-2.0, 0.5, 2.5, 50.0)
+                                     if k != 2 or x > 0])
+    def test_low_levels_match_central_difference(self, k, x):
+        h = 1e-6 * max(1.0, abs(x))
+        num = (float(HIER.xi_k(k, x + h)) - float(HIER.xi_k(k, x - h))) / (2 * h)
+        assert funcexpr.Fn(f"xi_{k}(x)").derivative(x) == pytest.approx(num, rel=1e-6)
+
+    def test_xi_derivative_below_zero(self):
+        # xi(x) = e^x - 1 below 0, so xi'(x) = e^x
+        assert funcexpr.Fn("xi(x)").derivative(-2.0) == math.exp(-2.0)
+
+    def test_ln_level_derivative_has_no_value_where_ln_has_none(self):
+        with pytest.raises(lixnum.DomainError, match="^log of non-positive value -1.0$"):
+            funcexpr.Fn("xi_2(x)").derivative(-1.0)
+
+    def test_composition_by_the_chain_rule(self):
+        assert funcexpr.Fn("log(x) @ x^2").derivative(3.0) == pytest.approx(2 / 3)
+
+    def test_log_0_is_the_identity(self):
+        assert funcexpr.differentiate(parse("log_0(x)")) == Const(1.0)
+        assert funcexpr.Fn("log_0(x)").derivative(7.0) == 1.0
+
+    @pytest.mark.parametrize("x", [0.3, 2.5, 40.0])
+    def test_chi_derivative_matches_central_difference(self, x):
+        # chi(2x)' = 2 chi'(2x); chi' is itself a difference, of step 1e-5
+        h = 1e-7 * max(1.0, x)
+        num = (float(HIER.chi(2 * (x + h))) - float(HIER.chi(2 * (x - h)))) / (2 * h)
+        assert funcexpr.Fn("chi(2*x)").derivative(x) == pytest.approx(num, rel=1e-6)
+
     @given(st.floats(min_value=1.5, max_value=30.0))
     def test_derivative_matches_central_difference(self, x):
         d = funcexpr.differentiate(parse("x^2+x/log(x)"))

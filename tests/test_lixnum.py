@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import pickle
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,16 @@ class TestRepresentation:
         for d in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="finite"):
                 lixnum.to_li(d)
+
+    @pytest.mark.parametrize("d", [-708.4, -740.0, -1000.0, -sys.float_info.max])
+    def test_to_li_refuses_a_subnormal_level_minus_1_mantissa(self, d):
+        # exp(d) below the normal floats loses digits, or is 0 (ln 0)
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(d))} is below the level -1 range"):
+            lixnum.to_li(d)
+
+    def test_to_li_keeps_the_bottom_of_level_minus_1(self):
+        v = lixnum.to_li(-708.39)
+        assert v.mantissa >= sys.float_info.min and float(v) == pytest.approx(-708.39)
 
     @pytest.mark.parametrize("v,name", [(-10 ** 400, "int"),
                                         (Fraction(-2 * 10 ** 400 - 1, 2), "Fraction")])
@@ -203,8 +215,9 @@ class TestOrdering:
         assert LIReal(3, 0.5) < 10 ** 400
         assert LIReal(3, 0.5) < Fraction(10 ** 400, 3)
 
-    @pytest.mark.parametrize("v", [-10 ** 400, Fraction(-10 ** 400, 3)])
+    @pytest.mark.parametrize("v", [-10 ** 400, Fraction(-10 ** 400, 3), -740.0, -1e300])
     def test_compare_against_negatives_past_float_range(self, v):
+        # below level -1's range (about -708.4) a number orders as ln 0
         for a in (LIReal(1, 0.5), LIReal(0, 0.0), LIReal(-1, 0.5)):
             assert a > v
             assert a >= v

@@ -6,7 +6,8 @@ one conversion each way (to_li, float()) and the later rules for zero and
 negative values (ln refuses them; a tower product or quotient takes zero
 exactly and refuses a negative operand; a sum or difference absorbs a
 negative term only when its magnitude is below ABSORB_REL of the larger
-term): every step builds an LIReal.  The
+term; to_li refuses a negative whose exp is below the normal floats):
+every step builds an LIReal.  The
 new code must give the same type, the same bits and the same absorbed
 flag, or raise the same exception type with the same message.
 """
@@ -30,6 +31,8 @@ def ref_to_li(d):
     if not math.isfinite(d):
         raise DomainError(f"to_li requires a finite value, got {d!r}")
     if d < 0:
+        if math.exp(d) < sys.float_info.min:
+            raise DomainError(f"{d!r} is below the level -1 range (about -708.4)")
         return LIReal(-1, math.exp(d))
     level = 0
     x = float(d)
