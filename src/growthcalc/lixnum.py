@@ -134,6 +134,7 @@ _set_absorbed = LIReal.absorbed.__set__
 
 _ZERO = LIReal(0, 0.0)
 _LN_ZERO = LIReal(-1, 0.0)
+_MIN_MANTISSA = sys.float_info.min  # of level -1: the smallest normal float
 
 
 def _comparable(other):
@@ -189,7 +190,7 @@ def _pair_any(d) -> tuple:
         raise DomainError(f"to_li requires a finite value, got {d!r}")
     if d < 0:
         m = math.exp(d)
-        if m < sys.float_info.min:
+        if m < _MIN_MANTISSA:
             raise DomainError(f"{d!r} is below the level -1 range (about -708.4)")
         return -1, m
     level, x = 0, d

@@ -566,7 +566,7 @@ def _nodes(children):
         st.builds(Call, st.sampled_from(_PLAIN_CALLS), children),
         st.builds(Call, st.just("log_k"), children, st.integers(0, 3)),
         st.builds(Call, st.just("xi_k"), children, st.integers(0, 6)),
-        st.builds(Call, st.just("dxi_k"), children, st.integers(4, 5)),
+        st.builds(Call, st.just("dxi_k"), children, st.integers(0, 5)),
         st.builds(Compose, children, children),
     )
 
