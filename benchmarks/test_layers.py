@@ -12,6 +12,7 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,19 @@ def test_dxi_6_derivative(benchmark):
 def test_lixnum_add_level_2(benchmark):
     a, b = LIReal(2, 0.5), LIReal(2, 0.25)
     assert float(benchmark(lixnum.add, a, b)) == float(a) + float(b)
+
+
+def test_lixnum_xi_exact(benchmark):
+    # level + mantissa as one Fraction, already in lowest terms
+    m = 0.123456789
+    t = benchmark(lixnum.xi_exact, LIReal(57, m))
+    assert t == 57 + Fraction(m) and math.gcd(t.numerator, t.denominator) == 1
+
+
+def test_lixnum_exp_li(benchmark):
+    v = LIReal(57, 0.123456789, True)
+    w = benchmark(lixnum.exp_li, v)
+    assert (w.level, w.mantissa, w.absorbed) == (58, v.mantissa, True)
 
 
 @pytest.mark.parametrize("x", [1e6, "L7:0.5"])

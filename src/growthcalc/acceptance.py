@@ -38,10 +38,9 @@ def check_xi_exactness(rng_seed: int = 20240817) -> dict:
     for _ in range(10 ** 4):
         v = LIReal(rng.randint(0, 100), rng.random())
         a, b = lixnum.xi_exact(lixnum.exp_li(v)), lixnum.xi_exact(v)
-        # a - b == 1 by cross-multiplication: the same exact predicate, with
-        # no Fraction built for the difference
-        if (a.numerator * b.denominator - b.numerator * a.denominator
-                != a.denominator * b.denominator):
+        # a - 1 == b by cross-multiplication: the same exact predicate as
+        # a - b == 1, with no Fraction built for either side
+        if (a.numerator - a.denominator) * b.denominator != b.numerator * a.denominator:
             bad += 1
     return _report("xi exactness", bad == 0,
                    f"{bad} failures out of 10000 random level-index values")

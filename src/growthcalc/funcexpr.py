@@ -436,9 +436,14 @@ def _binary(op: str, a: Value, b: Value) -> Value:
         except (ValueError, OverflowError):
             pass
     r = num(a, b)
-    if op == "*" and r == _INF and type(a) is float and type(b) is float and 0.0 < a < r and 0.0 < b < r:
-        # a float product past the range promotes, as _pow does
-        return lixnum.mul(lixnum.to_li(a), lixnum.to_li(b))
+    if (op == "*" and type(a) is float and type(b) is float and abs(r) == _INF
+            and abs(a) < _INF and abs(b) < _INF):
+        # a float product past the range promotes, as _pow does, through
+        # the operands' magnitudes; a tower has no sign
+        if r < 0.0:
+            raise DomainError(f"negative tower product {a!r} * {b!r}: "
+                              "a tower has no sign")
+        return lixnum.mul(lixnum.to_li(abs(a)), lixnum.to_li(abs(b)))
     return r
 
 
@@ -536,7 +541,7 @@ def _binary_node(op: str, a, b):
             u, v = a(x), b(x)
             if type(u) is float and type(v) is float:
                 r = u * v
-                if r != _INF:
+                if -_INF < r < _INF:
                     return r
             return _binary("*", u, v)
     elif op == "/":

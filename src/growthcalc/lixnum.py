@@ -10,8 +10,8 @@ Level bands: level 0 holds [0, 1), level 1 holds [1, e), level k holds
 the super-logarithm of (k, m) is exactly k + m.
 
 Level -1 holds the negative reals down to about -708.4: (-1, m) stands for
-ln m, the log of a level-0 value, and to_li refuses a number whose m would
-be below the normal floats.  Every pair has a real value (ln 0 aside, the
+ln m, the log of a level-0 value; to_li, ln_li and parse_li refuse an m
+below the normal floats.  Every pair has a real value (ln 0 aside, the
 bottom of the order), so ln_li refuses zero and the negatives, as the float
 log does.
 
@@ -131,6 +131,9 @@ _new = object.__new__
 _set_level = LIReal.level.__set__
 _set_mantissa = LIReal.mantissa.__set__
 _set_absorbed = LIReal.absorbed.__set__
+# xi_exact builds its Fraction, already in lowest terms, through the slots
+_set_numerator = Fraction._numerator.__set__
+_set_denominator = Fraction._denominator.__set__
 
 _ZERO = LIReal(0, 0.0)
 _LN_ZERO = LIReal(-1, 0.0)
@@ -191,7 +194,7 @@ def _pair_any(d) -> tuple:
     if d < 0:
         m = math.exp(d)
         if m < _MIN_MANTISSA:
-            raise DomainError(f"{d!r} is below the level -1 range (about -708.4)")
+            raise _below_level_minus_1(d)
         return -1, m
     level, x = 0, d
     while x >= 1.0:
@@ -201,6 +204,10 @@ def _pair_any(d) -> tuple:
         # log chain undershot 0 by rounding; clamp to the band edge
         x = 0.0
     return level, x
+
+
+def _below_level_minus_1(d: float) -> DomainError:
+    return DomainError(f"{d!r} is below the level -1 range (about -708.4)")
 
 
 def _real(level: int, m: float) -> float:
@@ -250,17 +257,30 @@ def _sub_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
     return level, m, False
 
 
+def _shifted(v: LIReal, level: int) -> LIReal:
+    """v's mantissa and flag at another level, built without the range
+    checks of LIReal(): they hold for the pair v already is."""
+    w = _new(LIReal)
+    _set_level(w, level)
+    _set_mantissa(w, v.mantissa)
+    _set_absorbed(w, v.absorbed)
+    return w
+
+
 def exp_li(v: LIReal) -> LIReal:
     """Exact level increment: exp of the represented value."""
-    return LIReal(v.level + 1, v.mantissa, v.absorbed)
+    return _shifted(v, v.level + 1)
 
 
 def ln_li(v: LIReal) -> LIReal:
     """Exact level decrement: ln of the represented value, which must be
-    positive."""
-    if (v.level, v.mantissa) <= (0, 0.0):
-        raise DomainError(f"log of non-positive value {v}")
-    return LIReal(v.level - 1, v.mantissa, v.absorbed)
+    positive, and at level 0 no smaller than the level -1 range allows."""
+    if v.level < 1:
+        if v.level < 0 or v.mantissa == 0.0:
+            raise DomainError(f"log of non-positive value {v}")
+        if v.mantissa < _MIN_MANTISSA:
+            raise _below_level_minus_1(math.log(v.mantissa))
+    return _shifted(v, v.level - 1)
 
 
 def xi_exact(v: LIReal) -> Fraction:
@@ -268,11 +288,15 @@ def xi_exact(v: LIReal) -> Fraction:
 
     Returned as an exact rational so that the shift identity
     xi_exact(exp_li(v)) - xi_exact(v) == 1 holds with no rounding.  The
-    mantissa is n/d with d a power of two, so (level*d + n)/d is the sum
-    as one Fraction.
+    mantissa is n/d in lowest terms with d a power of two, so n is odd
+    where d > 1 and (level*d + n)/d is the sum in lowest terms: the
+    Fraction is built from it directly, with no gcd.
     """
     n, d = v.mantissa.as_integer_ratio()
-    return Fraction(v.level * d + n, d)
+    t = _new(Fraction)
+    _set_numerator(t, v.level * d + n)
+    _set_denominator(t, d)
+    return t
 
 
 def xi_inv_exact(t) -> LIReal:
@@ -337,6 +361,9 @@ def parse_li(text: str) -> LIReal:
         raise DomainError(f"not a level-index literal: {text!r}")
     level_s, _, mant_s = s[1:].partition(":")
     try:
-        return LIReal(int(level_s), float(mant_s))
+        v = LIReal(int(level_s), float(mant_s))
     except ValueError as exc:
         raise DomainError(f"bad level-index literal {text!r}: {exc}") from None
+    if v.level < 0 and 0.0 < v.mantissa < _MIN_MANTISSA:
+        raise _below_level_minus_1(math.log(v.mantissa))
+    return v

@@ -5,12 +5,13 @@ whole table is visible in the pytest output (run with -s or look at the
 captured stdout of a failing test).
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from growthcalc import abel, acceptance, ackermann, classify, lixnum
+from growthcalc import abel, acceptance, ackermann, classify, lixnum, orders
 
 
 @pytest.mark.parametrize("n", sorted(acceptance.CRITERIA))
@@ -115,6 +116,64 @@ def test_separation_criterion_can_fail(monkeypatch, attr, mutant):
     # to 2/sqrt(x) within 1e-12
     monkeypatch.setattr(classify, attr, mutant)
     assert not acceptance.run_one(10)["ok"]
+
+
+def _check_R_altered(check_R, F_text, condition, change):
+    """check_R with the report of one condition for one F replaced by
+    dataclasses.replace(report, **change(report))."""
+    def mutant(conditions, F, ladder):
+        return [dataclasses.replace(r, **change(r)) if (F, r.condition) == (F_text, condition)
+                else r for r in check_R(conditions, F, ladder)]
+    return mutant
+
+
+def _swap_two_tail_margins(r):
+    # one step down in the middle of a rising sequence: R0 still fails and
+    # its last margin is kept, so only the growth test can see it
+    m = r.margins
+    return {"margins": m[:10] + [m[11], m[10]] + m[12:]}
+
+
+@pytest.mark.parametrize("F,condition,change", [
+    ("xi(x)", "R3", lambda r: {"verdict": False}),
+    ("log(x)^2", "R3", lambda r: {"verdict": False}),
+    ("log(x)^2", "R0", _swap_two_tail_margins),
+], ids=["xi-R3-fails", "log2-R3-fails", "log2-R0-margins-not-growing"])
+def test_regularity_criterion_can_fail(monkeypatch, F, condition, change):
+    # each and-ed sub-check of criterion 7 on its own
+    monkeypatch.setattr(orders, "check_R",
+                        _check_R_altered(orders.check_R, F, condition, change))
+    rep = acceptance.run_one(7)
+    assert not rep["ok"]
+    assert "failures:" in rep["detail"]
+
+
+def test_swapped_margins_only_break_the_growth():
+    r0, _ = orders.check_R(("R0", "R3"), "log(x)^2", orders.Ladder.geometric(10.0, 1e12, 24))
+    swapped = _swap_two_tail_margins(r0)["margins"]
+    assert not r0.verdict and swapped[-1] == r0.margins[-1] >= 1.0
+    assert any(b < a - 1e-9 for a, b in zip(swapped, swapped[1:]))
+
+
+def _classify_altered(classify_expr, change, only=None):
+    """classify_expr with its report replaced by
+    dataclasses.replace(report, **change(report)), for one text or all."""
+    def mutant(text):
+        rep = classify_expr(text)
+        return dataclasses.replace(rep, **change(rep)) if only in (None, text) else rep
+    return mutant
+
+
+@pytest.mark.parametrize("change,only", [
+    (lambda rep: {"verdict": "1"}, "exp(x)"),
+    (lambda rep: {"order_checks": [{**c, "ok": False} for c in rep.order_checks]}, None),
+], ids=["exp-answers-class-1", "no-witness-check-ok"])
+def test_classifier_criterion_can_fail(monkeypatch, change, only):
+    monkeypatch.setattr(classify, "classify_expr",
+                        _classify_altered(classify.classify_expr, change, only))
+    rep = acceptance.run_one(8)
+    assert not rep["ok"]
+    assert "failures:" in rep["detail"]
 
 
 class _ShortLinearSeed(abel.TableSeed):

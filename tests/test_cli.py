@@ -345,6 +345,33 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"DomainError: {d} is below the level -1 range" in err
 
+    @pytest.mark.parametrize("expr,at,d", [("log(x)", "L0:1e-310", "-713.8013788281542"),
+                                           ("x", "L-1:1e-320", "-736.8272408909739")])
+    def test_subnormal_level_minus_1_is_two(self, capsys, expr, at, d):
+        # ln_li and parse_li keep to_li's level -1 range, where they built a
+        # mantissa that had lost digits
+        code, out, err = run(capsys, "eval", expr, f"--at={at}")
+        assert code == 2 and out == ""
+        assert f"DomainError: {d} is below the level -1 range (about -708.4)" in err
+
+    def test_ln_0_literal_still_parses(self, capsys):
+        data = run_json(capsys, "eval", "x", "--at=L-1:0")
+        assert data["points"][0]["value"] == "L-1:0"
+
+    def test_product_of_two_negatives_past_the_range_is_a_tower(self, capsys):
+        at_neg = run_json(capsys, "eval", "x*x", "--at=-1e200")
+        at_pos = run_json(capsys, "eval", "x*x", "--at=1e200")
+        assert at_neg["points"][0]["value"] == at_pos["points"][0]["value"]
+        assert at_neg["points"][0]["value"].startswith("L4:")
+
+    @pytest.mark.parametrize("expr", ["x*(-x)", "(-x)*x"])
+    def test_negative_product_past_the_range_is_two(self, capsys, expr):
+        # a tower has no sign; the float product -inf used to reach the JSON
+        # writer and fail there
+        code, out, err = run(capsys, "eval", expr, "--at=1e200")
+        assert code == 2 and out == ""
+        assert "DomainError: negative tower product" in err
+
     def test_negated_tower_is_two(self, capsys):
         # 2*x at 1e308 promotes to the tower L4:0.632..., which has no negative
         code, out, err = run(capsys, "eval", "--at", "1e308", "--", "-(2*x)")

@@ -13,7 +13,7 @@ from growthcalc.funcexpr import (
     Binary, Call, Compose, Const, EvalError, NamedConst, Neg, ParseError,
     PrecisionError, Var, evaluate, parse, to_text,
 )
-from growthcalc.lixnum import LIReal
+from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.orders import Ladder
 from growthcalc.xihier import HIER, XiHierarchy, default_hierarchy
 
@@ -90,8 +90,11 @@ class TestEvaluation:
         assert isinstance(v, LIReal)
         assert float(lixnum.ln_li(v)) == pytest.approx(
             math.log(2.0) + math.log(1e308), rel=1e-15)
-        # a tower holds no sign: a negative product still overflows
-        assert ev("-2*x", 1e308) == -math.inf
+        # a tower holds no sign: a negative product past the range is refused,
+        # as -(2*x) is, and a positive one promotes through the magnitudes
+        with pytest.raises(DomainError, match=r"^negative tower product -2\.0 \* 1e\+308"):
+            ev("-2*x", 1e308)
+        assert ev("(-2)*(-x)", 1e308) == ev("2*x", 1e308)
 
     def test_tower_input_stays_exact_through_xi(self):
         x = LIReal(40, 0.25)

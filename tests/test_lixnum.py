@@ -127,6 +127,25 @@ class TestLIRealContract:
             assert type(w) is LIReal
             assert (w.level, w.mantissa, w.absorbed) == (v.level, v.mantissa, v.absorbed)
 
+    @pytest.mark.parametrize("v", [LIReal(1, 0.5), LIReal(10 ** 40, 0.25, True),
+                                   LIReal(0, 0.75), LIReal(-1, 0.0)], ids=str)
+    def test_shifted_values_keep_the_contract(self, v):
+        # exp_li and ln_li build their result without LIReal()'s checks
+        shifted = [lixnum.exp_li(v)] + ([lixnum.ln_li(v)] if v.level > -1 else [])
+        for w, step in zip(shifted, (1, -1)):
+            assert type(w) is LIReal
+            assert (w.level, w.mantissa, w.absorbed) == (v.level + step, v.mantissa, v.absorbed)
+            plain = LIReal(v.level + step, v.mantissa)
+            assert w == plain and hash(w) == hash(plain) and len({w, plain}) == 1
+            for name in ("level", "mantissa", "absorbed"):
+                with pytest.raises(AttributeError):
+                    setattr(w, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(w, name)
+            for u in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+                assert type(u) is LIReal
+                assert (u.level, u.mantissa, u.absorbed) == (w.level, w.mantissa, w.absorbed)
+
     def test_json_falls_back_to_the_literal(self):
         assert json.dumps({"v": LIReal(1, 0.5)}, default=str) == '{"v": "L1:0.5"}'
 
@@ -167,6 +186,18 @@ class TestExpLog:
             with pytest.raises(DomainError, match=f"non-positive value {v}"):
                 lixnum.ln_li(v)
 
+    @pytest.mark.parametrize("m", [sys.float_info.min / 2, 5e-324, 1e-310])
+    def test_ln_refuses_a_subnormal_level_minus_1_mantissa(self, m):
+        # the level -1 range of to_li: ln of L0:m would keep a mantissa
+        # that has lost digits
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(math.log(m)))} is below "
+                                              r"the level -1 range \(about -708\.4\)$"):
+            lixnum.ln_li(LIReal(0, m))
+
+    def test_ln_keeps_the_bottom_of_level_minus_1(self):
+        m = sys.float_info.min
+        assert lixnum.ln_li(LIReal(0, m)) == LIReal(-1, m)
+
     def test_ln_of_a_small_positive_is_negative(self):
         v = lixnum.ln_li(LIReal(0, 0.5))
         assert v == LIReal(-1, 0.5)
@@ -177,7 +208,7 @@ class TestExpLog:
         assert float(lixnum.exp_li(v)) == pytest.approx(math.exp(3.0))
 
 
-class TestXiExact:
+class TestXiShift:
     @given(levels, mantissas)
     def test_shift_identity_exact(self, k, m):
         v = LIReal(k, m)
@@ -322,6 +353,35 @@ class TestXiExact:
     def test_edge_values(self, k, m):
         assert lixnum.xi_exact(LIReal(k, m)) == Fraction(k) + Fraction(m)
 
+    @given(st.one_of(st.integers(min_value=-1, max_value=100),
+                     st.integers(min_value=2 ** 53 - 2, max_value=2 ** 53 + 2),
+                     st.integers(min_value=10 ** 60, max_value=10 ** 300)),
+           st.one_of(st.just(0.0), mantissas))
+    @example(-1, 0.0)
+    @example(0, 5e-324)
+    @example(10 ** 300, math.nextafter(1.0, 0.0))
+    def test_built_fraction_is_an_ordinary_one(self, k, m):
+        # xi_exact fills the Fraction's slots with no gcd: the pair must
+        # already be in lowest terms, and the value must act as the
+        # constructor's does
+        t, want = lixnum.xi_exact(LIReal(k, m)), Fraction(k) + Fraction(m)
+        assert type(t) is Fraction
+        assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
+        assert (t.numerator, t.denominator) == (want.numerator, want.denominator)
+        assert t == want and hash(t) == hash(want)
+        assert t - Fraction(1, 3) == want - Fraction(1, 3)
+        assert t + 1 == want + 1 and t - t == 0
+        assert float(t) == float(want)
+
+    def test_fraction_slot_layout(self):
+        # xi_exact writes Fraction's two slots directly; a Python whose
+        # Fraction keeps other state would fail here, by name
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        t = lixnum.xi_exact(LIReal(57, 0.125))
+        assert t == Fraction(57 * 8 + 1, 8)
+        assert repr(t) == repr(Fraction(457, 8)) and str(t) == "457/8"
+        assert pickle.loads(pickle.dumps(t)) == t and copy.deepcopy(t) == t
+
 
 class TestText:
     @given(levels, mantissas)
@@ -329,6 +389,19 @@ class TestText:
     def test_format_parse_roundtrip(self, k, m):
         v = LIReal(k, m)
         assert lixnum.parse_li(lixnum.format_li(v)) == v
+
+    @pytest.mark.parametrize("m", [5e-324, 1e-320, sys.float_info.min / 2])
+    def test_parse_refuses_a_subnormal_level_minus_1_mantissa(self, m):
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(math.log(m)))} is below "
+                                              r"the level -1 range \(about -708\.4\)$"):
+            lixnum.parse_li(f"L-1:{m!r}")
+
+    def test_parse_keeps_ln_0_and_the_bottom_of_level_minus_1(self):
+        assert lixnum.parse_li("L-1:0") == LIReal(-1, 0.0)
+        m = sys.float_info.min
+        assert lixnum.parse_li(f"L-1:{m!r}") == LIReal(-1, m)
+        # level 0 holds the subnormals: they are values in [0, 1)
+        assert lixnum.parse_li("L0:1e-320") == LIReal(0, 1e-320)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):
