@@ -131,7 +131,6 @@ _new = object.__new__
 _set_level = LIReal.level.__set__
 _set_mantissa = LIReal.mantissa.__set__
 _set_absorbed = LIReal.absorbed.__set__
-# xi_exact builds its Fraction, already in lowest terms, through the slots
 _set_numerator = Fraction._numerator.__set__
 _set_denominator = Fraction._denominator.__set__
 

@@ -339,39 +339,33 @@ class TestTowerZeroAndSign:
                 op(a, b)
 
 
+def _assert_ordinary_fraction(k, m):
+    # xi_exact fills the Fraction's slots with no gcd: the pair must already
+    # be in lowest terms, and the value must act as the constructor's does
+    t, want = lixnum.xi_exact(LIReal(k, m)), Fraction(k) + Fraction(m)
+    assert type(t) is Fraction
+    assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
+    assert (t.numerator, t.denominator) == (want.numerator, want.denominator)
+    assert t == want and hash(t) == hash(want)
+    assert t - Fraction(1, 3) == want - Fraction(1, 3)
+    assert t + 1 == want + 1 and t - t == 0
+    assert float(t) == float(want)
+
+
 class TestXiExact:
     @given(st.one_of(st.integers(min_value=-1, max_value=100),
                      st.integers(min_value=2 ** 53 - 2, max_value=2 ** 53 + 2),
                      st.integers(min_value=10 ** 60, max_value=10 ** 300)),
            st.one_of(st.just(0.0), mantissas))
+    @example(0, 5e-324)
     def test_one_fraction_is_the_sum(self, k, m):
-        assert lixnum.xi_exact(LIReal(k, m)) == Fraction(k) + Fraction(m)
+        _assert_ordinary_fraction(k, m)
 
     @pytest.mark.parametrize("k,m", [(-1, 0.0), (-1, 0.5), (0, 0.0),
                                      (7, 0.25), (10 ** 300, 0.0),
                                      (10 ** 300, math.nextafter(1.0, 0.0))])
     def test_edge_values(self, k, m):
-        assert lixnum.xi_exact(LIReal(k, m)) == Fraction(k) + Fraction(m)
-
-    @given(st.one_of(st.integers(min_value=-1, max_value=100),
-                     st.integers(min_value=2 ** 53 - 2, max_value=2 ** 53 + 2),
-                     st.integers(min_value=10 ** 60, max_value=10 ** 300)),
-           st.one_of(st.just(0.0), mantissas))
-    @example(-1, 0.0)
-    @example(0, 5e-324)
-    @example(10 ** 300, math.nextafter(1.0, 0.0))
-    def test_built_fraction_is_an_ordinary_one(self, k, m):
-        # xi_exact fills the Fraction's slots with no gcd: the pair must
-        # already be in lowest terms, and the value must act as the
-        # constructor's does
-        t, want = lixnum.xi_exact(LIReal(k, m)), Fraction(k) + Fraction(m)
-        assert type(t) is Fraction
-        assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
-        assert (t.numerator, t.denominator) == (want.numerator, want.denominator)
-        assert t == want and hash(t) == hash(want)
-        assert t - Fraction(1, 3) == want - Fraction(1, 3)
-        assert t + 1 == want + 1 and t - t == 0
-        assert float(t) == float(want)
+        _assert_ordinary_fraction(k, m)
 
     def test_fraction_slot_layout(self):
         # xi_exact writes Fraction's two slots directly; a Python whose
