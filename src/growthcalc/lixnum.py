@@ -225,34 +225,25 @@ def _real(level: int, m: float) -> float:
     return x
 
 
-def _add_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
-    """(level, mantissa, absorbed) of the sum of the pairs a and b.
+def _add_pair(la: int, ma: float, lb: int, mb: float, sign: float = 1.0) -> tuple:
+    """(level, mantissa, absorbed) of a + sign*b, sign 1.0 or -1.0.
 
-    At a level above EXACT_ARITH_MAX_LEVEL, or where the magnitude of the
-    smaller term is below ABSORB_REL of the larger, the larger pair is the
-    sum and absorbed is True; otherwise the float sum is normalized again.
+    A sum takes the larger pair as a (b on a tie); a difference keeps its
+    order and refuses b > a.  At a level of a above EXACT_ARITH_MAX_LEVEL,
+    or where the magnitude of b is below ABSORB_REL of a, a is the result
+    and absorbed is True; otherwise the float result is normalized again.
     """
     if la < lb or (la == lb and ma <= mb):
-        la, ma, lb, mb = lb, mb, la, ma
+        if sign > 0:
+            la, ma, lb, mb = lb, mb, la, ma
+        elif la < lb or ma < mb:
+            raise DomainError("sub would leave the nonnegative range")
     if la > EXACT_ARITH_MAX_LEVEL:
         return la, ma, True
     va, vb = _real(la, ma), _real(lb, mb)
     if va > 0 and abs(vb) / va < ABSORB_REL:
         return la, ma, True
-    level, m = _pair_any(va + vb)
-    return level, m, False
-
-
-def _sub_pair(la: int, ma: float, lb: int, mb: float) -> tuple:
-    """(level, mantissa, absorbed) of a - b, under the rules of _add_pair."""
-    if la < lb or (la == lb and ma < mb):
-        raise DomainError("sub would leave the nonnegative range")
-    if la > EXACT_ARITH_MAX_LEVEL:
-        return la, ma, True
-    va, vb = _real(la, ma), _real(lb, mb)
-    if va > 0 and abs(vb) / va < ABSORB_REL:
-        return la, ma, True
-    level, m = _pair_any(va - vb)
+    level, m = _pair_any(va + sign * vb)
     return level, m, False
 
 
@@ -314,7 +305,7 @@ def add(a: LIReal, b: LIReal) -> LIReal:
 
 
 def sub(a: LIReal, b: LIReal) -> LIReal:
-    return LIReal(*_sub_pair(a.level, a.mantissa, b.level, b.mantissa))
+    return LIReal(*_add_pair(a.level, a.mantissa, b.level, b.mantissa, -1.0))
 
 
 def _tower_operand(v: LIReal) -> bool:
@@ -341,7 +332,7 @@ def div(a: LIReal, b: LIReal) -> LIReal:
             raise DomainError("division by zero")
         if not _tower_operand(a):
             return _ZERO
-        level, m, absorbed = _sub_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa)
+        level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa, -1.0)
         return LIReal(level + 1, m, absorbed)
     vb = _real(b.level, b.mantissa)
     if vb == 0.0:
