@@ -672,7 +672,7 @@ def _compile(expr: FuncExpr, memo: dict, shared: set) -> Callable[[Value], Value
             v = arg(x)
             if not isinstance(v, LIReal):
                 return -v
-            if v > _LI_ZERO:
+            if v.level > lixnum.EXACT_ARITH_MAX_LEVEL:
                 raise DomainError(f"the level-index value {lixnum.format_li(v)} "
                                   "cannot be negated")
             return lixnum.sub(_LI_ZERO, v)

@@ -229,14 +229,16 @@ def _add_pair(la: int, ma: float, lb: int, mb: float, sign: float = 1.0) -> tupl
     """(level, mantissa, absorbed) of a + sign*b, sign 1.0 or -1.0.
 
     A sum takes the larger pair as a (b on a tie); a difference keeps its
-    order and refuses b > a.  At a level of a above EXACT_ARITH_MAX_LEVEL,
-    or where the magnitude of b is below ABSORB_REL of a, a is the result
-    and absorbed is True; otherwise the float result is normalized again.
+    order.  At a level of a above EXACT_ARITH_MAX_LEVEL, or where the
+    magnitude of b is below ABSORB_REL of a, a is the result and absorbed
+    is True; otherwise the float result is normalized again, so a result
+    below zero lands on level -1 or is refused there, by one rule for both.
+    A difference b > a with b above EXACT_ARITH_MAX_LEVEL is refused.
     """
     if la < lb or (la == lb and ma <= mb):
         if sign > 0:
             la, ma, lb, mb = lb, mb, la, ma
-        elif la < lb or ma < mb:
+        elif lb > EXACT_ARITH_MAX_LEVEL and (la < lb or ma < mb):
             raise DomainError("sub would leave the nonnegative range")
     if la > EXACT_ARITH_MAX_LEVEL:
         return la, ma, True

@@ -66,6 +66,23 @@ class TestEval:
         assert float(lixnum.ln_li(lixnum.ln_li(v))) == pytest.approx(
             math.log(1e308) + math.log(math.log(1e308)), rel=1e-14)
 
+    @pytest.mark.parametrize("expr,at,value,real", [
+        ("x-3", "L0:0.5", "L-1:0.082084998623898758", -2.5),
+        ("0-x", "L0:0.5", "L-1:0.60653065971263342", -0.5),
+        ("-x", "L0:0.5", "L-1:0.60653065971263342", -0.5),
+        ("x*(-1)", "L0:0.5", "L-1:0.60653065971263342", -0.5),
+        # div's log step is a difference: ln 1 - ln x lands on level -1
+        ("1/x", "L4:0.1", "L0:1.2678085621824221e-09", None),
+        ("x/(2*x)", "L4:0.5", "L0:0.50000000000004174", 0.5),
+    ])
+    def test_difference_below_zero_lands_on_level_minus_1(self, capsys, expr, at,
+                                                          value, real):
+        # a difference below zero follows the sum's rule, as x+(-3) does
+        data = run_json(capsys, "eval", f"--at={at}", "--", expr)
+        assert data["points"][0]["value"] == value
+        if real is not None:
+            assert float(lixnum.parse_li(value)) == pytest.approx(real, rel=1e-12)
+
     def test_ladder_values(self, capsys):
         data = run_json(capsys, "eval", "x+1", "--ladder", "geom:1:2:8")
         assert [r["value"] for r in data["points"]] == [
@@ -94,6 +111,13 @@ class TestSimpleCommands:
     def test_xi(self, capsys):
         data = run_json(capsys, "xi", "--k", "2", "--at", "10")
         assert data["xi"] == pytest.approx(math.log(10.0))
+
+    def test_xi_0_below_zero_is_level_minus_1(self, capsys):
+        # xi_0(x) = x - e: e^0.5 - e = -1.0696...
+        data = run_json(capsys, "xi", "--k", "0", "--at", "L1:0.5")
+        assert data["xi"] == "L-1:0.34315928297426235"
+        assert float(lixnum.parse_li(data["xi"])) == pytest.approx(
+            math.exp(0.5) - math.e, rel=1e-14)
 
     def test_ack(self, capsys):
         data = run_json(capsys, "ack", "3", "2")
@@ -379,6 +403,16 @@ class TestExitCodes:
         assert out == ""
         assert ("DomainError: the level-index value L4:0.63221236055100749 "
                 "cannot be negated") in err
+
+    @pytest.mark.parametrize("expr,at,message", [
+        ("1/x", "L5:0.1", "sub would leave the nonnegative range"),
+        ("x-1000", "L0:0.5", "-999.4999999999998 is below the level -1 range (about -708.4)"),
+    ])
+    def test_difference_still_refused_is_two(self, capsys, expr, at, message):
+        # refused against a subtrahend above level 3, or past level -1's range
+        code, out, err = run(capsys, "eval", f"--at={at}", expr)
+        assert (code, out) == (2, "")
+        assert f"DomainError: {message}" in err
 
     def test_xi_4_far_below_its_base_is_two(self, capsys):
         # xi(x) on a tower of level 10^400 is 10^400 + 1/2, past the float

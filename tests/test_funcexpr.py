@@ -539,11 +539,10 @@ def reference_evaluate(expr, x):
     if isinstance(expr, Neg):
         v = reference_evaluate(expr.arg, x)
         if isinstance(v, LIReal):
-            zero = LIReal(0, 0.0)
-            if v > zero:
+            if v.level > lixnum.EXACT_ARITH_MAX_LEVEL:
                 raise lixnum.DomainError(f"the level-index value {lixnum.format_li(v)} "
                                          "cannot be negated")
-            return lixnum.sub(zero, v)
+            return lixnum.sub(LIReal(0, 0.0), v)
         return -v
     if isinstance(expr, Compose):
         return reference_evaluate(expr.outer, reference_evaluate(expr.inner, x))

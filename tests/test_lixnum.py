@@ -269,8 +269,16 @@ class TestArithmetic:
         assert float(lixnum.div(a, b)) == pytest.approx(4.0)
 
     def test_sub_below_zero_rejected(self):
-        with pytest.raises(DomainError):
-            lixnum.sub(lixnum.to_li(1.0), lixnum.to_li(2.0))
+        # below zero a difference follows the sum's rule: level -1, refused
+        # past its range; and refused outright against a tower above
+        # EXACT_ARITH_MAX_LEVEL
+        one = lixnum.to_li(1.0)
+        assert lixnum.sub(one, lixnum.to_li(2.0)) == lixnum.to_li(-1.0)
+        assert lixnum.sub(one, lixnum.to_li(2.0)) == lixnum.add(one, lixnum.to_li(-2.0))
+        with pytest.raises(DomainError, match="below the level -1 range"):
+            lixnum.sub(one, lixnum.to_li(1000.0))
+        with pytest.raises(DomainError, match="sub would leave the nonnegative range"):
+            lixnum.sub(one, LIReal(4, 0.5))
 
     def test_deep_add_absorbs(self):
         big = LIReal(9, 0.3)

@@ -6,7 +6,9 @@ one conversion each way (to_li, float()) and the later rules for zero and
 negative values (ln refuses them; a tower product or quotient takes zero
 exactly and refuses a negative operand; a sum or difference absorbs a
 negative term only when its magnitude is below ABSORB_REL of the larger
-term; to_li refuses a negative whose exp is below the normal floats):
+term; to_li refuses a negative whose exp is below the normal floats; a
+difference below zero follows the sum's rule, and is refused only where
+the subtrahend is above EXACT_ARITH_MAX_LEVEL):
 every step builds an LIReal.  The
 new code must give the same type, the same bits and the same absorbed
 flag, or raise the same exception type with the same message.
@@ -88,7 +90,7 @@ def ref_add(a, b):
 
 
 def ref_sub(a, b):
-    if b > a:
+    if b > a and b.level >= EXACT_ARITH_MAX_LEVEL + 1:
         raise DomainError("sub would leave the nonnegative range")
     if a.level >= EXACT_ARITH_MAX_LEVEL + 1:
         return ref_absorb(a)
