@@ -10,10 +10,10 @@ Level bands: level 0 holds [0, 1), level 1 holds [1, e), level k holds
 the super-logarithm of (k, m) is exactly k + m.
 
 Level -1 holds the negative reals down to about -708.4: (-1, m) stands for
-ln m, the log of a level-0 value; to_li, ln_li and parse_li refuse an m
-below the normal floats.  Every pair has a real value (ln 0 aside, the
-bottom of the order), so ln_li refuses zero and the negatives, as the float
-log does.
+ln m, the log of a level-0 value; LIReal refuses an m below the normal
+floats, as do ln_li and the log step of a tower product or quotient.
+Every pair has a real value (ln 0 aside, the bottom of the order), so
+ln_li refuses zero and the negatives, as the float log does.
 
 to_li is the one way into a tower, from a float, int or Fraction, and the
 builtin float() the one way out.
@@ -47,6 +47,7 @@ class DomainError(ValueError):
 
 
 MIN_LEVEL = -1
+_MIN_MANTISSA = sys.float_info.min  # of level -1: the smallest normal float
 
 # Same-level relative gap below which addition cannot move the mantissa.
 ABSORB_REL = 2.0 ** -50
@@ -66,8 +67,11 @@ class LIReal:
     def __new__(cls, level: int, mantissa: float, absorbed: bool = False):
         if not (0.0 <= mantissa < 1.0):
             raise DomainError(f"mantissa {mantissa!r} not in [0, 1)")
-        if level < MIN_LEVEL:
-            raise DomainError(f"level {level} below supported minimum {MIN_LEVEL}")
+        if level < 0:
+            if level < MIN_LEVEL:
+                raise DomainError(f"level {level} below supported minimum {MIN_LEVEL}")
+            if 0.0 < mantissa < _MIN_MANTISSA:
+                raise _below_level_minus_1(math.log(mantissa))
         self = _new(cls)
         _set_level(self, level)
         _set_mantissa(self, mantissa)
@@ -136,7 +140,6 @@ _set_denominator = Fraction._denominator.__set__
 
 _ZERO = LIReal(0, 0.0)
 _LN_ZERO = LIReal(-1, 0.0)
-_MIN_MANTISSA = sys.float_info.min  # of level -1: the smallest normal float
 
 
 def _comparable(other):
@@ -312,9 +315,13 @@ def sub(a: LIReal, b: LIReal) -> LIReal:
 
 def _tower_operand(v: LIReal) -> bool:
     """Whether v may enter a tower product or quotient through its log:
-    False for zero; DomainError for a negative v."""
-    if v.level < 0:
-        raise DomainError(f"negative operand {v} in a tower product or quotient")
+    False for zero; DomainError for a negative v, and, as ln_li, for a
+    log below the level -1 range."""
+    if v.level < 1:
+        if v.level < 0:
+            raise DomainError(f"negative operand {v} in a tower product or quotient")
+        if 0.0 < v.mantissa < _MIN_MANTISSA:
+            raise _below_level_minus_1(math.log(v.mantissa))
     return v.level > 0 or v.mantissa > 0.0
 
 
@@ -353,9 +360,9 @@ def parse_li(text: str) -> LIReal:
         raise DomainError(f"not a level-index literal: {text!r}")
     level_s, _, mant_s = s[1:].partition(":")
     try:
-        v = LIReal(int(level_s), float(mant_s))
+        level, m = int(level_s), float(mant_s)
+        if level != MIN_LEVEL or not 0.0 < m < 1.0:
+            return LIReal(level, m)
     except ValueError as exc:
         raise DomainError(f"bad level-index literal {text!r}: {exc}") from None
-    if v.level < 0 and 0.0 < v.mantissa < _MIN_MANTISSA:
-        raise _below_level_minus_1(math.log(v.mantissa))
-    return v
+    return LIReal(level, m)  # refuses a subnormal m in the words of to_li

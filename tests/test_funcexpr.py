@@ -16,6 +16,7 @@ from growthcalc.funcexpr import (
 from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.orders import Ladder
 from growthcalc.xihier import HIER, XiHierarchy, default_hierarchy
+from test_lixnum import lireals
 
 
 def ev(text, x):
@@ -583,7 +584,7 @@ POINTS = st.one_of(
     st.just(10 ** 400),
     st.fractions(min_value=-100, max_value=100, max_denominator=1000),
     st.just(Fraction(10) ** 400 + Fraction(1, 3)),
-    st.builds(LIReal, st.integers(-1, 6), st.floats(0.0, 0.99)),
+    lireals(st.integers(-1, 6), st.floats(0.0, 0.99)),
     st.builds(LIReal, st.just(40), st.floats(0.0, 0.99)),
 )
 

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from growthcalc import lixnum
@@ -18,6 +18,19 @@ from growthcalc.lixnum import DomainError, LIReal
 mantissas = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                       allow_nan=False)
 levels = st.integers(min_value=0, max_value=100)
+
+
+def is_a_pair(level, m):
+    """Whether LIReal takes (level, m) for a level >= -1 and an m in [0, 1):
+    at level -1 only m = 0.0 (ln 0) or a normal float."""
+    return level >= 0 or not 0.0 < m < sys.float_info.min
+
+
+def lireals(levels, mantissas, *flags):
+    """LIReal(level, mantissa[, absorbed]) from the draws, those LIReal
+    refuses (a subnormal level -1 mantissa) left out."""
+    return (st.tuples(levels, mantissas, *flags)
+            .filter(lambda t: is_a_pair(t[0], t[1])).map(lambda t: LIReal(*t)))
 
 
 class TestRepresentation:
@@ -194,6 +207,27 @@ class TestExpLog:
                                               r"the level -1 range \(about -708\.4\)$"):
             lixnum.ln_li(LIReal(0, m))
 
+    @pytest.mark.parametrize("m", [5e-324, 1e-310])
+    def test_constructor_refuses_a_subnormal_level_minus_1_mantissa(self, m):
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(math.log(m)))} is below "
+                                              r"the level -1 range \(about -708\.4\)$"):
+            LIReal(-1, m)
+
+    @pytest.mark.parametrize("m", [0.0, sys.float_info.min])
+    def test_constructor_keeps_ln_0_and_the_bottom_of_level_minus_1(self, m):
+        v = LIReal(-1, m)
+        w = pickle.loads(pickle.dumps(v))
+        assert type(w) is LIReal and (w.level, w.mantissa, w.absorbed) == (-1, m, False)
+
+    @pytest.mark.parametrize("op", [lixnum.mul, lixnum.div])
+    def test_tower_log_step_refuses_a_subnormal_operand_as_ln_does(self, op):
+        # a tower product or quotient takes its operands' logs as ln_li does
+        tiny, tower = LIReal(0, 5e-324), LIReal(4, 0.0)
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(math.log(5e-324)))} is below"):
+            op(tiny, tower)
+        with pytest.raises(DomainError, match=f"^{re.escape(repr(math.log(5e-324)))} is below"):
+            op(tower, tiny)
+
     def test_ln_keeps_the_bottom_of_level_minus_1(self):
         m = sys.float_info.min
         assert lixnum.ln_li(LIReal(0, m)) == LIReal(-1, m)
@@ -367,6 +401,7 @@ class TestXiExact:
            st.one_of(st.just(0.0), mantissas))
     @example(0, 5e-324)
     def test_one_fraction_is_the_sum(self, k, m):
+        assume(is_a_pair(k, m))
         _assert_ordinary_fraction(k, m)
 
     @pytest.mark.parametrize("k,m", [(-1, 0.0), (-1, 0.5), (0, 0.0),

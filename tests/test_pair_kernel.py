@@ -25,6 +25,7 @@ from growthcalc import lixnum
 from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import ABSORB_REL, EXACT_ARITH_MAX_LEVEL, DomainError, LIReal
 from growthcalc.xihier import HIER
+from test_lixnum import lireals
 
 # -- the reference: LIReal-based conversions, arithmetic and chi ------------
 
@@ -184,8 +185,8 @@ MANTISSAS = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
 TOWERS = st.one_of(
-    st.builds(LIReal, st.integers(-1, 60), MANTISSAS),
-    st.builds(LIReal, st.integers(-1, 5), MANTISSAS, st.booleans()),
+    lireals(st.integers(-1, 60), MANTISSAS),
+    lireals(st.integers(-1, 5), MANTISSAS, st.booleans()),
     FLOATS.map(lixnum.to_li),
 )
 NUMBERS = st.one_of(
@@ -212,6 +213,7 @@ class TestArithmetic:
     @example(LIReal(5, -0.0), LIReal(5, 0.0))  # the tie keeps the later bits
     @example(LIReal(-1, 0.5), LIReal(6, 0.5))  # a negative against a tower
     @example(LIReal(0, -0.0), LIReal(6, 0.5))  # zero against a tower
+    @example(LIReal(0, 5e-324), LIReal(4, 0.0))  # a log below level -1's range
     def test_same_as_the_lireal_code(self, a, b):
         for new, ref in ((lixnum.add, ref_add), (lixnum.sub, ref_sub),
                          (lixnum.mul, ref_mul), (lixnum.div, ref_div)):

@@ -13,6 +13,7 @@ from growthcalc import abel, lixnum
 from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.xihier import BASE, BASE_XI, HIER, TOP, default_hierarchy
+from test_lixnum import lireals
 
 
 @pytest.fixture(scope="module")
@@ -138,8 +139,8 @@ class TestXi4PullbackMatchesFractions:
 
     @given(st.one_of(
         st.floats(min_value=1.9, max_value=1e300),
-        st.builds(LIReal, st.integers(min_value=-1, max_value=60),
-                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        lireals(st.integers(min_value=-1, max_value=60),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         st.builds(Fraction, st.integers(min_value=1, max_value=10 ** 400),
                   st.integers(min_value=1, max_value=10 ** 30)),
     ))
@@ -264,8 +265,8 @@ class TestFloatLoopMatchesReference:
         st.integers(min_value=2 ** 1024, max_value=10 ** 700),
         st.builds(Fraction, st.integers(min_value=2 ** 1040, max_value=10 ** 700),
                   st.integers(min_value=1, max_value=10 ** 6)),
-        st.builds(LIReal, st.integers(min_value=-1, max_value=60),
-                  st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        lireals(st.integers(min_value=-1, max_value=60),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         st.builds(LIReal, st.integers(min_value=0, max_value=400).map(lambda k: 10 ** k),
                   st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
     ))
