@@ -467,6 +467,24 @@ class TestFn:
         assert fn.float(10.0) == math.inf
         assert fn(1.0) == fn.raw(1.0) == fn.float(1.0)
 
+    @pytest.mark.parametrize("spec,x,want", [
+        ("exp(exp(x))", 1e3, math.inf),
+        ("x", LIReal(-1, 0.0), -math.inf),  # ln 0
+        ("x", -Fraction(10) ** 400, -math.inf),
+        ("x", Fraction(10) ** 400 + Fraction(1, 3), math.inf),
+    ])
+    def test_float_maps_a_value_past_the_range_by_its_sign(self, spec, x, want):
+        assert funcexpr.Fn(spec).float(x) == want
+
+    @pytest.mark.parametrize("spec,x,message", [
+        ("-(x*x)", 1e200, "cannot be negated"),
+        ("x*(-x)", 1e200, "negative tower product"),
+        ("xi_4(x)", 1.0, "below its base"),
+    ])
+    def test_float_lets_an_evaluation_error_through(self, spec, x, message):
+        with pytest.raises(DomainError, match=message):
+            funcexpr.Fn(spec).float(x)
+
     def test_derivative(self):
         assert funcexpr.Fn("x^2").derivative(3.0) == 6.0
         assert funcexpr.Fn(lambda x: x * x).derivative(3.0) == pytest.approx(6.0, rel=1e-9)
