@@ -936,9 +936,8 @@ class Fn:
     callable, or another Fn (whose fields are copied).
 
     raw(x) returns raw values: floats, Fractions or level-index numbers.
-    float(x) returns floats; a value past the float range becomes inf or
-    -inf by its sign (ln 0 is -inf), as they only ever feed comparisons;
-    an error of the evaluation itself propagates.  Both are closures stored on the
+    float(x) returns floats: a value past the float range is inf or -inf
+    by its sign (ln 0 is -inf), as they only ever feed comparisons.  Both are closures stored on the
     instance, not methods: perfbench's tracer wraps public methods, and a
     wrapper on every per-point call would move its per-layer counters.
     An expression is compiled (compile_expr) once, when the Fn is built.

@@ -231,12 +231,11 @@ def _real(level: int, m: float) -> float:
 def _add_pair(la: int, ma: float, lb: int, mb: float, sign: float = 1.0) -> tuple:
     """(level, mantissa, absorbed) of a + sign*b, sign 1.0 or -1.0.
 
-    A sum takes the larger pair as a (b on a tie); a difference keeps its
-    order.  At a level of a above EXACT_ARITH_MAX_LEVEL, or where the
-    magnitude of b is below ABSORB_REL of a, a is the result and absorbed
-    is True; otherwise the float result is normalized again, so a result
-    below zero lands on level -1 or is refused there, by one rule for both.
-    A difference b > a with b above EXACT_ARITH_MAX_LEVEL is refused.
+    A sum puts the larger pair first (b on a tie); a difference keeps its
+    order, and refuses b > a only for a b above EXACT_ARITH_MAX_LEVEL.  For
+    an a above that level, or a b below ABSORB_REL of a in magnitude, a is
+    the result, absorbed; otherwise the float result is normalized again,
+    so one rule takes either below zero: to level -1, or refused past it.
     """
     if la < lb or (la == lb and ma <= mb):
         if sign > 0:
@@ -315,13 +314,12 @@ def sub(a: LIReal, b: LIReal) -> LIReal:
 
 def _tower_operand(v: LIReal) -> bool:
     """Whether v may enter a tower product or quotient through its log:
-    False for zero; DomainError for a negative v, and, as ln_li, for a
-    log below the level -1 range."""
-    if v.level < 1:
-        if v.level < 0:
-            raise DomainError(f"negative operand {v} in a tower product or quotient")
-        if 0.0 < v.mantissa < _MIN_MANTISSA:
-            raise _below_level_minus_1(math.log(v.mantissa))
+    False for zero; DomainError for a negative v or, as in ln_li, a log
+    below the level -1 range."""
+    if v.level < 0:
+        raise DomainError(f"negative operand {v} in a tower product or quotient")
+    if v.level == 0 and 0.0 < v.mantissa < _MIN_MANTISSA:
+        raise _below_level_minus_1(math.log(v.mantissa))
     return v.level > 0 or v.mantissa > 0.0
 
 
