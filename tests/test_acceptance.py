@@ -7,11 +7,12 @@ captured stdout of a failing test).
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from growthcalc import abel, acceptance, ackermann, classify, lixnum, orders
+from growthcalc import abel, acceptance, ackermann, classify, funcexpr, lixnum, orders
 
 
 @pytest.mark.parametrize("n", sorted(acceptance.CRITERIA))
@@ -42,6 +43,42 @@ def _xi_exact_high_levels_up(xi_exact):
 def test_xi_exactness_criterion_can_fail(monkeypatch, attr, mutant):
     monkeypatch.setattr(lixnum, attr, mutant)
     assert not acceptance.run_one(1)["ok"]
+
+
+def _figures(pattern, detail):
+    """The figures of a criterion's detail: floats, and True/False as bools."""
+    m = re.fullmatch(pattern, detail)
+    assert m, detail
+    return [g == "True" if g in ("True", "False") else float(g) for g in m.groups()]
+
+
+def _xi_inv_mantissa_scaled(xi_inv_exact, factor, min_level):
+    def mutant(t):
+        v = xi_inv_exact(t)
+        if v.level < min_level:
+            return v
+        return lixnum.LIReal(v.level, v.mantissa * factor, v.absorbed)
+    return mutant
+
+
+_HALF_EXP = (r"max rel err (\S+); phi\(phi\(1\)\) = e exactly in "
+             r"xi-coordinates: (True|False)")
+
+
+@pytest.mark.parametrize("factor,min_level,worst_ok,exact", [
+    # a relative 1e-12 moves phi(phi(1)) off xi = 2, far inside 1e-8
+    (1 + 1e-12, 0, True, False),
+    # 1e-6 from level 2 up misses exp by far more than 1e-8, and leaves
+    # phi(phi(1)) = L2:0 exact
+    (1 + 1e-6, 2, False, True),
+], ids=["inverse-off-by-1e-12", "inverse-off-by-1e-6-from-level-2"])
+def test_half_exponential_criterion_can_fail(monkeypatch, factor, min_level, worst_ok, exact):
+    monkeypatch.setattr(lixnum, "xi_inv_exact",
+                        _xi_inv_mantissa_scaled(lixnum.xi_inv_exact, factor, min_level))
+    rep = acceptance.run_one(2)
+    assert not rep["ok"]
+    worst, got_exact = _figures(_HALF_EXP, rep["detail"])
+    assert (worst <= 1e-8, got_exact) == (worst_ok, exact)
 
 
 def test_catalog_pass_matches_verify_chain():
@@ -98,6 +135,19 @@ def test_catalog_criterion_fails_every_row_of_a_shared_pair(monkeypatch):
     assert len(named) == 6
     for name in named:
         assert f"'{name}: O[xi_5(x)](xi_4(x))" in rep["detail"]
+
+
+def test_catalog_criterion_fails_on_one_row_s_inverse_check(monkeypatch):
+    inverse_check = classify._inverse_check
+
+    def mutant(f0, F0):
+        got = inverse_check(f0, F0)
+        return {**got, "max_err": 2e-3, "ok": False} if f0.text == "x+sqrt(x)" else got
+
+    monkeypatch.setattr(classify, "_inverse_check", mutant)
+    rep = acceptance.run_one(3)
+    assert not rep["ok"]
+    assert rep["detail"].endswith("; failures: ['x+sqrt(x): inverse check']")
 
 
 def test_catalog_criterion_counts_its_rows(monkeypatch):
@@ -215,6 +265,98 @@ def test_ackermann_criterion_can_fail(monkeypatch, fresh_ack_cache, attr, mutant
     # ln ln A(3, 4) identity must catch a wrong one
     monkeypatch.setattr(ackermann, attr, mutant)
     assert not acceptance.run_one(5)["ok"]
+
+
+def _ack_changed_at(ack, m0, n0, change):
+    return lambda m, n: change(ack(m, n)) if (m, n) == (m0, n0) else ack(m, n)
+
+
+def _op_L_scaled(op_L, texts_only):
+    """op_L with its result off by a relative 1e-12: for every f, or only
+    for an f given as expression text."""
+    def mutant(f, f_inv=None):
+        L = op_L(f, f_inv)
+        if texts_only and not isinstance(f, str):
+            return L
+        return funcexpr.Fn(lambda x: L.raw(x) * (1 + 1e-12), text=L.text)
+    return mutant
+
+
+@pytest.mark.parametrize("attr,mutant,named", [
+    ("ack", _ack_changed_at(ackermann.ack, 1, 16, lambda a: a + 1), "'A(1,16)'"),
+    ("ack", _ack_changed_at(ackermann.ack, 2, 16, lambda a: a + 1), "'A(2,16)'"),
+    # a tower one rung early: the G anchors read only exact integers
+    ("ack", _ack_changed_at(ackermann.ack, 3, 2, lixnum.to_li), "'A(3,2)'"),
+    ("G_real", lambda m, x, G=ackermann.G_real: G(m, x) + (1e-8 if m == 2 else 0.0),
+     "'G anchors (1.00e-08)'"),
+    ("op_L", _op_L_scaled(ackermann.op_L, False), "'op_L anchor n=0', 'op_L anchor n=1'"),
+], ids=["A1-16-plus-1", "A2-16-plus-1", "A3-2-a-tower", "G2-plus-1e-8", "op_L-off-by-1e-12"])
+def test_each_ackermann_sub_check_can_fail(monkeypatch, fresh_ack_cache, attr, mutant, named):
+    # each and-ed sub-check of criterion 5 on its own, named in the detail
+    monkeypatch.setattr(ackermann, attr, mutant)
+    rep = acceptance.run_one(5)
+    assert not rep["ok"]
+    assert rep["detail"].endswith(f"; failures: [{named}]")
+
+
+def _handle_inverse_off(xi_inv_handle):
+    # the xi_k handle's own inverse 1e-6 high, as op_L reads it
+    def mutant(k):
+        h = xi_inv_handle(k)
+        return funcexpr.Fn(h.raw, text=h.text, inverse=lambda v: h.inverse.raw(v) + 1e-6)
+    return mutant
+
+
+@pytest.mark.parametrize("attr,mutant,chain_ok,closed_ok", [
+    ("xi_inv_handle", _handle_inverse_off(ackermann.xi_inv_handle), False, True),
+    ("op_L", _op_L_scaled(ackermann.op_L, True), True, False),
+], ids=["handle-inverse-off-by-1e-6", "expression-op_L-off-by-1e-12"])
+def test_op_L_criterion_can_fail(monkeypatch, attr, mutant, chain_ok, closed_ok):
+    monkeypatch.setattr(ackermann, attr, mutant)
+    rep = acceptance.run_one(6)
+    assert not rep["ok"]
+    chain, closed = _figures(r"xi-chain max err (\S+) \(xi-coordinates\); closed forms (\S+)",
+                             rep["detail"])
+    assert (chain <= 1e-9, closed <= 1e-12) == (chain_ok, closed_ok)
+
+
+def _staircase1_off_at_k20(staircase_class1):
+    def mutant():
+        F, f1 = staircase_class1()
+        return F, lambda x: f1(x) + (x == 2 ** 20 - 1)
+    return mutant
+
+
+def _staircase0_scaled(staircase_class0):
+    def mutant():
+        F0, f0 = staircase_class0()
+        return (lambda x: 2 * F0(x)), f0
+    return mutant
+
+
+@pytest.mark.parametrize("attr,mutant,exact,in_band", [
+    ("staircase_class1", _staircase1_off_at_k20(classify.staircase_class1), False, True),
+    ("staircase_class0", _staircase0_scaled(classify.staircase_class0), True, False),
+], ids=["class-1-step-off-at-k-20", "class-0-scale-doubled"])
+def test_staircase_criterion_can_fail(monkeypatch, attr, mutant, exact, in_band):
+    monkeypatch.setattr(classify, attr, mutant)
+    rep = acceptance.run_one(9)
+    assert not rep["ok"]
+    got_exact, lo, hi = _figures(r"unit-step identity exact for k<=30: (True|False); "
+                                 r"F\(x\)/x in \[(\S+), (\S+)\] on \[a1, a4\]", rep["detail"])
+    assert (got_exact, 0.2 <= lo and hi < 1.0) == (exact, in_band)
+
+
+def test_wobbly_criterion_can_fail(monkeypatch):
+    # a log derivative of 1.1 is outside [0.95, 1.05]; one of exactly 1.0,
+    # the value the tower tail reads today, would still pass
+    monkeypatch.setattr(classify, "wobbly_log_derivative", lambda x: 1.1)
+    rep = acceptance.run_one(11)
+    assert not rep["ok"]
+    lo, hi, r_lo, r_hi = _figures(r"x f'/f in \[(\S+), (\S+)\] at the tower tail; f/x "
+                                  r"spans \[(\S+), (\S+)\] inside \[2, 4\]", rep["detail"])
+    assert (lo, hi) == (1.1, 1.1)
+    assert 2.0 <= r_lo < 2.2 and 3.8 < r_hi <= 4.0
 
 
 @pytest.mark.parametrize("lo,hi,count", [
