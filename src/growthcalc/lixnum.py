@@ -188,16 +188,16 @@ def to_li(v) -> LIReal:
 
 def _pair_any(d) -> tuple:
     """(level, mantissa) of a finite float d: the log chain of to_li for
-    d >= 0, and (-1, exp(d)) for d < 0, d = ln(mantissa), while exp(d) is a
-    normal float (d above about -708.4): a subnormal mantissa loses digits
-    and 0 is ln 0, so below that d is refused."""
+    d >= 0, and (-1, exp(d)) for d < 0 (0 where exp(d) rounds to 1), while
+    exp(d) is a normal float (d above about -708.4): a subnormal mantissa
+    loses digits and 0 is ln 0, so below that d is refused."""
     if not math.isfinite(d):
         raise DomainError(f"to_li requires a finite value, got {d!r}")
     if d < 0:
         m = math.exp(d)
         if m < _MIN_MANTISSA:
             raise _below_level_minus_1(d)
-        return -1, m
+        return (-1, m) if m < 1.0 else (0, 0.0)
     level, x = 0, d
     while x >= 1.0:
         x = math.log(x)

@@ -6,12 +6,12 @@ one conversion each way (to_li, float()) and the later rules for zero and
 negative values (ln refuses them; a tower product or quotient takes zero
 exactly and refuses a negative operand; a sum or difference absorbs a
 negative term only when its magnitude is below ABSORB_REL of the larger
-term; to_li refuses a negative whose exp is below the normal floats; a
-difference below zero follows the sum's rule, and is refused only where
-the subtrahend is above EXACT_ARITH_MAX_LEVEL):
-every step builds an LIReal.  The
-new code must give the same type, the same bits and the same absorbed
-flag, or raise the same exception type with the same message.
+term; to_li refuses a negative whose exp is below the normal floats and
+answers 0 for one whose exp rounds to 1; a difference below zero follows
+the sum's rule, and is refused only where the subtrahend is above
+EXACT_ARITH_MAX_LEVEL): every step builds an LIReal.  The new code must
+give the same type, the same bits and the same absorbed flag, or raise the
+same exception type with the same message.
 """
 
 import math
@@ -36,6 +36,8 @@ def ref_to_li(d):
     if d < 0:
         if math.exp(d) < sys.float_info.min:
             raise DomainError(f"{d!r} is below the level -1 range (about -708.4)")
+        if math.exp(d) == 1.0:
+            return LIReal(0, 0.0)
         return LIReal(-1, math.exp(d))
     level = 0
     x = float(d)
