@@ -154,6 +154,25 @@ def test_lixnum_add_level_2(benchmark):
     assert float(benchmark(lixnum.add, a, b)) == float(a) + float(b)
 
 
+def test_lixnum_sub_below_zero(benchmark):
+    # e^e^0.25 - e^e^0.7 is about -3.88: a level -1 answer, ln of its mantissa
+    a, b = LIReal(2, 0.25), LIReal(2, 0.7)
+    w = benchmark(lixnum.sub, a, b)
+    assert w.level == -1
+    assert math.log(w.mantissa) == pytest.approx(
+        math.exp(math.exp(0.25)) - math.exp(math.exp(0.7)), rel=1e-15)
+
+
+def test_lixnum_div_towers_below_one(benchmark):
+    # the log step subtracts ln b > ln a one level down: the quotient is
+    # e^(e^e^e^0.5 - e^e^e^0.6), about e^-302, at level 0
+    a, b = LIReal(4, 0.5), LIReal(4, 0.6)
+    w = benchmark(lixnum.div, a, b)
+    assert w.level == 0
+    assert math.log(w.mantissa) == pytest.approx(
+        math.exp(math.exp(math.exp(0.5))) - math.exp(math.exp(math.exp(0.6))), rel=1e-14)
+
+
 def test_lixnum_xi_exact(benchmark):
     # level + mantissa as one Fraction, already in lowest terms
     m = 0.123456789
