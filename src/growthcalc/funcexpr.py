@@ -937,9 +937,10 @@ class Fn:
 
     raw(x) returns raw values: floats, Fractions or level-index numbers.
     float(x) returns floats: a value past the float range is inf or -inf
-    by its sign (ln 0 is -inf), as they only ever feed comparisons.  Both are closures stored on the
-    instance, not methods: perfbench's tracer wraps public methods, and a
-    wrapper on every per-point call would move its per-layer counters.
+    by its sign (ln 0 is -inf), as they only ever feed comparisons.  Both
+    are closures stored on the instance, not methods: perfbench's tracer
+    wraps public methods, and a wrapper on every per-point call would move
+    its per-layer counters.
     An expression is compiled (compile_expr) once, when the Fn is built.
     text is the given text, else the expression text, else None; expr is
     the FuncExpr, or None for a callable.  inverse and derivative are

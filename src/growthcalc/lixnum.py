@@ -232,11 +232,10 @@ def _add_pair(la: int, ma: float, lb: int, mb: float, sign: float = 1.0) -> tupl
     """(level, mantissa, absorbed) of a + sign*b, sign 1.0 or -1.0.
 
     A sum puts the larger pair first (b on a tie); a difference keeps its
-    order, and refuses b > a only for a b above EXACT_ARITH_MAX_LEVEL.  For
-    an a above that level, or a b below ABSORB_REL of a in magnitude, a is
-    the result, absorbed; otherwise the float result is normalized again,
-    so one rule takes either below zero: to level -1, or refused past it.
-    """
+    order, refusing b > a only for a b above EXACT_ARITH_MAX_LEVEL.  An a
+    above that level, or a b below ABSORB_REL of a in magnitude, leaves a,
+    absorbed; otherwise the float result is normalized again: below zero
+    to level -1, or refused past it, for a sum and a difference alike."""
     if la < lb or (la == lb and ma <= mb):
         if sign > 0:
             la, ma, lb, mb = lb, mb, la, ma
