@@ -313,12 +313,9 @@ def sub(a: LIReal, b: LIReal) -> LIReal:
 
 def _tower_operand(v: LIReal) -> bool:
     """Whether v may enter a tower product or quotient through its log:
-    False for zero; DomainError for a negative v or, as in ln_li, a log
-    below the level -1 range."""
+    False for zero; DomainError for a negative v."""
     if v.level < 0:
         raise DomainError(f"negative operand {v} in a tower product or quotient")
-    if v.level == 0 and 0.0 < v.mantissa < _MIN_MANTISSA:
-        raise _below_level_minus_1(math.log(v.mantissa))
     return v.level > 0 or v.mantissa > 0.0
 
 

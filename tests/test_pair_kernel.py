@@ -9,13 +9,15 @@ negative term only when its magnitude is below ABSORB_REL of the larger
 term; to_li refuses a negative whose exp is below the normal floats and
 answers 0 for one whose exp rounds to 1; a difference below zero follows
 the sum's rule, and is refused only where the subtrahend is above
-EXACT_ARITH_MAX_LEVEL): every step builds an LIReal.  The new code must
+EXACT_ARITH_MAX_LEVEL): every step builds an LIReal, but for the log
+step of a tower product or quotient, which adds bare pairs.  The new code must
 give the same type, the same bits and the same absorbed flag, or raise the
 same exception type with the same message.
 """
 
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -28,6 +30,8 @@ from growthcalc.xihier import HIER
 from test_lixnum import lireals
 
 # -- the reference: LIReal-based conversions, arithmetic and chi ------------
+
+Pair = namedtuple("Pair", "level mantissa")  # ordered as LIReal: level, then mantissa
 
 
 def ref_to_li(d):
@@ -108,13 +112,21 @@ def ref_check_sign(v):
         raise DomainError(f"negative operand {v} in a tower product or quotient")
 
 
+def ref_ln_pair(v):
+    """ln of a positive tower operand as a bare (level, mantissa) pair, as
+    the log step takes it: at level 0 that is (-1, m), whose value
+    ref_to_real reads as the float ln m, even for a subnormal m, which an
+    LIReal at level -1 refuses."""
+    return Pair(v.level - 1, v.mantissa)
+
+
 def ref_mul(a, b):
     if max(a.level, b.level) >= EXACT_ARITH_MAX_LEVEL + 1:
         ref_check_sign(a)
         ref_check_sign(b)
         if ZERO in (a, b):
             return ZERO
-        return ref_exp_li(ref_add(ref_ln_li(a), ref_ln_li(b)))
+        return ref_exp_li(ref_add(ref_ln_pair(a), ref_ln_pair(b)))
     return ref_to_li(ref_to_real(a) * ref_to_real(b))
 
 
@@ -126,7 +138,7 @@ def ref_div(a, b):
         ref_check_sign(a)
         if a == ZERO:
             return ZERO
-        return ref_exp_li(ref_sub(ref_ln_li(a), ref_ln_li(b)))
+        return ref_exp_li(ref_sub(ref_ln_pair(a), ref_ln_pair(b)))
     vb = ref_to_real(b)
     if vb == 0.0:
         raise DomainError("division by zero")
@@ -215,7 +227,8 @@ class TestArithmetic:
     @example(LIReal(5, -0.0), LIReal(5, 0.0))  # the tie keeps the later bits
     @example(LIReal(-1, 0.5), LIReal(6, 0.5))  # a negative against a tower
     @example(LIReal(0, -0.0), LIReal(6, 0.5))  # zero against a tower
-    @example(LIReal(0, 5e-324), LIReal(4, 0.0))  # a log below level -1's range
+    @example(LIReal(0, 5e-324), LIReal(4, 0.0))  # a product below level -1's range
+    @example(LIReal(0, 1e-310), LIReal(4, 0.0))  # a subnormal operand: L0:~3.8e-304
     def test_same_as_the_lireal_code(self, a, b):
         for new, ref in ((lixnum.add, ref_add), (lixnum.sub, ref_sub),
                          (lixnum.mul, ref_mul), (lixnum.div, ref_div)):
