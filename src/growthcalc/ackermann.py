@@ -87,15 +87,13 @@ def _a2_step(v: Union[int, LIReal]) -> Union[int, LIReal]:
 def _a2_iterate(v: Union[int, LIReal], count: int) -> Union[int, LIReal]:
     """count applications of A(2, .) to v.
 
-    Above level EXACT_ARITH_MAX_LEVEL + 1 a step is an exact level
-    increment: add absorbs the +2, and mul's inner add absorbs ln ln 2
-    one level down, so the mantissa stays and the result is flagged
-    absorbed.  Once v is such an absorbed tower, the remaining steps are
-    one level jump.
+    High enough up, a step is an exact level increment: add absorbs the
+    +2, and mul's inner add absorbs ln ln 2 one level down, so the mantissa
+    stays and the result is flagged absorbed.  Once a step has returned
+    such an absorbed tower, the remaining steps are one level jump.
     """
     for done in range(count):
-        if (isinstance(v, LIReal) and v.absorbed
-                and v.level > lixnum.EXACT_ARITH_MAX_LEVEL + 1):
+        if isinstance(v, LIReal) and v.absorbed:
             return LIReal(v.level + count - done, v.mantissa, absorbed=True)
         v = _a2_step(v)
     return v

@@ -329,7 +329,6 @@ def to_text(e: FuncExpr) -> str:
 # Evaluation
 
 
-_LI_ZERO = LIReal(0, 0.0)
 _INF = math.inf
 
 
@@ -670,12 +669,7 @@ def _compile(expr: FuncExpr, memo: dict, shared: set) -> Callable[[Value], Value
 
         def f(x):
             v = arg(x)
-            if not isinstance(v, LIReal):
-                return -v
-            if v.level > lixnum.EXACT_ARITH_MAX_LEVEL:
-                raise DomainError(f"the level-index value {lixnum.format_li(v)} "
-                                  "cannot be negated")
-            return lixnum.sub(_LI_ZERO, v)
+            return lixnum.neg(v) if isinstance(v, LIReal) else -v
     elif t is Compose:
         outer, inner = _compile(expr.outer, memo, shared), _compile(expr.inner, memo, shared)
         f = lambda x: outer(inner(x))  # noqa: E731

@@ -22,6 +22,7 @@ builtin float() the one way out.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ __all__ = [
     "sub",
     "mul",
     "div",
+    "neg",
     "xi_exact",
     "xi_inv_exact",
     "format_li",
@@ -56,6 +58,29 @@ ABSORB_REL = 2.0 ** -50
 # log-level drop.  All values of level <= 3 are < e^e, so plain float
 # arithmetic below the cutoff is exact to rounding.
 EXACT_ARITH_MAX_LEVEL = 3
+
+
+def _ordering(op):
+    """LIReal's order method for op (operator.lt, le, gt or ge):
+    lexicographic (level, mantissa) agrees with the value order.  Every
+    level-index value is finite, so against a float inf or NaN it answers
+    as 0.0 does."""
+    def compare(self, other):
+        if other.__class__ is not LIReal:
+            if not isinstance(other, (int, float, Fraction)):
+                return NotImplemented
+            if isinstance(other, float) and not math.isfinite(other):
+                return op(0.0, other)
+            try:
+                other = to_li(other)
+            except DomainError:
+                if other >= 0:
+                    raise
+                # a negative below level -1's range, the float range
+                # included, orders as ln 0, below every value to_li gives
+                other = _LN_ZERO
+        return op((self.level, self.mantissa), (other.level, other.mantissa))
+    return compare
 
 
 class LIReal:
@@ -95,30 +120,8 @@ class LIReal:
     def __hash__(self) -> int:
         return hash((self.level, self.mantissa))
 
-    # lexicographic (level, mantissa) agrees with the value order
-    def __lt__(self, other) -> bool:
-        other = _comparable(other)
-        if other is None:
-            return NotImplemented
-        return (self.level, self.mantissa) < (other.level, other.mantissa)
-
-    def __le__(self, other) -> bool:
-        other = _comparable(other)
-        if other is None:
-            return NotImplemented
-        return (self.level, self.mantissa) <= (other.level, other.mantissa)
-
-    def __gt__(self, other) -> bool:
-        other = _comparable(other)
-        if other is None:
-            return NotImplemented
-        return (other.level, other.mantissa) < (self.level, self.mantissa)
-
-    def __ge__(self, other) -> bool:
-        other = _comparable(other)
-        if other is None:
-            return NotImplemented
-        return (other.level, other.mantissa) <= (self.level, self.mantissa)
+    __lt__, __le__ = _ordering(operator.lt), _ordering(operator.le)
+    __gt__, __ge__ = _ordering(operator.gt), _ordering(operator.ge)
 
     def __float__(self) -> float:
         return _real(self.level, self.mantissa)
@@ -140,21 +143,6 @@ _set_denominator = Fraction._denominator.__set__
 
 _ZERO = LIReal(0, 0.0)
 _LN_ZERO = LIReal(-1, 0.0)
-
-
-def _comparable(other):
-    if isinstance(other, LIReal):
-        return other
-    if isinstance(other, (int, float, Fraction)):
-        try:
-            return to_li(other)
-        except DomainError:
-            if -math.inf < other < 0:
-                # a finite negative below level -1's range, the float range
-                # included, orders as ln 0, below every value to_li gives
-                return _LN_ZERO
-            raise
-    return None
 
 
 def to_li(v) -> LIReal:
@@ -311,36 +299,44 @@ def sub(a: LIReal, b: LIReal) -> LIReal:
     return LIReal(*_add_pair(a.level, a.mantissa, b.level, b.mantissa, -1.0))
 
 
-def _tower_operand(v: LIReal) -> bool:
-    """Whether v may enter a tower product or quotient through its log:
-    False for zero; DomainError for a negative v."""
-    if v.level < 0:
-        raise DomainError(f"negative operand {v} in a tower product or quotient")
-    return v.level > 0 or v.mantissa > 0.0
+def _log_step(a: LIReal, b: LIReal, sign: float) -> LIReal:
+    """a * b (sign 1.0) or a / b (sign -1.0) for an operand above
+    EXACT_ARITH_MAX_LEVEL: exp(ln a + sign ln b), the inner add applying its
+    own absorption rules.  A negative operand is refused; a zero one gives
+    zero, but a zero divisor is refused.  A quotient checks its divisor
+    first, a product its operand a."""
+    for v in (b, a) if sign < 0 else (a, b):
+        if v.level < 0:
+            raise DomainError(f"negative operand {v} in a tower product or quotient")
+        if v.level == 0 and v.mantissa == 0.0:
+            if sign < 0 and v is b:
+                raise DomainError("division by zero")
+            return _ZERO
+    level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa, sign)
+    return LIReal(level + 1, m, absorbed)
 
 
 def mul(a: LIReal, b: LIReal) -> LIReal:
     if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
-        if not (_tower_operand(a) and _tower_operand(b)):
-            return _ZERO
-        # exp(ln a + ln b); the inner add applies its own absorption rules
-        level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa)
-        return LIReal(level + 1, m, absorbed)
+        return _log_step(a, b, 1.0)
     return LIReal(*_pair_any(_real(a.level, a.mantissa) * _real(b.level, b.mantissa)))
 
 
 def div(a: LIReal, b: LIReal) -> LIReal:
     if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
-        if not _tower_operand(b):
-            raise DomainError("division by zero")
-        if not _tower_operand(a):
-            return _ZERO
-        level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa, -1.0)
-        return LIReal(level + 1, m, absorbed)
+        return _log_step(a, b, -1.0)
     vb = _real(b.level, b.mantissa)
     if vb == 0.0:
         raise DomainError("division by zero")
     return LIReal(*_pair_any(_real(a.level, a.mantissa) / vb))
+
+
+def neg(v: LIReal) -> LIReal:
+    """-v, which is sub(0, v): refused for a v above EXACT_ARITH_MAX_LEVEL,
+    whose negative no level-index value holds."""
+    if v.level > EXACT_ARITH_MAX_LEVEL:
+        raise DomainError(f"the level-index value {format_li(v)} cannot be negated")
+    return sub(_ZERO, v)
 
 
 def format_li(v: LIReal) -> str:
