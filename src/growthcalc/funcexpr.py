@@ -399,10 +399,12 @@ def _pow(b: Value, p: Value) -> Value:
         r = math.inf
     if isinstance(r, complex):
         raise EvalError(f"complex power {bf!r} ** {pf!r}")
-    if math.isinf(r) and bf > 1:
+    if math.isinf(r) and bf > 0:
         e = pf * math.log(bf)
         if math.isinf(e):  # past about L4: form the exponent on towers
-            return lixnum.exp_li(lixnum.mul(lixnum.to_li(pf), lixnum.to_li(math.log(bf))))
+            # from the magnitudes of pf and log bf, which share a sign here
+            return lixnum.exp_li(lixnum.mul(lixnum.to_li(abs(pf)),
+                                            lixnum.to_li(abs(math.log(bf)))))
         return lixnum.exp_li(lixnum.to_li(e))
     return r
 
@@ -435,14 +437,15 @@ def _binary(op: str, a: Value, b: Value) -> Value:
         except (ValueError, OverflowError):
             pass
     r = num(a, b)
-    if (op == "*" and type(a) is float and type(b) is float and abs(r) == _INF
+    if (op in "*/" and type(a) is float and type(b) is float and abs(r) == _INF
             and abs(a) < _INF and abs(b) < _INF):
-        # a float product past the range promotes, as _pow does, through
-        # the operands' magnitudes; a tower has no sign
+        # a float product or quotient past the range promotes, as _pow
+        # does, through the operands' magnitudes; a tower has no sign
         if r < 0.0:
-            raise DomainError(f"negative tower product {a!r} * {b!r}: "
+            name = "product" if op == "*" else "quotient"
+            raise DomainError(f"negative tower {name} {a!r} {op} {b!r}: "
                               "a tower has no sign")
-        return lixnum.mul(lixnum.to_li(abs(a)), lixnum.to_li(abs(b)))
+        return li(lixnum.to_li(abs(a)), lixnum.to_li(abs(b)))
     return r
 
 
@@ -547,7 +550,9 @@ def _binary_node(op: str, a, b):
         def node(x):
             u, v = a(x), b(x)
             if type(u) is float and type(v) is float and v != 0.0:
-                return u / v
+                r = u / v
+                if -_INF < r < _INF:
+                    return r
             return _binary("/", u, v)
     else:
         def node(x):

@@ -296,6 +296,17 @@ class TestDerivedInverse:
         y = sol.eval(-0.01)
         assert sol.eval((-0.01) ** 3) == pytest.approx(y + 1.0, abs=1e-9)
 
+    def test_spec_without_a_symbolic_derivative(self):
+        # abs has no symbolic derivative, so the pullback bisects without
+        # f'; it lands on the same floats as with Newton steps on f'
+        sol = abel.solve_abel("x+abs(sqrt(x))", 1.0)
+        ref = abel.solve_abel("x+sqrt(x)", 1.0)
+        assert sol.fp is None and ref.fp is not None
+        for x in (1.5, 40.0, 1e4, 3.7e6):
+            assert sol.eval(x) == ref.eval(x)
+        for t in (0.3, 5.5, 120.0):
+            assert sol.inverse(t) == ref.inverse(t)
+
     def test_explicit_inverse_is_kept(self):
         inv = lambda y: y - 2.0  # noqa: E731
         assert abel.solve_abel("x+2", A=1, f_inv=inv).f_inv is inv

@@ -174,6 +174,14 @@ class TestOpL:
         # f^-1(9) = 3, f(4) = 16
         assert L(9.0) == pytest.approx(16.0, rel=1e-8)
 
+    def test_expression_without_an_exact_inverse_is_inverted_numerically(self):
+        # x+sqrt(x) has no derived inverse: f^-1(y) = ((sqrt(1+4y) - 1)/2)^2
+        # is found by funcexpr.invert_at
+        L = op_L("x+sqrt(x)")
+        u = ((math.sqrt(41.0) - 1) / 2) ** 2 + 1
+        assert L(10.0) == pytest.approx(u + math.sqrt(u), abs=1e-12)
+        assert L(10.0) == pytest.approx(11.179138817042713, abs=1e-12)
+
     def test_missing_inverse_rejected(self):
         with pytest.raises(DomainError):
             op_L(lambda x: 2 * x)

@@ -84,6 +84,32 @@ class TestEval:
         if real is not None:
             assert float(lixnum.parse_li(value)) == pytest.approx(real, rel=1e-12)
 
+    @pytest.mark.parametrize("expr,at,value", [
+        # a float quotient past the range promotes, as a product does
+        ("x/1e-10", "1e308", "L4:0.63471059855322709"),
+        ("x*1e10", "1e308", "L4:0.63471059855322709"),
+        ("x/(1/x)", "1e308", "L4:0.68410896946804622"),
+        ("1e300/x", "1e-300", "L4:0.68227433376996316"),
+        # so does a float power, for every positive base
+        ("0.5^x", "-2000", "L4:0.6825138366234127"),
+        ("x^(-2000)", "0.5", "L4:0.6825138366234127"),
+        ("2^(-x)", "-2000", "L4:0.6825138366234127"),
+        ("0.5^x", "-1e200", "L5:0.59523009568196228"),
+        ("2^(-x)", "-1e200", "L5:0.59523009568196228"),
+    ])
+    def test_float_quotient_and_power_past_the_range_are_towers(self, capsys, expr,
+                                                               at, value):
+        data = run_json(capsys, "eval", f"--at={at}", expr)
+        assert data["points"][0]["value"] == value
+
+    @pytest.mark.parametrize("expr,at,value", [
+        ("abs(x-3)", "L0:0.5", "L1:0.91629073187415522"),  # |-2.5|
+        ("abs(x)", "L-1:0.5", "L0:0.69314718055994529"),  # |ln 0.5|
+    ])
+    def test_abs_of_a_level_index_value(self, capsys, expr, at, value):
+        data = run_json(capsys, "eval", f"--at={at}", expr)
+        assert data["points"][0]["value"] == value
+
     def test_ladder_values(self, capsys):
         data = run_json(capsys, "eval", "x+1", "--ladder", "geom:1:2:8")
         assert [r["value"] for r in data["points"]] == [
@@ -396,6 +422,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "eval", expr, "--at=1e200")
         assert code == 2 and out == ""
         assert "DomainError: negative tower product" in err
+
+    def test_negative_quotient_past_the_range_is_two(self, capsys):
+        code, out, err = run(capsys, "eval", "x/(-1e-10)", "--at=1e308")
+        assert (code, out) == (2, "")
+        assert ("DomainError: negative tower quotient 1e+308 / -1e-10: "
+                "a tower has no sign") in err
 
     def test_negated_tower_is_two(self, capsys):
         # 2*x at 1e308 promotes to the tower L4:0.632..., which has no negative

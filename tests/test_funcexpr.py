@@ -51,6 +51,9 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("sinh(x)")
 
+    def test_trailing_whitespace_is_skipped(self):
+        assert parse("x ") == Var()
+
     def test_dangling_expression_rejected(self):
         with pytest.raises(ParseError):
             parse("x+")
@@ -96,6 +99,25 @@ class TestEvaluation:
         with pytest.raises(DomainError, match=r"^negative tower product -2\.0 \* 1e\+308"):
             ev("-2*x", 1e308)
         assert ev("(-2)*(-x)", 1e308) == ev("2*x", 1e308)
+
+    def test_quotient_overflow_promotes(self):
+        # as a product does, through the magnitudes of the operands
+        assert ev("x/1e-10", 1e308) == ev("x*1e10", 1e308)
+        assert ev("x/(1/x)", 1e308) == ev("x*x", 1e308)
+        assert ev("(-x)/(-1e-10)", 1e308) == ev("x/1e-10", 1e308)
+        with pytest.raises(DomainError, match=r"^negative tower quotient 1e\+308 / -1e-10: "
+                                              r"a tower has no sign$"):
+            ev("x/(-1e-10)", 1e308)
+
+    @pytest.mark.parametrize("below_1,above_1,x", [
+        ("0.5^x", "2^(-x)", -2000.0),
+        ("0.5^x", "2^(-x)", -1e200),
+        # the exponent itself overflows and is formed on towers
+        ("1e-10^x", "1e10^(-x)", -1e308),
+    ])
+    def test_power_overflow_promotes_for_a_base_below_1(self, below_1, above_1, x):
+        v = ev(below_1, x)
+        assert isinstance(v, LIReal) and v == ev(above_1, x)
 
     def test_tower_input_stays_exact_through_xi(self):
         x = LIReal(40, 0.25)

@@ -29,6 +29,15 @@ def test_stdout_matches_golden(capsys, command):
     assert out == (GOLDEN / f"{command}.json").read_text()
 
 
+def test_repro_text_lists_the_golden_criteria(capsys):
+    code = cli.main(["--format", "text", "repro"])
+    out, _ = capsys.readouterr()
+    criteria = json.loads((GOLDEN / "repro.json").read_text())["criteria"]
+    assert code == 0 and len(criteria) == 11
+    assert out.splitlines() == [f"{c['id']:2d} PASS  {c['name']}: {c['detail']}"
+                                for c in criteria] + ["=> 11/11 passed"]
+
+
 @pytest.mark.parametrize("expr", list(CLASSIFY))
 def test_classify_stdout_matches_golden(capsys, expr):
     code = cli.main(["classify", expr])

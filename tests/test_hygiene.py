@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it does not use,
 the package reads every private name it defines, only funcexpr turns an
-expression into a callable itself, and acceptance and classify keep no
-memo beyond one call."""
+expression into a callable itself, only lixnum reads the cutoffs of its
+arithmetic, and acceptance and classify keep no memo beyond one call."""
 
 import ast
 from pathlib import Path
@@ -90,6 +90,19 @@ def test_only_funcexpr_compiles():
         if path.name != "funcexpr.py" and "compile_expr" in _read(tree) | set(_imported(tree)):
             refs.append(path.name)
     assert not refs, f"modules that call compile_expr themselves: {refs}"
+
+
+def test_only_lixnum_reads_the_arithmetic_cutoff():
+    # where exact arithmetic ends and what a sum absorbs are lixnum's rules:
+    # the other modules call its functions (neg, mul, ...) and never test
+    # a level against the cutoff themselves
+    cutoffs = {"EXACT_ARITH_MAX_LEVEL", "ABSORB_REL"}
+    refs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "lixnum.py" and cutoffs & (_read(tree) | set(_imported(tree))):
+            refs.append(path.name)
+    assert not refs, f"modules that read lixnum's arithmetic cutoff: {refs}"
 
 
 def _module_memos(tree: ast.Module) -> list:

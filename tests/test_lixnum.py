@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import operator
 import pickle
 import re
 import sys
@@ -287,6 +288,16 @@ class TestOrdering:
             assert not a <= v
 
 
+    @given(lireals(st.integers(-1, 50), mantissas),
+           st.sampled_from([math.inf, -math.inf, math.nan]))
+    def test_compare_against_non_finite_floats_as_zero_does(self, v, o):
+        # every level-index value is finite, so it orders against inf, -inf
+        # and NaN as any finite number, 0.0 among them, does
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            assert op(v, o) == op(0.0, o)
+            assert op(o, v) == op(o, 0.0)
+
+
 class TestArithmetic:
     def test_small_level_add_is_float_exact(self):
         a, b = lixnum.to_li(5.0), lixnum.to_li(3.0)
@@ -348,6 +359,22 @@ class TestArithmetic:
     def test_div_by_zero_rejected(self):
         with pytest.raises(DomainError):
             lixnum.div(lixnum.to_li(1.0), lixnum.to_li(0.0))
+
+    @given(lireals(st.integers(-1, 3), mantissas))
+    @example(LIReal(2, 0.25))
+    def test_neg_is_sub_from_zero_up_to_level_3(self, v):
+        def outcome(f, *args):  # the value, or the refusal's message
+            try:
+                return f(*args)
+            except DomainError as exc:
+                return str(exc)
+        assert outcome(lixnum.neg, v) == outcome(lixnum.sub, LIReal(0, 0.0), v)
+        assert float(lixnum.neg(LIReal(2, 0.25))) == -3.611146878218102
+
+    def test_neg_refuses_a_tower_above_level_3(self):
+        with pytest.raises(DomainError, match=r"^the level-index value L4:0\.5 "
+                                              r"cannot be negated$"):
+            lixnum.neg(LIReal(4, 0.5))
 
 
 _TOWER, _ZERO = LIReal(5, 0.5), LIReal(0, 0.0)
