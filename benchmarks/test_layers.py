@@ -11,6 +11,7 @@ is outside the tier-1 testpaths, so the test suite does not collect it.
 import io
 import json
 import math
+import operator
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -171,6 +172,28 @@ def test_lixnum_div_towers_below_one(benchmark):
     assert w.level == 0
     assert math.log(w.mantissa) == pytest.approx(
         math.exp(math.exp(math.exp(0.5))) - math.exp(math.exp(math.exp(0.6))), rel=1e-14)
+
+
+def test_lixnum_mul_towers(benchmark):
+    # the log step adds ln b = L3:0.3 (about 47) to ln a = L4:0.5 one level
+    # down, where level 4 absorbs it: the product is L5:0.5, flagged
+    w = benchmark(lixnum.mul, LIReal(5, 0.5), LIReal(4, 0.3))
+    assert (w.level, w.mantissa, w.absorbed) == (5, 0.5, True)
+
+
+def test_lixnum_neg(benchmark):
+    # -e^e^0.25, one sub from zero: a level -1 answer
+    w = benchmark(lixnum.neg, LIReal(2, 0.25))
+    assert float(w) == -3.611146878218102
+
+
+def test_lireal_lt_lireal(benchmark):
+    assert benchmark(operator.lt, LIReal(5, 0.5), LIReal(5, 0.6)) is True
+
+
+def test_lireal_lt_float(benchmark):
+    # the float enters through to_li, as L2:0.0940...
+    assert benchmark(operator.lt, LIReal(5, 0.5), 3.0) is False
 
 
 def test_lixnum_xi_exact(benchmark):

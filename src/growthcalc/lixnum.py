@@ -305,13 +305,14 @@ def _log_step(a: LIReal, b: LIReal, sign: float) -> LIReal:
     own absorption rules.  A negative operand is refused; a zero one gives
     zero, but a zero divisor is refused.  A quotient checks its divisor
     first, a product its operand a."""
-    for v in (b, a) if sign < 0 else (a, b):
-        if v.level < 0:
-            raise DomainError(f"negative operand {v} in a tower product or quotient")
-        if v.level == 0 and v.mantissa == 0.0:
-            if sign < 0 and v is b:
-                raise DomainError("division by zero")
-            return _ZERO
+    if a.level < 1 or b.level < 1:  # zero and the negatives lie below level 1
+        for v in (b, a) if sign < 0 else (a, b):
+            if v.level < 0:
+                raise DomainError(f"negative operand {v} in a tower product or quotient")
+            if v.level == 0 and v.mantissa == 0.0:
+                if sign < 0 and v is b:
+                    raise DomainError("division by zero")
+                return _ZERO
     level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa, sign)
     return LIReal(level + 1, m, absorbed)
 
