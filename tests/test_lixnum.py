@@ -287,7 +287,6 @@ class TestOrdering:
             assert not a < v
             assert not a <= v
 
-
     @given(lireals(st.integers(-1, 50), mantissas),
            st.sampled_from([math.inf, -math.inf, math.nan]))
     def test_compare_against_non_finite_floats_as_zero_does(self, v, o):
@@ -361,7 +360,6 @@ class TestArithmetic:
             lixnum.div(lixnum.to_li(1.0), lixnum.to_li(0.0))
 
     @given(lireals(st.integers(-1, 3), mantissas))
-    @example(LIReal(2, 0.25))
     def test_neg_is_sub_from_zero_up_to_level_3(self, v):
         def outcome(f, *args):  # the value, or the refusal's message
             try:
@@ -369,9 +367,10 @@ class TestArithmetic:
             except DomainError as exc:
                 return str(exc)
         assert outcome(lixnum.neg, v) == outcome(lixnum.sub, LIReal(0, 0.0), v)
-        assert float(lixnum.neg(LIReal(2, 0.25))) == -3.611146878218102
 
     def test_neg_refuses_a_tower_above_level_3(self):
+        # -e^e^0.25 is a level -1 value; no value holds minus a level-4 tower
+        assert float(lixnum.neg(LIReal(2, 0.25))) == -3.611146878218102
         with pytest.raises(DomainError, match=r"^the level-index value L4:0\.5 "
                                               r"cannot be negated$"):
             lixnum.neg(LIReal(4, 0.5))
