@@ -300,36 +300,42 @@ def sub(a: LIReal, b: LIReal) -> LIReal:
 
 
 def _log_step(a: LIReal, b: LIReal, sign: float) -> LIReal:
-    """a * b (sign 1.0) or a / b (sign -1.0) for an operand above
-    EXACT_ARITH_MAX_LEVEL: exp(ln a + sign ln b), the inner add applying its
-    own absorption rules.  A negative operand is refused; a zero one gives
-    zero, but a zero divisor is refused.  A quotient checks its divisor
-    first, a product its operand a."""
-    if a.level < 1 or b.level < 1:  # zero and the negatives lie below level 1
-        for v in (b, a) if sign < 0 else (a, b):
-            if v.level < 0:
-                raise DomainError(f"negative operand {v} in a tower product or quotient")
-            if v.level == 0 and v.mantissa == 0.0:
-                if sign < 0 and v is b:
-                    raise DomainError("division by zero")
-                return _ZERO
+    """a * b (sign 1.0) or a / b (-1.0) for a, b > 0: exp(ln a + sign ln b),
+    the inner add applying its own absorption rules."""
     level, m, absorbed = _add_pair(a.level - 1, a.mantissa, b.level - 1, b.mantissa, sign)
     return LIReal(level + 1, m, absorbed)
 
 
+def _tower_operand(v: LIReal) -> bool:
+    """True for a positive v, False for zero; a negative v is refused."""
+    if v.level < 0:
+        raise DomainError(f"negative operand {v} in a tower product or quotient")
+    return v.level > 0 or v.mantissa > 0.0
+
+
 def mul(a: LIReal, b: LIReal) -> LIReal:
     if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
+        if not (_tower_operand(a) and _tower_operand(b)):
+            return _ZERO
         return _log_step(a, b, 1.0)
+    # two factors below e^e^e have a float product
     return LIReal(*_pair_any(_real(a.level, a.mantissa) * _real(b.level, b.mantissa)))
 
 
 def div(a: LIReal, b: LIReal) -> LIReal:
     if a.level > EXACT_ARITH_MAX_LEVEL or b.level > EXACT_ARITH_MAX_LEVEL:
+        if not _tower_operand(b):
+            raise DomainError("division by zero")
+        if not _tower_operand(a):
+            return _ZERO
         return _log_step(a, b, -1.0)
     vb = _real(b.level, b.mantissa)
     if vb == 0.0:
         raise DomainError("division by zero")
-    return LIReal(*_pair_any(_real(a.level, a.mantissa) / vb))
+    r = _real(a.level, a.mantissa) / vb
+    if r == math.inf:  # a subnormal divisor: the quotient is a tower
+        return _log_step(a, b, -1.0)
+    return LIReal(*_pair_any(r))
 
 
 def neg(v: LIReal) -> LIReal:

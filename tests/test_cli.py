@@ -90,6 +90,8 @@ class TestEval:
         ("x*1e10", "1e308", "L4:0.63471059855322709"),
         ("x/(1/x)", "1e308", "L4:0.68410896946804622"),
         ("1e300/x", "1e-300", "L4:0.68227433376996316"),
+        ("1/x", "1e-310", "L4:0.6326569204584902"),
+        ("1e6/x", "1e-305", "L4:0.63291718265338437"),
         # so does a float power, for every positive base
         ("0.5^x", "-2000", "L4:0.6825138366234127"),
         ("x^(-2000)", "0.5", "L4:0.6825138366234127"),

@@ -226,6 +226,16 @@ class TestExpLog:
         with pytest.raises(DomainError, match=f"^{re.escape(repr(log_product))} is below"):
             lixnum.mul(LIReal(0, 5e-324), tower)
 
+    def test_float_quotient_past_the_range_takes_the_log_step(self):
+        # both operands at or below level 3, so the float branch divides;
+        # a subnormal divisor takes the quotient past the float range
+        for a in (1.0, 0.5, 1e6):
+            q = lixnum.div(lixnum.to_li(a), LIReal(0, 1e-310))
+            assert float(lixnum.ln_li(q)) == pytest.approx(math.log(a) - math.log(1e-310),
+                                                          rel=1e-12)
+        with pytest.raises(DomainError, match="^to_li requires a finite value, got -inf$"):
+            lixnum.div(lixnum.to_li(-1.0), LIReal(0, 1e-310))
+
     def test_ln_keeps_the_bottom_of_level_minus_1(self):
         m = sys.float_info.min
         assert lixnum.ln_li(LIReal(0, m)) == LIReal(-1, m)

@@ -142,7 +142,10 @@ def ref_div(a, b):
     vb = ref_to_real(b)
     if vb == 0.0:
         raise DomainError("division by zero")
-    return ref_to_li(ref_to_real(a) / vb)
+    q = ref_to_real(a) / vb
+    if q == math.inf:  # a subnormal divisor: the quotient is a tower
+        return ref_exp_li(ref_sub(ref_ln_pair(a), ref_ln_pair(b)))
+    return ref_to_li(q)
 
 
 def ref_chi(x):
@@ -229,6 +232,7 @@ class TestArithmetic:
     @example(LIReal(0, -0.0), LIReal(6, 0.5))  # zero against a tower
     @example(LIReal(0, 5e-324), LIReal(4, 0.0))  # a product below level -1's range
     @example(LIReal(0, 1e-310), LIReal(4, 0.0))  # a subnormal operand: L0:~3.8e-304
+    @example(LIReal(1, 0.0), LIReal(0, 1e-310))  # 1 / 1e-310 passes the float range
     def test_same_as_the_lireal_code(self, a, b):
         for new, ref in ((lixnum.add, ref_add), (lixnum.sub, ref_sub),
                          (lixnum.mul, ref_mul), (lixnum.div, ref_div)):
