@@ -442,8 +442,9 @@ def _binary(op: str, a: Value, b: Value) -> Value:
         # a float product or quotient past the range promotes, as _pow
         # does, through the operands' magnitudes; a tower has no sign
         if r < 0.0:
-            raise DomainError(f"negative tower {'product' if op == '*' else 'quotient'} "
-                              f"{a!r} {op} {b!r}: a tower has no sign")
+            name = "product" if op == "*" else "quotient"
+            raise DomainError(f"negative tower {name} {a!r} {op} {b!r}: "
+                              "a tower has no sign")
         return li(lixnum.to_li(abs(a)), lixnum.to_li(abs(b)))
     return r
 

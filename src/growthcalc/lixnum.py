@@ -318,7 +318,6 @@ def mul(a: LIReal, b: LIReal) -> LIReal:
         if not (_tower_operand(a) and _tower_operand(b)):
             return _ZERO
         return _log_step(a, b, 1.0)
-    # two factors below e^e^e have a float product
     return LIReal(*_pair_any(_real(a.level, a.mantissa) * _real(b.level, b.mantissa)))
 
 
@@ -333,7 +332,7 @@ def div(a: LIReal, b: LIReal) -> LIReal:
     if vb == 0.0:
         raise DomainError("division by zero")
     r = _real(a.level, a.mantissa) / vb
-    if r == math.inf:  # a subnormal divisor: the quotient is a tower
+    if r == math.inf:  # by a subnormal divisor; no float product here overflows
         return _log_step(a, b, -1.0)
     return LIReal(*_pair_any(r))
 
