@@ -478,10 +478,8 @@ def _call_value(node: Call, v: Value) -> Value:
     fn = node.fn
     if fn == "exp":
         return _exp(v)
-    if fn == "log":
-        return _log(v)
-    if fn == "log_k":
-        for _ in range(node.param):
+    if fn == "log" or fn == "log_k":  # log is level 1
+        for _ in range(1 if fn == "log" else node.param):
             v = _log(v)
         return v
     if fn == "sqrt":
@@ -783,17 +781,14 @@ def differentiate(expr: FuncExpr) -> FuncExpr:
         fn = expr.fn
         if fn == "exp":
             return _mul(expr, du)
-        if fn == "log":
-            return _div(du, u)
-        if fn == "log_k":
-            # 1 / (u * log u * ... * log_{k-1} u)
-            denom = None
-            for j in range(expr.param):
-                factor = u if j == 0 else Call("log_k", u, param=j)
-                denom = factor if denom is None else _mul(denom, factor)
-            if denom is None:
-                return du  # log_0 is the identity
-            return _div(du, denom)
+        if fn == "log" or fn == "log_k":
+            # 1 / (u * log u * ... * log_{k-1} u); log is level 1, and
+            # log_0 the identity
+            k = 1 if fn == "log" else expr.param
+            denom = u
+            for j in range(1, k):
+                denom = _mul(denom, Call("log_k", u, param=j))
+            return _div(du, denom) if k else du
         if fn == "sqrt":
             return _div(du, _mul(Const(2.0), expr))
         if fn == "sin":
@@ -871,13 +866,11 @@ def _invert_into(e: FuncExpr, acc: FuncExpr) -> Optional[FuncExpr]:
         elif isinstance(e, Call) and e.fn in ("exp", "log", "log_k", "sqrt"):
             if e.fn == "exp":
                 acc = Call("log", acc)
-            elif e.fn == "log":
-                acc = Call("exp", acc)
-            elif e.fn == "log_k":
-                for _ in range(e.param):
-                    acc = Call("exp", acc)
-            else:
+            elif e.fn == "sqrt":
                 acc = Binary("^", acc, Const(2.0))
+            else:  # log is level 1
+                for _ in range(1 if e.fn == "log" else e.param):
+                    acc = Call("exp", acc)
             e = e.arg
         else:
             return None
@@ -899,28 +892,15 @@ def invert(expr: FuncExpr) -> Optional[FuncExpr]:
 def affine_step(expr: FuncExpr) -> Optional[tuple]:
     """The unit step of a translation or a scaling, or None.
 
-    x+c, c+x and x-c give ("+", d) with f(x) = x + d; c*x, x*c (c > 0)
-    and x/c (c > 0) give ("*", m) with f(x) = m*x.  c is any subtree
-    without x, evaluated once, as in invert.  Then f^k(x) is x + k*d or
-    x * m^k for every integer k.
+    For x+c, c+x, x-c, c*x, x*c or x/c, read off invert: an inverse x-d or
+    x+d gives ("+", d) or ("+", -d), f(x) = x + d; x/m or x*m gives ("*", m)
+    or ("*", 1/m), f(x) = m*x.  Then f^k(x) is x + k*d or x * m^k for every
+    integer k.  An identity map gives None: its inverse simplifies to x.
     """
-    if not isinstance(expr, Binary):
-        return None
-    left_x = isinstance(expr.left, Var)
-    if left_x == isinstance(expr.right, Var):
-        return None
-    other = expr.right if left_x else expr.left
-    c = None if _has_x(other) else _const_value(other)
-    if c is None:
-        return None
-    if expr.op == "+":
-        return ("+", c)
-    if expr.op == "-" and left_x:
-        return ("+", -c)
-    if expr.op == "*" and c > 0:
-        return ("*", c)
-    if expr.op == "/" and left_x and c > 0:
-        return ("*", 1.0 / c)
+    inv = invert(expr) if isinstance(expr, Binary) and _X in (expr.left, expr.right) else None
+    if isinstance(inv, Binary) and inv.left == _X and isinstance(inv.right, Const):
+        d = inv.right.value
+        return {"-": ("+", d), "+": ("+", -d), "/": ("*", d), "*": ("*", 1.0 / d)}.get(inv.op)
     return None
 
 
