@@ -397,8 +397,13 @@ def _pow(b: Value, p: Value) -> Value:
         r = bf ** pf
     except OverflowError:
         r = math.inf
-    if isinstance(r, complex):
+    if isinstance(r, complex) or (math.isinf(r) and bf < 0 and not pf.is_integer()):
         raise EvalError(f"complex power {bf!r} ** {pf!r}")
+    if math.isinf(r) and bf < 0:
+        # an even power promotes through |b|; an odd one is negative, and a tower has no sign
+        if pf % 2:
+            raise DomainError(f"negative tower power {bf!r} ^ {pf!r}: a tower has no sign")
+        bf = -bf
     if math.isinf(r) and bf > 0:
         e = pf * math.log(bf)
         if math.isinf(e):  # past about L4: form the exponent on towers

@@ -104,6 +104,29 @@ class TestEval:
         data = run_json(capsys, "eval", f"--at={at}", expr)
         assert data["points"][0]["value"] == value
 
+    @pytest.mark.parametrize("expr,at,value,message", [
+        # an even power past the range promotes through |b|, as a positive
+        # base does: (-1/2000)^(-2000) = 2000^2000, (-2)^2000 = 2^2000
+        ("(1/x)^x", "-2000", "L4:0.81748511933669954", None),
+        ("(0-2)^x", "2000", "L4:0.6825138366234127", None),
+        # an odd one is negative, and a tower has no sign
+        ("(0-2)^x", "2001", None,
+         "DomainError: negative tower power -2.0 ^ 2001.0: a tower has no sign"),
+        # a non-integer one has no real value
+        ("(1/x)^x", "-2000.5", None,
+         "EvalError: complex power -0.0004998750312421895 ** -2000.5"),
+        ("(0-2)^x", "3", -8.0, None),
+    ])
+    def test_float_power_of_a_negative_base_past_the_range(self, capsys, expr, at,
+                                                           value, message):
+        code, out, err = run(capsys, "eval", f"--at={at}", expr)
+        if message is None:
+            assert code == 0, err
+            assert json.loads(out)["points"][0]["value"] == value
+        else:
+            assert (code, out) == (2, "")
+            assert message in err
+
     @pytest.mark.parametrize("expr,at,value", [
         ("abs(x-3)", "L0:0.5", "L1:0.91629073187415522"),  # |-2.5|
         ("abs(x)", "L-1:0.5", "L0:0.69314718055994529"),  # |ln 0.5|
