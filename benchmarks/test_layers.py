@@ -71,6 +71,12 @@ def test_solve_abel(benchmark):
     assert sol.domain_hi == 2.0
 
 
+def test_solve_abel_scaling(benchmark):
+    # funcexpr.affine_step reads the step off the inverse x/2.5
+    sol = benchmark(abel.solve_abel, "2.5*x", 1.0)
+    assert sol.affine == ("*", 2.5)
+
+
 def test_abel_eval_stepwise(benchmark):
     # no inverse and no affine step: each pullback step bisects f
     sol, x = abel.solve_abel("x+sqrt(x)", 2.0), 1e4

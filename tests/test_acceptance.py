@@ -359,6 +359,23 @@ def test_wobbly_criterion_can_fail(monkeypatch):
     assert 2.0 <= r_lo < 2.2 and 3.8 < r_hi <= 4.0
 
 
+class _ConstantXi:
+    def xi_k(self, k, x):
+        return 0.5
+
+
+def test_wobbly_oscillation_check_can_fail(monkeypatch):
+    # a xi that stands still leaves f/x at 3 + sin(0.5) at every point; the
+    # log derivative, which classify computes on its own, still passes
+    monkeypatch.setattr(acceptance, "HIER", _ConstantXi())
+    rep = acceptance.run_one(11)
+    assert not rep["ok"]
+    lo, hi, r_lo, r_hi = _figures(r"x f'/f in \[(\S+), (\S+)\] at the tower tail; f/x "
+                                  r"spans \[(\S+), (\S+)\] inside \[2, 4\]", rep["detail"])
+    assert 0.95 <= lo <= hi <= 1.05
+    assert (r_lo, r_hi) == (3.48, 3.48)
+
+
 @pytest.mark.parametrize("lo,hi,count", [
     (1.0, 4000.0, 1000), (1.01, 1e12, 1000), (2.0, 1e150, 1000),
     (0.55, 700.0, 1000), (1.5, 40.0, 25), (1.0, 4000.0, 200),

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from growthcalc import abel, ackermann, cli, funcexpr, lixnum, orders
@@ -380,6 +380,73 @@ class TestSymbolicInversion:
     @pytest.mark.parametrize("text", ["x+sqrt(x)", "x*log(x)", "sin(x)", "xi(x)", "-2*x", "x^3"])
     def test_not_invertible(self, text):
         assert funcexpr.invert(parse(text)) is None
+
+
+# subtrees without x, x@c among them (x@c is the constant c)
+_CONSTS = st.recursive(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 1e300]).map(Const),
+              st.sampled_from([NamedConst("e"), NamedConst("pi")])),
+    lambda c: st.one_of(
+        c.map(Neg),
+        st.builds(Binary, st.sampled_from("+-*/^"), c, c),
+        st.builds(Call, st.sampled_from(["exp", "log", "sqrt"]), c),
+        st.builds(Compose, st.just(Var()), c),
+    ),
+    max_leaves=4,
+)
+
+
+class TestAffineStep:
+    @pytest.mark.parametrize("text,step", [
+        ("x+2.5", ("+", 2.5)),
+        ("log(2)+x", ("+", 0.6931471805599453)),
+        ("x-(0-2)", ("+", 2.0)),
+        ("x-(x@2)", ("+", -2.0)),  # x@2 is the constant 2
+        ("2.5*x", ("*", 2.5)),
+        ("x*pi", ("*", math.pi)),
+        ("x/pi", ("*", 0.3183098861837907)),
+        ("2-x", None),
+        ("x*(0-2)", None),
+        ("x/0", None),
+        ("x+x", None),
+        ("2^x", None),
+        ("x+sqrt(x)", None),
+    ])
+    def test_step(self, text, step):
+        assert funcexpr.affine_step(parse(text)) == step
+
+    @pytest.mark.parametrize("text", ["x+0", "x-0", "0+x", "x*1", "1*x", "x/1", "x+(1-1)"])
+    def test_identity_map_has_no_step(self, text):
+        # invert simplifies the inverse of an identity map to x
+        assert to_text(funcexpr.invert(parse(text))) == "x"
+        assert funcexpr.affine_step(parse(text)) is None
+
+    @given(st.sampled_from("+-*/^"), _CONSTS, st.booleans(), st.floats(1.0, 1e6))
+    def test_step_is_the_map(self, op, c, x_left, t):
+        e = Binary(op, Var(), c) if x_left else Binary(op, c, Var())
+        step = funcexpr.affine_step(e)
+        if step is None:
+            return
+        kind, s = step
+        if kind == "+":
+            assert evaluate(e, t) == t + s
+        else:
+            assume(1e-100 < s < 1e100)
+            assert abs(evaluate(e, t) - s * t) <= 2 * math.ulp(s * t)
+
+
+class TestLogAtLevelOne:
+    @pytest.mark.parametrize("u", ["x", "x+3", "exp(x)"])
+    def test_log_is_log_1(self, u):
+        log, log1 = parse(f"log({u})"), parse(f"log_1({u})")
+        d, d1 = funcexpr.differentiate(log), funcexpr.differentiate(log1)
+        inv, inv1 = funcexpr.invert(log), funcexpr.invert(log1)
+        assert to_text(d) == to_text(d1)
+        assert to_text(inv) == to_text(inv1)
+        for x in (0.5, 2.0, 1e5, LIReal(3, 0.5)):
+            assert evaluate(log, x) == evaluate(log1, x)
+            assert evaluate(d, x) == evaluate(d1, x)
+            assert evaluate(inv, x) == evaluate(inv1, x)
 
 
 def _bad_fp(kind):
