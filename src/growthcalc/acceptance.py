@@ -156,10 +156,6 @@ def check_ackermann() -> dict:
     for m in range(4):
         for n in range(4):
             a = ackermann.ack(m, n)
-            if not isinstance(a, int):
-                continue
-            if m < 3 and a > 1e300:
-                continue
             worst_g = max(worst_g, abs(ackermann.G_real(m, a) - n))
     if worst_g > 1e-9:
         fails.append(f"G anchors ({worst_g:.2e})")

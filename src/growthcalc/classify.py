@@ -290,10 +290,6 @@ def _logk_expr(e, k: int):
     return Call("log_k", e, param=k)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def _growth_precondition(f: Callable) -> Tuple[bool, float]:
     worst = math.inf
     for x in Ladder.geometric(4.0, 2.5, 12):
@@ -363,7 +359,7 @@ def classify_expr(f) -> ClassReport:
             # log_{n+2} x / log mu; an additive shift (n = -2) is checked on
             # small points, where large x cancels
             witness = (funcexpr.to_text(_logk_expr(Var(), n + 2)) + "/"
-                       + _fmt(math.log(mu)))
+                       + f"{math.log(mu):.12g}")
             cls, lad = ("0", _MU_LADDERS[-2]) if n == -2 else ("1", _CHECK_LADDER)
             if _self_check(witness, fc, lad, checks):
                 return ClassReport(cls, witness, diags, checks)
@@ -474,10 +470,7 @@ def scaled_xi_increment(a: float, x) -> float:
     delta = math.log(a)
     lo = float(HIER.xi_k(3, uf))
     hi = float(HIER.xi_k(3, uf + delta))
-    chi = HIER.chi(uf)
-    if isinstance(chi, LIReal):
-        return 1.0
-    return float(chi) * (hi - lo)
+    return float(HIER.chi(uf)) * (hi - lo)
 
 
 def sandwich_bracket_report() -> dict:

@@ -5,10 +5,10 @@ Ackermann levels, estimate orders of growth, classify growth rates, verify
 the growth catalog, test regularity conditions, compute fractional
 iterates, dump plot data, and rerun the whole verification suite.
 
-Outputs are JSON by default (`--format text` for summaries, `--format csv`
-where tabular).  Tower-valued numbers appear as "L<level>:<mantissa>"
-literals, and the same syntax is accepted for inputs.  Exit codes: 0 for
-data-bearing runs, 1 for usage errors, 2 for evaluation errors.
+Outputs are JSON by default (`--format text` for summaries and the plotdata
+table).  Tower-valued numbers appear as "L<level>:<mantissa>" literals, and
+the same syntax is accepted for inputs.  Exit codes: 0 for data-bearing
+runs, 1 for usage errors, 2 for evaluation errors.
 
 JSON on stdout is the text json.dumps(payload, indent=2, default=str,
 allow_nan=False) writes, byte for byte.  _dumps writes it itself and hands
@@ -301,11 +301,7 @@ def cmd_repro(args) -> int:
              f"{r['detail']}" for r in reports]
     ok = all(r["ok"] for r in reports)
     lines.append(f"=> {sum(r['ok'] for r in reports)}/{len(reports)} passed")
-    if args.format == "json":
-        _emit(args, {"criteria": reports, "ok": ok})
-    else:
-        for line in lines:
-            print(line)
+    _emit(args, {"criteria": reports, "ok": ok}, lines)
     return 0
 
 
@@ -320,7 +316,7 @@ def build_parser() -> _Parser:
                 description="Growth-rate calculus: super-logarithm arithmetic, "
                             "Abel equations, orders of growth, and the "
                             "class hierarchy.")
-    p.add_argument("--format", choices=("json", "text", "csv"),
+    p.add_argument("--format", choices=("json", "text"),
                    default="json", help="output format (default json)")
     sub = p.add_subparsers(dest="command", required=True)
     p.commands = sub.choices  # each subcommand's parser, by name

@@ -332,12 +332,8 @@ def to_text(e: FuncExpr) -> str:
 _INF = math.inf
 
 
-def _is_li(v) -> bool:
-    return isinstance(v, LIReal)
-
-
 def _exp(v: Value) -> Value:
-    if _is_li(v):
+    if isinstance(v, LIReal):
         return lixnum.exp_li(v)
     try:
         x = float(v)
@@ -354,7 +350,7 @@ def _exp(v: Value) -> Value:
 
 
 def _log(v: Value) -> Value:
-    if _is_li(v):
+    if isinstance(v, LIReal):
         return lixnum.ln_li(v)
     try:
         if type(v) is Fraction:
@@ -378,7 +374,7 @@ def _log(v: Value) -> Value:
 
 
 def _pow(b: Value, p: Value) -> Value:
-    tower = _is_li(b) or _is_li(p)
+    tower = isinstance(b, LIReal) or isinstance(p, LIReal)
     if not tower:
         try:
             bf, pf = float(b), float(p)
@@ -405,12 +401,9 @@ def _pow(b: Value, p: Value) -> Value:
             raise DomainError(f"negative tower power {bf!r} ^ {pf!r}: a tower has no sign")
         bf = -bf
     if math.isinf(r) and bf > 0:
-        e = pf * math.log(bf)
-        if math.isinf(e):  # past about L4: form the exponent on towers
-            # from the magnitudes of pf and log bf, which share a sign here
-            return lixnum.exp_li(lixnum.mul(lixnum.to_li(abs(pf)),
-                                            lixnum.to_li(abs(math.log(bf)))))
-        return lixnum.exp_li(lixnum.to_li(e))
+        # exp(p log b), the product promoted as _binary does; not through
+        # _exp, as math.exp(1024 * log 2) is finite where 2.0 ** 1024 is not
+        return lixnum.exp_li(lixnum.to_li(_binary("*", pf, math.log(bf))))
     return r
 
 
@@ -428,7 +421,7 @@ _OPS = {"+": (operator.add, lixnum.add), "-": (operator.sub, lixnum.sub),
 def _binary(op: str, a: Value, b: Value) -> Value:
     """a op b for + - * / where the compiled float fast path does not apply."""
     num, li = _OPS[op]
-    if _is_li(a) or _is_li(b):
+    if isinstance(a, LIReal) or isinstance(b, LIReal):
         return li(lixnum.to_li(a), lixnum.to_li(b))
     a_exact, b_exact = isinstance(a, Fraction), isinstance(b, Fraction)
     if a_exact != b_exact:
@@ -489,10 +482,10 @@ def _call_value(node: Call, v: Value) -> Value:
         return v
     if fn == "sqrt":
         try:
-            vf = v if _is_li(v) else float(v)
+            vf = v if isinstance(v, LIReal) else float(v)
         except OverflowError:  # an int or Fraction past the float range
             vf = lixnum.to_li(v) if v > 0 else -_INF
-        if _is_li(vf):
+        if isinstance(vf, LIReal):
             return _pow(vf, 0.5)
         if vf < 0:
             raise EvalError(f"sqrt of negative value {vf!r}")
@@ -504,7 +497,7 @@ def _call_value(node: Call, v: Value) -> Value:
             raise PrecisionError(f"sin needs a float argument ({exc}): "
                                  "argument reduction is meaningless") from None
     if fn == "abs":
-        if _is_li(v):
+        if isinstance(v, LIReal):
             if v.level == -1:
                 return lixnum.to_li(-float(v))
             return v
@@ -742,8 +735,6 @@ def _div(a, b):
         return _ZERO
     if _c(b) == 1:
         return a
-    if _c(a) is not None and _c(b) is not None and _c(b) != 0:
-        return Const(_c(a) / _c(b))
     return Binary("/", a, b)
 
 

@@ -74,10 +74,9 @@ def _ordering(op):
             try:
                 other = to_li(other)
             except DomainError:
-                if other >= 0:
-                    raise
-                # a negative below level -1's range, the float range
-                # included, orders as ln 0, below every value to_li gives
+                # to_li refuses only a negative: one below level -1's range,
+                # the float range included, orders as ln 0, below every
+                # value to_li gives
                 other = _LN_ZERO
         return op((self.level, self.mantissa), (other.level, other.mantissa))
     return compare
@@ -190,9 +189,6 @@ def _pair_any(d) -> tuple:
     while x >= 1.0:
         x = math.log(x)
         level += 1
-    if x < 0.0:
-        # log chain undershot 0 by rounding; clamp to the band edge
-        x = 0.0
     return level, x
 
 

@@ -101,7 +101,7 @@ class Ladder(tuple):
         """Parse "geom:<x0>:<ratio>:<count>" or "tower:<mantissa>:<levels>"."""
         parts = spec.split(":")
         try:
-            if parts[0] in ("geom", "geometric") and len(parts) == 4:
+            if parts[0] == "geom" and len(parts) == 4:
                 return cls.geometric(float(parts[1]), float(parts[2]), int(parts[3]))
             if parts[0] == "tower" and len(parts) == 3:
                 return cls.tower(float(parts[1]), int(parts[2]))

@@ -349,7 +349,7 @@ class TestIterate:
 
 class TestPlotdata:
     def test_csv_shape(self, capsys):
-        code, out, _ = run(capsys, "--format", "csv", "plotdata", "x^2",
+        code, out, _ = run(capsys, "--format", "text", "plotdata", "x^2",
                            "--ladder", "geom:1:2:8")
         assert code == 0
         lines = out.splitlines()
@@ -364,7 +364,7 @@ class TestPlotdata:
     def test_rational_past_float_range_is_one_cell(self, capsys):
         argv = ("plotdata", "xi(x)*10^300", "--ladder", "geom:10:10:8")
         rows = run_json(capsys, *argv)["rows"]
-        code, out, _ = run(capsys, "--format", "csv", *argv)
+        code, out, _ = run(capsys, "--format", "text", *argv)
         assert code == 0
         rows += [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 16
@@ -377,6 +377,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["no-such-command"])
         assert exc.value.code == 1
+
+    def test_csv_format_is_one(self, capsys):
+        # --format takes json or text; plotdata's text is its x,f(x) table
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--format", "csv", "plotdata", "x^2"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("usage: ")
+        assert "argument --format: invalid choice" in err
 
     def test_missing_required_flag_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -579,7 +588,7 @@ class TestSharedParser:
     CALLS = [
         ["--format", "text", "eval", "2*x", "--at", "4"],
         ["eval", "x^2+1", "--at", "3"],
-        ["--format", "csv", "plotdata", "x^2", "--ladder", "geom:1:2:8"],
+        ["--format", "text", "plotdata", "x^2", "--ladder", "geom:1:2:8"],
         ["xi", "--k", "2", "--at", "10"],
         ["--format", "text", "ack", "3", "2"],
         ["iterate", "--f", "2*x", "--lambda", "0.5", "--at", "3",
