@@ -47,6 +47,12 @@ def test_evaluate_tower(benchmark):
     assert benchmark(evaluate, e, x).level == 5
 
 
+def test_float_power_past_the_range(benchmark):
+    # the float power overflows: exp(p log b) promotes to a tower
+    f = compile_expr(parse("x^2.5"))
+    assert benchmark(f, 1e200) == LIReal(4, 0.6692820438836723)
+
+
 def test_compile_small(benchmark):
     e = parse("x+sqrt(x)")
     assert benchmark(compile_expr, e)(4.0) == 6.0

@@ -330,16 +330,20 @@ def classify_expr(f) -> ClassReport:
                            reason="f(x) >= x + 1 + delta fails on the sample")
 
     # super-logarithm order first: positive k means class 2
-    k_est = order_of("xi(x)", fc, _K_TOWER, tol=_ORDER_TOL)
-    diags["k_hat"] = k_est.lambda_hat
     checks = []
-    if k_est.converged and k_est.lambda_hat >= 0.9:
-        k = round(k_est.lambda_hat)
-        witness = "xi(x)" if k == 1 else f"xi(x)/{k}"
-        if _self_check(witness, fc, _K_TOWER, checks):
-            return ClassReport("2", witness, diags, checks)
-        return ClassReport("inconclusive", witness, diags, checks,
-                           reason="class-2 witness order check did not converge to 1")
+    try:
+        k_est = order_of("xi(x)", fc, _K_TOWER, tol=_ORDER_TOL)
+    except _SCAN_ERRORS as exc:  # e.g. sin at a tower point: go on to the mu-scan
+        diags["k_hat"] = f"failed: {exc}"
+    else:
+        diags["k_hat"] = k_est.lambda_hat
+        if k_est.converged and k_est.lambda_hat >= 0.9:
+            k = round(k_est.lambda_hat)
+            witness = "xi(x)" if k == 1 else f"xi(x)/{k}"
+            if _self_check(witness, fc, _K_TOWER, checks):
+                return ClassReport("2", witness, diags, checks)
+            return ClassReport("inconclusive", witness, diags, checks,
+                               reason="class-2 witness order check did not converge to 1")
 
     mu_scan, fv = {}, _float_values(fc)  # one value memo for every depth n
     for n in range(_N_MIN, _N_MAX + 1):

@@ -437,8 +437,8 @@ def _binary(op: str, a: Value, b: Value) -> Value:
     r = num(a, b)
     if (op in "*/" and type(a) is float and type(b) is float and abs(r) == _INF
             and abs(a) < _INF and abs(b) < _INF):
-        # a float product or quotient past the range promotes, as _pow
-        # does, through the operands' magnitudes; a tower has no sign
+        # a float product or quotient past the range (_pow's p log b among
+        # them) promotes through the operands' magnitudes; a tower has no sign
         if r < 0.0:
             name = "product" if op == "*" else "quotient"
             raise DomainError(f"negative tower {name} {a!r} {op} {b!r}: "

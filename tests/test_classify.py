@@ -9,6 +9,7 @@ from growthcalc.classify import (
     scaled_xi_increment, staircase_class0, staircase_class1, verify_chain,
     wobbly_log_derivative,
 )
+from growthcalc.funcexpr import EvalError
 from growthcalc.lixnum import DomainError, LIReal
 from growthcalc.xihier import default_hierarchy
 
@@ -72,6 +73,51 @@ class TestClassifier:
         rep = classify_expr("log(x)")
         assert rep.verdict == "inconclusive"
         assert rep.reason
+
+    @pytest.mark.parametrize("text,verdict,witness", [
+        ("2*x+sin(x)", "1", "log(x)/0.69314718056"),
+        ("x^2+sin(x)", "1", "log_2(x)/0.69314718056"),
+        ("x+2+sin(x)", "inconclusive", None),
+    ])
+    def test_super_log_order_that_fails_goes_on_to_the_mu_scan(self, text, verdict, witness):
+        # sin has no value at the tower points of the k-scan; the failure
+        # is recorded as the mu-scan records its own
+        rep = classify_expr(text)
+        assert (rep.verdict, rep.witness) == (verdict, witness)
+        assert rep.diagnostics["k_hat"] == (
+            "failed: evaluation failed at ladder point L5:0.5: sin needs a float "
+            "argument (L5:0.5 exceeds float range): argument reduction is meaningless")
+        assert "mu_scan" in rep.diagnostics
+
+    def test_no_stabilizing_exponent(self):
+        rep = classify_expr("x^(2+sin(log(x)))")
+        assert (rep.verdict, rep.witness) == ("inconclusive", None)
+        assert rep.reason == "no stabilizing exponent found in the n-scan"
+        assert "n" not in rep.diagnostics
+        assert len(rep.diagnostics["mu_scan"]) == classify._N_MAX - classify._N_MIN + 1
+
+    def test_failed_c_scan_is_recorded(self):
+        # x^2 is a tower past the float range, where sin has no value: the
+        # mu-scan reaches mu = 1 at n = 0 on its wide ladder, and h fails on
+        # the deeper points of the c-scan
+        rep = classify_expr("x+3+sin(x^2)")
+        assert (rep.verdict, rep.diagnostics["n"]) == ("inconclusive", 0)
+        assert rep.diagnostics["mu_scan"][-1].startswith("failed: sin needs a float argument")
+        assert rep.diagnostics["c_scan"].startswith("failed: sin needs a float argument")
+        assert "c_hat" not in rep.diagnostics
+
+    def test_failed_point_raises_again_from_the_memo(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            raise EvalError(f"no value at {x}")
+
+        fv = classify._float_values(f)
+        for _ in range(2):
+            with pytest.raises(EvalError, match="no value at 3.0"):
+                fv(3.0)
+        assert calls == [3.0]
 
     def test_h_is_evaluated_once_per_scan_point(self, monkeypatch):
         # the c-scan and every (k, r) scan of the mu = 1 route read h at

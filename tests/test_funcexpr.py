@@ -205,6 +205,11 @@ class TestPastTheFloatRange:
     def test_tower_functions_answer_as_on_the_tower(self, text):
         assert ev(text, _HUGE) == ev(text, lixnum.to_li(_HUGE))
 
+    def test_power_past_the_range_is_not_a_finite_exp(self):
+        # 2^1024 = exp(1024 log 2) as a tower, though math.exp of that
+        # rounded product is the finite 1.7976931348622732e308
+        assert evaluate(parse("2^x"), 1024.0) == LIReal(4, 0.6322001994373889)
+
     def test_exp_of_a_huge_negative_is_zero(self):
         assert ev("exp(x)", -_HUGE) == 0.0
 
@@ -237,6 +242,14 @@ class TestDifferentiation:
     def test_symbolic_derivative_oracles(self, text, x, expected):
         d = funcexpr.differentiate(parse(text))
         assert evaluate(d, x) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("text,value", [
+        ("2*x+3*x", 5.0),  # _add folds two constants
+        ("3*(2*x)", 6.0),  # _mul folds two constants
+        ("x+1/3", 1.0),  # the derivative of 1/3 has a zero numerator
+    ])
+    def test_constant_derivatives_fold(self, text, value):
+        assert funcexpr.differentiate(parse(text)) == Const(value)
 
     def test_xi_derivative_is_reciprocal_chi(self):
         hier = default_hierarchy()
@@ -377,7 +390,8 @@ class TestSymbolicInversion:
     def test_paper_generators(self, text, expected):
         assert to_text(funcexpr.invert(parse(text))) == expected
 
-    @pytest.mark.parametrize("text", ["x+sqrt(x)", "x*log(x)", "sin(x)", "xi(x)", "-2*x", "x^3"])
+    @pytest.mark.parametrize("text", ["x+sqrt(x)", "x*log(x)", "sin(x)", "xi(x)", "-2*x", "x^3",
+                                      "sin(x) @ (x+1)"])
     def test_not_invertible(self, text):
         assert funcexpr.invert(parse(text)) is None
 

@@ -280,6 +280,10 @@ class TestOrdering:
         assert LIReal(0, 0.25) < 1.0
         assert lixnum.to_li(7.0) <= 7.0
 
+    def test_compare_against_a_string_is_a_type_error(self):
+        with pytest.raises(TypeError, match="'<' not supported"):
+            LIReal(1, 0.5) < "a"
+
     def test_compare_against_numbers_past_float_range(self):
         # 10**400 lies between L3:0.5 (about 1.8e2) and L5:0.5
         assert LIReal(5, 0.5) > 10 ** 400

@@ -83,6 +83,7 @@ class TestLadder:
 
     @pytest.mark.parametrize("spec", [
         "geom:2:3", "tower:0.5", "geom:2:x:8", "arith:1:2:8", "geom:0:2:8",
+        "geometric:2:3:8",
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
@@ -237,6 +238,19 @@ class TestRegularity:
         # "R0" iterates to "R" and "0"
         with pytest.raises(ValueError, match="unknown regularity condition 'R'"):
             check_R("R0", "log(x)", DEEP)
+
+    def test_tower_ladder_point_is_refused(self, capsys):
+        with pytest.raises(EvalError, match="ladder point L5:0.5 not usable for a "
+                                            "float-range check"):
+            check_R(("R0",), "log(x)", Ladder.tower(0.5, 10))
+        assert cli.main(["props", "--F", "log(x)", "--ladder", "tower:0.5:10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("growthcalc: EvalError: ladder point L5:0.5 not usable")
+
+    def test_vanishing_derivative_is_an_error(self):
+        with pytest.raises(EvalError, match="F' vanished at 10.0"):
+            check_R(("R1",), "3", DEEP)
 
     def test_report_json(self):
         (rep,) = check_R(("R1",), "log(x)", DEEP)

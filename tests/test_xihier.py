@@ -36,6 +36,10 @@ class TestLowLevels:
             v = hier.xi_k_inv(k, t)
             assert float(hier.xi_k(k, v)) == pytest.approx(t, abs=1e-9)
 
+    def test_inverse_refuses_a_level_past_the_top(self):
+        with pytest.raises(DomainError, match="level 9 outside 0..8"):
+            HIER.xi_k_inv(9, 2.0)
+
     @pytest.mark.parametrize("k", range(9))
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_inverse_names_a_non_finite_target(self, k, t):
