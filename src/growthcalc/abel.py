@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import funcexpr
@@ -58,16 +57,16 @@ class HypothesisError(ValueError):
 
 
 class CubicSeed:
-    """Hermite cubic on [x0, x1] from y0 to y0+1, slope ratio m1 = m0 / fpA.
+    """Hermite cubic on [x0, x1] from 0 to 1, slope ratio m1 = m0 / fpA.
 
     The slope condition makes the extended solution C^1 across the domain
     boundary.  m0 is fixed so the mean slope matches the secant.
     """
 
-    def __init__(self, x0: float, x1: float, y0: float, fpA: float):
+    def __init__(self, x0: float, x1: float, fpA: float):
         if fpA <= 0:
             raise DomainError(f"f'(A) must be positive, got {fpA!r}")
-        self.x0, self.x1, self.y0, self.fpA = x0, x1, y0, fpA
+        self.x0, self.x1 = x0, x1
         d = x1 - x0
         self.m0 = 2.0 / (d * (1.0 + 1.0 / fpA))
         self.m1 = self.m0 / fpA
@@ -79,16 +78,14 @@ class CubicSeed:
         h10 = t ** 3 - 2 * t ** 2 + t
         h01 = -2 * t ** 3 + 3 * t ** 2
         h11 = t ** 3 - t ** 2
-        return (h00 * self.y0 + h10 * d * self.m0
-                + h01 * (self.y0 + 1.0) + h11 * d * self.m1)
+        return h10 * d * self.m0 + h01 + h11 * d * self.m1
 
     def inv(self, t: float) -> float:
-        lo, hi = self.y0, self.y0 + 1.0
-        if not lo - 1e-12 <= t <= hi + 1e-12:
-            raise DomainError(f"seed inverse target {t!r} outside [{lo!r}, {hi!r}]")
-        if t <= lo:
+        if not -1e-12 <= t <= 1.0 + 1e-12:
+            raise DomainError(f"seed inverse target {t!r} outside [0.0, 1.0]")
+        if t <= 0.0:
             return self.x0
-        if t >= hi:
+        if t >= 1.0:
             return self.x1
         return funcexpr._bisect(self, t, self.x0, self.x1)
 
@@ -126,41 +123,76 @@ class TableSeed:
 # Solutions
 
 
-@dataclass
 class AbelSolution:
-    f: Callable[[float], float]
-    A: float
-    seed: object
-    direction: str  # 'expanding' | 'contracting'
-    domain_lo: float  # the fundamental domain [min(A, f(A)), max(A, f(A))]
-    domain_hi: float
-    f_inv: Optional[Callable[[float], float]] = None
-    f_text: Optional[str] = None
-    fp: Optional[Callable[[float], float]] = None  # f', for Newton steps without f_inv
-    affine: Optional[tuple] = None  # funcexpr.affine_step of f: f^k in closed form
+    """The Abel solution of f at base A, solved when it is built.
 
-    def __post_init__(self):
-        """Bind the evaluation path: _pull for eval and _push for inverse
-        hold the domain ends with their rounding slack, the seed at both
-        ends, a two-knot table seed's line, and an affine step's constants
-        or the step map (None: the bisected pre-image of f, which reads f
-        and fp at each step)."""
-        lo, hi, seed = self.domain_lo, self.domain_hi, self.seed
-        tol = 1e-12 * (hi - lo)  # rounding slack, scaled to the domain's width
-        edge = hi + tol
+    seed_kind: "linear" (the two-knot table 0 -> 1 across the domain) or
+    "smooth_c1" (the Hermite cubic); each maps the domain onto [0, 1].  The
+    backward step is funcexpr.Fn(f, inverse=f_inv).inverse; without one, an
+    expression gives f' for Newton steps in the bisection and a callable
+    gives none.  The constructor binds the evaluation path: _pull for eval
+    and _push for inverse hold the domain ends with their rounding slack, a
+    linear seed's line, and an affine step's constants or the step map
+    (None: the bisected pre-image of f, which reads f and fp at each step).
+    """
+
+    def __init__(self, f, A: float, seed_kind: str = "linear",
+                 f_inv: Optional[Callable[[float], float]] = None):
+        fn = funcexpr.Fn(f, inverse=f_inv)
+        inv, fp = fn.inverse, None
+        if inv is not None:
+            # a callable inverse runs as given; an expression's returns floats
+            inv = inv.raw if inv.expr is None else inv.float
+        elif fn.expr is not None:
+            try:
+                fp = fn.derivative
+            except funcexpr.EvalError:
+                pass
+        A = float(A)
+        fA = fn.float(A)
+        if fA == A:
+            raise DomainError(f"f has a fixed point at the base A={A!r}")
+        toward = -1 if fA > A else 1  # the direction of a step into the domain
+        lo, hi = (A, fA) if toward < 0 else (fA, A)
+
+        # quick monotonicity scan over the fundamental domain, ends included
+        # exactly; f(A) is already known
+        prev = None
+        for i in range(17):
+            t = hi if i == 16 else lo + (hi - lo) * i / 16
+            v = fA if t == A else fn.float(t)
+            if prev is not None and v <= prev:
+                raise DomainError(f"f is not strictly increasing near {t!r}")
+            prev = v
+
         line = None  # y0 + (y - x0) * (y1 - y0) / (x1 - x0), as TableSeed
-        if isinstance(seed, TableSeed) and len(seed.xs) == 2:
+        if seed_kind == "linear":
+            seed = TableSeed([(lo, 0.0), (hi, 1.0)])
             (x0, x1), (y0, y1) = seed.xs, seed.ys
             line = (x0, y0, x1 - x0, y1 - y0)
-        toward = -1 if self.direction == "expanding" else 1
-        back, fwd = (self.f_inv, self.f) if toward < 0 else (self.f, self.f_inv)
-        affine = None  # (plus, s, toward, n's origin, n's unit)
-        if self.affine is not None:
-            op, s = self.affine
-            affine = ((True, s, toward, edge, abs(s)) if op == "+" else
-                      (False, s, toward, math.log(edge), abs(math.log(s))))
-        self._pull = (lo - tol, edge, lo, hi, line, affine, back)
-        self._push = (seed(lo), seed(hi), line, affine, fwd)
+        elif seed_kind == "smooth_c1":
+            seed = CubicSeed(lo, hi, funcexpr._numdiff(fn.float, A))
+        else:
+            raise DomainError(f"unknown seed kind {seed_kind!r}")
+
+        affine = None if fn.expr is None else funcexpr.affine_step(fn.expr)
+        if affine is not None and affine[0] == "*" and lo <= 0:
+            affine = None  # a scaling's closed form reads n off log(x) - log(edge)
+        self.f, self.A, self.seed, self.seed_kind = fn.float, A, seed, seed_kind
+        self.direction = "expanding" if toward < 0 else "contracting"
+        self.domain_lo, self.domain_hi = lo, hi
+        self.f_inv, self.f_text, self.fp, self.affine = inv, fn.text, fp, affine
+
+        tol = 1e-12 * (hi - lo)  # rounding slack, scaled to the domain's width
+        edge = hi + tol
+        step = None  # (plus, s, toward, n's origin, n's unit)
+        if affine is not None:
+            op, s = affine
+            step = ((True, s, toward, edge, abs(s)) if op == "+" else
+                    (False, s, toward, math.log(edge), abs(math.log(s))))
+        back, fwd = (inv, self.f) if toward < 0 else (self.f, inv)
+        self._pull = (lo - tol, edge, lo, hi, line, step, back)
+        self._push = (line, step, fwd)
 
     def _inverse_step(self, y: float) -> float:
         # the pullback only steps from y > domain_hi = f(domain_lo)
@@ -224,17 +256,14 @@ class AbelSolution:
         """The seed's inverse at t - n, pushed n steps out of the domain."""
         if not math.isfinite(t):
             raise DomainError(f"the Abel solution's inverse is not defined at {t!r}")
-        s_lo, s_hi, line, affine, fwd = self._push
-        if t < s_lo - 1e-12:
-            raise DomainError(f"{t!r} below the solution range start {s_lo!r}")
-        n = max(0, math.floor(t - s_lo))  # the slack below s_lo takes no step
+        line, affine, fwd = self._push
+        if t < -1e-12:
+            raise DomainError(f"{t!r} below the solution range start 0.0")
+        n = max(0, math.floor(t))  # the slack below 0 takes no step
         if n > MAX_PULLBACK_STEPS and affine is None:
             raise DomainError(f"{t!r} needs more than {MAX_PULLBACK_STEPS} steps "
                               "from the fundamental domain")
-        frac = t - n
-        if frac > s_hi:
-            n += 1
-            frac = t - n
+        frac = t - n  # in [0, 1): the seed's range
         if line is None:
             y = self.seed.inv(frac)
         else:
@@ -260,50 +289,8 @@ class AbelSolution:
 
 def solve_abel(f, A: float, seed_kind: str = "linear",
                f_inv: Optional[Callable[[float], float]] = None) -> AbelSolution:
-    """seed_kind: "linear" (the two-knot table 0 -> 1 across the domain) or
-    "smooth_c1" (the Hermite cubic); each gains exactly 1.  The backward
-    step is funcexpr.Fn(f, inverse=f_inv).inverse; without one, an expression
-    gives f' for Newton steps in the bisection and a callable gives none."""
-    fn = funcexpr.Fn(f, inverse=f_inv)
-    inv, fp = fn.inverse, None
-    if inv is not None:
-        # a callable inverse runs as given; an expression's returns floats
-        inv = inv.raw if inv.expr is None else inv.float
-    elif fn.expr is not None:
-        try:
-            fp = fn.derivative
-        except funcexpr.EvalError:
-            pass
-    A = float(A)
-    fA = fn.float(A)
-    if fA == A:
-        raise DomainError(f"f has a fixed point at the base A={A!r}")
-    direction = "expanding" if fA > A else "contracting"
-    lo, hi = (A, fA) if direction == "expanding" else (fA, A)
-
-    # quick monotonicity scan over the fundamental domain, ends included
-    # exactly; f(A) is already known
-    prev = None
-    for i in range(17):
-        t = hi if i == 16 else lo + (hi - lo) * i / 16
-        v = fA if t == A else fn.float(t)
-        if prev is not None and v <= prev:
-            raise DomainError(f"f is not strictly increasing near {t!r}")
-        prev = v
-
-    if seed_kind == "linear":
-        seed = TableSeed([(lo, 0.0), (hi, 1.0)])
-    elif seed_kind == "smooth_c1":
-        seed = CubicSeed(lo, hi, 0.0, funcexpr._numdiff(fn.float, A))
-    else:
-        raise DomainError(f"unknown seed kind {seed_kind!r}")
-
-    affine = None if fn.expr is None else funcexpr.affine_step(fn.expr)
-    if affine is not None and affine[0] == "*" and lo <= 0:
-        affine = None  # a scaling's closed form reads n off log(x) - log(edge)
-    return AbelSolution(f=fn.float, A=A, seed=seed, direction=direction,
-                        domain_lo=lo, domain_hi=hi, f_inv=inv,
-                        f_text=fn.text, fp=fp, affine=affine)
+    """AbelSolution(f, A, seed_kind, f_inv): the solve under its own name."""
+    return AbelSolution(f, A, seed_kind, f_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +301,7 @@ def solution_to_json(sol: AbelSolution) -> dict:
     """The arguments of the solve: {"f": text, "A": A, "seed_kind": kind}."""
     if sol.f_text is None:
         raise DomainError("only solutions built from expression text are serializable")
-    kind = "smooth_c1" if isinstance(sol.seed, CubicSeed) else "linear"
-    return {"f": sol.f_text, "A": sol.A, "seed_kind": kind}
+    return {"f": sol.f_text, "A": sol.A, "seed_kind": sol.seed_kind}
 
 
 def solution_from_json(data: dict) -> AbelSolution:
