@@ -323,7 +323,12 @@ def classify_expr(f) -> ClassReport:
         raise TypeError(f"classify_expr needs a DSL expression, got {f!r}")
     diags: dict = {"f": funcexpr.to_text(fexpr)}
 
-    ok, margin = _growth_precondition(fc)
+    try:
+        ok, margin = _growth_precondition(fc)
+    except _SCAN_ERRORS as exc:  # e.g. sin at a tower point
+        diags["min_f_minus_x"] = f"failed: {exc}"
+        return ClassReport("inconclusive", None, diags,
+                           reason="f(x) >= x + 1 + delta cannot be evaluated on the sample")
     diags["min_f_minus_x"] = margin
     if not ok:
         return ClassReport("inconclusive", None, diags,

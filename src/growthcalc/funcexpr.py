@@ -145,8 +145,10 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()  # the blanks _TOKEN_RE would skip
+            if rest == "":
                 break
+            pos = len(text) - len(rest)
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         num, name, sym = m.groups()
         if num is not None:
@@ -820,12 +822,14 @@ def _has_x(e: FuncExpr) -> bool:
 
 
 def _const_value(e: FuncExpr) -> Optional[float]:
-    """The finite float value of a subtree without x, or None."""
+    """The finite float value of a subtree without x, or None; also None
+    for a tower, which the compiled map keeps as one."""
     try:
-        c = float(e.value if isinstance(e, Const) else evaluate(e, 0.0))
+        v = e.value if isinstance(e, Const) else evaluate(e, 0.0)
+        c = float(v)
     except (ValueError, ArithmeticError):
         return None
-    return c if math.isfinite(c) else None
+    return c if math.isfinite(c) and not isinstance(v, LIReal) else None
 
 
 def _invert_into(e: FuncExpr, acc: FuncExpr) -> Optional[FuncExpr]:

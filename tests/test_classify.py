@@ -89,6 +89,16 @@ class TestClassifier:
             "argument (L5:0.5 exceeds float range): argument reduction is meaningless")
         assert "mu_scan" in rep.diagnostics
 
+    def test_growth_precondition_that_fails_is_inconclusive(self):
+        # the 12-point sample reaches 9.5e4, where exp(x) is a tower and sin
+        # has no value
+        rep = classify_expr("x+3+sin(exp(x))")
+        assert (rep.verdict, rep.witness) == ("inconclusive", None)
+        assert rep.reason == "f(x) >= x + 1 + delta cannot be evaluated on the sample"
+        assert rep.diagnostics["min_f_minus_x"].startswith(
+            "failed: sin needs a float argument (L4:0.657")
+        assert "k_hat" not in rep.diagnostics
+
     def test_no_stabilizing_exponent(self):
         rep = classify_expr("x^(2+sin(log(x)))")
         assert (rep.verdict, rep.witness) == ("inconclusive", None)

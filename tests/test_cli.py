@@ -207,6 +207,12 @@ class TestSimpleCommands:
         assert data["class"] == "2"
         assert data["witness"]
 
+    def test_classify_unevaluable_precondition_answers(self, capsys):
+        # sin has no value at exp(x)'s tower points: inconclusive, exit 0
+        data = run_json(capsys, "classify", "x+3+sin(exp(x))")
+        assert (data["class"], data["witness"]) == ("inconclusive", None)
+        assert data["diagnostics"]["min_f_minus_x"].startswith("failed: ")
+
     def test_table_all_pass(self, capsys):
         code, out, _ = run(capsys, "--format", "text", "table")
         assert code == 0

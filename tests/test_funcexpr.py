@@ -54,6 +54,14 @@ class TestParsing:
     def test_trailing_whitespace_is_skipped(self):
         assert parse("x ") == Var()
 
+    @pytest.mark.parametrize("text,char,pos", [
+        ("x $ 2", "$", 2), ("$", "$", 0), ("x\t #", "#", 3), ("  ?", "?", 2)])
+    def test_unexpected_character_is_named_past_the_blanks(self, text, char, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"unexpected character {char!r} at position {pos}"
+        assert info.value.pos == pos
+
     def test_dangling_expression_rejected(self):
         with pytest.raises(ParseError):
             parse("x+")
@@ -395,6 +403,13 @@ class TestSymbolicInversion:
     def test_not_invertible(self, text):
         assert funcexpr.invert(parse(text)) is None
 
+    @pytest.mark.parametrize("text", ["x+log(2^1e300)", "x*log(1e300*1e300)"])
+    def test_tower_constant_is_not_folded(self, text):
+        # the compiled map keeps log(2^1e300) as a tower, whose sum with x
+        # need not be the float sum
+        assert funcexpr.invert(parse(text)) is None
+        assert funcexpr.affine_step(parse(text)) is None
+
 
 # subtrees without x, x@c among them (x@c is the constant c)
 _CONSTS = st.recursive(
@@ -436,6 +451,8 @@ class TestAffineStep:
         assert funcexpr.affine_step(parse(text)) is None
 
     @given(st.sampled_from("+-*/^"), _CONSTS, st.booleans(), st.floats(1.0, 1e6))
+    @example("+", Call("log", Binary("^", Const(2.0), Const(1e300))), False, 1.0)
+    @example("*", Call("log", Binary("*", Const(1e300), Const(1e300))), False, 1.0)
     def test_step_is_the_map(self, op, c, x_left, t):
         e = Binary(op, Var(), c) if x_left else Binary(op, c, Var())
         step = funcexpr.affine_step(e)
