@@ -83,6 +83,15 @@ def test_solve_abel_scaling(benchmark):
     assert sol.affine == ("*", 2.5)
 
 
+def test_abel_cubic_seed(benchmark):
+    # the smooth C^1 seed: f'(A) by central difference, then the cubic's
+    # inverse by bisection and a stepwise push through f
+    def solve_and_invert():
+        return abel.solve_abel("x^2", 2.0, seed_kind="smooth_c1").inverse(3.7)
+
+    assert benchmark(solve_and_invert) == 8599.481195174716
+
+
 def test_abel_eval_stepwise(benchmark):
     # no inverse and no affine step: each pullback step bisects f
     sol, x = abel.solve_abel("x+sqrt(x)", 2.0), 1e4

@@ -1,8 +1,8 @@
 """Abel functional equation solver.
 
 Solves F(f(x)) = F(x) + 1 for strictly increasing f with f(x) > x by the
-classical fundamental-domain construction: a linear or smooth C^1 seed on
-[A, f(A)] that gains exactly 1, extended by the recursion, so f, A and the
+classical fundamental-domain construction: a linear or smooth C^1 seed that
+maps [A, f(A)] onto [0, 1], extended by the recursion, so f, A and the
 seed kind fix a solution (and are all its JSON holds).  For a
 contracting map (f(x) < x, e.g. log) the orientation flips: the solved F
 satisfies F(f(x)) = F(x) - 1 and is still increasing.  Evaluating F pulls
@@ -12,8 +12,9 @@ closed-form iterate, x + k*d or x * m^k, in O(1) at any distance.  Other
 maps step once per unit of F, at most MAX_PULLBACK_STEPS times; a
 backward step uses the inverse funcexpr.Fn resolves (the caller's f_inv
 or the exact inverse of an expression), else a bisection narrowed by
-Newton steps on f'.  A solution binds that choice, its direction and its
-seed constants when it is built, so eval and inverse each run one loop.
+Newton steps on f'.  AbelSolution's constructor solves and binds that
+choice, its direction and a linear seed's line, so eval and inverse each run
+one loop; solve_abel builds one.
 
 Solutions give fractional iterates f_lambda = F^{-1}(F + lambda).
 A separate regularized construction (for contracting maps whose second

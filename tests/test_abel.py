@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcalc import abel, funcexpr
@@ -137,6 +137,31 @@ class TestInverseAndIteration:
             assert y == pytest.approx(math.exp(x), rel=1e-9)
 
 
+# (f, A, f_inv) of the solutions built directly and through solve_abel
+_DIRECT_SOLVES = [("x+sqrt(x)", 1.0, None), ("2*x", 1.0, None),
+                  ("x^2", 2.0, math.sqrt), ("log(x)", 10.0, None)]
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("f,A,f_inv", _DIRECT_SOLVES)
+    @pytest.mark.parametrize("kind", ["linear", "smooth_c1"])
+    def test_direct_build_answers_as_solve_abel(self, f, A, f_inv, kind):
+        def answer(call, *args):  # the value, or the message of the error
+            try:
+                return call(*args)
+            except DomainError as exc:
+                return str(exc)
+
+        direct, solved = abel.AbelSolution(f, A, kind, f_inv), abel.solve_abel(f, A, kind, f_inv)
+        assert direct.seed_kind == kind and abel.solution_to_json(direct)["seed_kind"] == kind
+        for x in (0.5, A, 2.5, 17.0, 1e4):
+            assert answer(direct.eval, x) == answer(solved.eval, x)
+            assert (answer(direct.fractional_iterate, 0.5, x)
+                    == answer(solved.fractional_iterate, 0.5, x))
+        for t in (-1.0, 0.0, 0.25, 1.0, 3.7, 12.5):
+            assert answer(direct.inverse, t) == answer(solved.inverse, t)
+
+
 class TestSeeds:
     def test_smooth_seed_still_solves_equation(self):
         sol = abel.solve_abel("2*x", A=1.0, seed_kind="smooth_c1",
@@ -163,6 +188,14 @@ class TestSeeds:
     def test_table_knots_must_strictly_increase(self, knots):
         with pytest.raises(DomainError, match="strictly increasing"):
             abel.TableSeed(knots)
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.floats(1e-6, 1e6))
+    def test_seed_maps_its_domain_onto_0_1(self, a, b, fpA):
+        # inverse reads the seed's range as [0, 1] and stores no seed ends
+        lo, hi = min(a, b), max(a, b)
+        assume(hi - lo >= 1e-300)
+        for seed in (abel.TableSeed([(lo, 0.0), (hi, 1.0)]), abel.CubicSeed(lo, hi, fpA)):
+            assert (seed(lo), seed(hi)) == (0.0, 1.0)
 
     def test_unknown_seed_kind(self):
         for kind in ("cubic", "table"):
