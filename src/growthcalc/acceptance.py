@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Dict, List
 
-from . import abel, ackermann, classify, lixnum, orders
+from . import abel, ackermann, classify, funcexpr, lixnum, orders
 from .lixnum import LIReal
 from .orders import Ladder
 from .xihier import HIER
@@ -36,11 +36,13 @@ def check_xi_exactness(rng_seed: int = 20240817) -> dict:
     rng = random.Random(rng_seed)
     bad = 0
     for _ in range(10 ** 4):
-        v = LIReal(rng.randint(0, 100), rng.random())
-        a, b = lixnum.xi_exact(lixnum.exp_li(v)), lixnum.xi_exact(v)
+        # randrange(101) makes randint(0, 100)'s one _randbelow(101) draw
+        v = LIReal(rng.randrange(101), rng.random())
+        an, ad = lixnum.xi_exact(lixnum.exp_li(v)).as_integer_ratio()
+        bn, bd = lixnum.xi_exact(v).as_integer_ratio()
         # a - 1 == b by cross-multiplication: the same exact predicate as
         # a - b == 1, with no Fraction built for either side
-        if (a.numerator - a.denominator) * b.denominator != b.numerator * a.denominator:
+        if (an - ad) * bd != bn * ad:
             bad += 1
     return _report("xi exactness", bad == 0,
                    f"{bad} failures out of 10000 random level-index values")
@@ -134,10 +136,15 @@ def check_abel_solver() -> dict:
 
 
 def _ack_oracle(m: int, n: int) -> int:
-    # independent brute-force recursion, no closed forms
+    # independent brute-force recursion, no closed forms; level 1 takes
+    # level 0's step of 2 in a loop, one unit step at a time
     if m == 0:
         return n + 2
     v = 2
+    if m == 1:
+        for _ in range(n):
+            v += 2
+        return v
     for _ in range(n):
         v = _ack_oracle(m - 1, v)
     return v
@@ -267,11 +274,12 @@ def check_staircases() -> dict:
 
 
 def check_separation_sandwich() -> dict:
+    square, exp = funcexpr.Fn("x^2"), funcexpr.Fn("exp(x)")
     worst = 0.0
     for x in _geomspace(10.0, 1e6, 25):
-        r = classify.inverse_derivative_ratio("x^2", "exp(x)", x)
+        r = classify.inverse_derivative_ratio(square, exp, x)
         worst = max(worst, abs(r - 2.0 / math.sqrt(x)))
-    small = all(classify.inverse_derivative_ratio("x^2", "exp(x)", x) <= 0.01 + 1e-12
+    small = all(classify.inverse_derivative_ratio(square, exp, x) <= 0.01 + 1e-12
                 for x in (4e4, 1e5, 1e6))
     bracket = classify.sandwich_bracket_report()
     ok = worst <= 1e-12 and small and bracket["ok"]

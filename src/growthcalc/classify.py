@@ -501,10 +501,12 @@ def sandwich_bracket_report() -> dict:
 
 def inverse_derivative_ratio(f, g, x: float) -> float:
     """(g^{-1})'(x) / (f^{-1})'(x) via numeric inversion plus the symbolic
-    derivative: (q^{-1})'(x) = 1 / q'(q^{-1}(x))."""
+    derivative: (q^{-1})'(x) = 1 / q'(q^{-1}(x)).  f and g are function
+    specs; an Fn is used as it is, so a caller that passes the same Fn at
+    many x derives its inverse and derivative once."""
 
     def inv_prime(spec) -> float:
-        fn = funcexpr.Fn(spec)
+        fn = spec if isinstance(spec, funcexpr.Fn) else funcexpr.Fn(spec)
         y = funcexpr.invert_at(fn, float(x), bracket_hint=(1.0, float(x) + 2.0))
         d = fn.derivative(y)
         if d == 0:

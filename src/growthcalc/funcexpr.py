@@ -459,6 +459,8 @@ def _numdiff(f, x: float) -> float:
 
 # past ln(max float / min subnormal) = 1453.6, x * m^k has no float value
 _LOG_FLOAT_SPAN = 1500.0
+# up to this |k log m|, m^k is a normal float and x * m^k is one product
+_PLAIN_POWER_LOG = 700.0
 
 
 def _times_power(x: float, m: float, k: int) -> float:
@@ -467,7 +469,7 @@ def _times_power(x: float, m: float, k: int) -> float:
     e = k * math.log(m)
     if abs(e) > _LOG_FLOAT_SPAN:
         return math.inf if e > 0 else 0.0
-    if abs(e) > 700.0:
+    if abs(e) > _PLAIN_POWER_LOG:
         h = k // 2
         return _times_power(_times_power(x, m, h), m, k - h)
     return x * m ** k
@@ -1108,9 +1110,11 @@ def invert_at(spec, y: float, bracket_hint=None) -> float:
     Fn(spec).inverse when there is one; otherwise _bisect on sign*f (sign
     -1 for a decreasing f) from bracket_hint (default [1, 2]), which
     _bisect widens as needed, narrowed by Newton steps on f' where the
-    spec has one.  EvalError if f(x) misses y by more than a relative 1e-12.
+    spec has one.  An Fn spec is used as it is, not copied, so the inverse
+    and derivative it derives here stay on it for the next call.  EvalError
+    if f(x) misses y by more than a relative 1e-12.
     """
-    fn = Fn(spec)
+    fn = spec if isinstance(spec, Fn) else Fn(spec)
     f = fn.float
     if fn.inverse is not None:
         x = float(fn.inverse.raw(y))

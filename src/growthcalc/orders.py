@@ -79,8 +79,11 @@ class Ladder(tuple):
             raise ValueError(f"geometric ladder x0={x0!r}, ratio={ratio!r}, "
                              f"count={count} overflows the float range")
         x0, ratio, count = float(x0), float(ratio), int(count)
+        # one log for the ladder; below the split, _times_power is x0 * ratio^i
+        log_r = math.log(ratio)
         return cls._described(
-            (funcexpr._times_power(x0, ratio, i) for i in range(count)),
+            (x0 * ratio ** i if abs(i * log_r) <= funcexpr._PLAIN_POWER_LOG
+             else funcexpr._times_power(x0, ratio, i) for i in range(count)),
             {"kind": "geometric", "x0": x0, "ratio": ratio, "count": count})
 
     @classmethod

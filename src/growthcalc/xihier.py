@@ -62,6 +62,9 @@ _MAX_STEPS = 10 ** 6
 # e - 2 is exact (Sterbenz)
 _E_MINUS_2 = _E - 2.0
 _EXACT_INT = 2 ** 53  # integers below this are exact floats
+# _at_least's float bounds as exact rationals, built once: Fraction >= float
+# would build the same Fraction on every call
+_EXACT_BOUNDS = {top: Fraction(top) for top in (TOP, BASE - 1e-9)}
 
 
 class XiHierarchy:
@@ -125,7 +128,7 @@ class XiHierarchy:
                 return True  # any tower dwarfs the float-sized domain top
             return float(y) >= top
         if isinstance(y, (int, Fraction)):
-            return y >= top  # exact; avoids float conversion of big rationals
+            return y >= _EXACT_BOUNDS[top]  # exact; no float of a big rational
         return float(y) >= top
 
     def xi_k_inv(self, k: int, t) -> LIReal:
