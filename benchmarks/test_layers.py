@@ -139,6 +139,32 @@ def test_catalog_chains(benchmark):
     assert rep["ok"] and rep["detail"].startswith("8 rows,")
 
 
+def test_xi_4_of_a_rational(benchmark):
+    # xi(x) of a catalog row is an exact Fraction; xi_4 tests it against
+    # the domain bounds exactly before the pullback
+    assert benchmark(HIER.xi_k, 4, Fraction(61, 2)) == 3.212716210917452
+
+
+def test_separation_sandwich(benchmark):
+    # criterion 10: 28 numeric inversions of x^2 and exp(x), then the bracket
+    rep = benchmark(acceptance.check_separation_sandwich)
+    assert rep["ok"] and rep["detail"] == (
+        "ratio vs 2/sqrt(x): 2.22e-16; <=0.01 beyond 4e4: True; "
+        "sandwich brackets e*x at every tower point: True")
+
+
+def test_ack_oracle(benchmark):
+    # criterion 5's brute-force recursion: A(3, 2) one unit step at a time
+    assert benchmark(acceptance._ack_oracle, 3, 2) == 65534
+
+
+def test_geometric_ladder(benchmark):
+    # one of criterion 4's 1,000-point ladders, 2 to 1e150
+    ratio = (1e150 / 2.0) ** (1.0 / 999)
+    lad = benchmark(Ladder.geometric, 2.0, ratio, 1000)
+    assert len(lad) == 1000 and lad[-1] == 1.0000000000000505e+150
+
+
 def test_cli_table_in_process(benchmark):
     def table_once():
         out = io.StringIO()

@@ -7,6 +7,7 @@ captured stdout of a failing test).
 
 import dataclasses
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -43,6 +44,15 @@ def _xi_exact_high_levels_up(xi_exact):
 def test_xi_exactness_criterion_can_fail(monkeypatch, attr, mutant):
     monkeypatch.setattr(lixnum, attr, mutant)
     assert not acceptance.run_one(1)["ok"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 44, 20240817])
+def test_level_draw_is_randint_s_stream(seed):
+    # criterion 1 draws its levels with randrange(101), the one
+    # _randbelow(101) draw that randint(0, 100) makes
+    a, b = random.Random(seed), random.Random(seed)
+    assert ([(a.randrange(101), a.random()) for _ in range(2000)]
+            == [(b.randint(0, 100), b.random()) for _ in range(2000)])
 
 
 def _figures(pattern, detail):
@@ -297,6 +307,17 @@ def test_each_ackermann_sub_check_can_fail(monkeypatch, fresh_ack_cache, attr, m
     rep = acceptance.run_one(5)
     assert not rep["ok"]
     assert rep["detail"].endswith(f"; failures: [{named}]")
+
+
+def test_ackermann_criterion_checks_its_own_oracle(monkeypatch):
+    # the oracle's level 1 one step of 2 long: A(3, 2) from the brute-force
+    # recursion then misses 65534, while every library value is right
+    oracle = acceptance._ack_oracle
+    monkeypatch.setattr(acceptance, "_ack_oracle",
+                        lambda m, n: oracle(m, n) + (2 if m == 1 else 0))
+    rep = acceptance.run_one(5)
+    assert not rep["ok"]
+    assert rep["detail"].endswith("; failures: ['A(3,2)']")
 
 
 def _handle_inverse_off(xi_inv_handle):

@@ -350,6 +350,34 @@ class TestInversion:
         x = funcexpr.invert_at(parse("abs(1/x)"), 0.25, bracket_hint=(1.0, 10.0))
         assert x == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("text,ys", [
+        ("x^2", (49.0, 1e6)),  # through the derived inverse
+        ("x+log(x)", (5.0, 1e3)),  # no inverse: Newton and bisection on f'
+    ])
+    def test_fn_spec_derives_once_and_answers_as_text(self, monkeypatch, text, ys):
+        # an Fn is used as it is, so its inverse and derivative are derived
+        # on the first call and kept for the next
+        calls = {"invert": 0, "differentiate": 0}
+
+        def counted(name):
+            real = getattr(funcexpr, name)
+
+            def wrapper(expr):
+                calls[name] += 1
+                return real(expr)
+            return wrapper
+
+        want = [funcexpr.invert_at(text, y) for y in ys]
+        for name in calls:
+            monkeypatch.setattr(funcexpr, name, counted(name))
+        fn = funcexpr.Fn(text)
+        got = [funcexpr.invert_at(fn, ys[0])]
+        assert calls["invert"] == 1
+        calls.update(invert=0, differentiate=0)
+        got.append(funcexpr.invert_at(fn, ys[1]))
+        assert got == want
+        assert calls == {"invert": 0, "differentiate": 0}
+
     @pytest.mark.parametrize("text,y,expected", [
         ("x^3+x", -10.0, -2.0),
         ("x^3+x", 0.0, 0.0),

@@ -76,6 +76,25 @@ class TestNormalization:
         # t just below BASE_XI takes no step: the seed's inverse is near 2
         assert float(hier.xi_k_inv(k, BASE_XI - 1e-13)) == pytest.approx(BASE, abs=1e-12)
 
+    @pytest.mark.parametrize("x,want", [
+        (Fraction(math.e), 2.0),
+        (Fraction(math.e) - Fraction(1, 10 ** 40), 2.0),
+        (Fraction(math.e) + Fraction(1, 10 ** 40), 2.0),
+        (Fraction(2.0 - 1e-9), 1.0),
+        (Fraction(2.0 - 1e-9) - Fraction(1, 10 ** 40), "below its base 2.0"),
+        (Fraction(2.0 - 1e-9) + Fraction(1, 10 ** 40), 1.0),
+        (2, 1.0),
+        (3, 2.1309344381138846),
+    ])
+    def test_exact_rationals_at_the_domain_bounds(self, hier, x, want):
+        # an int or a Fraction is tested exactly against the float bounds e
+        # and 2 - 1e-9, on either side of each to 1e-40
+        if isinstance(want, str):
+            with pytest.raises(DomainError, match=want):
+                hier.xi_k(4, x)
+        else:
+            assert hier.xi_k(4, x) == want
+
     def test_tower_argument(self, hier):
         v = float(hier.xi_k(4, LIReal(30, 0.5)))
         # xi(tower of level 30) = 30.5, and xi_4 of a value with xi = t
