@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence
@@ -36,8 +35,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Ladders
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Ladder(tuple):
@@ -75,10 +72,12 @@ class Ladder(tuple):
             raise ValueError("geometric ladder needs x0 > 0 and ratio > 1")
         if count < cls.MIN_COUNT:
             raise ValueError(f"ladder needs at least {cls.MIN_COUNT} points")
-        if math.log(x0) + (count - 1) * math.log(ratio) > _LOG_FLOAT_MAX:
+        x0, ratio, count = float(x0), float(ratio), int(count)
+        # the last point as the ladder computes it: a log test passes at
+        # equality, where 2^1024 rounds to inf
+        if math.isinf(funcexpr._times_power(x0, ratio, count - 1)):
             raise ValueError(f"geometric ladder x0={x0!r}, ratio={ratio!r}, "
                              f"count={count} overflows the float range")
-        x0, ratio, count = float(x0), float(ratio), int(count)
         # one log for the ladder; below the split, _times_power is x0 * ratio^i
         log_r = math.log(ratio)
         return cls._described(

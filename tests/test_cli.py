@@ -522,6 +522,23 @@ class TestExitCodes:
         assert "geom:1e10:1e100:10" in err
         assert "OverflowError" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["plotdata", "x"], ["eval", "x"], ["order", "--F", "log(x)", "--f", "2*x"],
+        ["props", "--F", "log(x)"],
+    ], ids=["plotdata", "eval", "order", "props"])
+    def test_geometric_ladder_whose_last_point_is_inf_is_two(self, capsys, argv):
+        # 2^1024 rounds to inf, though 1024 ln 2 equals ln(max float)
+        code, out, err = run(capsys, *argv, "--ladder", "geom:1:2:1025")
+        assert code == 2
+        assert out == ""
+        assert "bad ladder spec 'geom:1:2:1025'" in err
+        assert "overflows the float range" in err and "Traceback" not in err
+
+    def test_geometric_ladder_up_to_the_float_max_answers(self, capsys):
+        data = run_json(capsys, "eval", "x", "--ladder", "geom:1:2:1024")
+        assert data["points"][-1] == {"x": 8.98846567431158e+307,
+                                      "value": 8.98846567431158e+307}
+
     @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
     def test_non_finite_point_is_two(self, capsys, point):
         code, out, err = run(capsys, "eval", "x^2", f"--at={point}")

@@ -5,10 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from growthcalc import cli, orders
+from growthcalc import cli, funcexpr, orders
 from growthcalc.funcexpr import EvalError
 from growthcalc.lixnum import LIReal
 from growthcalc.orders import Ladder, check_R, order_of
@@ -70,6 +70,37 @@ class TestLadder:
         for i, p in enumerate(pts):
             exact = x0 * ratio ** i
             assert abs(Fraction(p) - exact) <= Fraction(1, 10 ** 14) * exact, i
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-300, 1e300), st.floats(1.0, 1e12, exclude_min=True),
+           st.integers(Ladder.MIN_COUNT, 400))
+    @example(1e-300, 1e10, 61)
+    @example(1.0, 2.0, 1024)
+    def test_points_are_times_power_bit_for_bit(self, x0, ratio, count):
+        # the plain product below the split and _times_power past it (tiny
+        # x0 with |i log ratio| > 700) give _times_power's bits at every point
+        room = (math.log(sys.float_info.max) - math.log(x0)) / math.log(ratio)
+        count = min(count, int(room) + 1)  # at most the longest ladder that fits
+        assume(count >= Ladder.MIN_COUNT)
+        try:
+            pts = Ladder.geometric(x0, ratio, count)
+        except ValueError:  # the last point rounds to inf
+            return
+        want = [funcexpr._times_power(x0, ratio, i) for i in range(count)]
+        assert [p.hex() for p in pts] == [w.hex() for w in want]
+
+    def test_split_ladder_reaches_its_last_point(self):
+        assert Ladder.geometric(1e-300, 1e10, 61)[-1] == 1e300
+
+    @pytest.mark.parametrize("spec", ["geom:1:2:1025", "geom:0.5:2:1026"])
+    def test_last_point_that_rounds_to_inf_is_refused(self, spec):
+        # 1024 ln 2 equals ln(max float) in floats, so the log test passes
+        # while 2^1024 rounds to inf
+        with pytest.raises(ValueError, match="overflows the float range"):
+            Ladder.from_spec(spec)
+
+    def test_last_point_below_the_float_max_stays(self):
+        assert Ladder.from_spec("geom:1:2:1024")[-1] == 8.98846567431158e+307
 
     def test_tower_points_are_li(self):
         pts = Ladder.tower(0.5, 10)
