@@ -459,8 +459,6 @@ def _numdiff(f, x: float) -> float:
 
 # past ln(max float / min subnormal) = 1453.6, x * m^k has no float value
 _LOG_FLOAT_SPAN = 1500.0
-# up to this |k log m|, m^k is a normal float and x * m^k is one product
-_PLAIN_POWER_LOG = 700.0
 
 
 def _times_power(x: float, m: float, k: int) -> float:
@@ -469,7 +467,7 @@ def _times_power(x: float, m: float, k: int) -> float:
     e = k * math.log(m)
     if abs(e) > _LOG_FLOAT_SPAN:
         return math.inf if e > 0 else 0.0
-    if abs(e) > _PLAIN_POWER_LOG:
+    if abs(e) > 700.0:
         h = k // 2
         return _times_power(_times_power(x, m, h), m, k - h)
     return x * m ** k

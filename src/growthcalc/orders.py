@@ -78,10 +78,11 @@ class Ladder(tuple):
         if math.isinf(funcexpr._times_power(x0, ratio, count - 1)):
             raise ValueError(f"geometric ladder x0={x0!r}, ratio={ratio!r}, "
                              f"count={count} overflows the float range")
-        # one log for the ladder; below the split, _times_power is x0 * ratio^i
+        # one log for the ladder: up to |i log ratio| = 700, where it splits
+        # k, _times_power is the product x0 * ratio^i
         log_r = math.log(ratio)
         return cls._described(
-            (x0 * ratio ** i if abs(i * log_r) <= funcexpr._PLAIN_POWER_LOG
+            (x0 * ratio ** i if abs(i * log_r) <= 700.0
              else funcexpr._times_power(x0, ratio, i) for i in range(count)),
             {"kind": "geometric", "x0": x0, "ratio": ratio, "count": count})
 
