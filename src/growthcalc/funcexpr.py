@@ -10,6 +10,8 @@ Grammar (whitespace-insensitive)::
     power   := atom ('^' unary)?       # right associative, binds tighter than unary '-'
     atom    := NUMBER | 'x' | 'e' | 'pi' | NAME '(' expr ')' | '(' expr ')'
 
+comp, sum and term are one parser rule read off _PREC, which to_text prints by.
+
 Function names: exp, log, log_<k>, sqrt, sin, abs, xi, xi_<k>, chi, plus the
 derivative forms dxi_<k> (exact, by the chain rule) and dchi (a central
 difference) emitted by differentiate().
@@ -136,6 +138,9 @@ _PARAM_FN_RE = re.compile(r"^(log|xi|dxi)_(\d+)$")
 # ---------------------------------------------------------------------------
 # Parsing
 
+# how tightly each operator binds, @ loosest: the parser and to_text read it
+_PREC = {"@": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()@,]))")
 
 
@@ -191,34 +196,23 @@ class _Parser:
         return self.next()
 
     def parse(self) -> FuncExpr:
-        e = self.comp()
+        e = self.binary(0)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos, expected={"end of input"})
         return e
 
-    def comp(self) -> FuncExpr:
-        e = self.sum()
-        while self.peek()[1] == "@":
-            self.next()
-            r = self.sum()
-            e = self.node((Compose, id(e), id(r)), Compose(e, r))
-        return e
-
-    def sum(self) -> FuncExpr:
-        e = self.term()
-        while self.peek()[1] in ("+", "-"):
+    def binary(self, level: int) -> FuncExpr:
+        # _PREC level 0 (@), 1 (+ -) or 2 (* /), left associative; a name
+        # token "neg" or "atom" reads 3 or 5, no level, so atom takes it
+        e = self.unary() if level == 2 else self.binary(level + 1)
+        while _PREC.get(self.peek()[1]) == level:
             op = self.next()[1]
-            r = self.term()
-            e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
-        return e
-
-    def term(self) -> FuncExpr:
-        e = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            r = self.unary()
-            e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
+            r = self.unary() if level == 2 else self.binary(level + 1)
+            if op == "@":
+                e = self.node((Compose, id(e), id(r)), Compose(e, r))
+            else:
+                e = self.node((Binary, op, id(e), id(r)), Binary(op, e, r))
         return e
 
     def unary(self) -> FuncExpr:
@@ -226,15 +220,12 @@ class _Parser:
             self.next()
             a = self.unary()
             return self.node((Neg, id(a)), Neg(a))
-        return self.power()
-
-    def power(self) -> FuncExpr:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            p = self.unary()
-            return self.node((Binary, "^", id(base), id(p)), Binary("^", base, p))
-        return base
+        base = self.atom()  # then its '^' exponent: right associative, tighter than '-'
+        if self.peek()[1] != "^":
+            return base
+        self.next()
+        p = self.unary()
+        return self.node((Binary, "^", id(base), id(p)), Binary("^", base, p))
 
     def atom(self) -> FuncExpr:
         kind, val, pos = self.next()
@@ -244,7 +235,7 @@ class _Parser:
         if kind == "name":
             if self.peek()[1] == "(":
                 self.next()
-                arg = self.comp()
+                arg = self.binary(0)
                 self.expect_sym(")")
                 return self._call(val, arg, pos)
             if val == "x":
@@ -253,7 +244,7 @@ class _Parser:
                 return _NAMED[val]
             raise ParseError(f"unknown identifier {val!r}", pos, expected={"x", "e", "pi", "function call"})
         if kind == "sym" and val == "(":
-            e = self.comp()
+            e = self.binary(0)
             self.expect_sym(")")
             return e
         raise ParseError(f"got {val!r}", pos, expected={"number", "identifier", "("})
@@ -277,9 +268,6 @@ def parse(text: str) -> FuncExpr:
 
 # ---------------------------------------------------------------------------
 # Printing (structure-preserving: parse(to_text(e)) == e)
-
-_PREC = {"@": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
 
 def _prec(e: FuncExpr) -> int:
     if isinstance(e, Binary):

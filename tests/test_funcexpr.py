@@ -765,6 +765,37 @@ POINTS = st.one_of(
 SUBTREES = EXPRS.filter(lambda e: not isinstance(e, (Var, Const, NamedConst)))
 
 
+class TestParseTrees:
+    X = Var()
+
+    @pytest.mark.parametrize("text,tree", [
+        ("x-2-3", Binary("-", Binary("-", X, Const(2.0)), Const(3.0))),
+        ("x/2/3", Binary("/", Binary("/", X, Const(2.0)), Const(3.0))),
+        ("x-2*3", Binary("-", X, Binary("*", Const(2.0), Const(3.0)))),
+        ("2*x+1 @ log(x)", Compose(Binary("+", Binary("*", Const(2.0), X), Const(1.0)), Call("log", X))),
+        ("log(x) @ exp(x) @ x", Compose(Compose(Call("log", X), Call("exp", X)), X)),
+        ("-x^2", Neg(Binary("^", X, Const(2.0)))),
+        ("2^-x", Binary("^", Const(2.0), Neg(X))),
+        ("2^3^2", Binary("^", Const(2.0), Binary("^", Const(3.0), Const(2.0)))),
+        ("-2*x", Binary("*", Neg(Const(2.0)), X)),
+    ])
+    def test_associativity_and_levels(self, text, tree):
+        assert parse(text) == tree
+
+    @settings(max_examples=300)
+    @given(st.recursive(
+        st.one_of(_LEAVES, st.floats(min_value=0.0, allow_infinity=False).map(Const)),
+        _nodes, max_leaves=12))
+    def test_text_round_trip(self, tree):
+        # every binary operator, @, Neg, Call and non-negative finite constants
+        assert parse(to_text(tree)) == tree
+
+    def test_parenthesised_x_nested_120_deep_parses(self):
+        # each parenthesis level costs the parser a few Python frames: a
+        # parser that spends many more a level fails here inside pytest
+        assert parse("(" * 120 + "x" + ")" * 120) == Var()
+
+
 @st.composite
 def _planted(draw):
     """One drawn non-leaf subtree, one object, at 2-4 sites, each site
