@@ -68,7 +68,7 @@ class Ladder(tuple):
 
     @classmethod
     def geometric(cls, x0: float, ratio: float, count: int) -> "Ladder":
-        if x0 <= 0 or ratio <= 1:
+        if not (x0 > 0 and ratio > 1):  # refuses NaN too
             raise ValueError("geometric ladder needs x0 > 0 and ratio > 1")
         if count < cls.MIN_COUNT:
             raise ValueError(f"ladder needs at least {cls.MIN_COUNT} points")

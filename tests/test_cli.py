@@ -534,6 +534,14 @@ class TestExitCodes:
         assert "bad ladder spec 'geom:1:2:1025'" in err
         assert "overflows the float range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["geom:nan:2:8", "geom:1:nan:8"])
+    @pytest.mark.parametrize("cmd", ["plotdata", "eval"])
+    def test_geometric_ladder_with_a_nan_is_two(self, capsys, cmd, spec):
+        code, out, err = run(capsys, cmd, "x", "--ladder", spec)
+        assert code == 2
+        assert out == ""
+        assert f"bad ladder spec {spec!r}: geometric ladder needs x0 > 0 and ratio > 1" in err
+
     def test_geometric_ladder_up_to_the_float_max_answers(self, capsys):
         data = run_json(capsys, "eval", "x", "--ladder", "geom:1:2:1024")
         assert data["points"][-1] == {"x": 8.98846567431158e+307,

@@ -99,6 +99,12 @@ class TestLadder:
         with pytest.raises(ValueError, match="overflows the float range"):
             Ladder.from_spec(spec)
 
+    @pytest.mark.parametrize("x0,ratio", [(math.nan, 2.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_start_or_ratio_is_refused(self, x0, ratio):
+        # x0 <= 0 or ratio <= 1 is False for NaN, which has no order
+        with pytest.raises(ValueError, match=r"needs x0 > 0 and ratio > 1"):
+            Ladder.geometric(x0, ratio, 8)
+
     def test_tower_points_are_li(self):
         pts = Ladder.tower(0.5, 10)
         assert all(isinstance(p, LIReal) for p in pts)
