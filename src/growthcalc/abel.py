@@ -75,7 +75,6 @@ class CubicSeed:
     def __call__(self, x: float) -> float:
         d = self.x1 - self.x0
         t = (x - self.x0) / d
-        h00 = 2 * t ** 3 - 3 * t ** 2 + 1
         h10 = t ** 3 - 2 * t ** 2 + t
         h01 = -2 * t ** 3 + 3 * t ** 2
         h11 = t ** 3 - t ** 2

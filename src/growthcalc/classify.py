@@ -551,7 +551,7 @@ def staircase_class0() -> Tuple[Callable, Callable]:
     a = [2 ** (2 ** k) for k in range(1, _STAIRCASE0_LEVELS + 1)]
     knots = [(a[0], Fraction(2))]
     for k in range(len(a) - 1):
-        x0, y0 = knots[-1]
+        y0 = knots[-1][1]
         knots.append((2 * a[k], y0 + 1))
         knots.append((a[k + 1], y0 + 1 + Fraction(a[k + 1] - 2 * a[k], 2)))
     return _unit_step_scale(knots)

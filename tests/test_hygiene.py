@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it does not use,
-the package reads every private name it defines, only funcexpr turns an
+the package reads every private name it defines and every function every
+local name it binds, only funcexpr turns an
 expression into a callable itself, only lixnum reads the cutoffs of its
 arithmetic, and acceptance and classify keep no memo beyond one call."""
 
@@ -79,6 +80,45 @@ def test_every_private_name_is_read():
     unread = [f"{path}:{line} {name}" for path, tree in trees.items()
               for name, line in _private_defs(tree).items() if name not in read]
     assert not unread, f"private names the package defines but never reads: {unread}"
+
+
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unread_locals(tree: ast.Module) -> set:
+    """(line, name) of each name a function binds (an assignment or loop
+    target, an `except ... as`, a nested def or class) that neither it nor
+    a function nested in it reads; `_` and global or nonlocal names are
+    left out."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _FUNCS):
+            continue
+        bound, read = {}, {"_"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                else:
+                    bound.setdefault(node.id, node.lineno)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)  # x += 1 reads x
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.setdefault(node.name, node.lineno)
+            elif isinstance(node, _FUNCS + (ast.ClassDef,)) and node is not fn:
+                bound.setdefault(node.name, node.lineno)
+        found |= {(line, name) for name, line in bound.items() if name not in read}
+    return found
+
+
+def test_every_local_name_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += [f"{path.name}:{line} {name}" for line, name in sorted(_unread_locals(tree))]
+    assert not unread, f"local names a function binds but never reads: {unread}"
 
 
 def test_only_funcexpr_compiles():
