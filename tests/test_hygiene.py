@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it does not use,
-the package reads every private name it defines and every function every
-local name it binds, only funcexpr turns an
-expression into a callable itself, only lixnum reads the cutoffs of its
-arithmetic, and acceptance and classify keep no memo beyond one call."""
+the package reads every private name it defines, each function reads every
+local name it binds, only funcexpr turns an expression into a callable
+itself, only lixnum reads the cutoffs of its arithmetic, and acceptance and
+classify keep no memo beyond one call."""
 
 import ast
 from pathlib import Path
