@@ -16,6 +16,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from growthcalc import abel, acceptance, classify, cli, lixnum
@@ -269,6 +270,18 @@ def test_chi_tower(benchmark):
     x = parse_li("L30:0.5")
     chi = benchmark(HIER.chi, x)
     assert chi.level == 30 and chi >= x
+
+
+@pytest.mark.parametrize("x", [1e10, 1e200])
+def test_chi_float(benchmark, x):
+    chi = benchmark(HIER.chi, x)
+    with mpmath.workdps(50):  # x ln x ln ln x ... at 50 digits
+        p = mpmath.mpf(x)
+        t = mpmath.log(p)
+        while t > 1:
+            p *= t
+            t = mpmath.log(t)
+        assert type(chi) is float and abs(chi - p) <= 4 * 2.0 ** -52 * p
 
 
 def test_order_of_tower_ladder(benchmark):

@@ -128,17 +128,21 @@ class AbelSolution:
 
     seed_kind: "linear" (the two-knot table 0 -> 1 across the domain) or
     "smooth_c1" (the Hermite cubic); each maps the domain onto [0, 1].  The
-    backward step is funcexpr.Fn(f, inverse=f_inv).inverse; without one, an
-    expression gives f' for Newton steps in the bisection and a callable
-    gives none.  The constructor binds the evaluation path: _pull for eval
-    and _push for inverse hold the domain ends with their rounding slack, a
-    linear seed's line, and an affine step's constants or the step map
-    (None: the bisected pre-image of f, which reads f and fp at each step).
+    backward step is funcexpr.Fn(f, inverse=f_inv).inverse (an Fn given with
+    no f_inv is used as it is); without one, an expression gives f' for
+    Newton steps in the bisection and a callable gives none.  The
+    constructor binds the evaluation path: _pull for eval and _push for
+    inverse hold the domain ends with their rounding slack, a linear seed's
+    line, and an affine step's constants or the step map (None: the
+    bisected pre-image of f, which reads f and fp at each step).
     """
 
     def __init__(self, f, A: float, seed_kind: str = "linear",
                  f_inv: Optional[Callable[[float], float]] = None):
-        fn = funcexpr.Fn(f, inverse=f_inv)
+        if isinstance(f, funcexpr.Fn) and f_inv is None:
+            fn = f  # used as it is: the f' it derives stays on it
+        else:
+            fn = funcexpr.Fn(f, inverse=f_inv)
         inv, fp = fn.inverse, None
         if inv is not None:
             # a callable inverse runs as given; an expression's returns floats

@@ -231,6 +231,8 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == "num":
             c = float(val)
+            if c == math.inf:
+                raise ParseError(f"number {val!r} is past the float range", pos)
             return self.node((Const, c), Const(c))
         if kind == "name":
             if self.peek()[1] == "(":

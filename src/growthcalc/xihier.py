@@ -29,9 +29,12 @@ There is one hierarchy, levels 0..MAX_LEVEL; it holds no state, so the
 module instance HIER serves every caller.
 
 Companions: chi, the reciprocal of xi_3', defined by chi = 1 on [0, 1] and
-chi(x) = x * chi(ln x); its log, ln x + ln ln x + ..., is summed on
-level-index pairs by lixnum's addition, so towers never overflow.  xi_k'
-follows from chi and the seed slope by the chain rule, with no differencing.
+chi(x) = x * chi(ln x).  Of a float it is the float product
+x * ln x * ln ln x * ..., to within a few units of 2^-52, while that product
+is finite.  The pair sum is for towers, and for the few inputs past the
+product's range: its log, ln x + ln ln x + ..., is summed on level-index
+pairs by lixnum's addition, so towers never overflow.  xi_k' follows from
+chi and the seed slope by the chain rule, with no differencing.
 """
 
 from __future__ import annotations
@@ -166,6 +169,10 @@ class XiHierarchy:
     def chi(self, x):
         """chi(x) = x * chi(ln x), chi = 1 on [0, 1]; LIReal for tower output.
 
+        A float x > 1 answers the float product x * ln x * ln ln x * ...,
+        each iterate above 1 multiplied in, while the product stays finite
+        (to about 2.08e304).  A tower, an int or Fraction past the float
+        range and a float whose product overflows take the log instead:
         ln chi(x) = ln x + ln ln x + ... down to the [0, 1] band.  For
         x = (L, m) the terms are the pairs (L - 1, m), (L - 2, m), ..., and
         the sum runs on (level, mantissa) pairs through lixnum's own
@@ -185,6 +192,13 @@ class XiHierarchy:
                     raise DomainError(f"chi needs a nonnegative argument, got {xf!r}")
                 if xf <= 1.0:
                     return 1.0
+                if xf < math.inf:  # inf and NaN go on to _pair_any, which names them
+                    p, t = xf, math.log(xf)
+                    while t > 1.0:
+                        p *= t
+                        t = math.log(t)
+                    if p < math.inf:
+                        return p
                 level, m = lixnum._pair_any(xf)
         # terms (level - 1, m) down to (0, m), or to (1, m) if m = 0.  The
         # sum starts at the first, flagged absorbed as 0 + ln x is; past an

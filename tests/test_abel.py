@@ -162,6 +162,25 @@ class TestConstructor:
             assert answer(direct.inverse, t) == answer(solved.inverse, t)
 
 
+    def test_fn_spec_derives_once_and_answers_as_text(self, monkeypatch):
+        # an Fn with no f_inv is used as it is: x+sqrt(x) has no derived
+        # inverse, and the f' its bisection steps on is derived once
+        def answers(sol):
+            return [sol.eval(x) for x in (3.0, 50.0, 1e4)] + [sol.inverse(2.5)]
+
+        want = answers(abel.AbelSolution("x+sqrt(x)", 2.0))
+        calls = []
+        differentiate = funcexpr.differentiate
+        monkeypatch.setattr(funcexpr, "differentiate",
+                            lambda e: calls.append(e) or differentiate(e))
+        fn = funcexpr.Fn("x+sqrt(x)")
+        assert answers(abel.AbelSolution(fn, 2.0)) == want
+        assert calls  # differentiate recurses into the subterms
+        calls.clear()
+        assert answers(abel.AbelSolution(fn, 2.0)) == want
+        assert calls == []
+
+
 class TestSeeds:
     def test_smooth_seed_still_solves_equation(self):
         sol = abel.solve_abel("2*x", A=1.0, seed_kind="smooth_c1",

@@ -423,6 +423,13 @@ class TestExitCodes:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("argv", [("classify", "1e400*x"),
+                                      ("eval", "x+1e400", "--at", "2")])
+    def test_literal_past_the_float_range_is_a_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "ParseError: number '1e400' is past the float range at position" in err
+
     def test_domain_error_is_two(self, capsys):
         code, _, err = run(capsys, "ack", "9", "1")
         assert code == 2

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -61,6 +62,18 @@ class TestParsing:
             parse(text)
         assert str(info.value) == f"unexpected character {char!r} at position {pos}"
         assert info.value.pos == pos
+
+    @pytest.mark.parametrize("text,literal,pos", [
+        ("1e400*x", "1e400", 0), ("x+1e400", "1e400", 2), ("x^ 2.5e308", "2.5e308", 3)])
+    def test_literal_past_the_float_range_is_named(self, text, literal, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"number {literal!r} is past the float range at position {pos}"
+        assert info.value.pos == pos
+
+    def test_largest_literals_parse(self):
+        assert parse("1e308") == Const(1e308)
+        assert parse("1.7976931348623157e308*x").left == Const(sys.float_info.max)
 
     def test_dangling_expression_rejected(self):
         with pytest.raises(ParseError):

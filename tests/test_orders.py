@@ -310,6 +310,21 @@ class TestRegularity:
         capsys.readouterr()
         assert len(calls) == len(set(calls)) == 150
 
+    def test_fn_spec_derives_once_and_answers_as_text(self, monkeypatch):
+        # an Fn is used as it is, so the F' it derives on the first call
+        # is kept for the next
+        want = [r.to_json() for r in check_R(("R0", "R1", "R3"), "log(x)^2", DEEP)]
+        calls = []
+        differentiate = funcexpr.differentiate
+        monkeypatch.setattr(funcexpr, "differentiate",
+                            lambda e: calls.append(e) or differentiate(e))
+        fn = funcexpr.Fn("log(x)^2")
+        assert [r.to_json() for r in check_R(("R0", "R1", "R3"), fn, DEEP)] == want
+        assert calls  # differentiate recurses into the subterms
+        calls.clear()
+        assert [r.to_json() for r in check_R(("R0", "R1", "R3"), fn, DEEP)] == want
+        assert calls == []
+
     @pytest.mark.parametrize("F", ["log(x)", "xi(x)", "log(x)^2"])
     def test_check_r_alone_matches_the_props_golden(self, F):
         # the props golden holds each condition's report as check_R made it

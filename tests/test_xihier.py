@@ -1,11 +1,13 @@
+import functools
 import importlib
 import inspect
 import math
 import pkgutil
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import growthcalc
@@ -365,6 +367,51 @@ def _chi_by_every_term(x):
         return LIReal(al + 1, am, absorbed)
 
 
+CHI_ULPS = 4  # chi of a float against mpmath, in units of 2^-52 (relative)
+
+
+def _float_product(x: float) -> float:
+    """x * ln x * ln ln x * ..., each iterate above 1, in floats."""
+    p, t = x, math.log(x)
+    while t > 1.0:
+        p *= t
+        t = math.log(t)
+    return p
+
+
+@functools.cache
+def last_finite_product() -> float:
+    """The largest float whose float product is finite (about 2.08e304)."""
+    lo, hi = 1e304, 1e305
+    while math.nextafter(lo, math.inf) < hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if _float_product(mid) < math.inf else (lo, mid)
+    return lo
+
+
+def on_float_path(x) -> bool:
+    """Whether chi(x) is the float product: x is no tower, and float(x) is
+    above 1 and at most the last float whose product is finite."""
+    if isinstance(x, LIReal):
+        return False
+    try:
+        return 1.0 < float(x) <= last_finite_product()
+    except OverflowError:  # an int or Fraction past the float range
+        return False
+
+
+def chi_ulps(got: float, x) -> float:
+    """The relative error of got as chi(float(x)), in units of 2^-52, against
+    the product at 50 digits."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(float(x))
+        t = mpmath.log(p)
+        while t > 1:
+            p *= t
+            t = mpmath.log(t)
+        return float(abs(mpmath.mpf(got) - p) / p) / 2.0 ** -52
+
+
 class TestChi:
     def test_band_value(self, hier):
         assert hier.chi(0.5) == 1.0
@@ -400,19 +447,50 @@ class TestChi:
 
     def test_early_stop_matches_every_term(self):
         # the sum stops at its first absorbed addition; summing every term
-        # gives the same value and the same absorbed flag
+        # gives the same value and the same absorbed flag.  A point on the
+        # float product's path is held to mpmath instead
         points = [LIReal(level, m) for level in range(61) for m in _CHI_MANTISSAS]
         points += [LIReal(-1, 0.5), 0.0, 0.5, 1.0, 1.0000001, 1.5, math.e,
                    15.15, 1e8, 1e300, 1.7e308, 1, 2, 3, 10 ** 6, 10 ** 400,
                    Fraction(7, 3), Fraction(10 ** 400, 3)]
         for x in points:
-            got, want = HIER.chi(x), _chi_by_every_term(x)
+            got = HIER.chi(x)
+            if on_float_path(x):
+                assert type(got) is float and chi_ulps(got, x) <= CHI_ULPS, x
+                continue
+            want = _chi_by_every_term(x)
             if isinstance(want, LIReal):
                 assert isinstance(got, LIReal), x
                 assert ((got.level, got.mantissa, got.absorbed)
                         == (want.level, want.mantissa, want.absorbed)), x
             else:
                 assert got == want and not isinstance(got, LIReal), x
+
+    @settings(max_examples=300)
+    @given(st.floats(min_value=1.0, max_value=2.08e304, exclude_min=True))
+    @example(math.nextafter(1.0, 2.0))
+    @example(math.e)
+    @example(1e10)
+    @example(1.33e253)  # the pair sum's worst draw: 11,633 units off
+    def test_float_is_within_the_bound_of_mpmath(self, x):
+        got = HIER.chi(x)
+        assert type(got) is float
+        assert chi_ulps(got, x) <= CHI_ULPS
+
+    def test_switch_to_the_pair_sum_is_continuous(self):
+        # the last float whose product is finite, and the float after it;
+        # the pair sum is off by about 2.5e-12 there, so the bound is 1e-11
+        last = last_finite_product()
+        below, above = HIER.chi(last), HIER.chi(math.nextafter(last, math.inf))
+        assert type(below) is float and isinstance(above, LIReal)
+        # |ln a - ln b| is the relative difference, to first order
+        assert abs(math.log(below) - float(lixnum.ln_li(above))) <= 1e-11
+        assert lixnum.to_li(below) <= above
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_non_finite_is_refused(self, x):
+        with pytest.raises(DomainError, match=f"^to_li requires a finite value, got {x!r}$"):
+            HIER.chi(x)
 
     def test_high_tower_is_prompt(self, capsys):
         # the early stop makes chi independent of the level past the first
