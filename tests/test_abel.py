@@ -161,7 +161,6 @@ class TestConstructor:
         for t in (-1.0, 0.0, 0.25, 1.0, 3.7, 12.5):
             assert answer(direct.inverse, t) == answer(solved.inverse, t)
 
-
     def test_fn_spec_derives_once_and_answers_as_text(self, monkeypatch):
         # an Fn with no f_inv is used as it is: x+sqrt(x) has no derived
         # inverse, and the f' its bisection steps on is derived once
