@@ -19,8 +19,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from growthcalc import abel, acceptance, classify, cli, lixnum
-from growthcalc.funcexpr import Fn, compile_expr, evaluate, parse
+from growthcalc import abel, acceptance, classify, cli, funcexpr, lixnum
+from growthcalc.funcexpr import Binary, Call, Fn, Var, compile_expr, evaluate, parse
 from growthcalc.lixnum import LIReal, parse_li
 from growthcalc.orders import Ladder, order_of
 from growthcalc.xihier import HIER
@@ -34,8 +34,18 @@ R5_WITNESS = (f"{_H}*log(x)*log_2(x)*log_3(x)*log_4(x)/"
               f"(log({_H})*log_2({_H})*log_3({_H})*log_4({_H}))")
 
 
+# a row that times a real read of a text empties parse's table before each
+# round, which then takes one call; ROUNDS of them
+ROUNDS = 2000
+
+
+def _cold_table():
+    funcexpr._parsed.clear()
+
+
 def test_parse(benchmark):
-    benchmark(parse, "x+x/log(x)")
+    e = benchmark.pedantic(parse, ("x+x/log(x)",), setup=_cold_table, rounds=ROUNDS)
+    assert e == Binary("+", Var(), Binary("/", Var(), Call("log", Var())))
 
 
 def test_evaluate_float(benchmark):
@@ -109,7 +119,16 @@ def test_abel_eval_closed_form(benchmark):
 
 def test_fn_build(benchmark):
     # parse and the one compile
-    assert benchmark(Fn, "x+sqrt(x)")(4.0) == 6.0
+    fn = benchmark.pedantic(Fn, ("x+sqrt(x)",), setup=_cold_table, rounds=ROUNDS)
+    assert fn(4.0) == 6.0
+
+
+def test_fn_build_from_the_parse_table(benchmark):
+    # a text parsed before: the table's tree and the one compile
+    t = "x+x/log(x)"
+    assert parse(t) is parse(t)
+    fn = benchmark(Fn, t)
+    assert fn.expr is parse(t) and fn(2.5) == 2.5 + 2.5 / math.log(2.5)
 
 
 def test_cli_eval_in_process(benchmark):

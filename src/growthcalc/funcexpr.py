@@ -15,6 +15,8 @@ comp, sum and term are one parser rule read off _PREC, which to_text prints by.
 Function names: exp, log, log_<k>, sqrt, sin, abs, xi, xi_<k>, chi, plus the
 derivative forms dxi_<k> (exact, by the chain rule) and dchi (a central
 difference) emitted by differentiate().
+parse(text) keeps the trees of the texts it read last, so a text asked
+about again is not read again.
 compile_expr(expr), the one evaluator, turns an expression into closures
 with float fast paths that also take Fractions or level-index numbers
 (LIReal), where exp/log become exact level shifts.  The xi, xi_k, chi and
@@ -261,11 +263,31 @@ class _Parser:
         raise ParseError(f"unknown function {name!r}", pos, expected=_PLAIN_FNS)
 
 
+# texts parse has read, each to its tree, oldest first; a tree is immutable
+# and so can be handed to every caller of its text
+_PARSE_CAP = 512
+_parsed: dict = {}
+
+
 def parse(text: str) -> FuncExpr:
-    try:
-        return _Parser(text).parse()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", 0) from None
+    """The tree of an expression text (see the module docstring's grammar).
+
+    Equal subtrees within one text are one object.  The last _PARSE_CAP
+    texts parsed are kept with their trees, so a text parsed again gets
+    back the same tree object, with no second read; a new text past the
+    cap drops the oldest.  A text that fails to parse is not kept, and
+    raises the same ParseError each time.
+    """
+    e = _parsed.get(text)
+    if e is None:
+        try:
+            e = _Parser(text).parse()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", 0) from None
+        if len(_parsed) >= _PARSE_CAP:
+            del _parsed[next(iter(_parsed))]
+        _parsed[text] = e
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -463,46 +485,67 @@ def _times_power(x: float, m: float, k: int) -> float:
     return x * m ** k
 
 
-def _call_value(node: Call, v: Value) -> Value:
-    """The value of the call node at the value v of its argument."""
-    fn = node.fn
-    if fn == "exp":
-        return _exp(v)
-    if fn == "log" or fn == "log_k":  # log is level 1
-        for _ in range(1 if fn == "log" else node.param):
-            v = _log(v)
+# the value of each call name: a row takes the call's level k (its param,
+# or None) and the value v of its argument.  log is log_k at level 1 and xi
+# is xi_k at level 3.  HIER's methods are looked up at each call, so a
+# tracer or a test that rebinds one is seen
+
+
+def _log_k(k: int, v: Value) -> Value:
+    for _ in range(k):
+        v = _log(v)
+    return v
+
+
+def _sqrt(k, v: Value) -> Value:
+    try:
+        vf = v if isinstance(v, LIReal) else float(v)
+    except OverflowError:  # an int or Fraction past the float range
+        vf = lixnum.to_li(v) if v > 0 else -_INF
+    if isinstance(vf, LIReal):
+        return _pow(vf, 0.5)
+    if vf < 0:
+        raise EvalError(f"sqrt of negative value {vf!r}")
+    return math.sqrt(vf)
+
+
+def _sin(k, v: Value) -> Value:
+    try:
+        return math.sin(float(v))
+    except (DomainError, OverflowError) as exc:  # a tower, or past the float range
+        raise PrecisionError(f"sin needs a float argument ({exc}): "
+                             "argument reduction is meaningless") from None
+
+
+def _abs(k, v: Value) -> Value:
+    if isinstance(v, LIReal):
+        if v.level == -1:
+            return lixnum.to_li(-float(v))
         return v
-    if fn == "sqrt":
-        try:
-            vf = v if isinstance(v, LIReal) else float(v)
-        except OverflowError:  # an int or Fraction past the float range
-            vf = lixnum.to_li(v) if v > 0 else -_INF
-        if isinstance(vf, LIReal):
-            return _pow(vf, 0.5)
-        if vf < 0:
-            raise EvalError(f"sqrt of negative value {vf!r}")
-        return math.sqrt(vf)
-    if fn == "sin":
-        try:
-            return math.sin(float(v))
-        except (DomainError, OverflowError) as exc:  # a tower, or past the float range
-            raise PrecisionError(f"sin needs a float argument ({exc}): "
-                                 "argument reduction is meaningless") from None
-    if fn == "abs":
-        if isinstance(v, LIReal):
-            if v.level == -1:
-                return lixnum.to_li(-float(v))
-            return v
-        return abs(v)
-    if fn == "xi" or fn == "xi_k":  # xi is level 3
-        return HIER.xi_k(3 if fn == "xi" else node.param, v)
-    if fn == "chi":
-        return HIER.chi(v)
-    if fn == "dxi_k":
-        return HIER._xi_k_deriv(node.param, float(v))
-    if fn == "dchi":
-        return _numdiff(HIER.chi, float(v))
-    raise EvalError(f"unknown function {fn!r}")
+    return abs(v)
+
+
+_CALL_VALUES = {
+    "exp": lambda k, v: _exp(v),
+    "log": lambda k, v: _log(v),
+    "log_k": _log_k,
+    "sqrt": _sqrt,
+    "sin": _sin,
+    "abs": _abs,
+    "xi": lambda k, v: HIER.xi_k(3, v),
+    "xi_k": lambda k, v: HIER.xi_k(k, v),
+    "chi": lambda k, v: HIER.chi(v),
+    "dxi_k": lambda k, v: HIER._xi_k_deriv(k, float(v)),
+    "dchi": lambda k, v: _numdiff(HIER.chi, float(v)),
+}
+
+
+def _unknown_call(fn: str):
+    """The value function of a call name with no row: it raises when the
+    call is evaluated, not when it is compiled."""
+    def value(k, v):
+        raise EvalError(f"unknown function {fn!r}")
+    return value
 
 
 # float arguments strictly inside (lo, hi) take the math function directly;
@@ -598,10 +641,11 @@ def compile_expr(expr: FuncExpr) -> Callable[[Value], Value]:
     """expr as a function of x: nested closures, one per node.
 
     Each closure takes a float fast path for + - * /, ^, unary minus,
-    sqrt, log and exp, and otherwise falls back to _binary, _pow and
-    _call_value, so Fractions, towers, overflow promotion and errors are
-    the same on both paths.  A left-deep chain of + and - is one loop, so
-    a long flat sum needs no recursion.  Compile an expression once and
+    sqrt, log and exp, and otherwise falls back to _binary, _pow and the
+    call's row of _CALL_VALUES (looked up once a node, while compiling),
+    so Fractions, towers, overflow promotion and errors are the same on
+    both paths.  A left-deep chain of + and - is one loop, so a long flat
+    sum needs no recursion.  Compile an expression once and
     call the result at every point.
 
     A non-leaf subtree that occurs more than once, as one object (parse
@@ -645,10 +689,11 @@ def _compile(expr: FuncExpr, memo: dict, shared: set) -> Callable[[Value], Value
             f = _binary_node(expr.op, _compile(expr.left, memo, shared),
                              _compile(expr.right, memo, shared))
     elif t is Call:
-        node, arg = expr, _compile(expr.arg, memo, shared)
+        arg, k = _compile(expr.arg, memo, shared), expr.param
+        value = _CALL_VALUES.get(expr.fn) or _unknown_call(expr.fn)
         fast = _FLOAT_CALLS.get(expr.fn)
         if fast is None:
-            f = lambda x: _call_value(node, arg(x))  # noqa: E731
+            f = lambda x: value(k, arg(x))  # noqa: E731
         else:
             fn, lo, hi = fast
 
@@ -656,7 +701,7 @@ def _compile(expr: FuncExpr, memo: dict, shared: set) -> Callable[[Value], Value
                 v = arg(x)
                 if type(v) is float and lo < v < hi:
                     return fn(v)
-                return _call_value(node, v)
+                return value(k, v)
     elif t is Neg:
         arg = _compile(expr.arg, memo, shared)
 
@@ -911,6 +956,9 @@ class Fn:
     wraps public methods, and a wrapper on every per-point call would move
     its per-layer counters.
     An expression is compiled (compile_expr) once, when the Fn is built.
+    A text is parsed through parse, so Fns built from one text share one
+    tree, the one parse keeps; each still compiles its own closures, and
+    derives its own inverse and derivative.
     text is the given text, else the expression text, else None; expr is
     the FuncExpr, or None for a callable.  inverse and derivative are
     derived on first use.

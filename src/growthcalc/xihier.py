@@ -31,9 +31,10 @@ module instance HIER serves every caller.
 Companions: chi, the reciprocal of xi_3', defined by chi = 1 on [0, 1] and
 chi(x) = x * chi(ln x).  Of a float it is the float product
 x * ln x * ln ln x * ..., to within a few units of 2^-52, while that product
-is finite.  The pair sum is for towers, and for the few inputs past the
-product's range: its log, ln x + ln ln x + ..., is summed on level-index
-pairs by lixnum's addition, so towers never overflow.  xi_k' follows from
+is finite; past it, its log ln x + ln ln x + ... is summed in floats and
+made a tower once.  The pair sum is for towers, and for ints and Fractions
+past the float range: that log is summed on level-index pairs by lixnum's
+addition, so towers never overflow.  xi_k' follows from
 chi and the seed slope by the chain rule, with no differencing.
 """
 
@@ -171,9 +172,10 @@ class XiHierarchy:
 
         A float x > 1 answers the float product x * ln x * ln ln x * ...,
         each iterate above 1 multiplied in, while the product stays finite
-        (to about 2.08e304).  A tower, an int or Fraction past the float
-        range and a float whose product overflows take the log instead:
-        ln chi(x) = ln x + ln ln x + ... down to the [0, 1] band.  For
+        (to about 2.08e304).  Past that, chi is a tower: its log
+        ln x + ln ln x + ... down to the [0, 1] band, summed in floats
+        alongside the product, converted once.  A tower, and an int or
+        Fraction past the float range, sum that log on pairs instead: for
         x = (L, m) the terms are the pairs (L - 1, m), (L - 2, m), ..., and
         the sum runs on (level, mantissa) pairs through lixnum's own
         addition, so towers never overflow and no step builds an LIReal.
@@ -194,11 +196,16 @@ class XiHierarchy:
                     return 1.0
                 if xf < math.inf:  # inf and NaN go on to _pair_any, which names them
                     p, t = xf, math.log(xf)
+                    s = t
                     while t > 1.0:
                         p *= t
                         t = math.log(t)
+                        s += t
                     if p < math.inf:
                         return p
+                    # past the product's range: its log s, summed in
+                    # floats, is one tower conversion from chi
+                    return lixnum.exp_li(lixnum.to_li(s))
                 level, m = lixnum._pair_any(xf)
         # terms (level - 1, m) down to (0, m), or to (1, m) if m = 0.  The
         # sum starts at the first, flagged absorbed as 0 + ln x is; past an

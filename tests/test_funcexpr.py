@@ -962,6 +962,18 @@ class TestCompiledEvaluation:
         assert [d(float(x)) for x in (1, 4)] == [1.5, 1.25]
         assert calls == [fn.expr, funcexpr.differentiate(fn.expr)]
 
+    @pytest.mark.parametrize("expr,x,message", [
+        (Call("cos", Var()), 1.0, "unknown function 'cos'"),
+        (Call("cos", Call("log", Var())), Fraction(3), "unknown function 'cos'"),
+        # the argument is evaluated first, as the reference walker does
+        (Call("cos", Call("log", Var())), -1.0, "log of non-positive value -1.0"),
+    ])
+    def test_an_unknown_call_name_raises_when_evaluated(self, expr, x, message):
+        f = funcexpr.compile_expr(expr)  # compiling a hand-built name is no error
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            f(x)
+        assert _outcome(f, x) == _outcome(reference_evaluate, expr, x)
+
 
 class TestZeroPower:
     # 0^p reads the same on floats and on towers: an error for p < 0, 1 for
@@ -984,3 +996,82 @@ class TestZeroPower:
     def test_positive_power_is_zero(self):
         assert ev("x^2", 0.0) == ev("x^0.5", -0.0) == 0.0
         assert ev("x^2", self.ZERO) == ev("x^exp(x)", self.ZERO) == self.ZERO
+
+
+def _sharing(e) -> list:
+    """The node-sharing pattern of a tree: in preorder, each node's index
+    among the distinct node objects met so far."""
+    ids, pattern, todo = {}, [], [e]
+    while todo:
+        node = todo.pop()
+        pattern.append(ids.setdefault(id(node), len(ids)))
+        todo += [getattr(node, f) for f in ("inner", "outer", "right", "left", "arg")
+                 if hasattr(node, f)]
+    return pattern
+
+
+def _read(read, text):
+    """A parse's tree as its repr, text and sharing pattern, or its
+    ParseError as its message, position and expected set."""
+    try:
+        e = read(text)
+    except ParseError as exc:
+        return "raises", str(exc), exc.pos, exc.expected
+    return repr(e), to_text(e), _sharing(e)
+
+
+# token strings, most of them no expression, and the texts of drawn trees
+_TOKENS = ["x", "x", "e", "pi", "2", "0.5", "1e400", "log", "xi_4", "dxi_2", "foo",
+           "(", ")", "(", ")", "+", "-", "*", "/", "^", "@", " ", "$"]
+TEXTS = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join),
+                  EXPRS.map(to_text), _planted().map(to_text))
+
+
+@pytest.fixture
+def cold_table():
+    funcexpr._parsed.clear()
+
+
+class TestParseTable:
+    def test_a_second_parse_reads_no_tokens(self, monkeypatch, cold_table):
+        calls = []
+        tokenize = funcexpr._tokenize
+        monkeypatch.setattr(funcexpr, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+        e = parse("x+x/log(x)")
+        assert calls == ["x+x/log(x)"]
+        assert parse("x+x/log(x)") is e and funcexpr.Fn("x+x/log(x)").expr is e
+        assert calls == ["x+x/log(x)"]
+
+    def test_the_table_keeps_its_cap(self, cold_table):
+        cap = funcexpr._PARSE_CAP
+        texts = [f"x+{i}" for i in range(2 * cap)]
+        first = parse(texts[0])
+        for text in texts:
+            parse(text)
+        # the newest cap texts, oldest first: the first cap were dropped
+        assert list(funcexpr._parsed) == texts[cap:]
+        again = parse(texts[0])
+        assert again == first and again is not first
+        assert len(funcexpr._parsed) == cap
+
+    @pytest.mark.parametrize("text", ["x+", "log(x", "foo(x)", "x $ 2", "1e400*x", "",
+                                      "(" * 3000 + "x" + ")" * 3000])
+    def test_a_bad_text_raises_alike_and_is_not_kept(self, cold_table, text):
+        first, second = _read(parse, text), _read(parse, text)
+        assert first[0] == "raises" and first == second
+        assert not funcexpr._parsed
+
+    @settings(max_examples=100)
+    @given(TEXTS)
+    @example("log(x)+log(x)*log(x)")
+    @example("(x+1)^(x+1) @ (x+1)")
+    def test_the_table_tree_is_a_fresh_parse(self, text):
+        fresh = _read(lambda t: funcexpr._Parser(t).parse(), text)
+        funcexpr._parsed.clear()
+        cold, warm = _read(parse, text), _read(parse, text)
+        assert cold[0] == "raises" or parse(text) is parse(text)
+        for i in range(funcexpr._PARSE_CAP):  # texts no draw makes: a tab
+            parse(f"x+{i}\t")
+        assert text not in funcexpr._parsed
+        evicted = _read(parse, text)
+        assert cold == warm == evicted == fresh

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from growthcalc import cli
+from growthcalc import cli, funcexpr
 
 GOLDEN = Path(__file__).with_name("golden")
 CLASSIFY = json.loads((GOLDEN / "classify.json").read_text())
@@ -52,3 +52,16 @@ def test_props_stdout_matches_golden(capsys, args):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == PROPS[args]
+
+
+@pytest.mark.parametrize("command,key", [("classify", expr) for expr in CLASSIFY]
+                         + [("props", args) for args in PROPS])
+def test_a_warm_parse_table_answers_alike(capsys, command, key):
+    # the first answer reads every text afresh, the second takes each tree
+    # from parse's table: both print the golden, byte for byte
+    funcexpr._parsed.clear()
+    argv = [key] if command == "classify" else key.split()
+    golden = (CLASSIFY if command == "classify" else PROPS)[key]
+    for _ in range(2):
+        assert cli.main([command, *argv]) == 0
+        assert capsys.readouterr().out == golden

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it does not use,
 the package reads every private name it defines, each function reads every
 local name it binds, only funcexpr turns an expression into a callable
-itself, only lixnum reads the cutoffs of its arithmetic, and acceptance and
-classify keep no memo beyond one call."""
+itself, only funcexpr.parse builds a parser, only lixnum reads the cutoffs
+of its arithmetic, and acceptance and classify keep no memo beyond one
+call."""
 
 import ast
 from pathlib import Path
@@ -130,6 +131,28 @@ def test_only_funcexpr_compiles():
         if path.name != "funcexpr.py" and "compile_expr" in _read(tree) | set(_imported(tree)):
             refs.append(path.name)
     assert not refs, f"modules that call compile_expr themselves: {refs}"
+
+
+def test_only_parse_builds_a_parser():
+    # parse's table must see every read of a text: inside funcexpr only
+    # parse reads the name _Parser, and no other module imports it or
+    # reads it off funcexpr (cli's own _Parser is argparse's)
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "funcexpr.py":
+            parse = next(fn for fn in tree.body
+                         if isinstance(fn, ast.FunctionDef) and fn.name == "parse")
+            inside = {id(n) for n in ast.walk(parse)}
+            reads += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Name) and n.id == "_Parser"
+                      and isinstance(n.ctx, ast.Load) and id(n) not in inside]
+            continue
+        reads += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if (isinstance(n, ast.Attribute) and n.attr == "_Parser")
+                  or (isinstance(n, ast.ImportFrom) and (n.module or "").endswith("funcexpr")
+                      and "_Parser" in {a.name for a in n.names})]
+    assert not reads, f"funcexpr._Parser read outside funcexpr.parse: {reads}"
 
 
 def test_only_lixnum_reads_the_arithmetic_cutoff():

@@ -13,9 +13,11 @@ EXACT_ARITH_MAX_LEVEL): every step builds an LIReal, but for the log
 step of a tower product or quotient, which adds bare pairs.  The new code must
 give the same type, the same bits and the same absorbed flag, or raise the
 same exception type with the same message.  chi of a float above 1 whose
-float product x ln x ln ln x ... is finite is that product now, and is held
-to mpmath instead (test_xihier's bound); towers, ints and Fractions past
-the float range, and floats past the product's range keep the pair sum.
+float product x ln x ln ln x ... is finite is that product now, and chi of
+a float past the product's range is converted once from the float sum
+ln x + ln ln x + ...; both are held to mpmath instead (test_xihier's
+bounds).  Towers, and ints and Fractions past the float range, keep the
+pair sum.
 """
 
 import math
@@ -31,7 +33,8 @@ from growthcalc.funcexpr import evaluate, parse
 from growthcalc.lixnum import ABSORB_REL, EXACT_ARITH_MAX_LEVEL, DomainError, LIReal
 from growthcalc.xihier import HIER
 from test_lixnum import lireals
-from test_xihier import CHI_ULPS, chi_ulps, on_float_path
+from test_xihier import (CHI_MANTISSA_ULPS, CHI_ULPS, chi_mantissa_ulps, chi_ulps,
+                         on_float_path, on_float_sum_path)
 
 # -- the reference: LIReal-based conversions, arithmetic and chi ------------
 
@@ -264,6 +267,11 @@ class TestChi:
             # pair sum misses by up to 11,633 units of 2^-52
             got = HIER.chi(x)
             assert type(got) is float and chi_ulps(got, x) <= CHI_ULPS
+            return
+        if on_float_sum_path(x):
+            # the float sum, converted once: held to mpmath, which the
+            # reference's pair sum misses by up to 2.96 units of the mantissa
+            assert chi_mantissa_ulps(HIER.chi(x), x) <= CHI_MANTISSA_ULPS
             return
         want = _outcome(ref_chi, x)
         if want[:2] == ("raises", OverflowError):

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -400,6 +401,42 @@ def on_float_path(x) -> bool:
         return False
 
 
+def on_float_sum_path(x) -> bool:
+    """Whether chi(x) is converted once from the float sum ln x + ln ln x +
+    ...: x is no tower, and float(x) is finite and past the last float
+    whose product is finite."""
+    if isinstance(x, LIReal):
+        return False
+    try:
+        return last_finite_product() < float(x) < math.inf
+    except OverflowError:  # an int or Fraction past the float range
+        return False
+
+
+# chi past the product's range against mpmath, in units of the last place
+# of its level-4 mantissa.  One such unit moves ln chi by about 8.6 units of
+# its own last place, so no pair holds ln chi to 4 of them; the float sum
+# and its one conversion miss by 1.33 at worst, the pair sum by 2.96
+CHI_MANTISSA_ULPS = 2
+
+
+def chi_mantissa_ulps(got: LIReal, x) -> float:
+    """How far got's mantissa is from the mantissa of chi(float(x)),
+    computed at 50 digits, in units of the mantissa's last place."""
+    with mpmath.workdps(50):
+        t = mpmath.log(mpmath.mpf(float(x)))
+        s = t
+        while t > 1:
+            t = mpmath.log(t)
+            s += t
+        level, m = 1, s  # chi = exp(s), then the log chain of s
+        while m >= 1:
+            m = mpmath.log(m)
+            level += 1
+        assert got.level == level
+        return float(abs(got.mantissa - m)) / math.ulp(float(m))
+
+
 def chi_ulps(got: float, x) -> float:
     """The relative error of got as chi(float(x)), in units of 2^-52, against
     the product at 50 digits."""
@@ -447,8 +484,8 @@ class TestChi:
 
     def test_early_stop_matches_every_term(self):
         # the sum stops at its first absorbed addition; summing every term
-        # gives the same value and the same absorbed flag.  A point on the
-        # float product's path is held to mpmath instead
+        # gives the same value and the same absorbed flag.  A float point on
+        # the product's path, or past it, is held to mpmath instead
         points = [LIReal(level, m) for level in range(61) for m in _CHI_MANTISSAS]
         points += [LIReal(-1, 0.5), 0.0, 0.5, 1.0, 1.0000001, 1.5, math.e,
                    15.15, 1e8, 1e300, 1.7e308, 1, 2, 3, 10 ** 6, 10 ** 400,
@@ -457,6 +494,9 @@ class TestChi:
             got = HIER.chi(x)
             if on_float_path(x):
                 assert type(got) is float and chi_ulps(got, x) <= CHI_ULPS, x
+                continue
+            if on_float_sum_path(x):
+                assert chi_mantissa_ulps(got, x) <= CHI_MANTISSA_ULPS, x
                 continue
             want = _chi_by_every_term(x)
             if isinstance(want, LIReal):
@@ -479,13 +519,25 @@ class TestChi:
 
     def test_switch_to_the_pair_sum_is_continuous(self):
         # the last float whose product is finite, and the float after it;
-        # the pair sum is off by about 2.5e-12 there, so the bound is 1e-11
+        # the pair sum was off by about 2.5e-12 there.  The bound is one
+        # unit of the level-4 mantissa there, about 1e-12 of chi
         last = last_finite_product()
         below, above = HIER.chi(last), HIER.chi(math.nextafter(last, math.inf))
         assert type(below) is float and isinstance(above, LIReal)
         # |ln a - ln b| is the relative difference, to first order
-        assert abs(math.log(below) - float(lixnum.ln_li(above))) <= 1e-11
+        assert abs(math.log(below) - float(lixnum.ln_li(above))) <= 1e-12
         assert lixnum.to_li(below) <= above
+
+    @settings(max_examples=200)
+    @given(st.floats(min_value=2.0829633013948543e304, max_value=sys.float_info.max))
+    @example(2.0829633013948543e304)  # the first float past the product's range
+    @example(1.1892833956146008e305)  # the pair sum's worst of 2,001 draws: 2.96 units
+    @example(1.2765989701574636e306)  # the float sum's worst of them: 1.33 units
+    @example(sys.float_info.max)
+    def test_past_the_product_is_within_the_bound_of_mpmath(self, x):
+        got = HIER.chi(x)
+        assert isinstance(got, LIReal)
+        assert chi_mantissa_ulps(got, x) <= CHI_MANTISSA_ULPS
 
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_non_finite_is_refused(self, x):
