@@ -485,12 +485,6 @@ def _times_power(x: float, m: float, k: int) -> float:
     return x * m ** k
 
 
-# the value of each call name: a row takes the call's level k (its param,
-# or None) and the value v of its argument.  log is log_k at level 1 and xi
-# is xi_k at level 3.  HIER's methods are looked up at each call, so a
-# tracer or a test that rebinds one is seen
-
-
 def _log_k(k: int, v: Value) -> Value:
     for _ in range(k):
         v = _log(v)
@@ -525,6 +519,10 @@ def _abs(k, v: Value) -> Value:
     return abs(v)
 
 
+# the value of each call name: a row takes the call's level k (its param,
+# or None) and the value v of its argument.  log is log_k at level 1 and xi
+# is xi_k at level 3.  HIER's methods are looked up at each call, so a
+# tracer or a test that rebinds one is seen
 _CALL_VALUES = {
     "exp": lambda k, v: _exp(v),
     "log": lambda k, v: _log(v),
