@@ -139,10 +139,7 @@ class AbelSolution:
 
     def __init__(self, f, A: float, seed_kind: str = "linear",
                  f_inv: Optional[Callable[[float], float]] = None):
-        if isinstance(f, funcexpr.Fn) and f_inv is None:
-            fn = f  # used as it is: the f' it derives stays on it
-        else:
-            fn = funcexpr.Fn(f, inverse=f_inv)
+        fn = funcexpr.Fn(f, inverse=f_inv)
         inv, fp = fn.inverse, None
         if inv is not None:
             # a callable inverse runs as given; an expression's returns floats

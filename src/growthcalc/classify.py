@@ -506,7 +506,7 @@ def inverse_derivative_ratio(f, g, x: float) -> float:
     many x derives its inverse and derivative once."""
 
     def inv_prime(spec) -> float:
-        fn = spec if isinstance(spec, funcexpr.Fn) else funcexpr.Fn(spec)
+        fn = funcexpr.Fn(spec)
         y = funcexpr.invert_at(fn, float(x), bracket_hint=(1.0, float(x) + 2.0))
         d = fn.derivative(y)
         if d == 0:

@@ -12,9 +12,10 @@ Grammar (whitespace-insensitive)::
 
 comp, sum and term are one parser rule read off _PREC, which to_text prints by.
 
-Function names: exp, log, log_<k>, sqrt, sin, abs, xi, xi_<k>, chi, plus the
-derivative forms dxi_<k> (exact, by the chain rule) and dchi (a central
-difference) emitted by differentiate().
+Function names, each one row of _FUNCS, which the parser, compile_expr,
+differentiate and invert read: exp, log, log_<k>, sqrt, sin, abs, xi,
+xi_<k>, chi, plus the derivative forms dxi_<k> (exact, by the chain rule)
+and dchi (a central difference) emitted by differentiate().
 parse(text) keeps the trees of the texts it read last, so a text asked
 about again is not read again.
 compile_expr(expr), the one evaluator, turns an expression into closures
@@ -22,7 +23,8 @@ with float fast paths that also take Fractions or level-index numbers
 (LIReal), where exp/log become exact level shifts.  The xi, xi_k, chi and
 dxi_k nodes read the one fixed hierarchy, xihier.HIER.
 invert(expr) builds the exact inverse of an increasing expression from the
-invertible fragment (x+c, c*x, x^c, c^x, exp, log, log_k, sqrt, @).
+invertible fragment (x+c, c*x, x^c, c^x, @, and the calls whose row has an
+inverse rule: exp, log, log_k, sqrt).
 Fn resolves a function spec (text, a FuncExpr, a callable) once; every
 layer takes its functions through it.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -132,9 +135,6 @@ _NODE_TYPES = (Var, Const, NamedConst, Neg, Binary, Call, Compose)
 # the leaves every parse shares
 _X = Var()
 _NAMED = {"e": NamedConst("e"), "pi": NamedConst("pi")}
-
-_PLAIN_FNS = {"exp", "log", "sqrt", "sin", "abs", "xi", "chi", "dchi"}
-_PARAM_FN_RE = re.compile(r"^(log|xi|dxi)_(\d+)$")
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +254,15 @@ class _Parser:
         raise ParseError(f"got {val!r}", pos, expected={"number", "identifier", "("})
 
     def _call(self, name: str, arg: FuncExpr, pos: int) -> FuncExpr:
-        if name in _PLAIN_FNS:
+        if name in _FUNCS and not name.endswith("_k"):
             return self.node((Call, name, id(arg)), Call(name, arg))
-        m = _PARAM_FN_RE.match(name)
-        if m:
-            fn, k = m.group(1) + "_k", int(m.group(2))
+        base, _, k = name.rpartition("_")
+        fn = base + "_k"
+        if k.isdigit() and fn in _FUNCS:  # log_2: a _k row at level 2
+            k = int(k)
             return self.node((Call, fn, id(arg), k), Call(fn, arg, param=k))
-        raise ParseError(f"unknown function {name!r}", pos, expected=_PLAIN_FNS)
+        raise ParseError(f"unknown function {name!r}", pos,
+                         expected={n for n in _FUNCS if not n.endswith("_k")})
 
 
 # texts parse has read, each to its tree, oldest first; a tree is immutable
@@ -328,11 +330,9 @@ def to_text(e: FuncExpr) -> str:
             # right-assoc; left operand must bind tighter than ^
             return _child(e.left, p, strict=True) + "^" + _child(e.right, p, strict=False)
         return _child(e.left, p, strict=False) + e.op + _child(e.right, p, strict=True)
-    if isinstance(e, Call):
-        if e.param is None:
-            return f"{e.fn}({to_text(e.arg)})"
-        base = e.fn[:-2]  # strip the '_k'
-        return f"{base}_{e.param}({to_text(e.arg)})"
+    if isinstance(e, Call):  # a _k name prints with its level: log_2(u)
+        name = e.fn if e.param is None else f"{e.fn[:-2]}_{e.param}"
+        return f"{name}({to_text(e.arg)})"
     if isinstance(e, Compose):
         p = _PREC["@"]
         return _child(e.outer, p, strict=False) + " @ " + _child(e.inner, p, strict=True)
@@ -519,39 +519,6 @@ def _abs(k, v: Value) -> Value:
     return abs(v)
 
 
-# the value of each call name: a row takes the call's level k (its param,
-# or None) and the value v of its argument.  log is log_k at level 1 and xi
-# is xi_k at level 3.  HIER's methods are looked up at each call, so a
-# tracer or a test that rebinds one is seen
-_CALL_VALUES = {
-    "exp": lambda k, v: _exp(v),
-    "log": lambda k, v: _log(v),
-    "log_k": _log_k,
-    "sqrt": _sqrt,
-    "sin": _sin,
-    "abs": _abs,
-    "xi": lambda k, v: HIER.xi_k(3, v),
-    "xi_k": lambda k, v: HIER.xi_k(k, v),
-    "chi": lambda k, v: HIER.chi(v),
-    "dxi_k": lambda k, v: HIER._xi_k_deriv(k, float(v)),
-    "dchi": lambda k, v: _numdiff(HIER.chi, float(v)),
-}
-
-
-def _unknown_call(fn: str):
-    """The value function of a call name with no row: it raises when the
-    call is evaluated, not when it is compiled."""
-    def value(k, v):
-        raise EvalError(f"unknown function {fn!r}")
-    return value
-
-
-# float arguments strictly inside (lo, hi) take the math function directly;
-# exp stays finite below 709
-_FLOAT_CALLS = {"sqrt": (math.sqrt, 0.0, _INF), "log": (math.log, 0.0, _INF),
-                "exp": (math.exp, -_INF, 709.0)}
-
-
 def _binary_node(op: str, a, b):
     """The closure for a op b; an overflow leaves the float fast path and
     promotes in _binary or _pow."""
@@ -638,9 +605,10 @@ def _slotted(f):
 def compile_expr(expr: FuncExpr) -> Callable[[Value], Value]:
     """expr as a function of x: nested closures, one per node.
 
-    Each closure takes a float fast path for + - * /, ^, unary minus,
-    sqrt, log and exp, and otherwise falls back to _binary, _pow and the
-    call's row of _CALL_VALUES (looked up once a node, while compiling),
+    Each closure takes a float fast path for + - * /, ^, unary minus and
+    the calls whose _FUNCS row has one (sqrt, log and exp), and otherwise
+    falls back to _binary, _pow and the value function of the call's row
+    (looked up once a node, while compiling),
     so Fractions, towers, overflow promotion and errors are the same on
     both paths.  A left-deep chain of + and - is one loop, so a long flat
     sum needs no recursion.  Compile an expression once and
@@ -687,13 +655,14 @@ def _compile(expr: FuncExpr, memo: dict, shared: set) -> Callable[[Value], Value
             f = _binary_node(expr.op, _compile(expr.left, memo, shared),
                              _compile(expr.right, memo, shared))
     elif t is Call:
-        arg, k = _compile(expr.arg, memo, shared), expr.param
-        value = _CALL_VALUES.get(expr.fn) or _unknown_call(expr.fn)
-        fast = _FLOAT_CALLS.get(expr.fn)
-        if fast is None:
+        arg, row = _compile(expr.arg, memo, shared), _FUNCS.get(expr.fn)
+        if row is None:  # a hand-built name: an error when evaluated, not now
+            row = _Func(_raises(f"unknown function {expr.fn!r}"), None, None, None, None)
+        value, k = row.value, row.level or expr.param
+        if row.fast is None:
             f = lambda x: value(k, arg(x))  # noqa: E731
         else:
-            fn, lo, hi = fast
+            fn, lo, hi = row.fast
 
             def f(x):
                 v = arg(x)
@@ -773,8 +742,64 @@ def _div(a, b):
     return Binary("/", a, b)
 
 
+# ---------------------------------------------------------------------------
+# The function table
+
+
+def _dlog(e: Call, k: int, du: FuncExpr) -> FuncExpr:
+    # 1 / (u * log u * ... * log_{k-1} u); log_0 is the identity
+    denom = e.arg
+    for j in range(1, k):
+        denom = _mul(denom, Call("log_k", e.arg, param=j))
+    return _div(du, denom) if k else du
+
+
+def _raises(message: str):
+    def raises(*args):
+        raise EvalError(message)
+    return raises
+
+
+def _exp_k(k: int, acc: FuncExpr) -> FuncExpr:
+    for _ in range(k):
+        acc = Call("exp", acc)
+    return acc
+
+
+# a row of _FUNCS: value(k, v), the call at level k (the row's level, else
+# the node's param) on its argument's value v; fast, (fn, lo, hi) with fn for
+# floats strictly inside (lo, hi), or None; deriv(e, k, du), the call node e's
+# derivative, du its argument's; inv(k, acc), the call undone on acc, or None
+_Func = namedtuple("_Func", "value fast deriv inv level")
+
+# each function name once.  HIER's methods are looked up at each call, so
+# a tracer or a test that rebinds one is seen; exp stays finite below 709
+_FUNCS = {
+    "exp": _Func(lambda k, v: _exp(v), (math.exp, -_INF, 709.0),
+                 lambda e, k, du: _mul(e, du), lambda k, acc: Call("log", acc), None),
+    "log_k": _Func(_log_k, None, _dlog, _exp_k, None),
+    "log": _Func(lambda k, v: _log(v), (math.log, 0.0, _INF), _dlog, _exp_k, 1),  # log_1 in one step
+    "sqrt": _Func(_sqrt, (math.sqrt, 0.0, _INF),
+                  lambda e, k, du: _div(du, _mul(Const(2.0), e)),
+                  lambda k, acc: Binary("^", acc, Const(2.0)), None),
+    # no cos node in the DSL; sin(pi/2 - u) is cos(u)
+    "sin": _Func(_sin, None, lambda e, k, du: _mul(Call(
+        "sin", _sub(_div(NamedConst("pi"), Const(2.0)), e.arg)), du), None, None),
+    "abs": _Func(_abs, None, _raises("abs is not differentiable"), None, None),
+    "xi_k": _Func(lambda k, v: HIER.xi_k(k, v), None,
+                  lambda e, k, du: _mul(Call("dxi_k", e.arg, param=k), du), None, None),
+    "chi": _Func(lambda k, v: HIER.chi(v), None,
+                 lambda e, k, du: _mul(Call("dchi", e.arg), du), None, None),
+    "dxi_k": _Func(lambda k, v: HIER._xi_k_deriv(k, float(v)), None, _raises(
+        "dxi_k (a derivative node) cannot be differentiated again"), None, None),
+    "dchi": _Func(lambda k, v: _numdiff(HIER.chi, float(v)), None, _raises(
+        "dchi (a derivative node) cannot be differentiated again"), None, None),
+}
+_FUNCS["xi"] = _FUNCS["xi_k"]._replace(level=3)  # xi is xi_k at level 3
+
+
 def differentiate(expr: FuncExpr) -> FuncExpr:
-    """Symbolic derivative with respect to x.
+    """Symbolic derivative with respect to x; a call's by its _FUNCS row.
 
     xi and every xi_k differentiate to a dxi_k node (xi as k = 3), which
     reads xihier's exact derivative of that level, and chi to a dchi node,
@@ -808,31 +833,9 @@ def differentiate(expr: FuncExpr) -> FuncExpr:
             inner = _add(_mul(dv, Call("log", u)), _mul(v, _div(du, u)))
             return _mul(expr, inner)
     if isinstance(expr, Call):
-        u, du = expr.arg, differentiate(expr.arg)
-        fn = expr.fn
-        if fn == "exp":
-            return _mul(expr, du)
-        if fn == "log" or fn == "log_k":
-            # 1 / (u * log u * ... * log_{k-1} u); log is level 1, and
-            # log_0 the identity
-            k = 1 if fn == "log" else expr.param
-            denom = u
-            for j in range(1, k):
-                denom = _mul(denom, Call("log_k", u, param=j))
-            return _div(du, denom) if k else du
-        if fn == "sqrt":
-            return _div(du, _mul(Const(2.0), expr))
-        if fn == "sin":
-            # no cos node in the DSL; sin(pi/2 - u) is cos(u)
-            return _mul(Call("sin", _sub(_div(NamedConst("pi"), Const(2.0)), u)), du)
-        if fn == "abs":
-            raise EvalError("abs is not differentiable")
-        if fn == "xi" or fn == "xi_k":
-            return _mul(Call("dxi_k", u, param=3 if fn == "xi" else expr.param), du)
-        if fn == "chi":
-            return _mul(Call("dchi", u), du)
-        if fn in ("dxi_k", "dchi"):
-            raise EvalError(f"{fn} (a derivative node) cannot be differentiated again")
+        du, row = differentiate(expr.arg), _FUNCS.get(expr.fn)
+        if row is not None:
+            return row.deriv(expr, row.level or expr.param, du)
     raise TypeError(f"not a FuncExpr: {expr!r}")
 
 
@@ -896,17 +899,11 @@ def _invert_into(e: FuncExpr, acc: FuncExpr) -> Optional[FuncExpr]:
             else:
                 return None  # c - x, c / x, a decreasing factor or base
             e = arg
-        elif isinstance(e, Call) and e.fn in ("exp", "log", "log_k", "sqrt"):
-            if e.fn == "exp":
-                acc = Call("log", acc)
-            elif e.fn == "sqrt":
-                acc = Binary("^", acc, Const(2.0))
-            else:  # log is level 1
-                for _ in range(1 if e.fn == "log" else e.param):
-                    acc = Call("exp", acc)
-            e = e.arg
         else:
-            return None
+            row = _FUNCS.get(e.fn) if isinstance(e, Call) else None
+            if row is None or row.inv is None:
+                return None
+            acc, e = row.inv(row.level or e.param, acc), e.arg
     return acc
 
 
@@ -914,10 +911,10 @@ def invert(expr: FuncExpr) -> Optional[FuncExpr]:
     """The exact inverse of an increasing expression, or None.
 
     Covers x, x+c, x-c, c+x, c*x, x*c, x/c (c > 0), x^c (c > 0, not an
-    odd integer), c^x (c > 1), exp, log, log_k, sqrt and their nesting and
-    @ composition, where c is any subtree without x, evaluated once.
-    Everything else (x in two places, sin, xi, a decreasing map, x^3, ...)
-    gives None.
+    odd integer), c^x (c > 1), the calls whose _FUNCS row has an inverse
+    rule (exp, log, log_k, sqrt), and their nesting and @ composition,
+    where c is any subtree without x, evaluated once.  Everything else (x
+    in two places, sin, xi, a decreasing map, x^3, ...) gives None.
     """
     return _invert_into(expr, Var())
 
@@ -945,7 +942,8 @@ _DERIVE = object()  # Fn._inverse before the inverse is derived
 
 class Fn:
     """A function spec resolved once: expression text, a FuncExpr, a
-    callable, or another Fn (whose fields are copied).
+    callable, or another Fn: Fn(fn) is fn itself, so what it derives stays
+    on it; given a text or an inverse too, a copy of fn's fields.
 
     raw(x) returns raw values: floats, Fractions or level-index numbers.
     float(x) returns floats: a value past the float range is inf or -inf
@@ -961,6 +959,11 @@ class Fn:
     the FuncExpr, or None for a callable.  inverse and derivative are
     derived on first use.
     """
+
+    def __new__(cls, spec, text: Optional[str] = None, inverse=None):
+        # __init__ then copies fn's fields onto fn itself, which is no change
+        same = isinstance(spec, Fn) and text is None and inverse is None
+        return spec if same else super().__new__(cls)
 
     def __init__(self, spec, text: Optional[str] = None, inverse=None):
         if isinstance(spec, Fn):
@@ -1144,11 +1147,10 @@ def invert_at(spec, y: float, bracket_hint=None) -> float:
     Fn(spec).inverse when there is one; otherwise _bisect on sign*f (sign
     -1 for a decreasing f) from bracket_hint (default [1, 2]), which
     _bisect widens as needed, narrowed by Newton steps on f' where the
-    spec has one.  An Fn spec is used as it is, not copied, so the inverse
-    and derivative it derives here stay on it for the next call.  EvalError
-    if f(x) misses y by more than a relative 1e-12.
+    spec has one.  An Fn spec keeps what it derives here for the next call.
+    EvalError if f(x) misses y by more than a relative 1e-12.
     """
-    fn = spec if isinstance(spec, Fn) else Fn(spec)
+    fn = Fn(spec)
     f = fn.float
     if fn.inverse is not None:
         x = float(fn.inverse.raw(y))

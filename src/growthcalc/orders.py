@@ -242,7 +242,7 @@ def check_R(conditions, F, ladder) -> List[RegReport]:
         if c not in ("R0", "R1", "R2", "R3"):
             raise ValueError(f"unknown regularity condition {c!r}")
     xs = _float_points(ladder)
-    F = F if isinstance(F, funcexpr.Fn) else funcexpr.Fn(F)  # a given Fn keeps its f'
+    F = funcexpr.Fn(F)  # a given Fn is itself, and keeps its f'
     Fx = functools.cache(F.raw)
     dF = None
     reports = []
