@@ -69,6 +69,17 @@ def test_compile_small(benchmark):
     assert benchmark(compile_expr, e)(4.0) == 6.0
 
 
+def test_differentiate(benchmark):
+    # the call's rule is its row of the function table
+    d = benchmark(funcexpr.differentiate, parse("x+x/log(x)"))
+    assert funcexpr.to_text(d) == "1+(log(x)-x*(1/x))/log(x)^2"
+
+
+def test_invert(benchmark):
+    inv = benchmark(funcexpr.invert, parse("exp(x)@x^1.5"))
+    assert funcexpr.to_text(inv) == "log(x)^0.6666666666666666"
+
+
 def test_compile_witness(benchmark):
     e = parse(R5_WITNESS)
     benchmark(compile_expr, e)

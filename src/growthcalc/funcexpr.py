@@ -963,7 +963,7 @@ class Fn:
     def __new__(cls, spec, text: Optional[str] = None, inverse=None):
         # __init__ then copies fn's fields onto fn itself, which is no change
         same = isinstance(spec, Fn) and text is None and inverse is None
-        return spec if same else super().__new__(cls)
+        return spec if same else object.__new__(cls)
 
     def __init__(self, spec, text: Optional[str] = None, inverse=None):
         if isinstance(spec, Fn):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -49,8 +50,11 @@ class TestParsing:
         assert ev("log(x) @ exp(x)", 3.7) == pytest.approx(3.7)
 
     def test_unknown_function_rejected(self):
-        with pytest.raises(ParseError):
-            parse("sinh(x)")
+        # the expected names are the plain ones; a _k name takes only digits
+        for name in ("sinh", "cos", "log_k", "xi_3_4", "log_", "exp_2", "_2"):
+            with pytest.raises(ParseError, match=f"^unknown function '{name}' at position 0") as info:
+                parse(f"{name}(x)")
+            assert info.value.expected == {"exp", "log", "sqrt", "sin", "abs", "xi", "chi", "dchi"}
 
     def test_trailing_whitespace_is_skipped(self):
         assert parse("x ") == Var()
@@ -521,6 +525,40 @@ class TestLogAtLevelOne:
             assert evaluate(inv, x) == evaluate(inv1, x)
 
 
+def _row_text(name):
+    return f"{name[:-2]}_2(x)" if name.endswith("_k") else f"{name}(x)"
+
+
+class TestFunctionTable:
+    # every row of _FUNCS states every column, so a name cannot be parsed
+    # and printed without a value, a derivative rule and an inverse rule
+    @pytest.mark.parametrize("name", sorted(funcexpr._FUNCS))
+    def test_every_row_has_every_column(self, name):
+        row = funcexpr._FUNCS[name]
+        assert callable(row.value) and callable(row.deriv)
+        assert row.inv is None or callable(row.inv)
+        assert row.fast is None or (len(row.fast) == 3 and callable(row.fast[0]))
+        assert row.level is None or (row.level > 0 and not name.endswith("_k"))
+        e = parse(_row_text(name))
+        assert isinstance(e, Call) and to_text(e) == _row_text(name)
+        try:
+            d = funcexpr.differentiate(e)
+        except EvalError:
+            pass  # abs and the derivative nodes have none
+        else:
+            assert isinstance(d, funcexpr._NODE_TYPES)
+        inv = funcexpr.invert(e)
+        assert (inv is None) == (row.inv is None)
+        if inv is not None:
+            assert isinstance(inv, funcexpr._NODE_TYPES)
+            assert evaluate(inv, evaluate(e, 5.0)) == pytest.approx(5.0, rel=1e-12)
+        assert isinstance(evaluate(e, 3.0), (float, Fraction))
+
+    def test_the_module_docstring_names_every_row(self):
+        words = set(re.findall(r"[a-z_<>]+", funcexpr.__doc__))
+        assert {name.replace("_k", "_<k>") for name in funcexpr._FUNCS} <= words
+
+
 def _bad_fp(kind):
     def fp(x):
         if kind == "raises":
@@ -621,6 +659,14 @@ class TestFn:
         # then none
         assert funcexpr.Fn("x+sqrt(x)").inverse is None
         assert funcexpr.Fn(lambda x: 2.0 * x).inverse is None
+
+    def test_fn_of_an_fn_is_that_fn(self):
+        fn = funcexpr.Fn("x+sqrt(x)")
+        d = fn.derivative
+        assert funcexpr.Fn(fn) is fn
+        assert (fn.text, fn.derivative) == ("x+sqrt(x)", d)  # what it derived stays
+        assert funcexpr.Fn(fn, text="f") is not fn
+        assert funcexpr.Fn(fn, inverse="x^2") is not fn
 
     def test_fn_of_fn_keeps_fields_and_takes_overrides(self):
         inner = funcexpr.Fn("2*x")
